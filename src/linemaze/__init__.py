@@ -15,12 +15,12 @@ from .errors import (ArcDomainError, CalibrationError, ExplorationError,
                      MotionDivergenceError)
 from .graph_path import (MazeGraph, PathResult, brute_force_shortest,
                          build_graph, dijkstra, export_graph, graph_from_maze,
-                         graphs_isomorphic)
+                         graphs_isomorphic, shortest_paths)
 from .mapping_explorer import (ExplorationState, OdometrySource, explore_map,
                                match_point, next_target, trace_lines)
 from .maze_model import (MazeEdge, MazeNode, MazeSpec, Point2D,
-                         bundled_maze_text, make_maze, node_degree,
-                         parse_maze, serialize_maze)
+                         bundled_maze_text, make_maze, parse_maze,
+                         serialize_maze)
 from .motion_sim import (EncoderLog, MotionParams, radius_from_ratio,
                          simulate_free_arc, simulate_segment)
 from .odometry import (CalibConstants, arc_len_from_height,
@@ -38,10 +38,11 @@ __all__ = [
     "MazeSyntaxError", "MazeValidationError", "MotionDivergenceError",
     "MazeGraph", "PathResult", "brute_force_shortest", "build_graph",
     "dijkstra", "export_graph", "graph_from_maze", "graphs_isomorphic",
+    "shortest_paths",
     "ExplorationState", "OdometrySource", "explore_map", "match_point",
     "next_target", "trace_lines",
     "MazeEdge", "MazeNode", "MazeSpec", "Point2D", "bundled_maze_text",
-    "make_maze", "node_degree", "parse_maze", "serialize_maze",
+    "make_maze", "parse_maze", "serialize_maze",
     "EncoderLog", "MotionParams", "radius_from_ratio", "simulate_free_arc",
     "simulate_segment",
     "CalibConstants", "arc_len_from_height", "arc_len_from_height_chord_form",

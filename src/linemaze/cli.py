@@ -196,7 +196,7 @@ def cmd_solve(args: argparse.Namespace) -> str:
         result = dijkstra(graph, state.point[0], end_name)
         labels = _relabel(state, maze, match_tol)
         display = [labels[n] for n in result.nodes]
-        discovered = state.total_points
+        discovered = len(state.type_of)
         frame = _rel_frame(maze)
         hop_lengths = []
         for a, b in zip(result.nodes, result.nodes[1:]):

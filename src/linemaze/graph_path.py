@@ -3,8 +3,10 @@
 ``build_graph`` turns a mapping exploration's visit log into a weighted
 graph: two names are adjacent iff they ever appear consecutively in the log,
 and each edge weighs the coordinate distance between its endpoints.
-``dijkstra`` answers shortest-path queries deterministically (equal-length
-paths resolve to the lexicographically smallest node sequence);
+``shortest_paths`` is the package's one shortest-path routine: a Dijkstra
+search in which equal-length paths resolve to the lexicographically smallest
+node sequence. ``dijkstra`` answers s→t queries with it, and the mapping
+explorer routes to its next target with it, so both share one tie-break;
 ``brute_force_shortest`` is an exhaustive oracle for small graphs that
 accumulates weights in the same order, so equality checks are exact.
 """
@@ -14,7 +16,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from .errors import GraphQueryError, InconsistencyError
 from .maze_model import MazeSpec, Point2D
@@ -24,6 +27,7 @@ __all__ = [
     "PathResult",
     "build_graph",
     "graph_from_maze",
+    "shortest_paths",
     "dijkstra",
     "brute_force_shortest",
     "graphs_isomorphic",
@@ -116,6 +120,40 @@ def graph_from_maze(maze: MazeSpec, origin: Optional[str] = None) -> MazeGraph:
     return _assemble(coords, pairs)
 
 
+def shortest_paths(adjacency: Mapping[str, Sequence[Tuple[str, float]]],
+                   s: str) -> Iterator[Tuple[float, Tuple[str, ...]]]:
+    """Yield ``(length, path)`` once per vertex reachable from ``s``.
+
+    Yields come in ``(length, path)`` order, starting with ``(0.0, (s,))``;
+    each path is the lexicographically smallest of the shortest paths to its
+    last vertex. ``adjacency`` maps a vertex to ``(neighbor, weight)`` pairs
+    with positive weights. Lengths are summed in path order.
+    """
+    # Heap entries carry the whole path: ordering by (length, path) pops
+    # equal-length candidates lexicographically, and any prefix of a
+    # shortest path is itself shortest (positive weights), so the first
+    # arrival at a vertex is its answer.
+    heap: List[Tuple[float, Tuple[str, ...]]] = [(0.0, (s,))]
+    best: Dict[str, float] = {s: 0.0}
+    seen: Set[str] = set()
+    while heap:
+        d, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in seen:
+            continue
+        seen.add(node)
+        yield d, path
+        for nb, w in adjacency[node]:
+            if nb in seen:
+                continue
+            nd = d + w
+            # Keep equal-length alternatives: the lexicographic winner may
+            # run through a prefix that pops later.
+            if nb not in best or nd <= best[nb]:
+                best[nb] = nd
+                heapq.heappush(heap, (nd, path + (nb,)))
+
+
 def dijkstra(g: MazeGraph, s: str, t: str) -> PathResult:
     """Shortest s→t path; equal-length paths resolve to the
     lexicographically smallest node sequence.
@@ -126,32 +164,9 @@ def dijkstra(g: MazeGraph, s: str, t: str) -> PathResult:
         raise GraphQueryError("unknown vertex %r" % (s,))
     if t not in g.coordinates:
         raise GraphQueryError("unknown vertex %r" % (t,))
-    if s == t:
-        return PathResult(nodes=[s], length=0.0)
-    # Heap entries carry the whole path: ordering by (length, path) pops
-    # equal-length candidates lexicographically, and any prefix of a
-    # shortest path is itself shortest (positive weights), so the first
-    # arrival at t is the answer.
-    heap: List[Tuple[float, Tuple[str, ...]]] = [(0.0, (s,))]
-    best: Dict[str, float] = {s: 0.0}
-    seen: Set[str] = set()
-    while heap:
-        d, path = heapq.heappop(heap)
-        node = path[-1]
-        if node == t:
-            return PathResult(nodes=list(path), length=d)
-        if node in seen:
-            continue
-        seen.add(node)
-        for nb, w in g.adjacency[node]:
-            if nb in seen:
-                continue
-            nd = d + w
-            # Keep equal-length alternatives: the lexicographic winner may
-            # run through a prefix that pops later.
-            if nb not in best or nd <= best[nb]:
-                best[nb] = nd
-                heapq.heappush(heap, (nd, path + (nb,)))
+    for length, path in shortest_paths(g.adjacency, s):
+        if path[-1] == t:
+            return PathResult(nodes=list(path), length=length)
     raise GraphQueryError("no path from %r to %r" % (s, t))
 
 

@@ -3,7 +3,8 @@
 The robot starts at an arbitrary node it calls point "0" at coordinate
 (0, 0), heading north, and maintains four parallel records: the visit log
 (every point name in arrival order), each point's type (number of branches
-minus one), an explored counter, and a coordinate per point. Distances come
+minus one), the walked graph (each point's walked neighbors with the
+coordinate distance to each), and a coordinate per point. Distances come
 from an odometry source (ground truth, raw encoders, or one of two encoder
 corrections), so a coordinate is the previous point's coordinate advanced
 along the heading axis by the measured distance.
@@ -12,10 +13,11 @@ On every arrival the measured coordinate is matched against the known points
 within a tolerance: a hit means a revisit (the stored coordinate is reused,
 never averaged), a miss mints a new name. A point is fully explored once
 every one of its branches has been walked; whenever the current point is
-finished, the robot runs a shortest-path search over the partial graph it
-already knows and drives to the nearest unfinished point, logging every
-intermediate arrival on the way. Exploration ends when no unfinished point
-remains.
+finished, the robot searches the walked graph with ``graph_path``'s
+shortest-path routine, the same one (and the same lexicographic tie-break)
+that answers queries on the finished map, and drives the route to the
+nearest unfinished point, logging every intermediate arrival on the way.
+Exploration ends when no unfinished point remains.
 
 Two exits of a node may leave in the same compass direction (side-by-side
 lanes); the robot tells them apart by their order across the line (nearest
@@ -24,14 +26,14 @@ reachable point first) and walks them as distinct branches.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ._directions import DELTA, NORTH
 from .errors import ExplorationError, InconsistencyError
+from .graph_path import shortest_paths
 from .maze_model import MazeSpec, Point2D
 from .motion_sim import MotionParams, simulate_segment
 from .odometry import (ODOMETRY_MODES, CalibConstants, calibration_from_motion,
@@ -43,19 +45,12 @@ __all__ = [
     "explore_map",
     "match_point",
     "next_target",
-    "known_adjacency",
     "trace_lines",
 ]
 
 # A slot identifies one branch of a point: (direction code, lane index).
 # Lane indices count same-direction exits in their across-the-line order.
 Slot = Tuple[int, int]
-
-_MODE_ALIASES = {
-    "raw-encoder": "raw",
-    "corrected-basic": "basic",
-    "corrected-arc": "arc",
-}
 
 
 @dataclass(frozen=True)
@@ -65,9 +60,7 @@ class OdometrySource:
     mode: str = "ideal"
 
     def __post_init__(self) -> None:
-        mode = _MODE_ALIASES.get(self.mode, self.mode)
-        object.__setattr__(self, "mode", mode)
-        if mode not in ODOMETRY_MODES:
+        if self.mode not in ODOMETRY_MODES:
             raise ValueError("odometry mode must be one of %r, got %r"
                              % (ODOMETRY_MODES, self.mode))
 
@@ -78,38 +71,20 @@ class ExplorationState:
 
     point: names in visit order; point[0] is the start, named "0", at (0,0).
     type_of: per-name branch count minus one.
-    explored: per-name count of distinct branches walked (floored at 1).
     coordinate: per-name position in the robot frame (start at origin).
-    total_points: number of distinct names.
+    neighbors: per-name walked neighbors as (name, coordinate distance), in
+        the order their edges were first walked.
     direction: current heading code (starts north).
-    trace: one row per arrival — (name, type, explored-at-arrival, x, y).
+    trace: one row per arrival — (name, type, explored-at-arrival, x, y),
+        where explored counts the distinct neighbors walked (floored at 1).
     """
 
     point: List[str] = field(default_factory=list)
     type_of: Dict[str, int] = field(default_factory=dict)
-    explored: Dict[str, int] = field(default_factory=dict)
     coordinate: Dict[str, Point2D] = field(default_factory=dict)
-    total_points: int = 0
+    neighbors: Dict[str, List[Tuple[str, float]]] = field(default_factory=dict)
     direction: int = NORTH
     trace: List[Tuple[str, int, int, float, float]] = field(default_factory=list)
-
-
-def known_adjacency(state: ExplorationState) -> Dict[str, Set[str]]:
-    """Adjacency among named points, read off consecutive visit-log pairs."""
-    adj: Dict[str, Set[str]] = {name: set() for name in state.type_of}
-    for a, b in zip(state.point, state.point[1:]):
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
-
-
-def _under_explored(state: ExplorationState,
-                    adj: Dict[str, Set[str]]) -> Set[str]:
-    # A point with type t has t+1 branches; fewer known neighbors than that
-    # means an unwalked branch remains. The raw neighbor count (not the
-    # floored explored counter) makes a never-departed start show up too.
-    return {name for name, t in state.type_of.items()
-            if len(adj[name]) < t + 1}
 
 
 def match_point(coord: Point2D, state: ExplorationState,
@@ -133,42 +108,25 @@ def match_point(coord: Point2D, state: ExplorationState,
     return hits[0]
 
 
-def next_target(state: ExplorationState) -> Optional[str]:
-    """Nearest point (by known-graph path length) still missing a branch.
+def next_target(state: ExplorationState) -> Optional[List[str]]:
+    """Walked route from the current point to the nearest unfinished point.
 
+    A point is unfinished while it has fewer walked neighbors than branches.
     Distances run from the robot's current point (the last visit-log entry)
-    over the already-walked edges, weighted by coordinate distance. Ties
-    pick the lexicographically smallest name. None means exploration done.
+    over the walked edges; ties pick the lexicographically smallest name,
+    and the route is the lexicographically smallest shortest one. The route
+    starts at the current point and ends at the target. None means
+    exploration is done.
     """
-    adj = known_adjacency(state)
-    under = _under_explored(state, adj)
-    if not under:
-        return None
-    cur = state.point[-1]
-    if cur in under:
-        return cur
-    dist: Dict[str, float] = {cur: 0.0}
-    heap: List[Tuple[float, str]] = [(0.0, cur)]
-    seen: Set[str] = set()
-    while heap:
-        d, name = heapq.heappop(heap)
-        if name in seen:
-            continue
-        seen.add(name)
-        a = state.coordinate[name]
-        for nb in adj[name]:
-            b = state.coordinate[nb]
-            nd = d + math.hypot(b.x - a.x, b.y - a.y)
-            if nb not in dist or nd < dist[nb]:
-                dist[nb] = nd
-                heapq.heappush(heap, (nd, nb))
-    best: Optional[Tuple[float, str]] = None
-    for name in under:
-        if name in dist:
-            cand = (dist[name], name)
-            if best is None or cand < best:
-                best = cand
-    return None if best is None else best[1]
+    found: Optional[Tuple[float, Tuple[str, ...]]] = None
+    for length, path in shortest_paths(state.neighbors, state.point[-1]):
+        if found is not None and length > found[0]:
+            break
+        name = path[-1]
+        if len(state.neighbors[name]) < state.type_of[name] + 1:
+            if found is None or name < found[1][-1]:
+                found = (length, path)
+    return None if found is None else list(found[1])
 
 
 def _slots_at(maze: MazeSpec, node: str):
@@ -219,9 +177,8 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     start_name = "0"
     state.point.append(start_name)
     state.type_of[start_name] = maze.degree(maze.start) - 1
-    state.explored[start_name] = 1
     state.coordinate[start_name] = Point2D(0.0, 0.0)
-    state.total_points = 1
+    state.neighbors[start_name] = []
     state.trace.append((start_name, state.type_of[start_name], 1, 0.0, 0.0))
 
     true_node = maze.start
@@ -229,7 +186,6 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     name_of_truth: Dict[str, str] = {maze.start: start_name}
     walked: Dict[str, Set[Slot]] = {start_name: set()}
     route: Dict[Tuple[str, str], Slot] = {}
-    adj: Dict[str, Set[str]] = {start_name: set()}
     longest = 0.0
     traversals = 0
 
@@ -271,14 +227,13 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                     "measured coordinate (%g, %g) missed its stored "
                     "coordinate by more than the tolerance %g"
                     % (name_of_truth[other], guess.x, guess.y, eff_tol))
-            name = str(state.total_points)
-            state.total_points += 1
+            name = str(len(state.type_of))
             state.type_of[name] = maze.degree(other) - 1
             state.coordinate[name] = guess
+            state.neighbors[name] = []
             truth_of[name] = other
             name_of_truth[other] = name
             walked[name] = set()
-            adj[name] = set()
         elif truth_of[name] != other:
             raise ExplorationError(
                 "odometry drift: arrival at a new point was confused with "
@@ -289,18 +244,19 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
 
         walked[cur].add(slot)
         walked[name].add(_arrival_slot(maze, other, edge))
-        adj[cur].add(name)
-        adj[name].add(cur)
+        c = state.coordinate[name]
+        if (cur, name) not in route:
+            # Stored coordinates never move, so an edge is weighed once.
+            w = math.hypot(c.x - prev.x, c.y - prev.y)
+            state.neighbors[cur].append((name, w))
+            state.neighbors[name].append((cur, w))
         route[(cur, name)] = slot
         route[(name, cur)] = _arrival_slot(maze, other, edge)
-        state.explored[cur] = max(1, len(adj[cur]))
-        state.explored[name] = max(1, len(adj[name]))
         state.point.append(name)
         state.direction = direction
         true_node = other
-        c = state.coordinate[name]
-        state.trace.append((name, state.type_of[name], state.explored[name],
-                            c.x, c.y))
+        state.trace.append((name, state.type_of[name],
+                            max(1, len(state.neighbors[name])), c.x, c.y))
 
     while True:
         cur = state.point[-1]
@@ -311,41 +267,12 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
             # one direction, the nearest-reaching branch first.
             walk(min(pending))
             continue
-        target = next_target(state)
-        if target is None:
+        path = next_target(state)
+        if path is None:
             break
-        path = _known_path(state, adj, cur, target)
         for nxt in path[1:]:
             walk(route[(state.point[-1], nxt)])
     return state
-
-
-def _known_path(state: ExplorationState, adj: Dict[str, Set[str]],
-                s: str, t: str) -> List[str]:
-    """Shortest already-walked route s→t (coordinate-distance weights)."""
-    heap: List[Tuple[float, Tuple[str, ...]]] = [(0.0, (s,))]
-    best: Dict[str, float] = {s: 0.0}
-    seen: Set[str] = set()
-    while heap:
-        d, path = heapq.heappop(heap)
-        name = path[-1]
-        if name == t:
-            return list(path)
-        if name in seen:
-            continue
-        seen.add(name)
-        a = state.coordinate[name]
-        for nb in adj[name]:
-            if nb in seen:
-                continue
-            b = state.coordinate[nb]
-            nd = d + math.hypot(b.x - a.x, b.y - a.y)
-            if nb not in best or nd < best[nb]:
-                best[nb] = nd
-                heapq.heappush(heap, (nd, path + (nb,)))
-    raise InconsistencyError(
-        "no walked route from %r to %r; the visit log is not connected"
-        % (s, t))
 
 
 def trace_lines(state: ExplorationState) -> List[str]:

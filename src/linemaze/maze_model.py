@@ -306,11 +306,6 @@ def serialize_maze(maze):
     return "\n".join(lines) + "\n"
 
 
-def node_degree(maze, node_id):
-    """Number of edges incident to the node."""
-    return maze.degree(node_id)
-
-
 def bundled_maze_text(name):
     """Text of a maze shipped with the package (e.g. 'fig2.maze')."""
     if not name.endswith(".maze"):

@@ -49,8 +49,6 @@ _H_SCALE = 0.98
 
 ODOMETRY_MODES = ("ideal", "raw", "basic", "arc")
 
-_S2H_MODELS = ("chord", "direct")
-
 
 @dataclass(frozen=True)
 class CalibConstants:
@@ -251,22 +249,15 @@ def linearize_basic(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     return _bracket(log, cal, wheel) * c_wheel + creep_add
 
 
-def _stretch_arcs(cal: CalibConstants, s2h_model: str):
+def _stretch_arcs(cal: CalibConstants):
     """Model arc lengths (S_2h, S_h) of a full oscillation stretch and of a
     tangent-start half stretch."""
-    if s2h_model == "chord":
-        s_2h = arc_len_from_height_chord_form(2.0 * cal.h, cal.radius)
-    elif s2h_model == "direct":
-        s_2h = arc_len_from_height(2.0 * cal.h, cal.radius)
-    else:
-        raise ValueError("s2h_model must be one of %r, got %r"
-                         % (_S2H_MODELS, s2h_model))
+    s_2h = arc_len_from_height_chord_form(2.0 * cal.h, cal.radius)
     s_h = arc_len_from_height(cal.h, cal.radius)
     return s_2h, s_h
 
 
-def residual_arc(log: EncoderLog, cal: CalibConstants, wheel: str,
-                 s2h_model: str = "chord") -> float:
+def residual_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     """Arc length of the final partial stretch before the segment end.
 
     Subtracts the modeled full stretches — (N-1) oscillation arcs plus the
@@ -278,7 +269,7 @@ def residual_arc(log: EncoderLog, cal: CalibConstants, wheel: str,
         raise ValueError(
             "residual_arc needs at least one pivot turn; "
             "pivot-free logs take the single-arc fallback")
-    s_2h, s_h = _stretch_arcs(cal, s2h_model)
+    s_2h, s_h = _stretch_arcs(cal)
     s_d = _bracket(log, cal, wheel) - (n - 1) * s_2h - s_h
     if s_d < -1e-9:
         raise CalibrationError(
@@ -287,8 +278,7 @@ def residual_arc(log: EncoderLog, cal: CalibConstants, wheel: str,
     return max(0.0, s_d)
 
 
-def linearize_arc(log: EncoderLog, cal: CalibConstants, wheel: str,
-                  s2h_model: str = "chord") -> float:
+def linearize_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     """Arc-aware length estimate from one wheel's encoder total.
 
     Decomposes the stripped roll distance into (N-1) full oscillation arcs,
@@ -302,16 +292,15 @@ def linearize_arc(log: EncoderLog, cal: CalibConstants, wheel: str,
     if n == 0:
         chord = chord_from_arc(_bracket(log, cal, wheel), cal.radius, "half")
         return chord * c_wheel + creep_add
-    s_2h, s_h = _stretch_arcs(cal, s2h_model)
+    s_2h, s_h = _stretch_arcs(cal)
     x_2h = chord_from_arc(s_2h, cal.radius, "full")
     x_h = chord_from_arc(s_h, cal.radius, "half")
-    d_d = chord_from_arc(residual_arc(log, cal, wheel, s2h_model),
-                         cal.radius, "half")
+    d_d = chord_from_arc(residual_arc(log, cal, wheel), cal.radius, "half")
     return ((n - 1) * x_2h + x_h + d_d) * c_wheel + creep_add
 
 
-def predict_without_encoder(n_right: int, n_left: int, cal: CalibConstants,
-                            s2h_model: str = "chord") -> float:
+def predict_without_encoder(n_right: int, n_left: int,
+                            cal: CalibConstants) -> float:
     """Length estimate from pivot counts alone (no encoder readings).
 
     The oscillation period is fixed by the geometry, so N turns pin down
@@ -322,7 +311,7 @@ def predict_without_encoder(n_right: int, n_left: int, cal: CalibConstants,
     n = n_right + n_left
     if n < 1:
         raise ValueError("need at least one pivot turn to predict a length")
-    s_2h, s_h = _stretch_arcs(cal, s2h_model)
+    s_2h, s_h = _stretch_arcs(cal)
     x_2h = chord_from_arc(s_2h, cal.radius, "full")
     x_h = chord_from_arc(s_h, cal.radius, "half")
     creep = (cal.f_ll * n_right + cal.f_rl * n_left) / 2.0

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from linemaze.graph_path import (brute_force_shortest, build_graph, dijkstra,
                                  graph_from_maze, graphs_isomorphic)
-from linemaze.mapping_explorer import explore_map
+from linemaze.mapping_explorer import explore_map, next_target
 from linemaze.mazegen import random_maze, random_tree
 from linemaze.motion_sim import MotionParams, simulate_segment
 from linemaze.odometry import (arc_len_from_height,
@@ -182,6 +182,12 @@ def test_acceptance_8_mapping_completeness():
             state = explore_map(maze)
             traversals = len(state.point) - 1
             assert traversals <= 4 * len(maze.edges)
-            assert graphs_isomorphic(build_graph(state),
+            graph = build_graph(state)
+            assert graphs_isomorphic(graph,
                                      graph_from_maze(maze,
                                                      origin=maze.start))
+            # The walked graph kept during exploration is the visit-log
+            # graph, weights included, and it has nothing left to explore.
+            assert {n: tuple(sorted(nbrs))
+                    for n, nbrs in state.neighbors.items()} == graph.adjacency
+            assert next_target(state) is None

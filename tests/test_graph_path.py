@@ -37,8 +37,6 @@ def state_of(visits, coords):
     st.coordinate = {k: Point2D(float(x), float(y))
                      for k, (x, y) in coords.items()}
     st.type_of = {k: 0 for k in coords}
-    st.explored = {k: 1 for k in coords}
-    st.total_points = len(coords)
     return st
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from linemaze.errors import ExplorationError
 from linemaze.mapping_explorer import (ExplorationState, OdometrySource,
-                                       explore_map, known_adjacency,
-                                       match_point, next_target, trace_lines)
+                                       explore_map, match_point, next_target,
+                                       trace_lines)
 from linemaze.maze_model import Point2D
 from linemaze.motion_sim import MotionParams
 
@@ -28,13 +28,19 @@ FIG2_TRACE = [
 
 
 def state_with(points, type_of, coords, visit=None):
+    """A hand-built state whose walked graph is read off the visit log."""
     st = ExplorationState()
     st.point = list(visit if visit is not None else points)
     st.type_of = dict(type_of)
     st.coordinate = {k: Point2D(float(x), float(y))
                      for k, (x, y) in coords.items()}
-    st.explored = {k: 1 for k in type_of}
-    st.total_points = len(type_of)
+    st.neighbors = {k: [] for k in type_of}
+    for a, b in zip(st.point, st.point[1:]):
+        if b not in dict(st.neighbors[a]):
+            ca, cb = st.coordinate[a], st.coordinate[b]
+            w = math.hypot(cb.x - ca.x, cb.y - ca.y)
+            st.neighbors[a].append((b, w))
+            st.neighbors[b].append((a, w))
     return st
 
 
@@ -47,7 +53,7 @@ def test_fig2_ideal_full_trace(fig2):
                            "2", "7"]
     assert [t for _n, t, _e, _x, _y in state.trace] == [
         0, 3, 2, 2, 0, 2, 1, 3, 0, 3, 2, 0]
-    assert state.total_points == 8
+    assert len(state.type_of) == 8
     coords = {n: (c.x, c.y) for n, c in state.coordinate.items()}
     assert coords == {"0": (0.0, 0.0), "1": (0.0, 10.0), "2": (14.0, 10.0),
                       "3": (14.0, 13.0), "4": (14.0, 16.0), "5": (0.0, 13.0),
@@ -56,10 +62,8 @@ def test_fig2_ideal_full_trace(fig2):
 
 def test_fig2_every_point_finishes_fully_explored(fig2):
     state = explore_map(fig2, src="ideal")
-    adj = known_adjacency(state)
     for name, t in state.type_of.items():
-        assert len(adj[name]) == t + 1
-        assert state.explored[name] == t + 1
+        assert len(state.neighbors[name]) == t + 1
     assert next_target(state) is None
 
 
@@ -75,14 +79,14 @@ def test_fig2_lanes_walked_nearest_first(fig2):
 def test_corridor_two_points(corridor):
     state = explore_map(corridor)
     assert trace_lines(state) == ["0 0 1 0 0", "1 0 1 0 10"]
-    assert state.total_points == 2
+    assert len(state.type_of) == 2
 
 
 def test_plus_maze_center_reaches_full_count(plus):
     state = explore_map(plus)
     assert state.point == ["0", "1", "2", "1", "3", "1", "4"]
     assert state.type_of["1"] == 3
-    assert state.explored["1"] == 4
+    assert len(state.neighbors["1"]) == 4
     coords = {n: (c.x, c.y) for n, c in state.coordinate.items()}
     assert coords == {"0": (0.0, 0.0), "1": (0.0, 10.0), "2": (8.0, 10.0),
                       "3": (0.0, 20.0), "4": (-8.0, 10.0)}
@@ -149,13 +153,13 @@ def test_next_target_prefers_nearest_unfinished():
         {"0": (0, 0), "1": (0, 10), "2": (14, 10), "3": (14, 13),
          "4": (14, 16)},
         visit=["0", "1", "2", "3", "4"])
-    assert next_target(st) == "3"
+    assert next_target(st) == ["4", "3"]
 
 
 def test_next_target_current_point_shortcut():
     st = state_with(None, {"0": 0, "1": 3}, {"0": (0, 0), "1": (0, 10)},
                     visit=["0", "1"])
-    assert next_target(st) == "1"
+    assert next_target(st) == ["1"]
 
 
 def test_next_target_none_when_done():
@@ -168,21 +172,29 @@ def test_next_target_tie_breaks_to_smallest_name():
     st = state_with(None, {"0": 1, "1": 1, "2": 1},
                     {"0": (0, 0), "1": (-7, 0), "2": (7, 0)},
                     visit=["1", "0", "2", "0"])
-    assert next_target(st) == "1"
+    assert next_target(st) == ["0", "1"]
     # Name order is string order, not numeric.
     st2 = state_with(None, {"0": 1, "10": 1, "2": 1},
                      {"0": (0, 0), "10": (-7, 0), "2": (7, 0)},
                      visit=["10", "0", "2", "0"])
-    assert next_target(st2) == "10"
+    assert next_target(st2) == ["0", "10"]
+
+
+def test_next_target_route_ties_break_lexicographically():
+    # Two walked routes of exactly 10 cm reach the unfinished point 3. The
+    # one via 2 is found first (its first hop is shorter), but the route
+    # taken is the lexicographically smaller one via 1, as in dijkstra.
+    st = state_with(None, {"0": 1, "1": 1, "2": 1, "3": 2},
+                    {"0": (0, 0), "1": (0, 9), "2": (1, 0), "3": (1, 9)},
+                    visit=["0", "2", "3", "1", "0"])
+    assert next_target(st) == ["0", "1", "3"]
 
 
 # --------------------------------------------------------- odometry source
 
-def test_odometry_source_aliases():
-    assert OdometrySource("raw-encoder").mode == "raw"
-    assert OdometrySource("corrected-basic").mode == "basic"
-    assert OdometrySource("corrected-arc").mode == "arc"
-    assert OdometrySource("ideal").mode == "ideal"
+def test_odometry_source_modes():
+    for mode in ("ideal", "raw", "basic", "arc"):
+        assert OdometrySource(mode).mode == mode
     assert OdometrySource().mode == "ideal"
 
 
@@ -202,7 +214,7 @@ def test_explore_accepts_source_or_string(fig2):
 @pytest.mark.parametrize("mode", ["raw", "basic", "arc"])
 def test_noisy_modes_still_map_fig2(fig2, mode):
     state = explore_map(fig2, src=mode)
-    assert state.total_points == 8
+    assert len(state.type_of) == 8
     assert state.point == explore_map(fig2, src="ideal").point
 
 

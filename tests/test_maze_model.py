@@ -7,8 +7,8 @@ import pytest
 from linemaze._directions import EAST, NORTH, SOUTH, WEST
 from linemaze.errors import MazeSyntaxError, MazeValidationError
 from linemaze.maze_model import (MazeEdge, MazeNode, Point2D,
-                                 bundled_maze_text, make_maze, node_degree,
-                                 parse_maze, serialize_maze)
+                                 bundled_maze_text, make_maze, parse_maze,
+                                 serialize_maze)
 
 from conftest import build_maze
 
@@ -233,7 +233,7 @@ def test_unknown_node_query(fig1):
 def test_degrees_fig2(fig2):
     assert {n.id: fig2.degree(n.id) for n in fig2.nodes} == {
         "S": 1, "A": 4, "E": 3, "D": 3, "G": 1, "C": 2, "B": 1, "F": 1}
-    assert node_degree(fig2, "A") == 4
+    assert fig2.degree("A") == 4
 
 
 def test_edge_queries(fig1):

@@ -276,12 +276,6 @@ def test_residual_negative_is_a_calibration_error():
         residual_arc(log, cal, "left")
 
 
-def test_residual_model_switch_checked(default_cal):
-    log = log_of(10.0, 10.0, n_right=1, n_left=0)
-    with pytest.raises(ValueError, match="s2h_model must be"):
-        residual_arc(log, default_cal, "left", s2h_model="bogus")
-
-
 def test_residual_bounded_by_one_stretch(default_params, default_cal):
     s_2h = arc_len_from_height_chord_form(2.0 * default_cal.h,
                                           default_cal.radius)
@@ -305,15 +299,11 @@ def test_arc_zero_turn_fallback_uses_single_arc():
     assert linearize_arc(log, cal, "left") == pytest.approx(expected, rel=1e-15)
 
 
-@pytest.mark.parametrize("s2h_model", ["chord", "direct"])
-def test_arc_inverts_synthetic_log_exactly(s2h_model):
+def test_arc_inverts_synthetic_log_exactly():
     # A log composed of exact model arcs plus exact pivot charges must come
     # back as exactly the sum of the matching chords.
     cal = unit_cal(radius=100.0)
-    if s2h_model == "chord":
-        s_2h = arc_len_from_height_chord_form(2.0 * cal.h, cal.radius)
-    else:
-        s_2h = arc_len_from_height(2.0 * cal.h, cal.radius)
+    s_2h = arc_len_from_height_chord_form(2.0 * cal.h, cal.radius)
     s_h = arc_len_from_height(cal.h, cal.radius)
     s_d = 0.3 * s_2h
     wl = 2.0 * s_2h + s_h + s_d
@@ -321,7 +311,7 @@ def test_arc_inverts_synthetic_log_exactly(s2h_model):
     expected = (2.0 * chord_from_arc(s_2h, cal.radius, "full")
                 + chord_from_arc(s_h, cal.radius, "half")
                 + chord_from_arc(s_d, cal.radius, "half"))
-    got = linearize_arc(log, cal, "left", s2h_model=s2h_model)
+    got = linearize_arc(log, cal, "left")
     assert abs(got - expected) / expected < 1e-6
     assert got == pytest.approx(expected, rel=1e-12)
 
