@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import random
 import statistics
 import sys
@@ -57,9 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "maze (fig1, fig2, corridor, plus)")
         p.add_argument("--odometry", choices=ODOMETRY_MODES, default=None,
                        help="distance measurement mode")
-        p.add_argument("--seed", type=int, default=None,
-                       help="simulation seed (default: env MAZEBOT_SEED, "
-                            "else 0)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="simulation seed (default 0)")
         p.add_argument("--format", choices=("text", "tsv"), default="text",
                        help="report format")
 
@@ -88,12 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--out", required=True, help="output SVG path")
     return parser
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("MAZEBOT_SEED", "0") or 0)
 
 
 def _load_maze(arg: str) -> Tuple[MazeSpec, str]:
@@ -171,7 +163,7 @@ def _segment_rows(maze: MazeSpec, hop_labels: List[Tuple[str, str]],
 
 def cmd_solve(args: argparse.Namespace) -> str:
     maze, stem = _load_maze(args.maze)
-    seed = _resolve_seed(args)
+    seed = args.seed
     mode = args.odometry or "ideal"
     params = MotionParams(seed=seed)
     tape_text: Optional[str] = None
@@ -248,7 +240,6 @@ def cmd_tableone(args: argparse.Namespace) -> str:
         raise ValueError("--seeds must be at least 1")
     if any(not length > 0 for length in args.lengths):
         raise ValueError("--lengths must all be positive")
-    base = _resolve_seed(args)
     params = MotionParams()
     cal = calibration_from_motion(params) if mode != "ideal" else None
 
@@ -256,7 +247,7 @@ def cmd_tableone(args: argparse.Namespace) -> str:
     for length in args.lengths:
         raws: List[float] = []
         corrs: List[float] = []
-        for s in range(base, base + args.seeds):
+        for s in range(args.seed, args.seed + args.seeds):
             if mode == "ideal":
                 raws.append(length)
                 corrs.append(length)
@@ -282,7 +273,7 @@ def cmd_tableone(args: argparse.Namespace) -> str:
 
 def cmd_plot(args: argparse.Namespace) -> str:
     maze, _stem = _load_maze(args.maze)
-    seed = _resolve_seed(args)
+    seed = args.seed
     mode = args.odometry or "ideal"
     params = MotionParams(seed=seed)
     graph = graph_from_maze(maze)

@@ -5,16 +5,15 @@ straight-ish arcs (one wheel slightly faster, so the heading drifts) and,
 whenever it strays a lateral distance ``h`` from the line while diverging,
 snaps its heading back toward the line with a pivot turn. Wheel encoders
 accumulate the per-wheel path length, including the extra wheel travel spent
-inside pivot turns. The integration loop lives in a compiled kernel with a
-pure-Python twin (selected at import, override with ``LINEMAZE_PURE=1``).
+inside pivot turns.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass, field
+from math import cos, sin
 from typing import Optional, Tuple
 
 from .errors import MotionDivergenceError
@@ -35,23 +34,9 @@ __all__ = [
 JITTER_LO = 0.9
 JITTER_HI = 1.0
 
-
-def _load_kernel():
-    if os.environ.get("LINEMAZE_PURE"):
-        from . import _kernel_py
-
-        return _kernel_py, "pure"
-    try:
-        from . import _kernel  # type: ignore[attr-defined]
-
-        return _kernel, "compiled"
-    except ImportError:
-        from . import _kernel_py
-
-        return _kernel_py, "pure"
-
-
-_KERNEL, KERNEL_BACKEND = _load_kernel()
+# The step loop below is the only kernel; the name stays because benchmark
+# runs record it in their identity.
+KERNEL_BACKEND = "pure"
 
 
 @dataclass(frozen=True)
@@ -183,7 +168,7 @@ def simulate_segment(length: float, params: MotionParams,
     lp_r = params.pivot_arc_right + params.pivot_lin_right
     max_steps = int(40.0 * length / params.step) + 10000
 
-    wl, wr, n_right, n_left, pivots, y_final, ok = _KERNEL.simulate_core(
+    wl, wr, n_right, n_left, pivots, y_final, ok = _integrate(
         length, params.h, alpha0, params.theta, params.kappa, fl, fr,
         rp_l, rp_r, lp_l, lp_r, params.step, max_steps)
     if not ok:
@@ -194,6 +179,63 @@ def simulate_segment(length: float, params: MotionParams,
     trajectory = ((0.0, 0.0),) + tuple(pivots) + ((length, y_final),)
     return EncoderLog(wl_total=wl, wr_total=wr, n_right=n_right,
                       n_left=n_left, true_length=length, trajectory=trajectory)
+
+
+def _integrate(length, h, alpha0, theta, kappa, fl, fr,
+               rp_l, rp_r, lp_l, lp_r, step, max_steps):
+    """Integrate one segment; returns (wl, wr, n_right, n_left, pivots, y, ok).
+
+    length: along-track distance to cover.
+    h: lateral deviation that triggers a corrective pivot.
+    alpha0: signed initial heading (rad) relative to the line.
+    theta: heading magnitude set by a pivot, pointing back at the line.
+    kappa: curvature from the wheel-speed mismatch (rad/cm, +ccw).
+    fl/fr: per-wheel path-length factors for midpoint travel.
+    rp_*/lp_*: wheel-distance charges of a right/left pivot.
+    """
+    x = 0.0
+    y = 0.0
+    phi = alpha0
+    wl = 0.0
+    wr = 0.0
+    n_right = 0
+    n_left = 0
+    pivots = []
+    steps = 0
+    while x < length:
+        if steps >= max_steps:
+            return wl, wr, n_right, n_left, pivots, y, False
+        steps += 1
+        c = cos(phi)
+        if c <= 1e-12:
+            return wl, wr, n_right, n_left, pivots, y, False
+        remaining = length - x
+        if step * c >= remaining:
+            d = remaining / c
+            x = length
+            y += d * sin(phi)
+            wl += d * fl
+            wr += d * fr
+            break
+        d = step
+        x += d * c
+        y += d * sin(phi)
+        wl += d * fl
+        wr += d * fr
+        phi += kappa * d
+        if y >= h and phi > 0.0:
+            phi = -theta
+            wl += rp_l
+            wr += rp_r
+            n_right += 1
+            pivots.append((x, y))
+        elif y <= -h and phi < 0.0:
+            phi = theta
+            wl += lp_l
+            wr += lp_r
+            n_left += 1
+            pivots.append((x, y))
+    return wl, wr, n_right, n_left, pivots, y, True
 
 
 def simulate_free_arc(distance: float, params: MotionParams) -> EncoderLog:

@@ -58,7 +58,6 @@ class CalibConstants:
     c_left/c_right: per-wheel variants of ``c`` (the outer wheel of the drift
         circle rolls farther per cm of track, the inner one less).
     f_lc/f_rc: left/right wheel distance charged per pivot turn (cm).
-    f_ll/f_rl: additional straight-creep wheel distance per pivot (cm).
     k: extra distance charged to the inner wheel of each pivot (cm).
     h: straight-equivalent half-gap of the lateral oscillation (cm) — the
         model's period parameter, not necessarily the sensor threshold.
@@ -71,9 +70,7 @@ class CalibConstants:
     c_left: float
     c_right: float
     f_lc: float
-    f_ll: float
     f_rc: float
-    f_rl: float
     k: float
     h: float
     wheel_base: float
@@ -84,7 +81,7 @@ class CalibConstants:
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):
                 raise CalibrationError("%s must lie in (0, 1], got %r" % (name, v))
-        for name in ("f_lc", "f_ll", "f_rc", "f_rl", "k"):
+        for name in ("f_lc", "f_rc", "k"):
             if getattr(self, name) < 0.0:
                 raise CalibrationError("%s must be non-negative" % name)
         if not (self.h > 0.0 and math.isfinite(self.h)):
@@ -105,8 +102,8 @@ def calibration_from_motion(params: MotionParams) -> CalibConstants:
     The simulator and this inverse model share ground truth, so the constants
     are computed, not estimated:
 
-    * pivot charges fold the straight-creep part into the per-turn charge
-      (``f_*c + f_*l``, creep set to 0) because the simulator always charges
+    * each per-turn pivot charge is the turn plus its straight creep
+      (``pivot_arc_* + pivot_lin_*``), because the simulator always charges
       them together; the subtraction in the brackets is then exact.
     * ``c`` averages the heading cosine over the two regimes a leg sees: just
       after a departure the heading sits at the (jittered) initial error, and
@@ -127,9 +124,7 @@ def calibration_from_motion(params: MotionParams) -> CalibConstants:
         c_left=min(1.0, c / fl),
         c_right=min(1.0, c / fr),
         f_lc=params.pivot_arc_left + params.pivot_lin_left,
-        f_ll=0.0,
         f_rc=params.pivot_arc_right + params.pivot_lin_right,
-        f_rl=0.0,
         k=params.inner_rot_const,
         h=_H_SCALE * params.h / math.sin(params.theta),
         wheel_base=params.wheel_base,
@@ -210,24 +205,21 @@ def chord_from_arc(s: float, radius: float, span: str) -> float:
 
 
 def _wheel_view(log: EncoderLog, cal: CalibConstants, wheel: str):
-    """Per-wheel constants: (total, per-turn charge, inner count, c, creep add-back).
+    """Per-wheel constants: (total, per-turn charge, inner count, c).
 
     The inner-wheel charge ``k`` pairs with the same-side turn count (the
-    left wheel is the inner wheel of a left turn); the creep add-back pairs
-    with the opposite side.
+    left wheel is the inner wheel of a left turn).
     """
     if wheel == "left":
-        return (log.wl_total, cal.f_lc, log.n_left, cal.c_left,
-                cal.f_ll * log.n_right)
+        return log.wl_total, cal.f_lc, log.n_left, cal.c_left
     if wheel == "right":
-        return (log.wr_total, cal.f_rc, log.n_right, cal.c_right,
-                cal.f_rl * log.n_left)
+        return log.wr_total, cal.f_rc, log.n_right, cal.c_right
     raise ValueError("wheel must be 'left' or 'right', got %r" % (wheel,))
 
 
 def _bracket(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     """Wheel roll distance with all pivot charges stripped."""
-    total, f_c, n_inner, _, _ = _wheel_view(log, cal, wheel)
+    total, f_c, n_inner, _ = _wheel_view(log, cal, wheel)
     n = log.n_right + log.n_left
     bracket = total - f_c * n - cal.k * n_inner
     if bracket < 0.0:
@@ -241,12 +233,11 @@ def _bracket(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
 def linearize_basic(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     """Piecewise-linear length estimate from one wheel's encoder total.
 
-    Strips the per-pivot wheel charges, projects the rest onto the track
-    with the wheel's mean-cosine constant, then adds back the straight-creep
-    distance the opposite-handed pivots contributed along the track.
+    Strips the per-pivot wheel charges and projects the rest onto the track
+    with the wheel's mean-cosine constant.
     """
-    _, _, _, c_wheel, creep_add = _wheel_view(log, cal, wheel)
-    return _bracket(log, cal, wheel) * c_wheel + creep_add
+    _, _, _, c_wheel = _wheel_view(log, cal, wheel)
+    return _bracket(log, cal, wheel) * c_wheel
 
 
 def _stretch_arcs(cal: CalibConstants):
@@ -283,20 +274,20 @@ def linearize_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
 
     Decomposes the stripped roll distance into (N-1) full oscillation arcs,
     one tangent-start arc, and a residual arc; replaces every arc by its
-    along-track chord; projects with the wheel's cosine constant and adds
-    back the opposite-handed straight creep. With no pivots at all the whole
-    stripped distance is treated as a single tangent-start arc.
+    along-track chord and projects with the wheel's cosine constant. With no
+    pivots at all the whole stripped distance is treated as a single
+    tangent-start arc.
     """
-    _, _, _, c_wheel, creep_add = _wheel_view(log, cal, wheel)
+    _, _, _, c_wheel = _wheel_view(log, cal, wheel)
     n = log.n_right + log.n_left
     if n == 0:
         chord = chord_from_arc(_bracket(log, cal, wheel), cal.radius, "half")
-        return chord * c_wheel + creep_add
+        return chord * c_wheel
     s_2h, s_h = _stretch_arcs(cal)
     x_2h = chord_from_arc(s_2h, cal.radius, "full")
     x_h = chord_from_arc(s_h, cal.radius, "half")
     d_d = chord_from_arc(residual_arc(log, cal, wheel), cal.radius, "half")
-    return ((n - 1) * x_2h + x_h + d_d) * c_wheel + creep_add
+    return ((n - 1) * x_2h + x_h + d_d) * c_wheel
 
 
 def predict_without_encoder(n_right: int, n_left: int,
@@ -305,8 +296,7 @@ def predict_without_encoder(n_right: int, n_left: int,
 
     The oscillation period is fixed by the geometry, so N turns pin down
     (N-1) full stretches plus the initial one; the unknown residual stretch
-    is dropped. Adds the along-track creep contributed by the pivots
-    themselves, averaged over the two wheels' views.
+    is dropped.
     """
     n = n_right + n_left
     if n < 1:
@@ -314,8 +304,7 @@ def predict_without_encoder(n_right: int, n_left: int,
     s_2h, s_h = _stretch_arcs(cal)
     x_2h = chord_from_arc(s_2h, cal.radius, "full")
     x_h = chord_from_arc(s_h, cal.radius, "half")
-    creep = (cal.f_ll * n_right + cal.f_rl * n_left) / 2.0
-    return ((n - 1) * x_2h + x_h) * cal.c + creep
+    return ((n - 1) * x_2h + x_h) * cal.c
 
 
 def estimate_length(log: EncoderLog, cal: CalibConstants, mode: str) -> float:

@@ -326,19 +326,7 @@ def test_plot_to_unwritable_path(capsys):
 
 # ------------------------------------------------------------------- seeds
 
-def test_env_seed_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("MAZEBOT_SEED", "5")
-    _, out_env, _ = run_cli(capsys, "tableone", "--seeds", "3",
-                            "--lengths", "10", "--format", "tsv")
-    monkeypatch.delenv("MAZEBOT_SEED")
-    _, out_flag, _ = run_cli(capsys, "tableone", "--seeds", "3",
-                             "--lengths", "10", "--seed", "5",
-                             "--format", "tsv")
-    assert out_env == out_flag == TABLEONE_TSV_SEED5
-
-
-def test_flag_seed_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("MAZEBOT_SEED", "99")
+def test_seed_flag(capsys):
     _, out, _ = run_cli(capsys, "tableone", "--seeds", "3",
                         "--lengths", "10", "--seed", "5", "--format", "tsv")
     assert out == TABLEONE_TSV_SEED5

@@ -1,5 +1,6 @@
 """Forward motion model: line following, encoder totals, pivots, free arcs."""
 
+import hashlib
 import math
 import statistics
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linemaze import motion_sim
 from linemaze.errors import MotionDivergenceError
 from linemaze.motion_sim import (EncoderLog, MotionParams, radius_from_ratio,
                                  simulate_free_arc, simulate_segment)
@@ -141,6 +143,47 @@ def test_ideal_mode_ignores_seed():
     assert simulate_segment(10.0, p, seed=1) == simulate_segment(10.0, p, seed=2)
 
 
+# ------------------------------------------------------------ exact output
+
+# (length, MotionParams overrides): defaults over a range of lengths, plus
+# the edge cases matched wheels, strong drift, no tilt and a thin band.
+KERNEL_CASES = [
+    (0.7, {}), (3.0, {}), (8.0, {}), (10.0, {}), (14.0, {}), (25.0, {}),
+    (10.0, dict(speed_ratio=1.0)),
+    (10.0, dict(speed_ratio=2.5)),
+    (10.0, dict(alpha=0.0)),
+    (25.0, dict(h=0.02)),
+]
+KERNEL_SEEDS = range(20)
+# Any change to a float, a pivot or the divergence message moves the digest.
+# Re-record only for a change meant to alter the kernel's output:
+# ``PYTHONPATH=src python tests/test_motion_sim.py``
+KERNEL_DIGEST = (
+    "47e3d779375f3478b74efc4f7e6e2a6b2578c87b65ce0f651c172968fedb3987")
+
+
+def kernel_digest():
+    lines = []
+    for length, overrides in KERNEL_CASES:
+        p = MotionParams(**overrides)
+        for s in KERNEL_SEEDS:
+            lines.append(repr(simulate_segment(length, p, seed=s)))
+    try:
+        simulate_segment(200.0, MotionParams(h=200.0, alpha=0.0,
+                                             speed_ratio=1.1))
+    except MotionDivergenceError as exc:
+        lines.append(str(exc))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_kernel_output_is_bit_identical_to_the_recorded_digest():
+    assert kernel_digest() == KERNEL_DIGEST
+
+
+def test_kernel_backend_is_the_pure_step_loop():
+    assert motion_sim.KERNEL_BACKEND == "pure"
+
+
 # ---------------------------------------------------------------- free arc
 
 def test_free_arc_exact_ratio():
@@ -216,3 +259,7 @@ def test_segment_simulation_invariants(length, seed):
     assert log.trajectory[-1][0] == length
     assert abs(log.trajectory[-1][1]) <= p.h + p.step
     assert log == simulate_segment(length, p, seed=seed)
+
+
+if __name__ == "__main__":
+    print(kernel_digest())

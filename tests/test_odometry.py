@@ -17,9 +17,8 @@ from linemaze.odometry import (CalibConstants, arc_len_from_height,
 
 def unit_cal(radius=math.inf, h=0.5):
     """Identity calibration: no pivot charges, no projection shrink."""
-    return CalibConstants(c=1.0, c_left=1.0, c_right=1.0, f_lc=0.0, f_ll=0.0,
-                          f_rc=0.0, f_rl=0.0, k=0.0, h=h, wheel_base=10.0,
-                          radius=radius)
+    return CalibConstants(c=1.0, c_left=1.0, c_right=1.0, f_lc=0.0, f_rc=0.0,
+                          k=0.0, h=h, wheel_base=10.0, radius=radius)
 
 
 def log_of(wl, wr, n_right=0, n_left=0, true_length=1.0):
@@ -35,7 +34,6 @@ def test_default_calibration_values(default_params, default_cal):
     assert cal.c_left == pytest.approx(0.9954021440474669, rel=1e-12)
     assert cal.c_right == pytest.approx(0.975884454948497, rel=1e-12)
     assert cal.f_lc == 0.008 and cal.f_rc == 0.008
-    assert cal.f_ll == 0.0 and cal.f_rl == 0.0
     assert cal.k == 0.002
     assert cal.h == pytest.approx(0.5643595073480762, rel=1e-12)
     assert cal.wheel_base == 10.0
@@ -78,8 +76,8 @@ def test_calibration_left_faster_robot():
     (dict(radius=-5.0), "radius must be positive"),
 ])
 def test_calibration_validation(kwargs, msg):
-    base = dict(c=1.0, c_left=1.0, c_right=1.0, f_lc=0.0, f_ll=0.0, f_rc=0.0,
-                f_rl=0.0, k=0.0, h=0.5, wheel_base=10.0, radius=math.inf)
+    base = dict(c=1.0, c_left=1.0, c_right=1.0, f_lc=0.0, f_rc=0.0, k=0.0,
+                h=0.5, wheel_base=10.0, radius=math.inf)
     base.update(kwargs)
     with pytest.raises(CalibrationError, match=msg):
         CalibConstants(**base)
@@ -202,10 +200,10 @@ def test_chord_span_argument_checked():
 
 def test_basic_hand_computed_value():
     cal = CalibConstants(c=0.995, c_left=0.995, c_right=0.995, f_lc=2.0,
-                         f_ll=4.0, f_rc=2.0, f_rl=4.0, k=0.5, h=0.5,
-                         wheel_base=10.0, radius=math.inf)
+                         f_rc=2.0, k=0.5, h=0.5, wheel_base=10.0,
+                         radius=math.inf)
     log = log_of(120.0, 120.0, n_right=3, n_left=2)
-    assert linearize_basic(log, cal, "left") == pytest.approx(120.455, abs=1e-12)
+    assert linearize_basic(log, cal, "left") == pytest.approx(108.455, abs=1e-12)
 
 
 def test_basic_identity_configuration():
@@ -215,12 +213,11 @@ def test_basic_identity_configuration():
 
 
 def test_basic_right_wheel_mirror():
-    # Right wheel pairs k with right turns and creep add-back with left ones.
-    cal = CalibConstants(c=1.0, c_left=1.0, c_right=0.5, f_lc=1.0, f_ll=2.0,
-                         f_rc=3.0, f_rl=4.0, k=0.5, h=0.5, wheel_base=10.0,
-                         radius=math.inf)
+    # Right wheel pairs k with right turns.
+    cal = CalibConstants(c=1.0, c_left=1.0, c_right=0.5, f_lc=1.0, f_rc=3.0,
+                         k=0.5, h=0.5, wheel_base=10.0, radius=math.inf)
     log = log_of(100.0, 100.0, n_right=2, n_left=1)
-    expected = (100.0 - 3.0 * 3 - 0.5 * 2) * 0.5 + 4.0 * 1
+    expected = (100.0 - 3.0 * 3 - 0.5 * 2) * 0.5
     assert linearize_basic(log, cal, "right") == pytest.approx(expected, abs=1e-12)
 
 
@@ -253,8 +250,8 @@ def test_residual_zero_when_roll_is_exactly_the_first_stretch():
 
 
 def test_residual_zero_on_exact_multiples_with_charges():
-    cal = CalibConstants(c=1.0, c_left=1.0, c_right=1.0, f_lc=0.008, f_ll=0.0,
-                         f_rc=0.008, f_rl=0.0, k=0.002, h=0.5, wheel_base=10.0,
+    cal = CalibConstants(c=1.0, c_left=1.0, c_right=1.0, f_lc=0.008,
+                         f_rc=0.008, k=0.002, h=0.5, wheel_base=10.0,
                          radius=100.0)
     s_2h = arc_len_from_height_chord_form(2.0 * cal.h, cal.radius)
     s_h = arc_len_from_height(cal.h, cal.radius)
@@ -318,8 +315,8 @@ def test_arc_inverts_synthetic_log_exactly():
 
 def test_arc_hand_built_chord_sum():
     cal = CalibConstants(c=0.99, c_left=0.99, c_right=0.99, f_lc=0.01,
-                         f_ll=0.02, f_rc=0.01, f_rl=0.02, k=0.005, h=0.5,
-                         wheel_base=10.0, radius=100.0)
+                         f_rc=0.01, k=0.005, h=0.5, wheel_base=10.0,
+                         radius=100.0)
     s_2h = arc_len_from_height_chord_form(1.0, 100.0)
     s_h = arc_len_from_height(0.5, 100.0)
     s_d = 0.6
@@ -327,7 +324,7 @@ def test_arc_hand_built_chord_sum():
     log = log_of(wl, wl, n_right=2, n_left=1)
     expected = (2.0 * chord_from_arc(s_2h, 100.0, "full")
                 + chord_from_arc(s_h, 100.0, "half")
-                + chord_from_arc(s_d, 100.0, "half")) * 0.99 + 0.02 * 2
+                + chord_from_arc(s_d, 100.0, "half")) * 0.99
     assert linearize_arc(log, cal, "left") == pytest.approx(expected, rel=1e-12)
 
 
@@ -373,15 +370,6 @@ def test_predict_monotone_in_turns(default_cal):
 def test_predict_requires_a_turn(default_cal):
     with pytest.raises(ValueError, match="at least one pivot turn"):
         predict_without_encoder(0, 0, default_cal)
-
-
-def test_predict_creep_terms():
-    cal = CalibConstants(c=1.0, c_left=1.0, c_right=1.0, f_lc=0.0, f_ll=0.5,
-                         f_rc=0.0, f_rl=0.25, k=0.0, h=0.5, wheel_base=10.0,
-                         radius=math.inf)
-    base = predict_without_encoder(2, 1, unit_cal())
-    assert predict_without_encoder(2, 1, cal) == pytest.approx(
-        base + (0.5 * 2 + 0.25 * 1) / 2.0, rel=1e-12)
 
 
 # ------------------------------------------------------------ mode dispatch
