@@ -16,8 +16,8 @@ from .errors import (ArcDomainError, CalibrationError, ExplorationError,
 from .graph_path import (MazeGraph, PathResult, brute_force_shortest,
                          build_graph, dijkstra, export_graph, graph_from_maze,
                          graphs_isomorphic, shortest_paths)
-from .mapping_explorer import (ExplorationState, OdometrySource, explore_map,
-                               match_point, next_target, trace_lines)
+from .mapping_explorer import (ExplorationState, explore_map, match_point,
+                               next_target, trace_lines)
 from .maze_model import (MazeEdge, MazeNode, MazeSpec, Point2D,
                          bundled_maze_text, make_maze, parse_maze,
                          serialize_maze)
@@ -39,7 +39,7 @@ __all__ = [
     "MazeGraph", "PathResult", "brute_force_shortest", "build_graph",
     "dijkstra", "export_graph", "graph_from_maze", "graphs_isomorphic",
     "shortest_paths",
-    "ExplorationState", "OdometrySource", "explore_map", "match_point",
+    "ExplorationState", "explore_map", "match_point",
     "next_target", "trace_lines",
     "MazeEdge", "MazeNode", "MazeSpec", "Point2D", "bundled_maze_text",
     "make_maze", "parse_maze", "serialize_maze",

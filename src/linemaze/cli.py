@@ -25,14 +25,14 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ._directions import direction_between
 from .errors import (ExplorationError, GraphQueryError, InconsistencyError,
                      MazeSyntaxError, MazeValidationError)
 from .graph_path import build_graph, dijkstra, graph_from_maze
 from .mapping_explorer import explore_map
-from .maze_model import MazeSpec, Point2D, bundled_maze_text, parse_maze
+from .maze_model import MazeSpec, bundled_maze_text, parse_maze
 from .motion_sim import MotionParams, simulate_segment
 from .odometry import (ODOMETRY_MODES, calibration_from_motion,
                        estimate_length)
@@ -97,50 +97,7 @@ def _load_maze(arg: str) -> Tuple[MazeSpec, str]:
     return parse_maze(text), path.stem
 
 
-def _rel_frame(maze: MazeSpec) -> Dict[str, Point2D]:
-    """True node coordinates shifted so the start node sits at (0, 0)."""
-    s = maze.position(maze.start)
-    return {n.id: Point2D(n.position.x - s.x, n.position.y - s.y)
-            for n in maze.nodes}
-
-
-def _relabel(state, maze: MazeSpec, tol: float) -> Dict[str, str]:
-    """Map discovered names to maze ids by coordinates; fall back to the
-    discovered name when nothing matches unambiguously."""
-    frame = _rel_frame(maze)
-    labels: Dict[str, str] = {}
-    used = set()
-    for name in state.type_of:
-        c = state.coordinate[name]
-        best: Optional[Tuple[float, str]] = None
-        for node_id, p in frame.items():
-            d = max(abs(p.x - c.x), abs(p.y - c.y))
-            if d <= tol and (best is None or (d, node_id) < best):
-                best = (d, node_id)
-        if best is not None and best[1] not in used:
-            labels[name] = best[1]
-            used.add(best[1])
-        else:
-            labels[name] = name
-    return labels
-
-
-def _find_end_name(state, maze: MazeSpec, tol: float) -> str:
-    frame = _rel_frame(maze)
-    target = frame[maze.end]
-    best: Optional[Tuple[float, str]] = None
-    for name, c in state.coordinate.items():
-        d = max(abs(c.x - target.x), abs(c.y - target.y))
-        if d <= tol and (best is None or (d, name) < best):
-            best = (d, name)
-    if best is None:
-        raise ExplorationError(
-            "no discovered point matches the end node at (%g, %g) within "
-            "tolerance %g" % (target.x, target.y, tol))
-    return best[1]
-
-
-def _segment_rows(maze: MazeSpec, hop_labels: List[Tuple[str, str]],
+def _segment_rows(hop_labels: List[Tuple[str, str]],
                   hop_lengths: List[float], mode: str, seed: int,
                   params: MotionParams) -> List[Tuple[str, float, float, float]]:
     """(label, true, raw, corrected) per shortest-path segment."""
@@ -171,37 +128,25 @@ def cmd_solve(args: argparse.Namespace) -> str:
     if args.algo == "simple":
         tape = explore_simple(maze, PREFERENCES[args.pref])
         path = replay(maze, reduce_tape(tape))
-        display = path
         discovered = len(dict.fromkeys(path))
-        positions = {n.id: n.position for n in maze.nodes}
-        hop_lengths = [math.hypot(positions[b].x - positions[a].x,
-                                  positions[b].y - positions[a].y)
-                       for a, b in zip(path, path[1:])]
-        length = sum(hop_lengths)
         if args.show_tape:
             tape_text = " ".join(str(s) for s in tape.sums)
     else:
         state = explore_map(maze, params, None, mode, args.tol)
-        graph = build_graph(state)
-        match_tol = args.tol if args.tol is not None else 1.0
-        end_name = _find_end_name(state, maze, match_tol)
-        result = dijkstra(graph, state.point[0], end_name)
-        labels = _relabel(state, maze, match_tol)
-        display = [labels[n] for n in result.nodes]
+        end_name = next(name for name, node in state.node_of.items()
+                        if node == maze.end)
+        result = dijkstra(build_graph(state), state.point[0], end_name)
+        path = [state.node_of[n] for n in result.nodes]
         discovered = len(state.type_of)
-        frame = _rel_frame(maze)
-        hop_lengths = []
-        for a, b in zip(result.nodes, result.nodes[1:]):
-            la, lb = labels[a], labels[b]
-            if la in frame and lb in frame:
-                pa, pb = frame[la], frame[lb]
-            else:
-                pa, pb = state.coordinate[a], state.coordinate[b]
-            hop_lengths.append(math.hypot(pb.x - pa.x, pb.y - pa.y))
-        length = result.length
 
-    hop_labels = list(zip(display, display[1:]))
-    rows = _segment_rows(maze, hop_labels, hop_lengths, mode, seed, params)
+    points = [maze.position(n) for n in path]
+    hop_lengths = [math.hypot(b.x - a.x, b.y - a.y)
+                   for a, b in zip(points, points[1:])]
+    # The tape explorer reports the true length of its path; the mapping
+    # explorer reports the shortest path through its measured graph.
+    length = sum(hop_lengths) if args.algo == "simple" else result.length
+    hop_labels = list(zip(path, path[1:]))
+    rows = _segment_rows(hop_labels, hop_lengths, mode, seed, params)
 
     if args.format == "tsv":
         out = [
@@ -209,7 +154,7 @@ def cmd_solve(args: argparse.Namespace) -> str:
             "algorithm\t%s" % args.algo,
             "odometry\t%s" % mode,
             "nodes_discovered\t%d" % discovered,
-            "path\t%s" % " ".join(display),
+            "path\t%s" % " ".join(path),
             "length\t%.2f" % length,
         ]
         if tape_text is not None:
@@ -223,7 +168,7 @@ def cmd_solve(args: argparse.Namespace) -> str:
         "algorithm: %s" % args.algo,
         "odometry: %s" % mode,
         "nodes discovered: %d" % discovered,
-        "path: %s" % " ".join(display),
+        "path: %s" % " ".join(path),
         "length: %.2f" % length,
     ]
     if tape_text is not None:

@@ -5,9 +5,14 @@ The robot starts at an arbitrary node it calls point "0" at coordinate
 (every point name in arrival order), each point's type (number of branches
 minus one), the walked graph (each point's walked neighbors with the
 coordinate distance to each), and a coordinate per point. Distances come
-from an odometry source (ground truth, raw encoders, or one of two encoder
+from an odometry mode (ground truth, raw encoders, or one of two encoder
 corrections), so a coordinate is the previous point's coordinate advanced
 along the heading axis by the measured distance.
+
+The simulator also records which maze node each name stands for
+(``ExplorationState.node_of``). That record is ground truth the robot never
+steers by: the explorer uses it only to detect odometry drift, and reports
+use it to label a discovered path with maze ids and to find the end point.
 
 On every arrival the measured coordinate is matched against the known points
 within a tolerance: a hit means a revisit (the stored coordinate is reused,
@@ -40,7 +45,6 @@ from .odometry import (ODOMETRY_MODES, CalibConstants, calibration_from_motion,
                        estimate_length)
 
 __all__ = [
-    "OdometrySource",
     "ExplorationState",
     "explore_map",
     "match_point",
@@ -53,18 +57,6 @@ __all__ = [
 Slot = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class OdometrySource:
-    """Distance-measurement mode used for a whole exploration."""
-
-    mode: str = "ideal"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ODOMETRY_MODES:
-            raise ValueError("odometry mode must be one of %r, got %r"
-                             % (ODOMETRY_MODES, self.mode))
-
-
 @dataclass
 class ExplorationState:
     """The mapping robot's knowledge, updated arrival by arrival.
@@ -74,6 +66,9 @@ class ExplorationState:
     coordinate: per-name position in the robot frame (start at origin).
     neighbors: per-name walked neighbors as (name, coordinate distance), in
         the order their edges were first walked.
+    node_of: per-name maze node id, the simulator's ground truth. The robot
+        never steers by it; the explorer checks arrivals against it to
+        detect drift, and reports use it as labels.
     direction: current heading code (starts north).
     trace: one row per arrival — (name, type, explored-at-arrival, x, y),
         where explored counts the distinct neighbors walked (floored at 1).
@@ -83,6 +78,7 @@ class ExplorationState:
     type_of: Dict[str, int] = field(default_factory=dict)
     coordinate: Dict[str, Point2D] = field(default_factory=dict)
     neighbors: Dict[str, List[Tuple[str, float]]] = field(default_factory=dict)
+    node_of: Dict[str, str] = field(default_factory=dict)
     direction: int = NORTH
     trace: List[Tuple[str, int, int, float, float]] = field(default_factory=list)
 
@@ -150,13 +146,15 @@ def _arrival_slot(maze: MazeSpec, node: str, edge) -> Slot:
 
 def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                 cal: Optional[CalibConstants] = None,
-                src: "OdometrySource | str" = "ideal",
+                src: str = "ideal",
                 tol: Optional[float] = None) -> ExplorationState:
     """Explore ``maze`` fully and return the resulting state.
 
     params/cal default to the stock robot and its derived calibration; src
-    picks the odometry mode; tol is the coordinate-match tolerance in cm
-    (default: 3% of the longest segment measured so far, floored at 1 cm).
+    is the odometry mode, one of ``ODOMETRY_MODES``; tol is the
+    coordinate-match tolerance in cm (default: 3% of the longest segment
+    measured so far, floored at 1 cm). ``node_of`` in the returned state
+    names the maze node behind every discovered point.
 
     Raises ExplorationError when the odometry is too noisy for the maze
     (a revisited point lands outside tolerance, a measured coordinate
@@ -164,8 +162,10 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     """
     if params is None:
         params = MotionParams()
-    mode = src.mode if isinstance(src, OdometrySource) else OdometrySource(src).mode
-    if cal is None and mode in ("basic", "arc"):
+    if src not in ODOMETRY_MODES:
+        raise ValueError("odometry mode must be one of %r, got %r"
+                         % (ODOMETRY_MODES, src))
+    if cal is None and src in ("basic", "arc"):
         cal = calibration_from_motion(params)
     if tol is not None and not tol > 0.0:
         raise ValueError("tol must be positive, got %r" % (tol,))
@@ -179,10 +179,10 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     state.type_of[start_name] = maze.degree(maze.start) - 1
     state.coordinate[start_name] = Point2D(0.0, 0.0)
     state.neighbors[start_name] = []
+    state.node_of[start_name] = maze.start
     state.trace.append((start_name, state.type_of[start_name], 1, 0.0, 0.0))
 
     true_node = maze.start
-    truth_of: Dict[str, str] = {start_name: maze.start}
     name_of_truth: Dict[str, str] = {maze.start: start_name}
     walked: Dict[str, Set[Slot]] = {start_name: set()}
     route: Dict[Tuple[str, str], Slot] = {}
@@ -191,10 +191,10 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
 
     def measure(true_length: float) -> float:
         seed_i = rng.randrange(2 ** 31)
-        if mode == "ideal":
+        if src == "ideal":
             return true_length
         log = simulate_segment(true_length, params, seed=seed_i)
-        return estimate_length(log, cal, mode)
+        return estimate_length(log, cal, src)
 
     def walk(slot: Slot) -> None:
         """Traverse one branch of the current point and log the arrival."""
@@ -231,10 +231,10 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
             state.type_of[name] = maze.degree(other) - 1
             state.coordinate[name] = guess
             state.neighbors[name] = []
-            truth_of[name] = other
+            state.node_of[name] = other
             name_of_truth[other] = name
             walked[name] = set()
-        elif truth_of[name] != other:
+        elif state.node_of[name] != other:
             raise ExplorationError(
                 "odometry drift: arrival at a new point was confused with "
                 "known point %r at (%g, %g); tolerance %g too large for the "
@@ -242,8 +242,9 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                 % (name, state.coordinate[name].x, state.coordinate[name].y,
                    eff_tol))
 
+        back = _arrival_slot(maze, other, edge)
         walked[cur].add(slot)
-        walked[name].add(_arrival_slot(maze, other, edge))
+        walked[name].add(back)
         c = state.coordinate[name]
         if (cur, name) not in route:
             # Stored coordinates never move, so an edge is weighed once.
@@ -251,7 +252,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
             state.neighbors[cur].append((name, w))
             state.neighbors[name].append((cur, w))
         route[(cur, name)] = slot
-        route[(name, cur)] = _arrival_slot(maze, other, edge)
+        route[(name, cur)] = back
         state.point.append(name)
         state.direction = direction
         true_node = other

@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from linemaze.graph_path import (brute_force_shortest, build_graph, dijkstra,
                                  graph_from_maze, graphs_isomorphic)
 from linemaze.mapping_explorer import explore_map, next_target
+from linemaze.maze_model import Point2D
 from linemaze.mazegen import random_maze, random_tree
 from linemaze.motion_sim import MotionParams, simulate_segment
 from linemaze.odometry import (arc_len_from_height,
@@ -191,3 +192,13 @@ def test_acceptance_8_mapping_completeness():
             assert {n: tuple(sorted(nbrs))
                     for n, nbrs in state.neighbors.items()} == graph.adjacency
             assert next_target(state) is None
+            # node_of names each discovered point's maze node, one to one,
+            # and ideal coordinates are the true positions seen from start.
+            assert sorted(state.node_of) == sorted(state.type_of)
+            assert sorted(state.node_of.values()) == sorted(
+                n.id for n in maze.nodes)
+            origin = maze.position(maze.start)
+            for name, node in state.node_of.items():
+                p = maze.position(node)
+                assert state.coordinate[name] == Point2D(p.x - origin.x,
+                                                         p.y - origin.y)

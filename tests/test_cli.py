@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
+import math
 import random
 import re
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 
 from linemaze.cli import run
 from linemaze.errors import GraphQueryError, InconsistencyError
+from linemaze.maze_model import serialize_maze
+from linemaze.mazegen import random_maze
 from linemaze.motion_sim import MotionParams, simulate_segment
 
 SOLVE_FIG2_IDEAL = """\
@@ -158,6 +161,32 @@ def test_solve_reads_a_maze_file(tmp_path, capsys):
     assert code == 0
     assert "maze: two" in out
     assert "path: S F" in out
+
+
+def test_raw_solve_labels_the_path_with_maze_ids(tmp_path, capsys):
+    # Raw encoders overshoot by about 2.3%, so the end point's measured
+    # coordinate lies centimetres from its true one. The path is labelled
+    # from the explorer's own record of which node each point is, so the
+    # run succeeds and every hop is named and measured on the true maze.
+    maze = random_maze(random.Random(146), max_nodes=39, loops=3,
+                       leaf_ends=False)
+    path = tmp_path / "raw146.maze"
+    path.write_text(serialize_maze(maze))
+    code, out, _ = run_cli(capsys, "solve", "--maze", str(path),
+                           "--odometry", "raw", "--format", "tsv")
+    assert code == 0
+    lines = out.splitlines()
+    labels = lines[4].split("\t")[1].split()
+    assert labels[0] == maze.start and labels[-1] == maze.end
+    edges = {frozenset((e.a, e.b)) for e in maze.edges}
+    rows = [line.split("\t") for line in lines[lines.index(
+        "segment\ttrue\traw\tcorrected") + 1:]]
+    assert [r[0] for r in rows] == ["%s-%s" % hop
+                                    for hop in zip(labels, labels[1:])]
+    for (a, b), row in zip(zip(labels, labels[1:]), rows):
+        assert frozenset((a, b)) in edges
+        pa, pb = maze.position(a), maze.position(b)
+        assert row[1] == "%.2f" % math.hypot(pb.x - pa.x, pb.y - pa.y)
 
 
 def test_tableone_default_lengths(capsys):

@@ -5,11 +5,11 @@ import math
 import pytest
 
 from linemaze.errors import ExplorationError
-from linemaze.mapping_explorer import (ExplorationState, OdometrySource,
-                                       explore_map, match_point, next_target,
-                                       trace_lines)
+from linemaze.mapping_explorer import (ExplorationState, explore_map,
+                                       match_point, next_target, trace_lines)
 from linemaze.maze_model import Point2D
 from linemaze.motion_sim import MotionParams
+from linemaze.odometry import ODOMETRY_MODES
 
 FIG2_TRACE = [
     "0 0 1 0 0",
@@ -58,6 +58,13 @@ def test_fig2_ideal_full_trace(fig2):
     assert coords == {"0": (0.0, 0.0), "1": (0.0, 10.0), "2": (14.0, 10.0),
                       "3": (14.0, 13.0), "4": (14.0, 16.0), "5": (0.0, 13.0),
                       "6": (-5.0, 10.0), "7": (14.0, 18.0)}
+
+
+@pytest.mark.parametrize("mode", ["ideal", "raw", "basic", "arc"])
+def test_fig2_node_of_names_each_point_in_every_mode(fig2, mode):
+    state = explore_map(fig2, src=mode)
+    assert state.node_of == {"0": "S", "1": "A", "2": "E", "3": "D",
+                             "4": "G", "5": "C", "6": "B", "7": "F"}
 
 
 def test_fig2_every_point_finishes_fully_explored(fig2):
@@ -190,25 +197,6 @@ def test_next_target_route_ties_break_lexicographically():
     assert next_target(st) == ["0", "1", "3"]
 
 
-# --------------------------------------------------------- odometry source
-
-def test_odometry_source_modes():
-    for mode in ("ideal", "raw", "basic", "arc"):
-        assert OdometrySource(mode).mode == mode
-    assert OdometrySource().mode == "ideal"
-
-
-def test_odometry_source_invalid():
-    with pytest.raises(ValueError, match="odometry mode must be"):
-        OdometrySource("sonar")
-
-
-def test_explore_accepts_source_or_string(fig2):
-    a = explore_map(fig2, src="ideal")
-    b = explore_map(fig2, src=OdometrySource("ideal"))
-    assert trace_lines(a) == trace_lines(b)
-
-
 # ------------------------------------------------------------ noisy runs
 
 @pytest.mark.parametrize("mode", ["raw", "basic", "arc"])
@@ -306,6 +294,23 @@ def test_explore_tolerance_must_be_positive(fig2, tol):
 def test_invalid_mode_via_explore(fig2):
     with pytest.raises(ValueError, match="odometry mode must be"):
         explore_map(fig2, src="sonar")
+
+
+def test_odometry_source_modes(fig2):
+    assert ODOMETRY_MODES == ("ideal", "raw", "basic", "arc")
+    for mode in ODOMETRY_MODES:
+        assert len(explore_map(fig2, src=mode).type_of) == 8
+    assert trace_lines(explore_map(fig2)) == \
+        trace_lines(explore_map(fig2, src="ideal"))
+
+
+def test_odometry_source_invalid(fig2):
+    for bad in ("raw-encoder", "corrected-basic", "corrected-arc", "IDEAL",
+                ""):
+        with pytest.raises(ValueError) as err:
+            explore_map(fig2, src=bad)
+        assert str(err.value) == ("odometry mode must be one of %r, got %r"
+                                  % (ODOMETRY_MODES, bad))
 
 
 # ------------------------------------------------------------ trace format
