@@ -16,12 +16,15 @@ use it to label a discovered path with maze ids and to find the end point.
 
 On every arrival the measured coordinate is matched against the known points
 within a tolerance: a hit means a revisit (the stored coordinate is reused,
-never averaged), a miss mints a new name. A point is fully explored once
-every one of its branches has been walked; whenever the current point is
-finished, the robot searches the walked graph with ``graph_path``'s
-shortest-path routine, the same one (and the same lexicographic tie-break)
-that answers queries on the finished map, and drives the route to the
-nearest unfinished point, logging every intermediate arrival on the way.
+never averaged), a miss mints a new name. Known points are bucketed in a
+uniform grid whose cells are at least twice the tolerance wide, so a match
+only looks at the 3x3 cells around the measured coordinate. A point is fully
+explored once every one of its branches has been walked; whenever the
+current point is finished, the robot searches the walked graph with
+``graph_path``'s shortest-path routine, the same one (and the same
+lexicographic tie-break) that answers queries on the finished map, and
+drives the route to the nearest unfinished point, logging every
+intermediate arrival on the way.
 Exploration ends when no unfinished point remains.
 
 Two exits of a node may leave in the same compass direction (side-by-side
@@ -81,6 +84,38 @@ class ExplorationState:
     node_of: Dict[str, str] = field(default_factory=dict)
     direction: int = NORTH
     trace: List[Tuple[str, int, int, float, float]] = field(default_factory=list)
+    # Grid index over ``coordinate`` for match_point: cell key -> names. The
+    # cell width is a power of two, so x / cell is exact, and at least 1 cm,
+    # so it is finite for every finite x.
+    _grid: Dict[Tuple[int, int], List[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _cell: float = field(default=1.0, init=False, repr=False, compare=False)
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
+
+
+def _cell_key(c: Point2D, cell: float) -> Tuple[int, int]:
+    return math.floor(c.x / cell), math.floor(c.y / cell)
+
+
+def _index_point(state: ExplorationState, name: str) -> None:
+    """Add a point whose coordinate was just stored to the grid index."""
+    key = _cell_key(state.coordinate[name], state._cell)
+    state._grid.setdefault(key, []).append(name)
+    state._indexed += 1
+
+
+def _reindex(state: ExplorationState, tol: float) -> None:
+    """Rebuild the grid index over every known point, cells >= 2*tol wide.
+
+    The cell only ever doubles, so a tolerance that keeps growing costs
+    O(log) rebuilds.
+    """
+    while not state._cell >= 2.0 * tol:
+        state._cell *= 2.0
+    state._grid = {}
+    state._indexed = 0
+    for name in state.coordinate:
+        _index_point(state, name)
 
 
 def match_point(coord: Point2D, state: ExplorationState,
@@ -89,11 +124,28 @@ def match_point(coord: Point2D, state: ExplorationState,
 
     None when nothing matches; an error when two known points both match,
     since then the tolerance is too coarse for the maze's geometry.
+
+    Only the grid cells next to ``coord`` are searched. The grid is rebuilt
+    when ``tol`` outgrows its cells, or when points were added to
+    ``state.coordinate`` without it (stored coordinates never move).
+    Coordinates must be finite.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive, got %r" % (tol,))
-    hits = [name for name, c in state.coordinate.items()
-            if max(abs(coord.x - c.x), abs(coord.y - c.y)) <= tol]
+    if state._indexed != len(state.coordinate) or not state._cell >= 2.0 * tol:
+        _reindex(state, tol)
+    # A point within tol of coord lies at most half a cell away on each axis,
+    # so its cell key differs from coord's by at most 1 per axis.
+    kx, ky = _cell_key(coord, state._cell)
+    grid = state._grid
+    known = state.coordinate
+    hits = []
+    for gx in (kx - 1, kx, kx + 1):
+        for gy in (ky - 1, ky, ky + 1):
+            for name in grid.get((gx, gy), ()):
+                c = known[name]
+                if max(abs(coord.x - c.x), abs(coord.y - c.y)) <= tol:
+                    hits.append(name)
     if not hits:
         return None
     if len(hits) > 1:
@@ -136,14 +188,6 @@ def _slots_at(maze: MazeSpec, node: str):
     return out
 
 
-def _arrival_slot(maze: MazeSpec, node: str, edge) -> Slot:
-    for slot, e, _other, _length in _slots_at(maze, node):
-        if e is edge or e == edge:
-            return slot
-    raise InconsistencyError("edge %r-%r does not reach node %r"
-                             % (edge.a, edge.b, node))
-
-
 def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                 cal: Optional[CalibConstants] = None,
                 src: str = "ideal",
@@ -180,6 +224,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     state.coordinate[start_name] = Point2D(0.0, 0.0)
     state.neighbors[start_name] = []
     state.node_of[start_name] = maze.start
+    _index_point(state, start_name)
     state.trace.append((start_name, state.type_of[start_name], 1, 0.0, 0.0))
 
     true_node = maze.start
@@ -188,6 +233,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     route: Dict[Tuple[str, str], Slot] = {}
     longest = 0.0
     traversals = 0
+    slots = {n.id: _slots_at(maze, n.id) for n in maze.nodes}
 
     def measure(true_length: float) -> float:
         seed_i = rng.randrange(2 ** 31)
@@ -205,7 +251,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                 "exploration exceeded its budget of %d traversals; odometry "
                 "errors are likely re-opening finished points" % budget)
         cur = state.point[-1]
-        for cand, edge, other, length in _slots_at(maze, true_node):
+        for cand, edge, other, length in slots[true_node]:
             if cand == slot:
                 break
         else:
@@ -230,6 +276,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
             name = str(len(state.type_of))
             state.type_of[name] = maze.degree(other) - 1
             state.coordinate[name] = guess
+            _index_point(state, name)
             state.neighbors[name] = []
             state.node_of[name] = other
             name_of_truth[other] = name
@@ -242,7 +289,12 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                 % (name, state.coordinate[name].x, state.coordinate[name].y,
                    eff_tol))
 
-        back = _arrival_slot(maze, other, edge)
+        for back, e, _o, _l in slots[other]:
+            if e is edge or e == edge:
+                break
+        else:
+            raise InconsistencyError("edge %r-%r does not reach node %r"
+                                     % (edge.a, edge.b, other))
         walked[cur].add(slot)
         walked[name].add(back)
         c = state.coordinate[name]
@@ -261,7 +313,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
 
     while True:
         cur = state.point[-1]
-        pending = [slot for slot, _e, _o, _l in _slots_at(maze, true_node)
+        pending = [slot for slot, _e, _o, _l in slots[true_node]
                    if slot not in walked[cur]]
         if pending:
             # Branch preference: east, north, west, south; among lanes of

@@ -8,6 +8,7 @@ they share; any other crossing or touch must be modeled as a junction.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -199,42 +200,46 @@ def _check_crossings(by_id, edges):
     """
     coords = {(n.position.x, n.position.y): n.id for n in by_id.values()}
     axes_at = {n.id: set() for n in by_id.values()}
-    for e in edges:
+    horizontal, vertical = [], []
+    for k, e in enumerate(edges):
         pa, pb = by_id[e.a].position, by_id[e.b].position
-        axis = "h" if pa.y == pb.y else "v"
+        if pa.y == pb.y:
+            axis = "h"
+            horizontal.append((pa.y, min(pa.x, pb.x), max(pa.x, pb.x), k))
+        else:
+            axis = "v"
+            vertical.append((pa.x, min(pa.y, pb.y), max(pa.y, pb.y), k))
         axes_at[e.a].add(axis)
         axes_at[e.b].add(axis)
 
-    segs = []
-    for e in edges:
-        pa, pb = by_id[e.a].position, by_id[e.b].position
-        segs.append((e, pa.y == pb.y, pa, pb))
-    for i in range(len(segs)):
-        ei, hi, a1, b1 = segs[i]
-        for j in range(i + 1, len(segs)):
-            ej, hj, a2, b2 = segs[j]
-            if hi == hj:
-                continue
-            if hi:
-                h_e, (hx1, hx2), hy = ei, sorted((a1.x, b1.x)), a1.y
-                v_e, (vy1, vy2), vx = ej, sorted((a2.y, b2.y)), a2.x
-            else:
-                h_e, (hx1, hx2), hy = ej, sorted((a2.x, b2.x)), a2.y
-                v_e, (vy1, vy2), vx = ei, sorted((a1.y, b1.y)), a1.x
-            if not (hx1 <= vx <= hx2 and vy1 <= hy <= vy2):
+    # Horizontal edges sorted by y; each vertical edge tests only those in
+    # its y-range. Of several offending pairs, the one reported is the one
+    # an all-pairs loop in edge order would meet first.
+    horizontal.sort()
+    ys = [h[0] for h in horizontal]
+    first = None
+    for vx, vy1, vy2, kv in vertical:
+        for hy, hx1, hx2, kh in horizontal[bisect_left(ys, vy1):
+                                          bisect_right(ys, vy2)]:
+            if not hx1 <= vx <= hx2:
                 continue
             node_here = coords.get((vx, hy))
             ok = node_here is not None
             if ok:
-                for edge, axis in ((h_e, "h"), (v_e, "v")):
-                    if node_here in (edge.a, edge.b):
+                for k, axis in ((kh, "h"), (kv, "v")):
+                    if node_here in (edges[k].a, edges[k].b):
                         continue
                     if axis not in axes_at[node_here]:
                         ok = False
             if not ok:
-                raise MazeValidationError(
-                    "edges %s-%s and %s-%s cross at (%g, %g); crossings must be a junction node"
-                    % (h_e.a, h_e.b, v_e.a, v_e.b, vx, hy))
+                pair = (min(kh, kv), max(kh, kv))
+                if first is None or pair < first[0]:
+                    first = (pair, edges[kh], edges[kv], vx, hy)
+    if first is not None:
+        _pair, h_e, v_e, vx, hy = first
+        raise MazeValidationError(
+            "edges %s-%s and %s-%s cross at (%g, %g); crossings must be a junction node"
+            % (h_e.a, h_e.b, v_e.a, v_e.b, vx, hy))
 
 
 def make_maze(nodes, edges, start, end):

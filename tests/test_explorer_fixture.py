@@ -31,6 +31,18 @@ DIGESTS = pathlib.Path(__file__).with_name("explorer_digests.json")
 SEEDS = range(9000, 9100)
 NOISY_EVERY = 8
 
+# Larger loopy mazes, where point matching and the crossing check see many
+# points and edges: seed -> (max_nodes, modes). Ideal runs on 791, 818,
+# 1,420 and 1,419 nodes; arc runs on 198 and 196 nodes.
+LARGE = {
+    9112: (1600, ("ideal",)),
+    9128: (1600, ("ideal",)),
+    9100: (3200, ("ideal",)),
+    9121: (3200, ("ideal",)),
+    9115: (400, ("arc",)),
+    9131: (400, ("arc",)),
+}
+
 
 def _maze(seed):
     i = seed - SEEDS[0]
@@ -72,6 +84,11 @@ def record():
         maze = _maze(seed)
         modes = ("ideal", "raw", "basic", "arc") \
             if (seed - SEEDS[0]) % NOISY_EVERY == 0 else ("ideal",)
+        for mode in modes:
+            out["%s/%d" % (mode, seed)] = _run(maze, mode)
+    for seed, (max_nodes, modes) in LARGE.items():
+        maze = random_maze(random.Random(seed), max_nodes=max_nodes,
+                           loops=max_nodes // 10, leaf_ends=False)
         for mode in modes:
             out["%s/%d" % (mode, seed)] = _run(maze, mode)
     return out

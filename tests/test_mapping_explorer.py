@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linemaze.errors import ExplorationError
 from linemaze.mapping_explorer import (ExplorationState, explore_map,
@@ -140,6 +142,71 @@ def test_match_point_ambiguity_is_an_error():
                     {"0": (0, 10), "1": (14, 10)})
     with pytest.raises(ExplorationError, match="tolerance too large"):
         match_point(Point2D(7.0, 10.0), st, 8.0)
+
+
+def linear_match_point(coord, state, tol):
+    """Reference matcher: a scan over every known point."""
+    hits = [name for name, c in state.coordinate.items()
+            if max(abs(coord.x - c.x), abs(coord.y - c.y)) <= tol]
+    if not hits:
+        return None
+    if len(hits) > 1:
+        raise ExplorationError(
+            "measured coordinate (%g, %g) matches points %s within tolerance "
+            "%g; tolerance too large for this maze's point spacing"
+            % (coord.x, coord.y, ", ".join(sorted(hits)), tol))
+    return hits[0]
+
+
+def _outcome(matcher, coord, state, tol):
+    try:
+        return matcher(coord, state, tol)
+    except ExplorationError as exc:
+        return "error: %s" % exc
+
+
+# Lattice values make exact ties and ambiguities common; the wide floats
+# cover negative and large coordinates.
+_COORD = st.one_of(st.integers(-12, 12).map(lambda k: k * 0.75),
+                   st.floats(-1e3, 1e3), st.floats(-1e15, 1e15))
+_TOL = st.one_of(st.sampled_from([0.25, 0.75, 1.0, 1.5, 4.0, 1e308,
+                                  math.inf]),
+                 st.floats(1e-6, 1e4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(batches=st.lists(st.lists(st.tuples(_COORD, _COORD), max_size=8),
+                        min_size=1, max_size=6),
+       tols=st.lists(_TOL, min_size=6, max_size=6).map(sorted),
+       extra=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=4))
+def test_match_point_agrees_with_linear_scan(batches, tols, extra):
+    # Points are written straight into state.coordinate between calls, as
+    # state_with does, and the tolerance never shrinks (as in explore_map),
+    # so the index is rebuilt for new points and for a wider tolerance.
+    st_ = state_with(["0"], {"0": 0}, {"0": (0, 0)})
+    for batch, tol in zip(batches, tols):
+        for x, y in batch:
+            st_.coordinate[str(len(st_.coordinate))] = Point2D(x, y)
+        queries = [Point2D(x, y) for x, y in extra]
+        for c in [Point2D(0.0, 0.0)] + [Point2D(x, y) for x, y in batch]:
+            for dx in (-tol, 0.0, tol):
+                for dy in (-tol, 0.0, tol):
+                    q = Point2D(c.x + dx, c.y + dy)
+                    if math.isfinite(q.x) and math.isfinite(q.y):
+                        queries.append(q)
+        for q in queries:
+            assert (_outcome(match_point, q, st_, tol)
+                    == _outcome(linear_match_point, q, st_, tol))
+
+
+@pytest.mark.parametrize("tol", [1e308, math.inf])
+def test_match_point_huge_tolerance_sees_every_point(tol):
+    st_ = state_with(["0"], {"0": 0, "1": 0},
+                     {"0": (0, 0), "1": (-1e300, 5e299)})
+    with pytest.raises(ExplorationError, match="matches points 0, 1 "):
+        match_point(Point2D(-3.0, 2.0), st_, tol)
+    del st_.coordinate["1"]
+    assert match_point(Point2D(-1e300, 5e299), st_, tol) == "0"
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0])

@@ -1,14 +1,16 @@
 """Maze text format: parsing, serialization, validation, geometry queries."""
 
 import math
+import random
 
 import pytest
 
 from linemaze._directions import EAST, NORTH, SOUTH, WEST
 from linemaze.errors import MazeSyntaxError, MazeValidationError
 from linemaze.maze_model import (MazeEdge, MazeNode, Point2D,
-                                 bundled_maze_text, make_maze, parse_maze,
-                                 serialize_maze)
+                                 _check_crossings, bundled_maze_text,
+                                 make_maze, parse_maze, serialize_maze)
+from linemaze.mazegen import random_maze
 
 from conftest import build_maze
 
@@ -205,6 +207,149 @@ def test_lane_passing_a_node_needs_collinear_corridor():
              ("TA", -5, 10)],
             [("A", "B"), ("M", "T"), ("T", "TA"), ("TA", "A")],
             "A", "B")
+
+
+@pytest.mark.parametrize("order, message", [
+    ("S-F C-D A-B G-H K-L", "edges C-D and S-F cross at (0, 5)"),
+    ("A-B S-F C-D G-H K-L", "edges A-B and S-F cross at (0, -5)"),
+    ("A-B G-H K-L S-F C-D", "edges A-B and S-F cross at (0, -5)"),
+    ("K-L A-B S-F C-D G-H", "edges K-L and G-H cross at (20, 0)"),
+])
+def test_crossing_report_names_the_first_pair_in_edge_order(order, message):
+    # S-F crosses A-B and C-D, and G-H crosses K-L. The pair reported is the
+    # first one an all-pairs loop over the edges in file order meets.
+    with pytest.raises(MazeValidationError) as err:
+        build_maze(
+            [("S", 0, -10), ("F", 0, 10), ("A", -5, -5), ("B", 5, -5),
+             ("C", -5, 5), ("D", 5, 5), ("G", 20, -10), ("H", 20, 10),
+             ("K", 15, 0), ("L", 25, 0)],
+            [tuple(e.split("-")) for e in order.split()], "S", "F")
+    assert str(err.value) == message + "; crossings must be a junction node"
+
+
+def pairwise_crossings(by_id, edges):
+    """Reference crossing check: every pair of edges, in edge order."""
+    coords = {(n.position.x, n.position.y): n.id for n in by_id.values()}
+    axes_at = {n.id: set() for n in by_id.values()}
+    for e in edges:
+        pa, pb = by_id[e.a].position, by_id[e.b].position
+        axis = "h" if pa.y == pb.y else "v"
+        axes_at[e.a].add(axis)
+        axes_at[e.b].add(axis)
+    segs = []
+    for e in edges:
+        pa, pb = by_id[e.a].position, by_id[e.b].position
+        segs.append((e, pa.y == pb.y, pa, pb))
+    for i in range(len(segs)):
+        ei, hi, a1, b1 = segs[i]
+        for j in range(i + 1, len(segs)):
+            ej, hj, a2, b2 = segs[j]
+            if hi == hj:
+                continue
+            if hi:
+                h_e, (hx1, hx2), hy = ei, sorted((a1.x, b1.x)), a1.y
+                v_e, (vy1, vy2), vx = ej, sorted((a2.y, b2.y)), a2.x
+            else:
+                h_e, (hx1, hx2), hy = ej, sorted((a2.x, b2.x)), a2.y
+                v_e, (vy1, vy2), vx = ei, sorted((a1.y, b1.y)), a1.x
+            if not (hx1 <= vx <= hx2 and vy1 <= hy <= vy2):
+                continue
+            node_here = coords.get((vx, hy))
+            ok = node_here is not None
+            if ok:
+                for edge, axis in ((h_e, "h"), (v_e, "v")):
+                    if node_here in (edge.a, edge.b):
+                        continue
+                    if axis not in axes_at[node_here]:
+                        ok = False
+            if not ok:
+                raise MazeValidationError(
+                    "edges %s-%s and %s-%s cross at (%g, %g); crossings must be a junction node"
+                    % (h_e.a, h_e.b, v_e.a, v_e.b, vx, hy))
+
+
+def _injected_maze(seed):
+    """A generated maze plus axis-aligned edges laid over it.
+
+    Returns (kind, by_id, edges). The injected edges go to random places in
+    the edge list, so the first offending pair in edge order varies.
+    """
+    rng = random.Random(seed)
+    kind = ("cross", "t_touch", "t_junction", "lane", "random")[seed % 5]
+    maze = random_maze(rng, max_nodes=rng.choice((12, 30, 60)),
+                       loops=rng.randrange(8))
+    by_id = {n.id: n for n in maze.nodes}
+    at = {(n.position.x, n.position.y): n.id for n in maze.nodes}
+    edges = list(maze.edges)
+    xs = sorted({n.position.x for n in maze.nodes})
+    ys = sorted({n.position.y for n in maze.nodes})
+
+    def node(x, y):
+        if (x, y) not in at:
+            name = "q%d" % len(by_id)
+            at[(x, y)] = name
+            by_id[name] = MazeNode(name, Point2D(x, y))
+        return at[(x, y)]
+
+    def add(p, q):
+        a, b = node(*p), node(*q)
+        if a != b and all({a, b} != {e.a, e.b} for e in edges):
+            edges.insert(rng.randrange(len(edges) + 1), MazeEdge(a, b))
+
+    vertical = [e for e in maze.edges
+                if by_id[e.a].position.x == by_id[e.b].position.x]
+    e = rng.choice(vertical) if vertical else maze.edges[0]
+    x, y1, y2 = (by_id[e.a].position.x, by_id[e.a].position.y,
+                 by_id[e.b].position.y)
+    ym = (y1 + y2) / 2
+    if kind == "cross":
+        # Across the whole maze between two rows: passes vertical edges.
+        y = rng.choice(ys[:-1]) + 0.5 if len(ys) > 1 else ys[0] + 0.5
+        add((xs[0] - 1, y), (xs[-1] + 1, y))
+    elif kind == "t_touch":
+        # Ends on the interior of a vertical edge, with no junction there.
+        add((x - 1.5, ym), (x, ym))
+    elif kind == "t_junction":
+        # The same T, but the touched point gets a vertical corridor.
+        add((x - 1.5, ym), (x, ym))
+        add((x, ym), (x, max(y1, y2)))
+    elif kind == "lane":
+        # Along an existing row, past every node on it.
+        y = rng.choice(ys)
+        add((xs[0] - 1, y), (xs[-1] + 1, y))
+    else:
+        for _ in range(rng.randint(1, 4)):
+            fixed = rng.choice(ys) + rng.choice((0.0, 0.0, 0.5))
+            lo, hi = (sorted(rng.sample(xs, 2)) if len(xs) > 1
+                      else (xs[0], xs[0] + 1))
+            p, q = (lo + rng.choice((0.0, -1.0)), fixed), (hi, fixed)
+            if rng.random() < 0.5:
+                p, q = p[::-1], q[::-1]
+            add(p, q)
+    return kind, by_id, tuple(edges)
+
+
+def _crossing_outcome(check, by_id, edges):
+    try:
+        check(by_id, edges)
+    except MazeValidationError as exc:
+        return str(exc)
+    return "ok"
+
+
+def test_crossing_sweep_agrees_with_pairwise_check():
+    outcomes = {}
+    for seed in range(100):
+        kind, by_id, edges = _injected_maze(seed)
+        got = _crossing_outcome(_check_crossings, by_id, edges)
+        assert got == _crossing_outcome(pairwise_crossings, by_id, edges), seed
+        outcomes.setdefault(kind, set()).add(got == "ok")
+    # Each kind of injected edge is checked, and both verdicts occur.
+    assert outcomes["cross"] == {False}
+    assert outcomes["t_touch"] == {False}
+    assert outcomes["t_junction"] == {True}
+    assert outcomes["lane"] == {True, False}
+    assert outcomes["random"] == {True, False}
 
 
 def test_overlapping_parallel_lanes_accepted(fig2):
