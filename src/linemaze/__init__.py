@@ -13,16 +13,15 @@ from .errors import (ArcDomainError, CalibrationError, ExplorationError,
                      GraphQueryError, InconsistencyError, LinemazeError,
                      MazeSyntaxError, MazeValidationError,
                      MotionDivergenceError)
-from .graph_path import (MazeGraph, PathResult, brute_force_shortest,
-                         build_graph, dijkstra, export_graph, graph_from_maze,
-                         graphs_isomorphic, shortest_paths)
+from .graph_path import (MazeGraph, PathResult, build_graph, dijkstra,
+                         export_graph, graph_from_maze, shortest_paths)
 from .mapping_explorer import (ExplorationState, explore_map, match_point,
                                next_target, trace_lines)
 from .maze_model import (MazeEdge, MazeNode, MazeSpec, Point2D,
                          bundled_maze_text, make_maze, parse_maze,
                          serialize_maze)
 from .motion_sim import (EncoderLog, MotionParams, radius_from_ratio,
-                         simulate_free_arc, simulate_segment)
+                         simulate_segment)
 from .odometry import (CalibConstants, arc_len_from_height,
                        arc_len_from_height_chord_form, calibration_from_motion,
                        chord_from_arc, estimate_length, linearize_arc,
@@ -36,15 +35,13 @@ __all__ = [
     "ArcDomainError", "CalibrationError", "ExplorationError",
     "GraphQueryError", "InconsistencyError", "LinemazeError",
     "MazeSyntaxError", "MazeValidationError", "MotionDivergenceError",
-    "MazeGraph", "PathResult", "brute_force_shortest", "build_graph",
-    "dijkstra", "export_graph", "graph_from_maze", "graphs_isomorphic",
-    "shortest_paths",
+    "MazeGraph", "PathResult", "build_graph", "dijkstra", "export_graph",
+    "graph_from_maze", "shortest_paths",
     "ExplorationState", "explore_map", "match_point",
     "next_target", "trace_lines",
     "MazeEdge", "MazeNode", "MazeSpec", "Point2D", "bundled_maze_text",
     "make_maze", "parse_maze", "serialize_maze",
-    "EncoderLog", "MotionParams", "radius_from_ratio", "simulate_free_arc",
-    "simulate_segment",
+    "EncoderLog", "MotionParams", "radius_from_ratio", "simulate_segment",
     "CalibConstants", "arc_len_from_height", "arc_len_from_height_chord_form",
     "calibration_from_motion", "chord_from_arc", "estimate_length",
     "linearize_arc", "linearize_basic", "predict_without_encoder",

@@ -14,7 +14,6 @@ RIGHT, FRONT, LEFT, BACK = 1, 2, 3, 4
 # Unit steps per absolute direction, in cm of (x, y).
 DELTA = {EAST: (1.0, 0.0), NORTH: (0.0, 1.0), WEST: (-1.0, 0.0), SOUTH: (0.0, -1.0)}
 
-ABS_NAMES = {EAST: "east", NORTH: "north", WEST: "west", SOUTH: "south"}
 REL_NAMES = {RIGHT: "right", FRONT: "front", LEFT: "left", BACK: "back"}
 
 
@@ -26,11 +25,6 @@ def wrap4(n):
 def reverse(direction):
     """Absolute direction pointing the opposite way."""
     return wrap4(direction + 2)
-
-
-def relative_of(absolute, heading):
-    """Relative code of an absolute direction seen from a heading."""
-    return wrap4(absolute - heading + 2)
 
 
 def absolute_of(rel, heading):

@@ -132,7 +132,7 @@ def cmd_solve(args: argparse.Namespace) -> str:
         if args.show_tape:
             tape_text = " ".join(str(s) for s in tape.sums)
     else:
-        state = explore_map(maze, params, None, mode, args.tol)
+        state = explore_map(maze, params=params, src=mode, tol=args.tol)
         end_name = next(name for name, node in state.node_of.items()
                         if node == maze.end)
         result = dijkstra(build_graph(state), state.point[0], end_name)

@@ -1,14 +1,13 @@
 """Adjacency-list graphs over discovered (or true) mazes, plus shortest paths.
 
-``build_graph`` turns a mapping exploration's visit log into a weighted
-graph: two names are adjacent iff they ever appear consecutively in the log,
-and each edge weighs the coordinate distance between its endpoints.
-``shortest_paths`` is the package's one shortest-path routine: a Dijkstra
-search in which equal-length paths resolve to the lexicographically smallest
-node sequence. ``dijkstra`` answers s→t queries with it, and the mapping
-explorer routes to its next target with it, so both share one tie-break;
-``brute_force_shortest`` is an exhaustive oracle for small graphs that
-accumulates weights in the same order, so equality checks are exact.
+``build_graph`` reads a mapping exploration's map: the walked graph the
+explorer kept, each edge weighed by the coordinate distance between its
+endpoints, checked once per edge and sorted. ``graph_from_maze`` builds the
+same kind of graph from a maze's true positions. ``shortest_paths`` is the
+package's one shortest-path routine: a Dijkstra search in which
+equal-length paths resolve to the lexicographically smallest node sequence.
+``dijkstra`` answers s→t queries with it, and the mapping explorer routes to
+its next target with it, so both share one tie-break.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Set, Tuple)
+from typing import Dict, Iterator, List, Mapping, Sequence, Set, Tuple
 
 from .errors import GraphQueryError, InconsistencyError
 from .maze_model import MazeSpec, Point2D
@@ -29,8 +27,6 @@ __all__ = [
     "graph_from_maze",
     "shortest_paths",
     "dijkstra",
-    "brute_force_shortest",
-    "graphs_isomorphic",
     "export_graph",
 ]
 
@@ -63,11 +59,50 @@ class PathResult:
     length: float
 
 
-def _assemble(coords: Dict[str, Point2D],
-              pairs: Iterable[FrozenSet[str]]) -> MazeGraph:
+def build_graph(state) -> MazeGraph:
+    """Graph of a finished exploration: the explorer's walked graph, sorted.
+
+    Each point keeps its walked neighbors with the weights the explorer
+    gave them; every point gets an entry, and each list is sorted. Each
+    walked edge is checked once. A self-edge or a zero weight flags a
+    corrupt state, and so does a grossly diagonal coordinate delta, which
+    no straight axis-aligned walk can produce; mild skew is tolerated
+    because coordinate snapping under noisy odometry bends deltas slightly
+    off-axis.
+    """
+    coords = state.coordinate
+    adjacency = {}
+    for a in coords:
+        nbrs = state.neighbors[a]
+        for b, w in nbrs:
+            if a == b:
+                raise InconsistencyError(
+                    "visit log repeats %r consecutively; no traversal can do "
+                    "that" % (a,))
+            if b < a:
+                continue  # each edge is listed at both ends; check it once
+            ca, cb = coords[a], coords[b]
+            major = max(abs(cb.x - ca.x), abs(cb.y - ca.y))
+            minor = min(abs(cb.x - ca.x), abs(cb.y - ca.y))
+            if minor > max(1.0, 0.5 * major):
+                raise InconsistencyError(
+                    "coordinate delta %r -> %r is (%g, %g): too diagonal for "
+                    "a straight axis-aligned traversal; exploration state "
+                    "corrupt" % (a, b, cb.x - ca.x, cb.y - ca.y))
+            if not w > 0.0:
+                raise InconsistencyError(
+                    "vertices %r and %r coincide; cannot weight their edge"
+                    % (a, b))
+        adjacency[a] = tuple(sorted(nbrs))
+    return MazeGraph(coordinates=dict(coords), adjacency=adjacency)
+
+
+def graph_from_maze(maze: MazeSpec) -> MazeGraph:
+    """Ground-truth graph of a maze: node positions, edges weighed by length."""
+    coords = {n.id: n.position for n in maze.nodes}
     adj: Dict[str, List[Tuple[str, float]]] = {name: [] for name in coords}
-    for pair in sorted(pairs, key=sorted):
-        a, b = sorted(pair)
+    for e in maze.edges:
+        a, b = sorted((e.a, e.b))
         ca, cb = coords[a], coords[b]
         w = math.hypot(cb.x - ca.x, cb.y - ca.y)
         if not w > 0.0:
@@ -75,49 +110,8 @@ def _assemble(coords: Dict[str, Point2D],
                 "vertices %r and %r coincide; cannot weight their edge" % (a, b))
         adj[a].append((b, w))
         adj[b].append((a, w))
-    return MazeGraph(coordinates=dict(coords),
+    return MazeGraph(coordinates=coords,
                      adjacency={k: tuple(sorted(v)) for k, v in adj.items()})
-
-
-def build_graph(state) -> MazeGraph:
-    """Graph of a finished exploration: visit-log pairs become edges.
-
-    Every consecutive pair of names in the visit log was one physical
-    traversal, so it becomes an edge weighted by the stored coordinates.
-    A pair whose coordinate delta is grossly diagonal cannot come from a
-    straight axis-aligned walk and flags a corrupt state; mild skew is
-    tolerated because coordinate snapping under noisy odometry bends
-    deltas slightly off-axis.
-    """
-    pairs: Set[FrozenSet[str]] = set()
-    for a, b in zip(state.point, state.point[1:]):
-        if a == b:
-            raise InconsistencyError(
-                "visit log repeats %r consecutively; no traversal can do that"
-                % (a,))
-        ca, cb = state.coordinate[a], state.coordinate[b]
-        major = max(abs(cb.x - ca.x), abs(cb.y - ca.y))
-        minor = min(abs(cb.x - ca.x), abs(cb.y - ca.y))
-        if minor > max(1.0, 0.5 * major):
-            raise InconsistencyError(
-                "coordinate delta %r -> %r is (%g, %g): too diagonal for a "
-                "straight axis-aligned traversal; exploration state corrupt"
-                % (a, b, cb.x - ca.x, cb.y - ca.y))
-        pairs.add(frozenset((a, b)))
-    return _assemble(state.coordinate, pairs)
-
-
-def graph_from_maze(maze: MazeSpec, origin: Optional[str] = None) -> MazeGraph:
-    """Ground-truth graph of a maze; ``origin`` (a node id) shifts that node
-    to (0, 0) so the result is frame-compatible with an exploration's graph."""
-    ox = oy = 0.0
-    if origin is not None:
-        o = maze.position(origin)
-        ox, oy = o.x, o.y
-    coords = {n.id: Point2D(n.position.x - ox, n.position.y - oy)
-              for n in maze.nodes}
-    pairs = {frozenset((e.a, e.b)) for e in maze.edges}
-    return _assemble(coords, pairs)
 
 
 def shortest_paths(adjacency: Mapping[str, Sequence[Tuple[str, float]]],
@@ -168,74 +162,6 @@ def dijkstra(g: MazeGraph, s: str, t: str) -> PathResult:
         if path[-1] == t:
             return PathResult(nodes=list(path), length=length)
     raise GraphQueryError("no path from %r to %r" % (s, t))
-
-
-def brute_force_shortest(g: MazeGraph, s: str, t: str) -> PathResult:
-    """Exact shortest path by enumerating every simple path (|V| <= 12).
-
-    Sums weights in path order exactly like ``dijkstra`` does, so results
-    compare equal bit for bit, ties included.
-    """
-    if len(g.coordinates) > 12:
-        raise GraphQueryError(
-            "brute-force enumeration limited to 12 vertices, got %d"
-            % len(g.coordinates))
-    if s not in g.coordinates:
-        raise GraphQueryError("unknown vertex %r" % (s,))
-    if t not in g.coordinates:
-        raise GraphQueryError("unknown vertex %r" % (t,))
-    if s == t:
-        return PathResult(nodes=[s], length=0.0)
-    best: Optional[Tuple[float, Tuple[str, ...]]] = None
-
-    def extend(path: Tuple[str, ...], length: float) -> None:
-        nonlocal best
-        node = path[-1]
-        if node == t:
-            cand = (length, path)
-            if best is None or cand < best:
-                best = cand
-            return
-        for nb, w in g.adjacency[node]:
-            if nb not in path:
-                extend(path + (nb,), length + w)
-
-    extend((s,), 0.0)
-    if best is None:
-        raise GraphQueryError("no path from %r to %r" % (s, t))
-    return PathResult(nodes=list(best[1]), length=best[0])
-
-
-def graphs_isomorphic(a: MazeGraph, b: MazeGraph, coord_tol: float = 1e-6,
-                      weight_tol: float = 1e-9) -> bool:
-    """True when a coordinate-matching vertex bijection maps a onto b.
-
-    Vertices pair up by Chebyshev-nearest coordinates within ``coord_tol``
-    (each vertex of one graph must claim exactly one of the other); the
-    bijection must then carry every edge to an edge with the same weight
-    within ``weight_tol``.
-    """
-    if len(a.coordinates) != len(b.coordinates):
-        return False
-    mapping: Dict[str, str] = {}
-    claimed: Set[str] = set()
-    for name, ca in a.coordinates.items():
-        hits = [nb for nb, cb in b.coordinates.items()
-                if max(abs(ca.x - cb.x), abs(ca.y - cb.y)) <= coord_tol]
-        if len(hits) != 1 or hits[0] in claimed:
-            return False
-        mapping[name] = hits[0]
-        claimed.add(hits[0])
-    for name, nbrs in a.adjacency.items():
-        image = {(mapping[nb], ) for nb, _w in nbrs}
-        target = {(nb, ) for nb, _w in b.adjacency[mapping[name]]}
-        if image != target:
-            return False
-        weights_b = dict(b.adjacency[mapping[name]])
-        for nb, w in nbrs:
-            if abs(w - weights_b[mapping[nb]]) > weight_tol:
-                return False
-    return True
 
 
 def export_graph(g: MazeGraph) -> str:

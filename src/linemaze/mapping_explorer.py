@@ -1,13 +1,20 @@
 """Mapping explorer: discover a whole line maze and its coordinates.
 
 The robot starts at an arbitrary node it calls point "0" at coordinate
-(0, 0), heading north, and maintains four parallel records: the visit log
-(every point name in arrival order), each point's type (number of branches
-minus one), the walked graph (each point's walked neighbors with the
-coordinate distance to each), and a coordinate per point. Distances come
-from an odometry mode (ground truth, raw encoders, or one of two encoder
-corrections), so a coordinate is the previous point's coordinate advanced
-along the heading axis by the measured distance.
+(0, 0), heading north. Its map is the walked graph: each point's type
+(number of branches minus one), its coordinate, and its walked neighbors
+with the coordinate distance to each. That graph is the result;
+``graph_path.build_graph`` only sorts it. The visit log (every point name
+in arrival order) and a trace row per arrival record how it was walked.
+Distances come from an odometry mode (ground truth, raw encoders, or one of
+two encoder corrections), so a coordinate is the previous point's coordinate
+advanced along the heading axis by the measured distance.
+
+While it runs, the explorer also keeps a branch table: for each point, the
+slot of every walked branch and the point it reaches. It tells the robot
+which branches are still pending, whether an edge is walked for the first
+time (and so must be weighed and added to the map), and which branch to take
+for each hop of a route.
 
 The simulator also records which maze node each name stands for
 (``ExplorationState.node_of``). That record is ground truth the robot never
@@ -37,15 +44,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ._directions import DELTA, NORTH
 from .errors import ExplorationError, InconsistencyError
 from .graph_path import shortest_paths
 from .maze_model import MazeSpec, Point2D
 from .motion_sim import MotionParams, simulate_segment
-from .odometry import (ODOMETRY_MODES, CalibConstants, calibration_from_motion,
-                       estimate_length)
+from .odometry import ODOMETRY_MODES, calibration_from_motion, estimate_length
 
 __all__ = [
     "ExplorationState",
@@ -189,16 +195,16 @@ def _slots_at(maze: MazeSpec, node: str):
 
 
 def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
-                cal: Optional[CalibConstants] = None,
                 src: str = "ideal",
                 tol: Optional[float] = None) -> ExplorationState:
     """Explore ``maze`` fully and return the resulting state.
 
-    params/cal default to the stock robot and its derived calibration; src
-    is the odometry mode, one of ``ODOMETRY_MODES``; tol is the
-    coordinate-match tolerance in cm (default: 3% of the longest segment
-    measured so far, floored at 1 cm). ``node_of`` in the returned state
-    names the maze node behind every discovered point.
+    params defaults to the stock robot; the corrected odometry modes use
+    the calibration derived from it. src is the odometry mode, one of
+    ``ODOMETRY_MODES``; tol is the coordinate-match tolerance in cm
+    (default: 3% of the longest segment measured so far, floored at 1 cm).
+    ``node_of`` in the returned state names the maze node behind every
+    discovered point.
 
     Raises ExplorationError when the odometry is too noisy for the maze
     (a revisited point lands outside tolerance, a measured coordinate
@@ -209,8 +215,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     if src not in ODOMETRY_MODES:
         raise ValueError("odometry mode must be one of %r, got %r"
                          % (ODOMETRY_MODES, src))
-    if cal is None and src in ("basic", "arc"):
-        cal = calibration_from_motion(params)
+    cal = calibration_from_motion(params) if src in ("basic", "arc") else None
     if tol is not None and not tol > 0.0:
         raise ValueError("tol must be positive, got %r" % (tol,))
 
@@ -229,8 +234,10 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
 
     true_node = maze.start
     name_of_truth: Dict[str, str] = {maze.start: start_name}
-    walked: Dict[str, Set[Slot]] = {start_name: set()}
-    route: Dict[Tuple[str, str], Slot] = {}
+    # Branch table: per point, each walked slot -> the point it reaches. A
+    # maze has no duplicate edges and node_of is one to one, so a point's
+    # walked slots and walked neighbors correspond one to one.
+    table: Dict[str, Dict[Slot, str]] = {start_name: {}}
     longest = 0.0
     traversals = 0
     slots = {n.id: _slots_at(maze, n.id) for n in maze.nodes}
@@ -280,7 +287,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
             state.neighbors[name] = []
             state.node_of[name] = other
             name_of_truth[other] = name
-            walked[name] = set()
+            table[name] = {}
         elif state.node_of[name] != other:
             raise ExplorationError(
                 "odometry drift: arrival at a new point was confused with "
@@ -295,16 +302,14 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
         else:
             raise InconsistencyError("edge %r-%r does not reach node %r"
                                      % (edge.a, edge.b, other))
-        walked[cur].add(slot)
-        walked[name].add(back)
         c = state.coordinate[name]
-        if (cur, name) not in route:
+        if slot not in table[cur]:
             # Stored coordinates never move, so an edge is weighed once.
             w = math.hypot(c.x - prev.x, c.y - prev.y)
             state.neighbors[cur].append((name, w))
             state.neighbors[name].append((cur, w))
-        route[(cur, name)] = slot
-        route[(name, cur)] = back
+            table[cur][slot] = name
+            table[name][back] = cur
         state.point.append(name)
         state.direction = direction
         true_node = other
@@ -314,7 +319,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     while True:
         cur = state.point[-1]
         pending = [slot for slot, _e, _o, _l in slots[true_node]
-                   if slot not in walked[cur]]
+                   if slot not in table[cur]]
         if pending:
             # Branch preference: east, north, west, south; among lanes of
             # one direction, the nearest-reaching branch first.
@@ -324,7 +329,8 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
         if path is None:
             break
         for nxt in path[1:]:
-            walk(route[(state.point[-1], nxt)])
+            walk(next(slot for slot, name in table[state.point[-1]].items()
+                      if name == nxt))
     return state
 
 

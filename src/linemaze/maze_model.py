@@ -71,9 +71,6 @@ class MazeSpec:
     def degree(self, node_id):
         return len(self._incident[self.node(node_id).id])
 
-    def incident_edges(self, node_id):
-        return list(self._incident[self.node(node_id).id])
-
     def edge_length(self, edge):
         pa = self.position(edge.a)
         pb = self.position(edge.b)
@@ -144,24 +141,21 @@ def _validate(nodes, edges, start, end):
     if end not in by_id:
         raise MazeValidationError("end refers to unknown node %r" % end)
 
-    degree = {n.id: 0 for n in nodes}
-    for e in edges:
-        degree[e.a] += 1
-        degree[e.b] += 1
-    for n in nodes:
-        if degree[n.id] == 0:
-            raise MazeValidationError("node %r is isolated" % n.id)
-        if degree[n.id] > MAX_DEGREE:
-            raise MazeValidationError(
-                "node %r has degree %d > %d" % (n.id, degree[n.id], MAX_DEGREE))
-
-    # Degree-2 nodes must be turns: their two edges perpendicular.
     incident = {n.id: [] for n in nodes}
     for e in edges:
         incident[e.a].append(e)
         incident[e.b].append(e)
     for n in nodes:
-        if degree[n.id] != 2:
+        degree = len(incident[n.id])
+        if degree == 0:
+            raise MazeValidationError("node %r is isolated" % n.id)
+        if degree > MAX_DEGREE:
+            raise MazeValidationError(
+                "node %r has degree %d > %d" % (n.id, degree, MAX_DEGREE))
+
+    # Degree-2 nodes must be turns: their two edges perpendicular.
+    for n in nodes:
+        if len(incident[n.id]) != 2:
             continue
         axes = []
         for e in incident[n.id]:

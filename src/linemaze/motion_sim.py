@@ -25,7 +25,6 @@ __all__ = [
     "MotionParams",
     "EncoderLog",
     "simulate_segment",
-    "simulate_free_arc",
     "radius_from_ratio",
 ]
 
@@ -236,17 +235,3 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
             n_left += 1
             pivots.append((x, y))
     return wl, wr, n_right, n_left, pivots, y, True
-
-
-def simulate_free_arc(distance: float, params: MotionParams) -> EncoderLog:
-    """Drive ``distance`` with no line to follow (dead reckoning).
-
-    Without corrective pivots the robot follows the constant-curvature arc
-    set by its wheel-speed mismatch; encoder totals are exact.
-    """
-    if not (distance > 0.0 and math.isfinite(distance)):
-        raise ValueError("distance must be positive and finite")
-    fl, fr = params.wheel_factors()
-    return EncoderLog(wl_total=distance * fl, wr_total=distance * fr,
-                      n_right=0, n_left=0, true_length=distance,
-                      trajectory=None)

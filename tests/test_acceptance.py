@@ -12,8 +12,7 @@ from contextlib import contextmanager
 
 from scipy.integrate import quad
 
-from linemaze.graph_path import (brute_force_shortest, build_graph, dijkstra,
-                                 graph_from_maze, graphs_isomorphic)
+from linemaze.graph_path import build_graph, dijkstra, graph_from_maze
 from linemaze.mapping_explorer import explore_map, next_target
 from linemaze.maze_model import Point2D
 from linemaze.mazegen import random_maze, random_tree
@@ -24,6 +23,8 @@ from linemaze.odometry import (arc_len_from_height,
                                estimate_length)
 from linemaze.simple_explorer import (PREF_RFLD, explore_simple, reduce_tape,
                                       replay)
+from oracles import (brute_force_shortest, graphs_isomorphic, shifted,
+                     visit_log_graph)
 
 
 @contextmanager
@@ -184,13 +185,11 @@ def test_acceptance_8_mapping_completeness():
             traversals = len(state.point) - 1
             assert traversals <= 4 * len(maze.edges)
             graph = build_graph(state)
-            assert graphs_isomorphic(graph,
-                                     graph_from_maze(maze,
-                                                     origin=maze.start))
+            assert graphs_isomorphic(
+                graph, shifted(graph_from_maze(maze), maze.start))
             # The walked graph kept during exploration is the visit-log
             # graph, weights included, and it has nothing left to explore.
-            assert {n: tuple(sorted(nbrs))
-                    for n, nbrs in state.neighbors.items()} == graph.adjacency
+            assert graph == visit_log_graph(state)
             assert next_target(state) is None
             # node_of names each discovered point's maze node, one to one,
             # and ideal coordinates are the true positions seen from start.

@@ -6,12 +6,14 @@ import random
 import pytest
 
 from linemaze.errors import GraphQueryError, InconsistencyError
-from linemaze.graph_path import (MazeGraph, PathResult, brute_force_shortest,
-                                 build_graph, dijkstra, export_graph,
-                                 graph_from_maze, graphs_isomorphic)
+from linemaze.graph_path import (MazeGraph, PathResult, build_graph, dijkstra,
+                                 export_graph, graph_from_maze)
 from linemaze.mapping_explorer import ExplorationState, explore_map
 from linemaze.maze_model import Point2D
 from linemaze.mazegen import random_maze
+from oracles import (brute_force_shortest, graphs_isomorphic, shifted,
+                     visit_log_graph)
+from test_explorer_fixture import NOISY_EVERY, SEEDS, _maze
 
 FIG2_EXPORT = """\
 A 0 10 : B,5 C,3 E,14 S,10
@@ -32,11 +34,19 @@ def graph_of(coords, adjacency):
 
 
 def state_of(visits, coords):
+    """A hand-built state whose walked graph is read off the visit log."""
     st = ExplorationState()
     st.point = list(visits)
     st.coordinate = {k: Point2D(float(x), float(y))
                      for k, (x, y) in coords.items()}
     st.type_of = {k: 0 for k in coords}
+    st.neighbors = {k: [] for k in coords}
+    for a, b in zip(st.point, st.point[1:]):
+        if b not in dict(st.neighbors[a]):
+            ca, cb = st.coordinate[a], st.coordinate[b]
+            w = math.hypot(cb.x - ca.x, cb.y - ca.y)
+            st.neighbors[a].append((b, w))
+            st.neighbors[b].append((a, w))
     return st
 
 
@@ -50,32 +60,46 @@ def test_graph_from_maze_fig2(fig2):
     assert export_graph(g) == FIG2_EXPORT
 
 
-def test_graph_from_maze_origin_shift(fig2):
-    g = graph_from_maze(fig2, origin="E")
-    assert (g.coordinates["E"].x, g.coordinates["E"].y) == (0.0, 0.0)
-    assert (g.coordinates["A"].x, g.coordinates["A"].y) == (-14.0, 0.0)
-    # Weights are unaffected by the shift.
-    assert dict(g.neighbors("A"))["S"] == pytest.approx(10.0, rel=1e-15)
-
-
 def test_build_graph_from_exploration(fig2):
     state = explore_map(fig2, src="ideal")
     g = build_graph(state)
     assert [nb for nb, _w in g.neighbors("1")] == ["0", "2", "5", "6"]
     assert g.edge_count() == 8
-    assert graphs_isomorphic(g, graph_from_maze(fig2, origin=fig2.start))
+    assert g == visit_log_graph(state)
+    assert graphs_isomorphic(g, shifted(graph_from_maze(fig2), fig2.start))
+
+
+def rejection(build, state):
+    with pytest.raises(InconsistencyError) as info:
+        build(state)
+    return str(info.value)
+
+
+def test_build_graph_equals_visit_log_graph_on_noisy_explorations():
+    # The walked graph is the visit-log graph, weights bit for bit, under
+    # every noisy odometry mode on the fixture's noisy seeds and on one
+    # larger arc maze.
+    mazes = [_maze(seed) for seed in SEEDS[::NOISY_EVERY]]
+    runs = [(maze, mode) for maze in mazes for mode in ("raw", "basic", "arc")]
+    runs.append((random_maze(random.Random(9115), max_nodes=400, loops=40,
+                             leaf_ends=False), "arc"))
+    for maze, mode in runs:
+        state = explore_map(maze, src=mode)
+        assert build_graph(state) == visit_log_graph(state), mode
 
 
 def test_build_graph_rejects_consecutive_repeat():
     st = state_of(["0", "0"], {"0": (0, 0)})
-    with pytest.raises(InconsistencyError, match="repeats '0' consecutively"):
-        build_graph(st)
+    msg = rejection(build_graph, st)
+    assert "repeats '0' consecutively" in msg
+    assert msg == rejection(visit_log_graph, st)
 
 
 def test_build_graph_rejects_diagonal_delta():
     st = state_of(["0", "1"], {"0": (0, 0), "1": (3, 4)})
-    with pytest.raises(InconsistencyError, match="too diagonal"):
-        build_graph(st)
+    msg = rejection(build_graph, st)
+    assert "too diagonal" in msg
+    assert msg == rejection(visit_log_graph, st)
 
 
 def test_build_graph_tolerates_snapping_skew():
@@ -83,12 +107,14 @@ def test_build_graph_tolerates_snapping_skew():
     g = build_graph(st)
     assert g.edge_count() == 1
     assert dict(g.neighbors("0"))["1"] == pytest.approx(math.hypot(0.4, 10))
+    assert g == visit_log_graph(st)
 
 
 def test_build_graph_rejects_coincident_vertices():
     st = state_of(["0", "1"], {"0": (0, 0), "1": (0, 0)})
-    with pytest.raises(InconsistencyError, match="coincide"):
-        build_graph(st)
+    msg = rejection(build_graph, st)
+    assert "coincide" in msg
+    assert msg == rejection(visit_log_graph, st)
 
 
 def test_unknown_vertex_in_neighbors(fig2):
@@ -205,7 +231,7 @@ def test_length_symmetry_and_triangle_inequality():
             assert dijkstra(g, s, t).length <= via + 1e-9
 
 
-# ------------------------------------------------------------- isomorphism
+# ------------------------------------------- isomorphism oracle (oracles.py)
 
 def test_isomorphic_to_itself_and_to_discovery(fig2):
     truth = graph_from_maze(fig2)

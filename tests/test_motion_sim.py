@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from linemaze import motion_sim
 from linemaze.errors import MotionDivergenceError
 from linemaze.motion_sim import (EncoderLog, MotionParams, radius_from_ratio,
-                                 simulate_free_arc, simulate_segment)
+                                 simulate_segment)
 
 
 def polyline_length(points):
@@ -187,19 +187,13 @@ def test_kernel_backend_is_the_pure_step_loop():
 # ---------------------------------------------------------------- free arc
 
 def test_free_arc_exact_ratio():
-    p = MotionParams(speed_ratio=1.3)
-    log = simulate_free_arc(25.0, p)
-    assert log.wr_total / log.wl_total == pytest.approx(1.3, rel=1e-12)
-    assert log.trajectory is None
-    assert log.turn_count == 0
-    assert log.true_length == 25.0
+    # With no line to follow, the wheels cover distance in the speed ratio.
+    fl, fr = MotionParams(speed_ratio=1.3).wheel_factors()
+    assert fr / fl == pytest.approx(1.3, rel=1e-12)
 
 
 def test_free_arc_matched_wheels():
-    p = MotionParams(speed_ratio=1.0)
-    log = simulate_free_arc(25.0, p)
-    assert log.wl_total == 25.0
-    assert log.wr_total == 25.0
+    assert MotionParams(speed_ratio=1.0).wheel_factors() == (1.0, 1.0)
 
 
 # ------------------------------------------------------------------ errors
@@ -216,12 +210,6 @@ def test_divergence_when_band_is_wider_than_the_drift_radius():
 def test_bad_length_rejected(bad):
     with pytest.raises(ValueError, match="length must be positive"):
         simulate_segment(bad, MotionParams())
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-def test_bad_free_arc_distance_rejected(bad):
-    with pytest.raises(ValueError, match="distance must be positive"):
-        simulate_free_arc(bad, MotionParams())
 
 
 @pytest.mark.parametrize("kwargs,msg", [
