@@ -77,7 +77,7 @@ def build_graph(state) -> MazeGraph:
         for b, w in nbrs:
             if a == b:
                 raise InconsistencyError(
-                    "visit log repeats %r consecutively; no traversal can do "
+                    "walked graph links %r to itself; no traversal can do "
                     "that" % (a,))
             if b < a:
                 continue  # each edge is listed at both ends; check it once

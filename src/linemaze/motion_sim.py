@@ -6,6 +6,14 @@ whenever it strays a lateral distance ``h`` from the line while diverging,
 snaps its heading back toward the line with a pivot turn. Wheel encoders
 accumulate the per-wheel path length, including the extra wheel travel spent
 inside pivot turns.
+
+The forward model is an Euler step loop of ``MotionParams.step`` cm.
+Between pivots the heading turns by the same angle every step, so the
+kernel (``_integrate``) moves through each straight leg in one closed-form
+jump and takes single steps only where the loop decides something: at a
+pivot, at the end of the segment, near a right-angle heading and at the
+step budget. The jump changes results only by rounding (about 1e-12
+relative); ``tests/oracles.py`` keeps the step loop to compare against.
 """
 
 from __future__ import annotations
@@ -33,9 +41,18 @@ __all__ = [
 JITTER_LO = 0.9
 JITTER_HI = 1.0
 
-# The step loop below is the only kernel; the name stays because benchmark
-# runs record it in their identity.
+# The leg-jump kernel below is the only kernel, in pure Python; the name
+# stays because benchmark runs record it in their identity.
 KERNEL_BACKEND = "pure"
+
+# Fewest steps worth a jump; a shorter run of steps is stepped.
+_MIN_JUMP = 8
+# Steps held back from a jump's first guess, which is taken at the current
+# heading; curvature can bring the trigger a step or two closer.
+_SPARE_STEPS = 2
+# Headings a jump may span: cos stays near 1e-6 or above, far from the
+# 1e-12 at which a step reports divergence.
+_MAX_JUMP_HEADING = math.pi / 2 - 1e-6
 
 
 @dataclass(frozen=True)
@@ -191,6 +208,40 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
     kappa: curvature from the wheel-speed mismatch (rad/cm, +ccw).
     fl/fr: per-wheel path-length factors for midpoint travel.
     rp_*/lp_*: wheel-distance charges of a right/left pivot.
+
+    The model is an Euler step loop: each step of ``step`` cm moves the
+    robot along its heading, then turns the heading by b = kappa*step and
+    tests the pivot triggers. Between pivots the headings of successive
+    steps form an arithmetic progression, so J steps from heading phi move
+    the robot by step*sin(J*b/2)/sin(b/2) along the mean heading
+    phi + (J-1)*b/2 (by J*step along phi when b = 0), roll the wheels by
+    J*step*fl and J*step*fr, and turn the heading by J*b. The loop jumps
+    such runs of steps in one go and takes the other steps one at a time.
+
+    A jump of J steps is taken only when bounds over its heading range
+    [phi, phi + J*b], widened by 1e-12 rad, show that the step loop would
+    make no decision inside it: along-track motion is at most ``step`` per
+    step, so x + (J+1)*step stays below ``length`` and no end step falls
+    inside; lateral motion per step lies between step*sin(lo) and
+    step*sin(hi), so no trigger (y >= h heading up, y <= -h heading down)
+    is within 1e-9 cm of firing; the headings stay 1e-6 rad clear of
+    +-pi/2, so no step can diverge; and J fits in the step budget. J is
+    first guessed from the current heading and halved until the bounds
+    hold; below _MIN_JUMP steps the loop steps instead. Every pivot, the
+    end step, the divergence test and the budget test therefore run as
+    single steps, and a jump of J steps spends J steps of the budget.
+
+    The result equals the step loop's up to rounding: the jumped sums round
+    differently, so coordinates and wheel totals differ by about 1e-12
+    relative. A decision taken within that distance of its threshold can
+    fall on a different step than in the step loop: a trigger near +-h, a
+    heading sign near 0, or the end step. The last one is seen: with no
+    drift, on a length that is a whole number of steps, the step loop's
+    running sum of x falls about 2e-13 cm short and takes one more,
+    near-zero step, which only an exactly sized budget could notice. No
+    changed trigger has been seen. ``tests/oracles.step_loop_integrate``
+    keeps the step loop, and the tests compare the two on pivot counts,
+    pivot coordinates, wheel totals and the step budget.
     """
     x = 0.0
     y = 0.0
@@ -201,7 +252,41 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
     n_left = 0
     pivots = []
     steps = 0
+    b = kappa * step
+    sin_half_b = sin(0.5 * b)
     while x < length:
+        jump = (length - x) / step
+        lateral = step * sin(phi)
+        if lateral > 0.0:
+            jump = min(jump, (h - y) / lateral)
+        elif lateral < 0.0:
+            jump = min(jump, (h + y) / -lateral)
+        jump = min(int(jump) - _SPARE_STEPS, max_steps - steps)
+        while jump >= _MIN_JUMP:
+            span = jump * step
+            end = phi + jump * b
+            lo = min(phi, end) - 1e-12
+            hi = max(phi, end) + 1e-12
+            if (-_MAX_JUMP_HEADING < lo and hi < _MAX_JUMP_HEADING
+                    and x + span + step < length - 1e-9
+                    and not (hi > 0.0 and y + span * sin(hi) >= h - 1e-9)
+                    and not (lo < 0.0 and y + span * sin(lo) <= 1e-9 - h)):
+                break
+            jump //= 2
+        if jump >= _MIN_JUMP:  # span and end are this jump's
+            if b == 0.0:
+                chord = span
+                mid = phi
+            else:
+                chord = step * sin(0.5 * jump * b) / sin_half_b
+                mid = phi + 0.5 * (jump - 1) * b
+            x += chord * cos(mid)
+            y += chord * sin(mid)
+            wl += span * fl
+            wr += span * fr
+            phi = end
+            steps += jump
+            continue
         if steps >= max_steps:
             return wl, wr, n_right, n_left, pivots, y, False
         steps += 1

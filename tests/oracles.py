@@ -7,9 +7,12 @@
   an exploration started there.
 - ``visit_log_graph``: the graph of an exploration rebuilt from its visit
   log, the oracle for ``build_graph``'s view of the walked graph.
+- ``step_loop_integrate``: the motion kernel as one Euler step at a time,
+  the oracle for ``motion_sim._integrate``'s leg jumps.
 """
 
 import math
+from math import cos, sin
 from typing import Dict, Optional, Set, Tuple
 
 from linemaze.errors import GraphQueryError, InconsistencyError
@@ -129,3 +132,62 @@ def visit_log_graph(state) -> MazeGraph:
         adj[b].append((a, w))
     return MazeGraph(coordinates=dict(coords),
                      adjacency={k: tuple(sorted(v)) for k, v in adj.items()})
+
+
+def step_loop_integrate(length, h, alpha0, theta, kappa, fl, fr,
+                        rp_l, rp_r, lp_l, lp_r, step, max_steps):
+    """Integrate one segment one step at a time; same contract as
+    ``motion_sim._integrate``: returns (wl, wr, n_right, n_left, pivots, y,
+    ok).
+
+    length: along-track distance to cover.
+    h: lateral deviation that triggers a corrective pivot.
+    alpha0: signed initial heading (rad) relative to the line.
+    theta: heading magnitude set by a pivot, pointing back at the line.
+    kappa: curvature from the wheel-speed mismatch (rad/cm, +ccw).
+    fl/fr: per-wheel path-length factors for midpoint travel.
+    rp_*/lp_*: wheel-distance charges of a right/left pivot.
+    """
+    x = 0.0
+    y = 0.0
+    phi = alpha0
+    wl = 0.0
+    wr = 0.0
+    n_right = 0
+    n_left = 0
+    pivots = []
+    steps = 0
+    while x < length:
+        if steps >= max_steps:
+            return wl, wr, n_right, n_left, pivots, y, False
+        steps += 1
+        c = cos(phi)
+        if c <= 1e-12:
+            return wl, wr, n_right, n_left, pivots, y, False
+        remaining = length - x
+        if step * c >= remaining:
+            d = remaining / c
+            x = length
+            y += d * sin(phi)
+            wl += d * fl
+            wr += d * fr
+            break
+        d = step
+        x += d * c
+        y += d * sin(phi)
+        wl += d * fl
+        wr += d * fr
+        phi += kappa * d
+        if y >= h and phi > 0.0:
+            phi = -theta
+            wl += rp_l
+            wr += rp_r
+            n_right += 1
+            pivots.append((x, y))
+        elif y <= -h and phi < 0.0:
+            phi = theta
+            wl += lp_l
+            wr += lp_r
+            n_left += 1
+            pivots.append((x, y))
+    return wl, wr, n_right, n_left, pivots, y, True

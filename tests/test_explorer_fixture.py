@@ -10,19 +10,29 @@ Each run is reduced to a SHA-256 digest and compared with
   because integer spacings make equal-length routes common, and which of
   two tied routes the robot drives is a routing rule, not part of the map.
 
+The noisy digests pin floats bit for bit, so they move with any rounding
+change in the motion kernel. What must not move with one is checked apart
+from them: every noisy exploration makes the same decisions under the
+leg-jump kernel as under the step loop it replaced.
+
 To re-record after a change that is meant to alter explorations:
 ``PYTHONPATH=src python tests/test_explorer_fixture.py > tests/explorer_digests.json``
 """
 
 import hashlib
 import json
+import math
 import pathlib
 import random
 
+import pytest
+
+from linemaze import motion_sim
 from linemaze.errors import ExplorationError
 from linemaze.graph_path import build_graph, export_graph
 from linemaze.mapping_explorer import explore_map
 from linemaze.mazegen import random_maze
+from oracles import step_loop_integrate
 
 DIGESTS = pathlib.Path(__file__).with_name("explorer_digests.json")
 
@@ -78,20 +88,23 @@ def _run(maze, mode):
     return _digest((state.point, state.trace, _coords(state)))
 
 
-def record():
-    out = {}
+def _runs():
+    """Every fixture run as (key, maze, mode)."""
     for seed in SEEDS:
         maze = _maze(seed)
         modes = ("ideal", "raw", "basic", "arc") \
             if (seed - SEEDS[0]) % NOISY_EVERY == 0 else ("ideal",)
         for mode in modes:
-            out["%s/%d" % (mode, seed)] = _run(maze, mode)
+            yield "%s/%d" % (mode, seed), maze, mode
     for seed, (max_nodes, modes) in LARGE.items():
         maze = random_maze(random.Random(seed), max_nodes=max_nodes,
                            loops=max_nodes // 10, leaf_ends=False)
         for mode in modes:
-            out["%s/%d" % (mode, seed)] = _run(maze, mode)
-    return out
+            yield "%s/%d" % (mode, seed), maze, mode
+
+
+def record():
+    return {key: _run(maze, mode) for key, maze, mode in _runs()}
 
 
 def test_explorations_match_recorded_digests():
@@ -100,6 +113,38 @@ def test_explorations_match_recorded_digests():
     assert sorted(got) == sorted(expected)
     changed = sorted(k for k in got if got[k] != expected[k])
     assert changed == []
+
+
+def _close(a, b):
+    return math.isclose(a, b, rel_tol=0.0, abs_tol=1e-9)
+
+
+def test_noisy_explorations_match_the_step_loop_kernel():
+    # Same visit log, node_of and trace decisions under both kernels, with
+    # coordinates, trace positions and edge weights within 1e-9 cm.
+    noisy = [(key, maze, mode) for key, maze, mode in _runs()
+             if mode != "ideal"]
+    assert len(noisy) == 41
+    for key, maze, mode in noisy:
+        jumped = explore_map(maze, src=mode)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(motion_sim, "_integrate", step_loop_integrate)
+            stepped = explore_map(maze, src=mode)
+        assert jumped.point == stepped.point, key
+        assert jumped.node_of == stepped.node_of, key
+        assert jumped.type_of == stepped.type_of, key
+        assert [r[:3] for r in jumped.trace] == \
+            [r[:3] for r in stepped.trace], key
+        assert all(_close(a[3], b[3]) and _close(a[4], b[4])
+                   for a, b in zip(jumped.trace, stepped.trace)), key
+        assert all(_close(c.x, stepped.coordinate[n].x)
+                   and _close(c.y, stepped.coordinate[n].y)
+                   for n, c in jumped.coordinate.items()), key
+        for n, nbrs in jumped.neighbors.items():
+            assert [b for b, _w in nbrs] == \
+                [b for b, _w in stepped.neighbors[n]], key
+            assert all(_close(w, v) for (_b, w), (_c, v)
+                       in zip(nbrs, stepped.neighbors[n])), key
 
 
 if __name__ == "__main__":

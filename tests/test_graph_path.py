@@ -89,10 +89,12 @@ def test_build_graph_equals_visit_log_graph_on_noisy_explorations():
 
 
 def test_build_graph_rejects_consecutive_repeat():
+    # A repeat in the visit log walks a self-edge: build_graph names the
+    # walked graph it reads, the oracle the visit log it reads.
     st = state_of(["0", "0"], {"0": (0, 0)})
-    msg = rejection(build_graph, st)
-    assert "repeats '0' consecutively" in msg
-    assert msg == rejection(visit_log_graph, st)
+    assert "walked graph links '0' to itself" in rejection(build_graph, st)
+    assert "visit log repeats '0' consecutively" in \
+        rejection(visit_log_graph, st)
 
 
 def test_build_graph_rejects_diagonal_delta():

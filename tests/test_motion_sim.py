@@ -12,6 +12,7 @@ from linemaze import motion_sim
 from linemaze.errors import MotionDivergenceError
 from linemaze.motion_sim import (EncoderLog, MotionParams, radius_from_ratio,
                                  simulate_segment)
+from oracles import step_loop_integrate
 
 
 def polyline_length(points):
@@ -155,11 +156,12 @@ KERNEL_CASES = [
     (25.0, dict(h=0.02)),
 ]
 KERNEL_SEEDS = range(20)
-# Any change to a float, a pivot or the divergence message moves the digest.
+# Any change to a float, a pivot or the divergence message moves the digest,
+# which pins the leg-jump kernel's output across processes bit for bit.
 # Re-record only for a change meant to alter the kernel's output:
 # ``PYTHONPATH=src python tests/test_motion_sim.py``
 KERNEL_DIGEST = (
-    "47e3d779375f3478b74efc4f7e6e2a6b2578c87b65ce0f651c172968fedb3987")
+    "39efdb7951b1ede13a6ec3005d4a716cf2468b1ce8185c4ba63bda9034e84b99")
 
 
 def kernel_digest():
@@ -180,8 +182,154 @@ def test_kernel_output_is_bit_identical_to_the_recorded_digest():
     assert kernel_digest() == KERNEL_DIGEST
 
 
-def test_kernel_backend_is_the_pure_step_loop():
+def test_kernel_backend_is_pure_python():
     assert motion_sim.KERNEL_BACKEND == "pure"
+
+
+# ------------------------------------------------ against the step loop
+
+def simulate_both(length, p, seed):
+    """``simulate_segment`` with the leg-jump kernel and with the step loop.
+
+    Each side is the EncoderLog, or the divergence message if it raised.
+    """
+    out = []
+    for kernel in (motion_sim._integrate, step_loop_integrate):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(motion_sim, "_integrate", kernel)
+            try:
+                out.append(simulate_segment(length, p, seed=seed))
+            except MotionDivergenceError as exc:
+                out.append(str(exc))
+    return out
+
+
+def assert_same_run(jumped, stepped, length):
+    """Same decisions (pivots, their sides, divergence); floats that differ
+    only by rounding: wheel totals and pivot coordinates within 1e-9
+    relative. The end point's lateral offset can sit near 0, so it gets
+    an absolute tolerance that grows with the distance travelled."""
+    if isinstance(stepped, str):
+        assert jumped == stepped
+        return
+    assert (jumped.n_right, jumped.n_left, len(jumped.trajectory)) == \
+        (stepped.n_right, stepped.n_left, len(stepped.trajectory))
+    assert jumped.wl_total == pytest.approx(stepped.wl_total, rel=1e-9)
+    assert jumped.wr_total == pytest.approx(stepped.wr_total, rel=1e-9)
+    for a, b in zip(jumped.trajectory[:-1], stepped.trajectory[:-1]):
+        assert (math.isclose(a[0], b[0], rel_tol=1e-9)
+                and math.isclose(a[1], b[1], rel_tol=1e-9)), (a, b)
+    assert jumped.trajectory[-1][0] == stepped.trajectory[-1][0] == length
+    assert jumped.trajectory[-1][1] == pytest.approx(
+        stepped.trajectory[-1][1], rel=1e-9, abs=1e-12 * length)
+
+
+PARITY_PARAMS = [
+    {}, dict(speed_ratio=1.0), dict(speed_ratio=2.5), dict(speed_ratio=0.97),
+    dict(alpha=0.0), dict(h=0.02), dict(h=0.3, theta=0.3),
+]
+PARITY_LENGTHS = [0.7, 2.0, 5.0, 10.0, 30.0, 100.0, 300.0, 1000.0]
+
+
+@pytest.mark.parametrize("overrides", PARITY_PARAMS)
+def test_leg_jumps_match_the_step_loop(overrides):
+    p = MotionParams(**overrides)
+    for length in PARITY_LENGTHS:
+        for s in range(20):
+            assert_same_run(*simulate_both(length, p, s), length)
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.floats(min_value=0.5, max_value=200.0),
+       speed_ratio=st.floats(min_value=0.8, max_value=2.5),
+       h=st.floats(min_value=0.01, max_value=0.5),
+       theta=st.floats(min_value=0.05, max_value=1.2),
+       seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_leg_jumps_match_the_step_loop_property(length, speed_ratio, h, theta,
+                                                seed):
+    p = MotionParams(speed_ratio=speed_ratio, h=h, theta=theta)
+    assert_same_run(*simulate_both(length, p, seed), length)
+
+
+def kernel_args(length, p, seed=0):
+    """``_integrate``'s arguments as ``simulate_segment`` passes them, with
+    the step budget left off."""
+    calls = []
+    kernel = motion_sim._integrate
+
+    def spy(*args):
+        calls.append(args[:-1])
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(motion_sim, "_integrate", spy)
+        try:
+            simulate_segment(length, p, seed=seed)
+        except MotionDivergenceError:
+            pass
+    return calls[0]
+
+
+def least_budget(kernel, args):
+    """The smallest step budget with which ``kernel`` finishes the segment."""
+    lo, hi = 0, 10 * int(args[0] / args[-1])
+    assert kernel(*args, hi)[-1]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if kernel(*args, mid)[-1]:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("length,overrides,seed", [
+    (10.0, {}, 0),
+    (10.0, dict(speed_ratio=2.5, alpha=0.0), 0),
+    (30.0, dict(h=0.3, theta=0.3), 1),
+])
+def test_no_jump_skips_the_step_budget(length, overrides, seed):
+    # One step less than the step loop needs fails in both kernels, and
+    # every budget from that need on passes in both. A failing run stops
+    # after exactly the budgeted steps, so its partial totals agree too.
+    args = kernel_args(length, MotionParams(**overrides), seed)
+    need = least_budget(step_loop_integrate, args)
+    for budget in (0, 1, 7, 8, 9, need // 2, need - 1, need, need + 1):
+        jumped = motion_sim._integrate(*args, budget)
+        stepped = step_loop_integrate(*args, budget)
+        assert jumped[-1] == stepped[-1] == (budget >= need), budget
+        assert jumped[2:4] == stepped[2:4], budget
+        assert jumped[0] == pytest.approx(stepped[0], rel=1e-9), budget
+
+
+def test_a_whole_number_of_steps_can_end_one_step_sooner():
+    # A perfect robot on 10 cm: 1,000 steps of 0.01 cm reach the end in
+    # exact arithmetic. The step loop's running sum of x falls about 2e-13
+    # short, so it takes a 1,001st step of that length; the jump's product
+    # does not fall short, so its 1,000th step is the end step. The totals
+    # agree; only a budget of exactly 1,000 steps tells the two apart.
+    args = kernel_args(10.0, MotionParams(alpha=0.0, speed_ratio=1.0))
+    assert least_budget(motion_sim._integrate, args) == 1000
+    assert least_budget(step_loop_integrate, args) == 1001
+    jumped = motion_sim._integrate(*args, 1001)
+    stepped = step_loop_integrate(*args, 1001)
+    assert jumped[:2] == stepped[:2] == (10.0, 10.0)
+
+
+@pytest.mark.parametrize("speed_ratio", [1.1, 0.9])
+def test_no_jump_crosses_a_right_angle_heading(speed_ratio):
+    # The band never recaptures the robot, so its heading curls onto +-90
+    # degrees with the budget to spare: both kernels stop there.
+    p = MotionParams(h=200.0, alpha=0.0, speed_ratio=speed_ratio)
+    args = kernel_args(200.0, p)
+    budget = int(40.0 * 200.0 / p.step) + 10000
+    jumped = motion_sim._integrate(*args, budget)
+    stepped = step_loop_integrate(*args, budget)
+    assert jumped[-1] is stepped[-1] is False
+    assert jumped[2:4] == stepped[2:4] == (0, 0)
+    assert jumped[0] == pytest.approx(stepped[0], rel=1e-9)
+    a, b = simulate_both(200.0, p, 0)
+    assert a == b and "failed to traverse" in a
 
 
 # ---------------------------------------------------------------- free arc
