@@ -33,7 +33,7 @@ from .errors import (ExplorationError, GraphQueryError, InconsistencyError,
 from .graph_path import build_graph, dijkstra, graph_from_maze
 from .mapping_explorer import explore_map
 from .maze_model import MazeSpec, bundled_maze_text, parse_maze
-from .motion_sim import MotionParams, simulate_segment
+from .motion_sim import EncoderLog, MotionParams, simulate_segment
 from .odometry import (ODOMETRY_MODES, calibration_from_motion,
                        estimate_length)
 from .simple_explorer import PREFERENCES, explore_simple, reduce_tape, replay
@@ -97,24 +97,42 @@ def _load_maze(arg: str) -> Tuple[MazeSpec, str]:
     return parse_maze(text), path.stem
 
 
+def _drive(length: float, mode: str, params: MotionParams,
+           seed: int) -> EncoderLog:
+    """Encoder log of one straight segment of ``length``.
+
+    Ideal odometry drives a perfect straight run: both wheels roll exactly
+    ``length``, with no pivots. Every other mode simulates the segment.
+    """
+    if mode == "ideal":
+        return EncoderLog(wl_total=length, wr_total=length, n_right=0,
+                          n_left=0, true_length=length,
+                          trajectory=((0.0, 0.0), (length, 0.0)))
+    return simulate_segment(length, params, seed=seed)
+
+
+def _wheel_mean(log: EncoderLog) -> float:
+    """The raw encoder reading: the mean of the two wheel totals."""
+    mean = (log.wl_total + log.wr_total) / 2.0
+    if math.isinf(mean):
+        # Two totals near the float maximum overflow their sum; halving
+        # each first is exact for totals that large.
+        mean = log.wl_total / 2.0 + log.wr_total / 2.0
+    return mean
+
+
 def _segment_rows(hop_labels: List[Tuple[str, str]],
                   hop_lengths: List[float], mode: str, seed: int,
                   params: MotionParams) -> List[Tuple[str, float, float, float]]:
     """(label, true, raw, corrected) per shortest-path segment."""
     rows: List[Tuple[str, float, float, float]] = []
-    cal = None
-    correct_mode = mode if mode in ("basic", "arc") else "arc"
-    if mode != "ideal":
-        cal = calibration_from_motion(params)
+    cal = calibration_from_motion(params)
+    correct_mode = "arc" if mode == "raw" else mode
     rng = random.Random(seed)
     for (a, b), true_len in zip(hop_labels, hop_lengths):
-        if mode == "ideal":
-            raw = corrected = true_len
-        else:
-            log = simulate_segment(true_len, params, seed=rng.randrange(2 ** 31))
-            raw = (log.wl_total + log.wr_total) / 2.0
-            corrected = estimate_length(log, cal, correct_mode)
-        rows.append(("%s-%s" % (a, b), true_len, raw, corrected))
+        log = _drive(true_len, mode, params, rng.randrange(2 ** 31))
+        rows.append(("%s-%s" % (a, b), true_len, _wheel_mean(log),
+                     estimate_length(log, cal, correct_mode)))
     return rows
 
 
@@ -148,34 +166,22 @@ def cmd_solve(args: argparse.Namespace) -> str:
     hop_labels = list(zip(path, path[1:]))
     rows = _segment_rows(hop_labels, hop_lengths, mode, seed, params)
 
+    fields = [("maze", stem), ("algorithm", args.algo), ("odometry", mode),
+              ("nodes_discovered", "%d" % discovered),
+              ("path", " ".join(path)), ("length", "%.2f" % length)]
+    if tape_text is not None:
+        fields.append(("tape", tape_text))
     if args.format == "tsv":
-        out = [
-            "maze\t%s" % stem,
-            "algorithm\t%s" % args.algo,
-            "odometry\t%s" % mode,
-            "nodes_discovered\t%d" % discovered,
-            "path\t%s" % " ".join(path),
-            "length\t%.2f" % length,
-        ]
-        if tape_text is not None:
-            out.append("tape\t%s" % tape_text)
+        out = ["%s\t%s" % field for field in fields]
         out.append("segment\ttrue\traw\tcorrected")
         out.extend("%s\t%.2f\t%.2f\t%.2f" % row for row in rows)
-        return "\n".join(out) + "\n"
-
-    out = [
-        "maze: %s" % stem,
-        "algorithm: %s" % args.algo,
-        "odometry: %s" % mode,
-        "nodes discovered: %d" % discovered,
-        "path: %s" % " ".join(path),
-        "length: %.2f" % length,
-    ]
-    if tape_text is not None:
-        out.append("tape: %s" % tape_text)
-    out.append("segments:")
-    out.append("  %-12s %9s %10s %10s" % ("segment", "true", "raw", "corrected"))
-    out.extend("  %-12s %9.2f %10.2f %10.2f" % row for row in rows)
+    else:
+        out = ["%s: %s" % (key.replace("_", " "), value)
+               for key, value in fields]
+        out.append("segments:")
+        out.append("  %-12s %9s %10s %10s"
+                   % ("segment", "true", "raw", "corrected"))
+        out.extend("  %-12s %9.2f %10.2f %10.2f" % row for row in rows)
     return "\n".join(out) + "\n"
 
 
@@ -186,20 +192,16 @@ def cmd_tableone(args: argparse.Namespace) -> str:
     if any(not length > 0 for length in args.lengths):
         raise ValueError("--lengths must all be positive")
     params = MotionParams()
-    cal = calibration_from_motion(params) if mode != "ideal" else None
+    cal = calibration_from_motion(params)
 
     rows: List[Tuple[float, float, float, float, float]] = []
     for length in args.lengths:
         raws: List[float] = []
         corrs: List[float] = []
         for s in range(args.seed, args.seed + args.seeds):
-            if mode == "ideal":
-                raws.append(length)
-                corrs.append(length)
-            else:
-                log = simulate_segment(length, params, seed=s)
-                raws.append((log.wl_total + log.wr_total) / 2.0)
-                corrs.append(estimate_length(log, cal, mode))
+            log = _drive(length, mode, params, s)
+            raws.append(_wheel_mean(log))
+            corrs.append(estimate_length(log, cal, mode))
         med_raw = statistics.median(raws)
         med_corr = statistics.median(corrs)
         rows.append((length, med_raw, med_corr,
@@ -231,12 +233,8 @@ def cmd_plot(args: argparse.Namespace) -> str:
         pb = maze.position(b)
         direction = direction_between(pa.x, pa.y, pb.x, pb.y)
         length = math.hypot(pb.x - pa.x, pb.y - pa.y)
-        if mode == "ideal":
-            local: Sequence[Tuple[float, float]] = ((0.0, 0.0), (length, 0.0))
-        else:
-            log = simulate_segment(length, params, seed=rng.randrange(2 ** 31))
-            local = log.trajectory
-        pts = world_points((pa.x, pa.y), direction, local)
+        log = _drive(length, mode, params, rng.randrange(2 ** 31))
+        pts = world_points((pa.x, pa.y), direction, log.trajectory)
         if world and pts and pts[0] == world[-1]:
             world.extend(pts[1:])
         else:

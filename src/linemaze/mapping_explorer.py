@@ -46,7 +46,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ._directions import DELTA, NORTH
+from ._directions import DELTA
 from .errors import ExplorationError, InconsistencyError
 from .graph_path import shortest_paths
 from .maze_model import MazeSpec, Point2D
@@ -78,7 +78,6 @@ class ExplorationState:
     node_of: per-name maze node id, the simulator's ground truth. The robot
         never steers by it; the explorer checks arrivals against it to
         detect drift, and reports use it as labels.
-    direction: current heading code (starts north).
     trace: one row per arrival — (name, type, explored-at-arrival, x, y),
         where explored counts the distinct neighbors walked (floored at 1).
     """
@@ -88,7 +87,6 @@ class ExplorationState:
     coordinate: Dict[str, Point2D] = field(default_factory=dict)
     neighbors: Dict[str, List[Tuple[str, float]]] = field(default_factory=dict)
     node_of: Dict[str, str] = field(default_factory=dict)
-    direction: int = NORTH
     trace: List[Tuple[str, int, int, float, float]] = field(default_factory=list)
     # Grid index over ``coordinate`` for match_point: cell key -> names. The
     # cell width is a power of two, so x / cell is exact, and at least 1 cm,
@@ -264,11 +262,10 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
         else:
             raise InconsistencyError(
                 "no branch %r at point %r" % (slot, cur))
-        direction = slot[0]
         measured = measure(length)
         longest = max(longest, measured)
         eff_tol = tol if tol is not None else max(1.0, 0.03 * longest)
-        dx, dy = DELTA[direction]
+        dx, dy = DELTA[slot[0]]
         prev = state.coordinate[cur]
         guess = Point2D(prev.x + dx * measured, prev.y + dy * measured)
 
@@ -311,7 +308,6 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
             table[cur][slot] = name
             table[name][back] = cur
         state.point.append(name)
-        state.direction = direction
         true_node = other
         state.trace.append((name, state.type_of[name],
                             max(1, len(state.neighbors[name])), c.x, c.y))

@@ -102,7 +102,8 @@ class MazeSpec:
         return [(d, e, o, ln) for d, e, o, ln, _ in out]
 
 
-def _validate(nodes, edges, start, end):
+def _validate(maze):
+    nodes, edges, start, end = maze.nodes, maze.edges, maze.start, maze.end
     seen = set()
     for n in nodes:
         if not n.id or any(c.isspace() for c in n.id):
@@ -121,7 +122,7 @@ def _validate(nodes, edges, start, end):
                 "nodes %r and %r share coordinates %r" % (coords[key], n.id, key))
         coords[key] = n.id
 
-    by_id = {n.id: n for n in nodes}
+    by_id = maze._by_id  # safe now that node ids are unique
     edge_keys = set()
     for e in edges:
         if e.a not in by_id or e.b not in by_id:
@@ -141,10 +142,7 @@ def _validate(nodes, edges, start, end):
     if end not in by_id:
         raise MazeValidationError("end refers to unknown node %r" % end)
 
-    incident = {n.id: [] for n in nodes}
-    for e in edges:
-        incident[e.a].append(e)
-        incident[e.b].append(e)
+    incident = maze._incident  # safe now that every endpoint is known
     for n in nodes:
         degree = len(incident[n.id])
         if degree == 0:
@@ -238,10 +236,9 @@ def _check_crossings(by_id, edges):
 
 def make_maze(nodes, edges, start, end):
     """Build and validate a MazeSpec from node/edge sequences."""
-    nodes = tuple(nodes)
-    edges = tuple(edges)
-    _validate(nodes, edges, start, end)
-    return MazeSpec(nodes, edges, start, end)
+    maze = MazeSpec(tuple(nodes), tuple(edges), start, end)
+    _validate(maze)
+    return maze
 
 
 def parse_maze(text):

@@ -129,8 +129,9 @@ class EncoderLog:
     true_length: actual segment length (ground truth, not robot knowledge).
     trajectory: polyline of the robot midpoint in segment-local coordinates
         (x along the line from the start node, y lateral); vertices are the
-        start point, every pivot location, and the end point. None when the
-        simulation does not produce one.
+        start point, every pivot location, and the end point.
+        ``simulate_segment`` always fills it; a log built by hand may leave
+        it None.
     """
 
     wl_total: float
@@ -167,6 +168,11 @@ def simulate_segment(length: float, params: MotionParams,
     """
     if not (length > 0.0 and math.isfinite(length)):
         raise ValueError("length must be positive and finite")
+    budget = 40.0 * length / params.step
+    if not math.isfinite(budget):
+        raise ValueError("length must be positive and small enough to count "
+                         "its steps; %g cm at a %g cm step is not"
+                         % (length, params.step))
     rng = random.Random(params.seed if seed is None else seed)
     if params.alpha > 0.0:
         magnitude = params.alpha * rng.uniform(JITTER_LO, JITTER_HI)
@@ -182,7 +188,7 @@ def simulate_segment(length: float, params: MotionParams,
     rp_r = params.pivot_arc_right + params.pivot_lin_right + k
     lp_l = params.pivot_arc_left + params.pivot_lin_left + k
     lp_r = params.pivot_arc_right + params.pivot_lin_right
-    max_steps = int(40.0 * length / params.step) + 10000
+    max_steps = int(budget) + 10000
 
     wl, wr, n_right, n_left, pivots, y_final, ok = _integrate(
         length, params.h, alpha0, params.theta, params.kappa, fl, fr,

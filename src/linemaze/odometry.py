@@ -61,7 +61,6 @@ class CalibConstants:
     k: extra distance charged to the inner wheel of each pivot (cm).
     h: straight-equivalent half-gap of the lateral oscillation (cm) — the
         model's period parameter, not necessarily the sensor threshold.
-    wheel_base: distance between the wheels (cm).
     radius: magnitude of the drift-circle radius (cm); ``math.inf`` for a
         perfectly matched drive.
     """
@@ -73,7 +72,6 @@ class CalibConstants:
     f_rc: float
     k: float
     h: float
-    wheel_base: float
     radius: float
 
     def __post_init__(self) -> None:
@@ -86,8 +84,6 @@ class CalibConstants:
                 raise CalibrationError("%s must be non-negative" % name)
         if not (self.h > 0.0 and math.isfinite(self.h)):
             raise CalibrationError("h must be positive and finite")
-        if not (self.wheel_base > 0.0 and math.isfinite(self.wheel_base)):
-            raise CalibrationError("wheel_base must be positive and finite")
         if not self.radius > 0.0:
             raise CalibrationError("radius must be positive (math.inf allowed)")
         if math.isfinite(self.radius) and 2.0 * self.h > self.radius:
@@ -127,7 +123,6 @@ def calibration_from_motion(params: MotionParams) -> CalibConstants:
         f_rc=params.pivot_arc_right + params.pivot_lin_right,
         k=params.inner_rot_const,
         h=_H_SCALE * params.h / math.sin(params.theta),
-        wheel_base=params.wheel_base,
         radius=abs(radius_from_ratio(params.speed_ratio, params.wheel_base)),
     )
 

@@ -51,13 +51,10 @@ PREFERENCES: Dict[str, Tuple[int, int, int, int]] = {
 class JunctionTape:
     """Junction bookkeeping of one exploration.
 
-    current_junction: 1-based index of the last junction on the final path
-        (0 when the path has none).
     sums: accumulated relative-turn codes, one entry per junction on the
         final path, in path order.
     """
 
-    current_junction: int
     sums: List[int]
 
 
@@ -112,7 +109,7 @@ def explore_simple(maze: MazeSpec, pref: Sequence[int] = PREF_RFLD) -> JunctionT
     traversals = 0
 
     if node == maze.end:
-        return JunctionTape(0, [])
+        return JunctionTape([])
 
     def tape_choice(by_dir: Dict[int, str], heading: int,
                     exclude_back: bool) -> int:
@@ -158,8 +155,7 @@ def explore_simple(maze: MazeSpec, pref: Sequence[int] = PREF_RFLD) -> JunctionT
         node = by_dir[heading]
         traversals += 1
 
-    final_j = max(j, 0)
-    return JunctionTape(current_junction=final_j, sums=sums[:final_j])
+    return JunctionTape(sums[:max(j, 0)])
 
 
 def reduce_tape(tape: JunctionTape) -> List[int]:

@@ -240,6 +240,15 @@ def test_tableone_accuracy_does_not_degrade_with_length(capsys):
     assert err100 <= err10 + 0.02
 
 
+def test_tableone_ideal_is_exact_at_extreme_lengths(capsys):
+    # A perfect robot reads its length exactly, also where the sum of its
+    # two wheel totals overflows (1e308) and where halving each total
+    # before adding them would round to zero (5e-324).
+    rows = tableone_rows(capsys, "--odometry", "ideal", "--seeds", "1",
+                         "--lengths", "1e308", "5e-324")
+    assert list(rows.values()) == [(0.0, 0.0), (0.0, 0.0)]
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_unknown_bundled_maze(capsys):
@@ -337,10 +346,15 @@ def test_internal_contradictions_exit_three(capsys, monkeypatch):
 
 
 def test_error_output_is_a_single_line(capsys):
-    for argv in (("solve", "--maze", "nosuch"),
-                 ("solve", "--maze", "fig2", "--algo", "simple"),
-                 ("tableone", "--seeds", "0")):
-        _, out, err = run_cli(capsys, *argv)
+    for expected, argv in (
+            (1, ("solve", "--maze", "nosuch")),
+            (2, ("solve", "--maze", "fig2", "--algo", "simple")),
+            (1, ("tableone", "--seeds", "0")),
+            # The step budget, 40 * length / step, overflows a float.
+            (1, ("tableone", "--lengths", "1e308", "--seeds", "1"))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == expected
+        assert err.startswith("error: ")
         assert out == ""
         assert err.endswith("\n")
         assert err.count("\n") == 1

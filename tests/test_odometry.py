@@ -18,7 +18,7 @@ from linemaze.odometry import (CalibConstants, arc_len_from_height,
 def unit_cal(radius=math.inf, h=0.5):
     """Identity calibration: no pivot charges, no projection shrink."""
     return CalibConstants(c=1.0, c_left=1.0, c_right=1.0, f_lc=0.0, f_rc=0.0,
-                          k=0.0, h=h, wheel_base=10.0, radius=radius)
+                          k=0.0, h=h, radius=radius)
 
 
 def log_of(wl, wr, n_right=0, n_left=0, true_length=1.0):
@@ -36,7 +36,6 @@ def test_default_calibration_values(default_params, default_cal):
     assert cal.f_lc == 0.008 and cal.f_rc == 0.008
     assert cal.k == 0.002
     assert cal.h == pytest.approx(0.5643595073480762, rel=1e-12)
-    assert cal.wheel_base == 10.0
     assert cal.radius == pytest.approx(500.0, rel=1e-12)
 
 
@@ -71,13 +70,12 @@ def test_calibration_left_faster_robot():
     (dict(k=-0.1), "k must be non-negative"),
     (dict(h=0.0), "h must be positive"),
     (dict(h=math.inf), "h must be positive"),
-    (dict(wheel_base=0.0), "wheel_base must be positive"),
     (dict(radius=0.0), "radius must be positive"),
     (dict(radius=-5.0), "radius must be positive"),
 ])
 def test_calibration_validation(kwargs, msg):
     base = dict(c=1.0, c_left=1.0, c_right=1.0, f_lc=0.0, f_rc=0.0, k=0.0,
-                h=0.5, wheel_base=10.0, radius=math.inf)
+                h=0.5, radius=math.inf)
     base.update(kwargs)
     with pytest.raises(CalibrationError, match=msg):
         CalibConstants(**base)
@@ -200,8 +198,7 @@ def test_chord_span_argument_checked():
 
 def test_basic_hand_computed_value():
     cal = CalibConstants(c=0.995, c_left=0.995, c_right=0.995, f_lc=2.0,
-                         f_rc=2.0, k=0.5, h=0.5, wheel_base=10.0,
-                         radius=math.inf)
+                         f_rc=2.0, k=0.5, h=0.5, radius=math.inf)
     log = log_of(120.0, 120.0, n_right=3, n_left=2)
     assert linearize_basic(log, cal, "left") == pytest.approx(108.455, abs=1e-12)
 
@@ -215,7 +212,7 @@ def test_basic_identity_configuration():
 def test_basic_right_wheel_mirror():
     # Right wheel pairs k with right turns.
     cal = CalibConstants(c=1.0, c_left=1.0, c_right=0.5, f_lc=1.0, f_rc=3.0,
-                         k=0.5, h=0.5, wheel_base=10.0, radius=math.inf)
+                         k=0.5, h=0.5, radius=math.inf)
     log = log_of(100.0, 100.0, n_right=2, n_left=1)
     expected = (100.0 - 3.0 * 3 - 0.5 * 2) * 0.5
     assert linearize_basic(log, cal, "right") == pytest.approx(expected, abs=1e-12)
@@ -251,8 +248,7 @@ def test_residual_zero_when_roll_is_exactly_the_first_stretch():
 
 def test_residual_zero_on_exact_multiples_with_charges():
     cal = CalibConstants(c=1.0, c_left=1.0, c_right=1.0, f_lc=0.008,
-                         f_rc=0.008, k=0.002, h=0.5, wheel_base=10.0,
-                         radius=100.0)
+                         f_rc=0.008, k=0.002, h=0.5, radius=100.0)
     s_2h = arc_len_from_height_chord_form(2.0 * cal.h, cal.radius)
     s_h = arc_len_from_height(cal.h, cal.radius)
     wl = 3.0 * s_2h + s_h + cal.f_lc * 4 + cal.k * 2
@@ -315,8 +311,7 @@ def test_arc_inverts_synthetic_log_exactly():
 
 def test_arc_hand_built_chord_sum():
     cal = CalibConstants(c=0.99, c_left=0.99, c_right=0.99, f_lc=0.01,
-                         f_rc=0.01, k=0.005, h=0.5, wheel_base=10.0,
-                         radius=100.0)
+                         f_rc=0.01, k=0.005, h=0.5, radius=100.0)
     s_2h = arc_len_from_height_chord_form(1.0, 100.0)
     s_h = arc_len_from_height(0.5, 100.0)
     s_d = 0.6

@@ -18,7 +18,6 @@ from conftest import build_maze
 
 def test_fig1_right_first(fig1):
     tape = explore_simple(fig1, PREF_RFLD)
-    assert tape.current_junction == 3
     assert tape.sums == [3, 1, 1]
     reduced = reduce_tape(tape)
     assert reduced == [3, 1, 1]
@@ -35,7 +34,6 @@ def test_fig1_left_first_reduces_to_the_same_run(fig1):
 
 def test_corridor_needs_no_tape(corridor):
     tape = explore_simple(corridor)
-    assert tape.current_junction == 0
     assert tape.sums == []
     assert replay(corridor, []) == ["S", "F"]
 
@@ -50,7 +48,6 @@ def test_dead_subtree_retreats_past_the_inner_junction(retreat_maze):
     # B's entire subtree is dead: its sum wraps to 4, dropping the junction
     # from the tape, and the retreat re-opens A's slot.
     tape = explore_simple(retreat_maze, PREF_RFLD)
-    assert tape.current_junction == 1
     assert tape.sums == [2]
     assert replay(retreat_maze, [2]) == ["S", "A", "F"]
 
@@ -72,7 +69,7 @@ def test_start_with_choices_is_taped_against_north():
 def test_start_equals_end():
     maze = build_maze([("A", 0, 0), ("B", 0, 10)], [("A", "B")], "A", "A")
     tape = explore_simple(maze)
-    assert tape == JunctionTape(0, [])
+    assert tape == JunctionTape([])
     assert replay(maze, []) == ["A"]
 
 
@@ -104,15 +101,15 @@ def test_preference_presets():
 # ---------------------------------------------------------------- reducing
 
 def test_reduce_wraps_sums():
-    assert reduce_tape(JunctionTape(1, [5])) == [1]
-    assert reduce_tape(JunctionTape(3, [3, 5, 6])) == [3, 1, 2]
-    assert reduce_tape(JunctionTape(0, [])) == []
+    assert reduce_tape(JunctionTape([5])) == [1]
+    assert reduce_tape(JunctionTape([3, 5, 6])) == [3, 1, 2]
+    assert reduce_tape(JunctionTape([])) == []
 
 
 @pytest.mark.parametrize("sums", [[4], [8], [3, 4, 1]])
 def test_reduce_rejects_turn_back(sums):
     with pytest.raises(InconsistencyError, match="turn-back"):
-        reduce_tape(JunctionTape(len(sums), sums))
+        reduce_tape(JunctionTape(sums))
 
 
 # ----------------------------------------------------------------- replay
@@ -161,4 +158,3 @@ def test_random_trees_replay_to_the_shortest_path(pref_name):
         if maze.degree(maze.start) >= 2 and maze.start != maze.end:
             decisions += 1
         assert len(reduced) == decisions
-        assert tape.current_junction == len(tape.sums)

@@ -1,7 +1,9 @@
-"""Regression fixture: ``solve --format tsv`` runs, as stdout and exit digests.
+"""Regression fixture: ``solve`` runs, as stdout and exit digests.
 
-Each run is reduced to a SHA-256 digest of its exit code and stdout and
-compared with ``solve_digests.json`` next to this file. The runs cover:
+Each run is made in both report formats and reduced to a SHA-256 digest of
+its exit code and stdout, then compared with ``solve_digests.json`` next to
+this file. TSV runs are keyed by case, text runs by ``text/`` and the case.
+The runs cover:
 
 - the bundled mazes with the mapping explorer, in ideal, basic and arc
   odometry at three seeds, and fig2 and plus at explicit tolerances;
@@ -37,10 +39,10 @@ LOOPY_SEEDS = range(7000, 7030)
 TREE_SEEDS = range(7100, 7110)
 
 
-def _solve(argv):
+def _solve(fmt, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(["solve", "--format", "tsv"] + argv)
+        code = run(["solve", "--format", fmt] + argv)
     return hashlib.sha256(("%d\n%s" % (code, out.getvalue())).encode()
                           ).hexdigest()[:16]
 
@@ -85,8 +87,12 @@ def _cases(tmp):
 
 
 def record():
+    got = {}
     with tempfile.TemporaryDirectory() as tmp:
-        return {key: _solve(argv) for key, argv in _cases(tmp)}
+        for key, argv in _cases(tmp):
+            got[key] = _solve("tsv", argv)
+            got["text/" + key] = _solve("text", argv)
+    return got
 
 
 def test_solve_reports_match_recorded_digests():
