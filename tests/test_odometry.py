@@ -70,6 +70,7 @@ def test_calibration_left_faster_robot():
     (dict(k=-0.1), "k must be non-negative"),
     (dict(h=0.0), "h must be positive"),
     (dict(h=math.inf), "h must be positive"),
+    (dict(f_rc=-1.0), "f_rc must be non-negative"),
     (dict(radius=0.0), "radius must be positive"),
     (dict(radius=-5.0), "radius must be positive"),
 ])
