@@ -19,7 +19,6 @@ line on standard error; stdout stays byte-deterministic for fixed inputs
 from __future__ import annotations
 
 import argparse
-import math
 import random
 import statistics
 import sys
@@ -27,7 +26,6 @@ import time
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from ._directions import direction_between
 from .errors import (ExplorationError, GraphQueryError, InconsistencyError,
                      MazeSyntaxError, MazeValidationError)
 from .graph_path import build_graph, dijkstra, graph_from_maze
@@ -111,29 +109,24 @@ def _drive(length: float, mode: str, params: MotionParams,
     return simulate_segment(length, params, seed=seed)
 
 
-def _wheel_mean(log: EncoderLog) -> float:
-    """The raw encoder reading: the mean of the two wheel totals."""
-    mean = (log.wl_total + log.wr_total) / 2.0
-    if math.isinf(mean):
-        # Two totals near the float maximum overflow their sum; halving
-        # each first is exact for totals that large.
-        mean = log.wl_total / 2.0 + log.wr_total / 2.0
-    return mean
+def _drive_path(maze: MazeSpec, path: Sequence[str], mode: str,
+                params: MotionParams,
+                seed: int) -> List[Tuple[str, str, int, float, EncoderLog]]:
+    """Drive each hop of ``path``: (from, to, direction, length, log).
 
-
-def _segment_rows(hop_labels: List[Tuple[str, str]],
-                  hop_lengths: List[float], mode: str, seed: int,
-                  params: MotionParams) -> List[Tuple[str, float, float, float]]:
-    """(label, true, raw, corrected) per shortest-path segment."""
-    rows: List[Tuple[str, float, float, float]] = []
-    cal = calibration_from_motion(params)
-    correct_mode = "arc" if mode == "raw" else mode
+    A hop's direction and length come from the maze's branch table; the
+    hops are driven in order with seeds drawn from ``random.Random(seed)``.
+    """
     rng = random.Random(seed)
-    for (a, b), true_len in zip(hop_labels, hop_lengths):
-        log = _drive(true_len, mode, params, rng.randrange(2 ** 31))
-        rows.append(("%s-%s" % (a, b), true_len, _wheel_mean(log),
-                     estimate_length(log, cal, correct_mode)))
-    return rows
+    hops = []
+    for a, b in zip(path, path[1:]):
+        direction, length = next(
+            (slot[0], length)
+            for slot, (other, length, _back) in maze.branches[a].items()
+            if other == b)
+        hops.append((a, b, direction, length,
+                     _drive(length, mode, params, rng.randrange(2 ** 31))))
+    return hops
 
 
 def cmd_solve(args: argparse.Namespace) -> str:
@@ -157,14 +150,16 @@ def cmd_solve(args: argparse.Namespace) -> str:
         path = [state.node_of[n] for n in result.nodes]
         discovered = len(state.type_of)
 
-    points = [maze.position(n) for n in path]
-    hop_lengths = [math.hypot(b.x - a.x, b.y - a.y)
-                   for a, b in zip(points, points[1:])]
+    cal = calibration_from_motion(params)
+    correct_mode = "arc" if mode == "raw" else mode
+    rows = [("%s-%s" % (a, b), true_len, estimate_length(log, cal, "raw"),
+             estimate_length(log, cal, correct_mode))
+            for a, b, _direction, true_len, log
+            in _drive_path(maze, path, mode, params, seed)]
     # The tape explorer reports the true length of its path; the mapping
     # explorer reports the shortest path through its measured graph.
-    length = sum(hop_lengths) if args.algo == "simple" else result.length
-    hop_labels = list(zip(path, path[1:]))
-    rows = _segment_rows(hop_labels, hop_lengths, mode, seed, params)
+    length = (sum(row[1] for row in rows) if args.algo == "simple"
+              else result.length)
 
     fields = [("maze", stem), ("algorithm", args.algo), ("odometry", mode),
               ("nodes_discovered", "%d" % discovered),
@@ -200,7 +195,7 @@ def cmd_tableone(args: argparse.Namespace) -> str:
         corrs: List[float] = []
         for s in range(args.seed, args.seed + args.seeds):
             log = _drive(length, mode, params, s)
-            raws.append(_wheel_mean(log))
+            raws.append(estimate_length(log, cal, "raw"))
             corrs.append(estimate_length(log, cal, mode))
         med_raw = statistics.median(raws)
         med_corr = statistics.median(corrs)
@@ -226,14 +221,10 @@ def cmd_plot(args: argparse.Namespace) -> str:
     graph = graph_from_maze(maze)
     result = dijkstra(graph, maze.start, maze.end)
 
-    rng = random.Random(seed)
     world: List[Tuple[float, float]] = []
-    for a, b in zip(result.nodes, result.nodes[1:]):
+    for a, _b, direction, _length, log in _drive_path(
+            maze, result.nodes, mode, params, seed):
         pa = maze.position(a)
-        pb = maze.position(b)
-        direction = direction_between(pa.x, pa.y, pb.x, pb.y)
-        length = math.hypot(pb.x - pa.x, pb.y - pa.y)
-        log = _drive(length, mode, params, rng.randrange(2 ** 31))
         pts = world_points((pa.x, pa.y), direction, log.trajectory)
         if world and pts and pts[0] == world[-1]:
             world.extend(pts[1:])

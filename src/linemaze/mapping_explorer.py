@@ -10,11 +10,15 @@ Distances come from an odometry mode (ground truth, raw encoders, or one of
 two encoder corrections), so a coordinate is the previous point's coordinate
 advanced along the heading axis by the measured distance.
 
-While it runs, the explorer also keeps a branch table: for each point, the
-slot of every walked branch and the point it reaches. It tells the robot
-which branches are still pending, whether an edge is walked for the first
-time (and so must be weighed and added to the map), and which branch to take
-for each hop of a route.
+A branch is named by its slot, (direction, lane), and the slots of a point
+are those that ``MazeSpec.branches`` lists for its maze node, with the
+node each one reaches, its true length and its slot at the far end. The
+simulator drives a branch by one lookup in that table. While it runs, the
+explorer also keeps its own branch table: for each point, the slot of every
+walked branch and the point it reaches. It tells the robot which branches
+are still pending, whether an edge is walked for the first time (and so
+must be weighed and added to the map), and which branch to take for each
+hop of a route.
 
 The simulator also records which maze node each name stands for
 (``ExplorationState.node_of``). That record is ground truth the robot never
@@ -49,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 from ._directions import DELTA
 from .errors import ExplorationError, InconsistencyError
 from .graph_path import shortest_paths
-from .maze_model import MazeSpec, Point2D
+from .maze_model import MazeSpec, Point2D, Slot
 from .motion_sim import MotionParams, simulate_segment
 from .odometry import ODOMETRY_MODES, calibration_from_motion, estimate_length
 
@@ -60,11 +64,6 @@ __all__ = [
     "next_target",
     "trace_lines",
 ]
-
-# A slot identifies one branch of a point: (direction code, lane index).
-# Lane indices count same-direction exits in their across-the-line order.
-Slot = Tuple[int, int]
-
 
 @dataclass
 class ExplorationState:
@@ -181,17 +180,6 @@ def next_target(state: ExplorationState) -> Optional[List[str]]:
     return None if found is None else list(found[1])
 
 
-def _slots_at(maze: MazeSpec, node: str):
-    """Canonical branch list of a true node: (slot, edge, other, length)."""
-    out = []
-    lanes: Dict[int, int] = {}
-    for direction, edge, other, length in maze.exits(node):
-        lane = lanes.get(direction, 0)
-        lanes[direction] = lane + 1
-        out.append(((direction, lane), edge, other, length))
-    return out
-
-
 def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                 src: str = "ideal",
                 tol: Optional[float] = None) -> ExplorationState:
@@ -238,7 +226,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     table: Dict[str, Dict[Slot, str]] = {start_name: {}}
     longest = 0.0
     traversals = 0
-    slots = {n.id: _slots_at(maze, n.id) for n in maze.nodes}
+    branches = maze.branches
 
     def measure(true_length: float) -> float:
         seed_i = rng.randrange(2 ** 31)
@@ -256,12 +244,11 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                 "exploration exceeded its budget of %d traversals; odometry "
                 "errors are likely re-opening finished points" % budget)
         cur = state.point[-1]
-        for cand, edge, other, length in slots[true_node]:
-            if cand == slot:
-                break
-        else:
+        try:
+            other, length, back = branches[true_node][slot]
+        except KeyError:
             raise InconsistencyError(
-                "no branch %r at point %r" % (slot, cur))
+                "no branch %r at point %r" % (slot, cur)) from None
         measured = measure(length)
         longest = max(longest, measured)
         eff_tol = tol if tol is not None else max(1.0, 0.03 * longest)
@@ -293,12 +280,6 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                 % (name, state.coordinate[name].x, state.coordinate[name].y,
                    eff_tol))
 
-        for back, e, _o, _l in slots[other]:
-            if e is edge or e == edge:
-                break
-        else:
-            raise InconsistencyError("edge %r-%r does not reach node %r"
-                                     % (edge.a, edge.b, other))
         c = state.coordinate[name]
         if slot not in table[cur]:
             # Stored coordinates never move, so an edge is weighed once.
@@ -314,12 +295,12 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
 
     while True:
         cur = state.point[-1]
-        pending = [slot for slot, _e, _o, _l in slots[true_node]
-                   if slot not in table[cur]]
-        if pending:
-            # Branch preference: east, north, west, south; among lanes of
-            # one direction, the nearest-reaching branch first.
-            walk(min(pending))
+        # Branch preference: east, north, west, south; among lanes of one
+        # direction, the nearest-reaching branch first. That is slot order.
+        pending = next((slot for slot in branches[true_node]
+                        if slot not in table[cur]), None)
+        if pending is not None:
+            walk(pending)
             continue
         path = next_target(state)
         if path is None:

@@ -12,11 +12,16 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from typing import Tuple
 
-from ._directions import direction_between
+from ._directions import direction_between, reverse
 from .errors import MazeSyntaxError, MazeValidationError
 
 MAX_DEGREE = 4
+
+# A slot names one exit of a node: (direction code, lane index). Lane
+# indices count the exits that leave in one direction, nearest first.
+Slot = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -52,12 +57,36 @@ class MazeSpec:
         return {n.id: n for n in self.nodes}
 
     @cached_property
-    def _incident(self):
-        inc = {n.id: [] for n in self.nodes}
-        for e in self.edges:
-            inc[e.a].append(e)
-            inc[e.b].append(e)
-        return inc
+    def branches(self):
+        """Per node id, its exits: slot -> (neighbor id, length, back slot).
+
+        Each node's dict runs in slot order. Lengths are the straight-line
+        distance between the edge's endpoints, and the back slot is the
+        same edge's slot at the neighbor. Built on first use, from edges
+        whose endpoints are known, distinct and axis-aligned.
+        """
+        by_id = self._by_id
+        exits = {n.id: [] for n in self.nodes}
+        for k, e in enumerate(self.edges):
+            pa, pb = by_id[e.a].position, by_id[e.b].position
+            direction = direction_between(pa.x, pa.y, pb.x, pb.y)
+            length = math.hypot(pb.x - pa.x, pb.y - pa.y)
+            exits[e.a].append((direction, length, pb.x, pb.y, e.b, k))
+            exits[e.b].append((reverse(direction), length, pa.x, pa.y, e.a, k))
+        # Lanes of one direction run nearest first: by length, then by the
+        # neighbor's coordinate, which no two exits of a node share.
+        slot_of = {}
+        for node_id, out in exits.items():
+            out.sort()
+            lanes = {}
+            for direction, _length, _x, _y, _other, k in out:
+                lane = lanes.get(direction, 0)
+                lanes[direction] = lane + 1
+                slot_of[node_id, k] = (direction, lane)
+        return {
+            node_id: {slot_of[node_id, k]: (other, length, slot_of[other, k])
+                      for _d, length, _x, _y, other, k in out}
+            for node_id, out in exits.items()}
 
     def node(self, node_id):
         try:
@@ -69,37 +98,7 @@ class MazeSpec:
         return self.node(node_id).position
 
     def degree(self, node_id):
-        return len(self._incident[self.node(node_id).id])
-
-    def edge_length(self, edge):
-        pa = self.position(edge.a)
-        pb = self.position(edge.b)
-        return math.hypot(pb.x - pa.x, pb.y - pa.y)
-
-    def edge_other(self, edge, node_id):
-        return edge.b if edge.a == node_id else edge.a
-
-    def edge_direction(self, edge, from_id):
-        """Absolute direction of travel along `edge` leaving `from_id`."""
-        to_id = self.edge_other(edge, from_id)
-        pa = self.position(from_id)
-        pb = self.position(to_id)
-        return direction_between(pa.x, pa.y, pb.x, pb.y)
-
-    def exits(self, node_id):
-        """Canonically ordered exits: (direction, edge, neighbor id, length).
-
-        Sorted by direction code, then edge length, then neighbor
-        coordinate, so that exits overlapping in direction (parallel
-        lanes) are listed nearest node first.
-        """
-        out = []
-        for e in self._incident[self.node(node_id).id]:
-            other = self.edge_other(e, node_id)
-            pos = self.position(other)
-            out.append((self.edge_direction(e, node_id), e, other, self.edge_length(e), (pos.x, pos.y)))
-        out.sort(key=lambda t: (t[0], t[3], t[4]))
-        return [(d, e, o, ln) for d, e, o, ln, _ in out]
+        return len(self.branches[self.node(node_id).id])
 
 
 def _validate(maze):
@@ -142,9 +141,10 @@ def _validate(maze):
     if end not in by_id:
         raise MazeValidationError("end refers to unknown node %r" % end)
 
-    incident = maze._incident  # safe now that every endpoint is known
+    # Safe now that every edge joins two known nodes along one axis.
+    branches = maze.branches
     for n in nodes:
-        degree = len(incident[n.id])
+        degree = len(branches[n.id])
         if degree == 0:
             raise MazeValidationError("node %r is isolated" % n.id)
         if degree > MAX_DEGREE:
@@ -152,14 +152,12 @@ def _validate(maze):
                 "node %r has degree %d > %d" % (n.id, degree, MAX_DEGREE))
 
     # Degree-2 nodes must be turns: their two edges perpendicular.
+    # Codes of one axis share their parity.
     for n in nodes:
-        if len(incident[n.id]) != 2:
+        if len(branches[n.id]) != 2:
             continue
-        axes = []
-        for e in incident[n.id]:
-            other = by_id[e.b if e.a == n.id else e.a].position
-            axes.append("h" if other.y == n.position.y else "v")
-        if axes[0] == axes[1]:
+        (d1, _lane1), (d2, _lane2) = branches[n.id]
+        if (d1 - d2) % 2 == 0:
             raise MazeValidationError(
                 "degree-2 node %r is collinear (not a turn)" % n.id)
 
@@ -171,8 +169,7 @@ def _validate(maze):
         reached = {nodes[0].id}
         while stack:
             cur = stack.pop()
-            for e in incident[cur]:
-                other = e.b if e.a == cur else e.a
+            for other, _length, _back in branches[cur].values():
                 if other not in reached:
                     reached.add(other)
                     stack.append(other)

@@ -30,6 +30,7 @@ __all__ = [
     "JITTER_LO",
     "JITTER_HI",
     "KERNEL_BACKEND",
+    "MAX_SEGMENT_LENGTH",
     "MotionParams",
     "EncoderLog",
     "simulate_segment",
@@ -40,6 +41,11 @@ __all__ = [
 # [JITTER_LO * alpha, JITTER_HI * alpha], with a random sign.
 JITTER_LO = 0.9
 JITTER_HI = 1.0
+
+# Longest segment simulate_segment drives, in cm. A simulated cm costs a
+# few microseconds at the default step, so this bound keeps one call to a
+# few seconds; an unbounded length could run for hours.
+MAX_SEGMENT_LENGTH = 1e6
 
 # The leg-jump kernel below is the only kernel, in pure Python; the name
 # stays because benchmark runs record it in their identity.
@@ -163,11 +169,14 @@ def simulate_segment(length: float, params: MotionParams,
 
     ``seed`` overrides ``params.seed`` for the heading jitter draw.
 
-    Raises MotionDivergenceError if the controller fails to make progress
-    (the heading collapses onto +-90 degrees or the step budget runs out).
+    Raises ValueError for a length that is not positive or exceeds
+    ``MAX_SEGMENT_LENGTH``, and MotionDivergenceError if the controller
+    fails to make progress (the heading collapses onto +-90 degrees or the
+    step budget runs out).
     """
-    if not (length > 0.0 and math.isfinite(length)):
-        raise ValueError("length must be positive and finite")
+    if not 0.0 < length <= MAX_SEGMENT_LENGTH:
+        raise ValueError("length must be positive and at most %g cm, got %r"
+                         % (MAX_SEGMENT_LENGTH, length))
     budget = 40.0 * length / params.step
     if not math.isfinite(budget):
         raise ValueError("length must be positive and small enough to count "

@@ -313,7 +313,12 @@ def estimate_length(log: EncoderLog, cal: CalibConstants, mode: str) -> float:
     if mode == "ideal":
         return log.true_length
     if mode == "raw":
-        return (log.wl_total + log.wr_total) / 2.0
+        mean = (log.wl_total + log.wr_total) / 2.0
+        if math.isinf(mean):
+            # Two totals near the float maximum overflow their sum; halving
+            # each first is exact for totals that large.
+            mean = log.wl_total / 2.0 + log.wr_total / 2.0
+        return mean
     if mode == "basic":
         return (linearize_basic(log, cal, "left")
                 + linearize_basic(log, cal, "right")) / 2.0

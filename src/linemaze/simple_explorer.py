@@ -72,8 +72,8 @@ def _unique_exits(maze: MazeSpec, node: str) -> Dict[int, str]:
     with two exits in the same compass direction is outside its class.
     """
     by_dir: Dict[int, str] = {}
-    for direction, _edge, other, _length in maze.exits(node):
-        if direction in by_dir:
+    for (direction, lane), (other, _l, _b) in maze.branches[node].items():
+        if lane:
             raise ExplorationError(
                 "node %r has two exits in the same direction; side-by-side "
                 "lanes are outside the tape explorer's maze class" % (node,))

@@ -350,8 +350,10 @@ def test_error_output_is_a_single_line(capsys):
             (1, ("solve", "--maze", "nosuch")),
             (2, ("solve", "--maze", "fig2", "--algo", "simple")),
             (1, ("tableone", "--seeds", "0")),
-            # The step budget, 40 * length / step, overflows a float.
-            (1, ("tableone", "--lengths", "1e308", "--seeds", "1"))):
+            # Both lengths exceed the longest segment the simulator drives;
+            # 1e308 cm would also overflow the step budget.
+            (1, ("tableone", "--lengths", "1e308", "--seeds", "1")),
+            (1, ("tableone", "--lengths", "1e9", "--seeds", "1"))):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected
         assert err.startswith("error: ")

@@ -382,27 +382,58 @@ def test_degrees_fig2(fig2):
 
 
 def test_edge_queries(fig1):
-    (edge,) = [e for e in fig1.edges if {e.a, e.b} == {"S", "A"}]
-    assert fig1.edge_length(edge) == 10.0
-    assert fig1.edge_other(edge, "S") == "A"
-    assert fig1.edge_other(edge, "A") == "S"
-    assert fig1.edge_direction(edge, "S") == NORTH
-    assert fig1.edge_direction(edge, "A") == SOUTH
+    other, length, back = fig1.branches["S"][(NORTH, 0)]
+    assert (other, length, back) == ("A", 10.0, (SOUTH, 0))
+    assert fig1.branches["A"][back] == ("S", 10.0, (NORTH, 0))
 
 
 def test_exits_canonical_order_fig2(fig2):
     # At E: two northbound lanes sorted nearest-first, then the west exit.
-    exits = [(d, other, ln) for d, _, other, ln in fig2.exits("E")]
-    assert exits == [(NORTH, "D", 3.0), (NORTH, "F", 8.0), (WEST, "A", 14.0)]
+    exits = [(slot, other, ln)
+             for slot, (other, ln, _) in fig2.branches["E"].items()]
+    assert exits == [((NORTH, 0), "D", 3.0), ((NORTH, 1), "F", 8.0),
+                     ((WEST, 0), "A", 14.0)]
 
 
 def test_exits_direction_order(plus):
-    exits = [(d, other) for d, _, other, _ in plus.exits("C")]
+    exits = [(d, other)
+             for (d, _), (other, _, _) in plus.branches["C"].items()]
     assert exits == [(EAST, "E"), (NORTH, "N"), (WEST, "W"), (SOUTH, "S")]
 
 
 def test_edge_lengths_positive_everywhere(fig1, fig2, corridor, plus):
     for maze in (fig1, fig2, corridor, plus):
-        for e in maze.edges:
-            assert maze.edge_length(e) > 0
-            assert math.isfinite(maze.edge_length(e))
+        for table in maze.branches.values():
+            for _other, length, _back in table.values():
+                assert length > 0
+                assert math.isfinite(length)
+
+
+def _check_branches(maze):
+    pos = {n.id: n.position for n in maze.nodes}
+    assert list(maze.branches) == list(pos)
+    assert sum(len(t) for t in maze.branches.values()) == 2 * len(maze.edges)
+    for n, table in maze.branches.items():
+        assert maze.degree(n) == len(table)
+        assert list(table) == sorted(table)
+        lanes = {}
+        for (d, lane), (o, length, back) in table.items():
+            # The back slot is the same edge's slot at the neighbor.
+            assert maze.branches[o][back] == (n, length, (d, lane))
+            lanes.setdefault(d, []).append(
+                (lane, (length, pos[o].x, pos[o].y)))
+        # Lanes of a direction run 0..k-1, nearest first.
+        for exits in lanes.values():
+            assert [lane for lane, _ in exits] == list(range(len(exits)))
+            assert [key for _, key in exits] == sorted(key for _, key in exits)
+
+
+def test_branches_are_consistent_on_bundled_mazes(fig1, fig2, corridor, plus):
+    for maze in (fig1, fig2, corridor, plus):
+        _check_branches(maze)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_branches_are_consistent_on_generated_mazes(seed):
+    _check_branches(random_maze(random.Random(seed), max_nodes=40, loops=4,
+                                leaf_ends=seed % 2 == 0))

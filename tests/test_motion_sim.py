@@ -354,7 +354,7 @@ def test_divergence_when_band_is_wider_than_the_drift_radius():
         simulate_segment(200.0, p)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e308])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e308, 1e9])
 def test_bad_length_rejected(bad):
     with pytest.raises(ValueError, match="length must be positive"):
         simulate_segment(bad, MotionParams())

@@ -383,6 +383,12 @@ def test_estimate_length_modes(default_params, default_cal):
          + linearize_arc(log, default_cal, "right")) / 2.0, rel=1e-15)
 
 
+def test_raw_estimate_does_not_overflow(default_cal):
+    # The wheel totals' sum overflows; their mean does not.
+    log = log_of(1.5e308, 1.5e308, true_length=1.5e308)
+    assert estimate_length(log, default_cal, "raw") == 1.5e308
+
+
 def test_estimate_length_unknown_mode(default_cal):
     with pytest.raises(ValueError, match="mode must be"):
         estimate_length(log_of(10.0, 10.0), default_cal, "psychic")

@@ -42,4 +42,6 @@ def test_retired_names_are_gone():
         for sub in SUBMODULES:
             assert name not in _exported(importlib.import_module(sub)), \
                 (sub, name)
-    assert not hasattr(linemaze.MazeSpec, "incident_edges")
+    for name in ("incident_edges", "exits", "edge_length", "edge_other",
+                 "edge_direction", "_incident"):
+        assert not hasattr(linemaze.MazeSpec, name), name

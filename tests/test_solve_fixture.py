@@ -1,18 +1,22 @@
-"""Regression fixture: ``solve`` runs, as stdout and exit digests.
+"""Regression fixture: ``solve`` and ``plot`` runs, as output and exit digests.
 
-Each run is made in both report formats and reduced to a SHA-256 digest of
-its exit code and stdout, then compared with ``solve_digests.json`` next to
-this file. TSV runs are keyed by case, text runs by ``text/`` and the case.
-The runs cover:
+Each ``solve`` run is made in both report formats and reduced to a SHA-256
+digest of its exit code and stdout; each ``plot`` run to a digest of its
+exit code and the SVG it writes. The digests are compared with
+``solve_digests.json`` next to this file. TSV runs are keyed by case, text
+runs by ``text/`` and the case, plot runs by ``plot/`` and the case. The
+runs cover:
 
 - the bundled mazes with the mapping explorer, in ideal, basic and arc
   odometry at three seeds, and fig2 and plus at explicit tolerances;
 - the tape explorer on the bundled mazes and on seeded random trees;
-- seeded loopy random mazes with the mapping explorer.
+- seeded loopy random mazes with the mapping explorer;
+- plots of the bundled mazes in every odometry mode at three seeds, and of
+  every third loopy maze in every mode.
 
-Raw odometry is left out: its reports changed when path labels and the end
-point stopped being searched for by coordinates, and ``tests/test_cli.py``
-checks them directly.
+Raw odometry is left out of the ``solve`` runs: their reports changed when
+path labels and the end point stopped being searched for by coordinates,
+and ``tests/test_cli.py`` checks them directly.
 
 To re-record after a change that is meant to alter reports:
 ``PYTHONPATH=src python tests/test_solve_fixture.py > tests/solve_digests.json``
@@ -29,6 +33,7 @@ import tempfile
 from linemaze.cli import run
 from linemaze.maze_model import serialize_maze
 from linemaze.mazegen import random_maze, random_tree
+from linemaze.odometry import ODOMETRY_MODES
 
 DIGESTS = pathlib.Path(__file__).with_name("solve_digests.json")
 
@@ -45,6 +50,16 @@ def _solve(fmt, argv):
         code = run(["solve", "--format", fmt] + argv)
     return hashlib.sha256(("%d\n%s" % (code, out.getvalue())).encode()
                           ).hexdigest()[:16]
+
+
+def _plot(tmp, argv):
+    svg = pathlib.Path(tmp) / "plot.svg"
+    svg.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run(["plot", "--out", str(svg)] + argv)
+    body = svg.read_bytes() if svg.exists() else b""
+    return hashlib.sha256(b"%d\n" % code + body).hexdigest()[:16]
 
 
 def _cases(tmp):
@@ -84,14 +99,26 @@ def _cases(tmp):
         for mode in (MODES if i % 3 == 0 else ("ideal",)):
             yield ("map/loopy%d/%s" % (seed, mode),
                    ["--maze", path, "--odometry", mode, "--seed", str(i)])
+        if i % 3 == 0:
+            for mode in ODOMETRY_MODES:
+                yield ("plot/loopy%d/%s" % (seed, mode),
+                       ["--maze", path, "--odometry", mode, "--seed", str(i)])
+    for name in BUNDLED:
+        for mode in ODOMETRY_MODES:
+            for seed in ("0", "1", "2"):
+                yield ("plot/%s/%s/%s" % (name, mode, seed),
+                       ["--maze", name, "--odometry", mode, "--seed", seed])
 
 
 def record():
     got = {}
     with tempfile.TemporaryDirectory() as tmp:
         for key, argv in _cases(tmp):
-            got[key] = _solve("tsv", argv)
-            got["text/" + key] = _solve("text", argv)
+            if key.startswith("plot/"):
+                got[key] = _plot(tmp, argv)
+            else:
+                got[key] = _solve("tsv", argv)
+                got["text/" + key] = _solve("text", argv)
     return got
 
 
