@@ -19,6 +19,7 @@ line on standard error; stdout stays byte-deterministic for fixed inputs
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import statistics
 import sys
@@ -133,7 +134,7 @@ def cmd_solve(args: argparse.Namespace) -> str:
     maze, stem = _load_maze(args.maze)
     seed = args.seed
     mode = args.odometry or "ideal"
-    params = MotionParams(seed=seed)
+    params = MotionParams()
     tape_text: Optional[str] = None
 
     if args.algo == "simple":
@@ -143,7 +144,8 @@ def cmd_solve(args: argparse.Namespace) -> str:
         if args.show_tape:
             tape_text = " ".join(str(s) for s in tape.sums)
     else:
-        state = explore_map(maze, params=params, src=mode, tol=args.tol)
+        state = explore_map(maze, params=params, src=mode, tol=args.tol,
+                            seed=seed)
         end_name = next(name for name, node in state.node_of.items()
                         if node == maze.end)
         result = dijkstra(build_graph(state), state.point[0], end_name)
@@ -184,8 +186,8 @@ def cmd_tableone(args: argparse.Namespace) -> str:
     mode = args.odometry or "arc"
     if args.seeds < 1:
         raise ValueError("--seeds must be at least 1")
-    if any(not length > 0 for length in args.lengths):
-        raise ValueError("--lengths must all be positive")
+    if any(not 0 < length < math.inf for length in args.lengths):
+        raise ValueError("--lengths must all be positive and finite")
     params = MotionParams()
     cal = calibration_from_motion(params)
 
@@ -215,15 +217,14 @@ def cmd_tableone(args: argparse.Namespace) -> str:
 
 def cmd_plot(args: argparse.Namespace) -> str:
     maze, _stem = _load_maze(args.maze)
-    seed = args.seed
     mode = args.odometry or "ideal"
-    params = MotionParams(seed=seed)
+    params = MotionParams()
     graph = graph_from_maze(maze)
     result = dijkstra(graph, maze.start, maze.end)
 
     world: List[Tuple[float, float]] = []
     for a, _b, direction, _length, log in _drive_path(
-            maze, result.nodes, mode, params, seed):
+            maze, result.nodes, mode, params, args.seed):
         pa = maze.position(a)
         pts = world_points((pa.x, pa.y), direction, log.trajectory)
         if world and pts and pts[0] == world[-1]:

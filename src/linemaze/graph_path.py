@@ -13,7 +13,6 @@ its next target with it, so both share one tie-break.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Sequence, Set, Tuple
 
@@ -99,19 +98,11 @@ def build_graph(state) -> MazeGraph:
 
 def graph_from_maze(maze: MazeSpec) -> MazeGraph:
     """Ground-truth graph of a maze: node positions, edges weighed by length."""
-    coords = {n.id: n.position for n in maze.nodes}
-    adj: Dict[str, List[Tuple[str, float]]] = {name: [] for name in coords}
-    for e in maze.edges:
-        a, b = sorted((e.a, e.b))
-        ca, cb = coords[a], coords[b]
-        w = math.hypot(cb.x - ca.x, cb.y - ca.y)
-        if not w > 0.0:
-            raise InconsistencyError(
-                "vertices %r and %r coincide; cannot weight their edge" % (a, b))
-        adj[a].append((b, w))
-        adj[b].append((a, w))
-    return MazeGraph(coordinates=coords,
-                     adjacency={k: tuple(sorted(v)) for k, v in adj.items()})
+    return MazeGraph(
+        coordinates={n.id: n.position for n in maze.nodes},
+        adjacency={node: tuple(sorted((other, length)
+                                      for other, length, _back in out.values()))
+                   for node, out in maze.branches.items()})
 
 
 def shortest_paths(adjacency: Mapping[str, Sequence[Tuple[str, float]]],

@@ -181,14 +181,15 @@ def next_target(state: ExplorationState) -> Optional[List[str]]:
 
 
 def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
-                src: str = "ideal",
-                tol: Optional[float] = None) -> ExplorationState:
+                src: str = "ideal", tol: Optional[float] = None,
+                seed: int = 0) -> ExplorationState:
     """Explore ``maze`` fully and return the resulting state.
 
     params defaults to the stock robot; the corrected odometry modes use
     the calibration derived from it. src is the odometry mode, one of
     ``ODOMETRY_MODES``; tol is the coordinate-match tolerance in cm
     (default: 3% of the longest segment measured so far, floored at 1 cm).
+    Each walk is driven with a seed drawn from ``random.Random(seed)``.
     ``node_of`` in the returned state names the maze node behind every
     discovered point.
 
@@ -206,7 +207,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
         raise ValueError("tol must be positive, got %r" % (tol,))
 
     budget = 4 * len(maze.edges)
-    rng = random.Random(params.seed)
+    rng = random.Random(seed)
 
     state = ExplorationState()
     start_name = "0"

@@ -135,6 +135,9 @@ def _validate(maze):
         pa, pb = by_id[e.a].position, by_id[e.b].position
         if pa.x != pb.x and pa.y != pb.y:
             raise MazeValidationError("edge %s-%s not axis-aligned" % (e.a, e.b))
+        if not math.isfinite(math.hypot(pb.x - pa.x, pb.y - pa.y)):
+            raise MazeValidationError(
+                "edge %s-%s is too long: its length is not finite" % (e.a, e.b))
 
     if start not in by_id:
         raise MazeValidationError("start refers to unknown node %r" % start)

@@ -73,12 +73,10 @@ class MotionParams:
     theta: heading magnitude the robot aims back at the line after a pivot.
     speed_ratio: right/left wheel speed ratio (1.0 = perfectly straight).
     wheel_base: distance between the two wheels.
-    pivot_arc_left/right: wheel distance spent turning during one pivot.
-    pivot_lin_left/right: wheel distance spent rolling straight during one
-        pivot (entry/exit creep).
+    pivot_left/right: wheel distance charged to each wheel per pivot turn
+        (the turn itself plus its entry/exit creep).
     inner_rot_const: extra distance charged to the inner wheel of a pivot.
     step: integration step along the robot path.
-    seed: seeds the per-segment heading jitter.
     """
 
     h: float = 0.1
@@ -86,13 +84,10 @@ class MotionParams:
     theta: float = math.radians(10.0)
     speed_ratio: float = 1.02
     wheel_base: float = 10.0
-    pivot_arc_left: float = 0.006
-    pivot_lin_left: float = 0.002
-    pivot_arc_right: float = 0.006
-    pivot_lin_right: float = 0.002
+    pivot_left: float = 0.008
+    pivot_right: float = 0.008
     inner_rot_const: float = 0.002
     step: float = 0.01
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (self.h > 0.0 and math.isfinite(self.h)):
@@ -105,8 +100,7 @@ class MotionParams:
             raise ValueError("speed_ratio must be positive and finite")
         if not (self.wheel_base > 0.0 and math.isfinite(self.wheel_base)):
             raise ValueError("wheel_base must be positive and finite")
-        for name in ("pivot_arc_left", "pivot_lin_left", "pivot_arc_right",
-                     "pivot_lin_right", "inner_rot_const"):
+        for name in ("pivot_left", "pivot_right", "inner_rot_const"):
             if getattr(self, name) < 0.0:
                 raise ValueError("%s must be non-negative" % name)
         if not (self.step > 0.0 and math.isfinite(self.step)):
@@ -164,10 +158,10 @@ def radius_from_ratio(speed_ratio: float, wheel_base: float) -> float:
 
 
 def simulate_segment(length: float, params: MotionParams,
-                     seed: Optional[int] = None) -> EncoderLog:
+                     seed: int) -> EncoderLog:
     """Drive one straight taped segment of ``length`` and log the encoders.
 
-    ``seed`` overrides ``params.seed`` for the heading jitter draw.
+    ``seed`` seeds the heading jitter draw.
 
     Raises ValueError for a length that is not positive or exceeds
     ``MAX_SEGMENT_LENGTH``, and MotionDivergenceError if the controller
@@ -182,7 +176,7 @@ def simulate_segment(length: float, params: MotionParams,
         raise ValueError("length must be positive and small enough to count "
                          "its steps; %g cm at a %g cm step is not"
                          % (length, params.step))
-    rng = random.Random(params.seed if seed is None else seed)
+    rng = random.Random(seed)
     if params.alpha > 0.0:
         magnitude = params.alpha * rng.uniform(JITTER_LO, JITTER_HI)
         alpha0 = magnitude if rng.random() < 0.5 else -magnitude
@@ -191,12 +185,12 @@ def simulate_segment(length: float, params: MotionParams,
 
     fl, fr = params.wheel_factors()
     k = params.inner_rot_const
-    # Pivot charges: the turn itself plus straight creep, with the extra
-    # rotation cost charged to the inner wheel of the turn.
-    rp_l = params.pivot_arc_left + params.pivot_lin_left
-    rp_r = params.pivot_arc_right + params.pivot_lin_right + k
-    lp_l = params.pivot_arc_left + params.pivot_lin_left + k
-    lp_r = params.pivot_arc_right + params.pivot_lin_right
+    # Pivot charges, with the extra rotation cost charged to the inner wheel
+    # of the turn.
+    rp_l = params.pivot_left
+    rp_r = params.pivot_right + k
+    lp_l = params.pivot_left + k
+    lp_r = params.pivot_right
     max_steps = int(budget) + 10000
 
     wl, wr, n_right, n_left, pivots, y_final, ok = _integrate(

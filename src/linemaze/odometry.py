@@ -98,9 +98,8 @@ def calibration_from_motion(params: MotionParams) -> CalibConstants:
     The simulator and this inverse model share ground truth, so the constants
     are computed, not estimated:
 
-    * each per-turn pivot charge is the turn plus its straight creep
-      (``pivot_arc_* + pivot_lin_*``), because the simulator always charges
-      them together; the subtraction in the brackets is then exact.
+    * each per-turn pivot charge is the simulator's ``pivot_left`` or
+      ``pivot_right``, so the subtraction in the brackets is exact.
     * ``c`` averages the heading cosine over the two regimes a leg sees: just
       after a departure the heading sits at the (jittered) initial error, and
       between corrections it sits near the pivot exit angle.
@@ -119,8 +118,8 @@ def calibration_from_motion(params: MotionParams) -> CalibConstants:
         c=c,
         c_left=min(1.0, c / fl),
         c_right=min(1.0, c / fr),
-        f_lc=params.pivot_arc_left + params.pivot_lin_left,
-        f_rc=params.pivot_arc_right + params.pivot_lin_right,
+        f_lc=params.pivot_left,
+        f_rc=params.pivot_right,
         k=params.inner_rot_const,
         h=_H_SCALE * params.h / math.sin(params.theta),
         radius=abs(radius_from_ratio(params.speed_ratio, params.wheel_base)),

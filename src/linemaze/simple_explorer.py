@@ -21,7 +21,7 @@ both into a clean error instead of an endless walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from ._directions import (BACK, FRONT, LEFT, NORTH, REL_NAMES, RIGHT,
                           absolute_of, reverse)
@@ -94,6 +94,41 @@ def _pick(by_dir: Dict[int, str], heading: int, pref: Sequence[int],
                            "prevented this node configuration")
 
 
+def _walk(maze: MazeSpec,
+          choose: Callable[[str, Dict[int, str], int, bool], int],
+          dead_end: Callable[[str], None]) -> Iterator[str]:
+    """Walk the maze from its start, yielding each node as it is reached.
+
+    The walk goes straight through corridors and turns back at dead ends,
+    calling ``dead_end(node)`` first. At a junction ``choose(node, by_dir,
+    heading, exclude_back)`` returns the new heading; a start with a choice
+    has no incoming heading, so it is asked against a nominal north heading
+    with every incident line a candidate. The walk stops after yielding the
+    end node, and reads a node's exits only when resumed past it, so the
+    caller's budget check comes first. The start must not be the end.
+    """
+    node = maze.start
+    by_dir = _unique_exits(maze, node)
+    if maze.degree(node) == 1:
+        heading = next(iter(by_dir))
+    else:
+        heading = choose(node, by_dir, NORTH, False)
+    while True:
+        node = by_dir[heading]
+        yield node
+        if node == maze.end:
+            return
+        by_dir = _unique_exits(maze, node)
+        degree = maze.degree(node)
+        if degree == 1:
+            dead_end(node)
+            heading = reverse(heading)
+        elif degree == 2:
+            heading = next(d for d in by_dir if d != reverse(heading))
+        else:
+            heading = choose(node, by_dir, heading, True)
+
+
 def explore_simple(maze: MazeSpec, pref: Sequence[int] = PREF_RFLD) -> JunctionTape:
     """Walk the maze start→end, returning the junction tape of the run.
 
@@ -105,13 +140,11 @@ def explore_simple(maze: MazeSpec, pref: Sequence[int] = PREF_RFLD) -> JunctionT
     budget = 10 * len(maze.edges)
     sums: List[int] = []
     j = 0
-    node = maze.start
-    traversals = 0
 
-    if node == maze.end:
+    if maze.start == maze.end:
         return JunctionTape([])
 
-    def tape_choice(by_dir: Dict[int, str], heading: int,
+    def tape_choice(_node: str, by_dir: Dict[int, str], heading: int,
                     exclude_back: bool) -> int:
         """Pick a branch, record its code, and return the new heading."""
         nonlocal j
@@ -127,34 +160,16 @@ def explore_simple(maze: MazeSpec, pref: Sequence[int] = PREF_RFLD) -> JunctionT
                 j -= 2
         return absolute_of(rel, heading)
 
-    by_dir = _unique_exits(maze, node)
-    if maze.degree(node) == 1:
-        heading = next(iter(by_dir))
-    else:
-        # A start with a choice: no incoming heading exists, so pick relative
-        # to a nominal north heading, with every incident line a candidate.
-        heading = tape_choice(by_dir, NORTH, exclude_back=False)
-    node = by_dir[heading]
-    traversals += 1
+    def dead_end(_node: str) -> None:
+        nonlocal j
+        j -= 1
 
-    while node != maze.end:
-        if traversals >= budget:
+    for traversals, node in enumerate(_walk(maze, tape_choice, dead_end), 1):
+        if node != maze.end and traversals >= budget:
             raise ExplorationError(
                 "no path to the end within %d traversals; maze is outside "
                 "the tape explorer's class (loops or unreachable end)"
                 % budget)
-        by_dir = _unique_exits(maze, node)
-        degree = maze.degree(node)
-        if degree == 1:
-            heading = reverse(heading)
-            j -= 1
-        elif degree == 2:
-            heading = next(d for d in by_dir if d != reverse(heading))
-        else:
-            heading = tape_choice(by_dir, heading, exclude_back=True)
-        node = by_dir[heading]
-        traversals += 1
-
     return JunctionTape(sums[:max(j, 0)])
 
 
@@ -183,15 +198,14 @@ def replay(maze: MazeSpec, reduced: Sequence[int]) -> List[str]:
     when the tape and the maze disagree (missing line, dead end, wrong
     length) — a finished tape from the same maze never does.
     """
-    node = maze.start
-    path = [node]
-    if node == maze.end:
+    path = [maze.start]
+    if maze.start == maze.end:
         return path
     budget = 10 * len(maze.edges)
     idx = 0
-    traversals = 0
 
-    def consume(by_dir: Dict[int, str], heading: int) -> int:
+    def consume(node: str, by_dir: Dict[int, str], heading: int,
+                _exclude_back: bool) -> int:
         nonlocal idx
         if idx >= len(reduced):
             raise InconsistencyError(
@@ -205,32 +219,16 @@ def replay(maze: MazeSpec, reduced: Sequence[int]) -> List[str]:
                 % (REL_NAMES[code], node))
         return new_heading
 
-    by_dir = _unique_exits(maze, node)
-    if maze.degree(node) == 1:
-        heading = next(iter(by_dir))
-    else:
-        heading = consume(by_dir, NORTH)
-    node = by_dir[heading]
-    path.append(node)
-    traversals += 1
+    def dead_end(node: str) -> None:
+        raise InconsistencyError(
+            "replay hit a dead end at %r; the tape is not a reduced "
+            "forward run" % (node,))
 
-    while node != maze.end:
-        if traversals >= budget:
+    for traversals, node in enumerate(_walk(maze, consume, dead_end), 1):
+        path.append(node)
+        if node != maze.end and traversals >= budget:
             raise InconsistencyError(
                 "tape did not reach the end within %d traversals" % budget)
-        by_dir = _unique_exits(maze, node)
-        degree = maze.degree(node)
-        if degree == 1:
-            raise InconsistencyError(
-                "replay hit a dead end at %r; the tape is not a reduced "
-                "forward run" % (node,))
-        if degree == 2:
-            heading = next(d for d in by_dir if d != reverse(heading))
-        else:
-            heading = consume(by_dir, heading)
-        node = by_dir[heading]
-        path.append(node)
-        traversals += 1
 
     if idx != len(reduced):
         raise InconsistencyError(

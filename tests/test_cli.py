@@ -305,6 +305,7 @@ def test_negative_tolerance_is_usage_error(capsys):
     ("tableone", "--seeds", "0"),
     ("tableone", "--lengths", "-5"),
     ("tableone", "--lengths", "10", "0"),
+    ("tableone", "--odometry", "ideal", "--lengths", "inf", "--seeds", "1"),
 ])
 def test_tableone_argument_validation(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -345,7 +346,11 @@ def test_internal_contradictions_exit_three(capsys, monkeypatch):
     assert err == "error: no such vertex\n"
 
 
-def test_error_output_is_a_single_line(capsys):
+def test_error_output_is_a_single_line(capsys, tmp_path):
+    # An edge whose length overflows to inf.
+    overflow = tmp_path / "overflow.maze"
+    overflow.write_text("node A -1e308 0\nnode B 1e308 0\nedge A B\n"
+                        "start A\nend B\n")
     for expected, argv in (
             (1, ("solve", "--maze", "nosuch")),
             (2, ("solve", "--maze", "fig2", "--algo", "simple")),
@@ -353,7 +358,9 @@ def test_error_output_is_a_single_line(capsys):
             # Both lengths exceed the longest segment the simulator drives;
             # 1e308 cm would also overflow the step budget.
             (1, ("tableone", "--lengths", "1e308", "--seeds", "1")),
-            (1, ("tableone", "--lengths", "1e9", "--seeds", "1"))):
+            (1, ("tableone", "--lengths", "1e9", "--seeds", "1")),
+            (1, ("solve", "--maze", str(overflow), "--odometry", "ideal")),
+            (1, ("solve", "--maze", str(overflow), "--algo", "simple"))):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected
         assert err.startswith("error: ")
@@ -457,7 +464,7 @@ def test_plot_noisy_marks_every_pivot(tmp_path, capsys):
     # Re-derive the per-segment simulation seeds the same way the command
     # draws them, and count the pivots the robot actually executed.
     rng = random.Random(seed)
-    params = MotionParams(seed=seed)
+    params = MotionParams()
     total_turns = 0
     for length in (10.0, 14.0, 8.0):  # path S-A, A-E, E-F
         log = simulate_segment(length, params, seed=rng.randrange(2 ** 31))

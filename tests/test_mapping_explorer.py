@@ -10,7 +10,6 @@ from linemaze.errors import ExplorationError
 from linemaze.mapping_explorer import (ExplorationState, explore_map,
                                        match_point, next_target, trace_lines)
 from linemaze.maze_model import Point2D
-from linemaze.motion_sim import MotionParams
 from linemaze.odometry import ODOMETRY_MODES
 
 FIG2_TRACE = [
@@ -287,7 +286,7 @@ def test_arc_correction_tightens_the_map(fig2):
     ideal = explore_map(fig2, src="ideal")
 
     def worst_error(mode, seed):
-        state = explore_map(fig2, params=MotionParams(seed=seed), src=mode)
+        state = explore_map(fig2, src=mode, seed=seed)
         assert state.point == ideal.point
         return max(
             max(abs(state.coordinate[n].x - ideal.coordinate[n].x),
@@ -332,10 +331,10 @@ def test_revisits_snap_to_the_stored_coordinate(fig2):
 
 
 def test_seed_changes_the_noise(fig2):
-    a = explore_map(fig2, params=MotionParams(seed=0), src="raw")
-    b = explore_map(fig2, params=MotionParams(seed=1), src="raw")
+    a = explore_map(fig2, src="raw", seed=0)
+    b = explore_map(fig2, src="raw", seed=1)
     assert trace_lines(a) != trace_lines(b)
-    again = explore_map(fig2, params=MotionParams(seed=0), src="raw")
+    again = explore_map(fig2, src="raw", seed=0)
     assert trace_lines(a) == trace_lines(again)
 
 

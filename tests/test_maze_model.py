@@ -146,6 +146,13 @@ def test_diagonal_edge():
         build_maze([("S", 0, 0), ("F", 3, 10)], [("S", "F")], "S", "F")
 
 
+def test_edge_length_overflow():
+    with pytest.raises(MazeValidationError,
+                       match="edge A-B is too long: its length is not finite"):
+        build_maze([("A", -1e308, 0), ("B", 1e308, 0)], [("A", "B")],
+                   "A", "B")
+
+
 def test_unknown_start_and_end():
     with pytest.raises(MazeValidationError, match="start refers to unknown"):
         build_maze([("S", 0, 0), ("F", 0, 10)], [("S", "F")], "Q", "F")

@@ -24,7 +24,7 @@ def polyline_length(points):
 
 def test_perfect_robot_rolls_exactly_the_segment():
     p = MotionParams(alpha=0.0, speed_ratio=1.0)
-    log = simulate_segment(10.0, p)
+    log = simulate_segment(10.0, p, seed=0)
     assert log.wl_total == 10.0
     assert log.wr_total == 10.0
     assert log.turn_count == 0
@@ -36,11 +36,9 @@ def test_kernel_wheel_accounting_without_pivot_charges():
     # With pivot charges zeroed the wheel totals are exactly the per-wheel
     # factors times the midpoint path, so their ratio equals fr/fl.
     p = MotionParams(alpha=0.0, speed_ratio=2.5,
-                     pivot_arc_left=0.0, pivot_lin_left=0.0,
-                     pivot_arc_right=0.0, pivot_lin_right=0.0,
-                     inner_rot_const=0.0)
+                     pivot_left=0.0, pivot_right=0.0, inner_rot_const=0.0)
     fl, fr = p.wheel_factors()
-    log = simulate_segment(10.0, p)
+    log = simulate_segment(10.0, p, seed=0)
     assert log.turn_count > 0
     assert log.wr_total / log.wl_total == pytest.approx(fr / fl, rel=1e-12)
 
@@ -123,20 +121,17 @@ def test_all_turns_on_one_side_when_only_drift_bends_the_path():
     # No initial tilt, strong wheel mismatch: the robot always drifts the
     # same way, so every pivot is a right turn.
     p = MotionParams(alpha=0.0, speed_ratio=2.5)
-    log = simulate_segment(10.0, p)
+    log = simulate_segment(10.0, p, seed=0)
     assert log.n_left == 0
     assert log.n_right > 0
     assert log.turn_count == abs(log.n_right - log.n_left)
 
 
-def test_determinism_and_seed_defaulting():
-    p = MotionParams(seed=7)
-    a = simulate_segment(10.0, p)
-    b = simulate_segment(10.0, p)
-    c = simulate_segment(10.0, p, seed=7)
-    assert a == b == c
-    d = simulate_segment(10.0, p, seed=8)
-    assert d != a
+def test_same_seed_same_run():
+    p = MotionParams()
+    a = simulate_segment(10.0, p, seed=7)
+    assert a == simulate_segment(10.0, p, seed=7)
+    assert a != simulate_segment(10.0, p, seed=8)
 
 
 def test_ideal_mode_ignores_seed():
@@ -172,7 +167,7 @@ def kernel_digest():
             lines.append(repr(simulate_segment(length, p, seed=s)))
     try:
         simulate_segment(200.0, MotionParams(h=200.0, alpha=0.0,
-                                             speed_ratio=1.1))
+                                             speed_ratio=1.1), seed=0)
     except MotionDivergenceError as exc:
         lines.append(str(exc))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -351,13 +346,13 @@ def test_divergence_when_band_is_wider_than_the_drift_radius():
     # heading past 90 degrees long before any pivot can fire.
     p = MotionParams(h=200.0, alpha=0.0, speed_ratio=1.1)
     with pytest.raises(MotionDivergenceError, match="failed to traverse"):
-        simulate_segment(200.0, p)
+        simulate_segment(200.0, p, seed=0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e308, 1e9])
 def test_bad_length_rejected(bad):
     with pytest.raises(ValueError, match="length must be positive"):
-        simulate_segment(bad, MotionParams())
+        simulate_segment(bad, MotionParams(), seed=0)
 
 
 @pytest.mark.parametrize("kwargs,msg", [
@@ -369,8 +364,8 @@ def test_bad_length_rejected(bad):
     (dict(theta=math.pi / 2), "theta must lie"),
     (dict(speed_ratio=0.0), "speed_ratio must be positive"),
     (dict(wheel_base=0.0), "wheel_base must be positive"),
-    (dict(pivot_arc_left=-0.1), "pivot_arc_left must be non-negative"),
-    (dict(pivot_lin_right=-0.1), "pivot_lin_right must be non-negative"),
+    (dict(pivot_left=-0.1), "pivot_left must be non-negative"),
+    (dict(pivot_right=-0.1), "pivot_right must be non-negative"),
     (dict(inner_rot_const=-0.1), "inner_rot_const must be non-negative"),
     (dict(step=0.0), "step must be positive"),
 ])

@@ -1,7 +1,9 @@
 """The package's exports: every listed name resolves, once, and retired
 names stay retired."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -45,3 +47,8 @@ def test_retired_names_are_gone():
     for name in ("incident_edges", "exits", "edge_length", "edge_other",
                  "edge_direction", "_incident"):
         assert not hasattr(linemaze.MazeSpec, name), name
+    fields = [f.name for f in dataclasses.fields(linemaze.MotionParams)]
+    assert [f for f in fields if f == "seed"
+            or f.startswith(("pivot_arc_", "pivot_lin_"))] == []
+    seed = inspect.signature(linemaze.simulate_segment).parameters["seed"]
+    assert seed.default is inspect.Parameter.empty
