@@ -9,11 +9,15 @@ inside pivot turns.
 
 The forward model is an Euler step loop of ``MotionParams.step`` cm.
 Between pivots the heading turns by the same angle every step, so the
-kernel (``_integrate``) moves through each straight leg in one closed-form
-jump and takes single steps only where the loop decides something: at a
-pivot, at the end of the segment, near a right-angle heading and at the
-step budget. The jump changes results only by rounding (about 1e-12
-relative); ``tests/oracles.py`` keeps the step loop to compare against.
+position after J steps has a closed form. The kernel (``_integrate``)
+inverts it to solve for the number of steps a straight leg runs before the
+loop must decide something, moves through them in one jump, and takes the
+deciding step singly: a pivot, the end of the segment, divergence or the
+step budget. A jump stops 1e-9 cm short of the trigger and of the end, and
+1e-6 rad short of a right-angle heading; it never turns the heading through
+zero. At the default robot each leg costs one jump and one step. The jump
+changes results only by rounding (about 1e-12 relative); ``tests/oracles.py``
+keeps the step loop to compare against.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from math import cos, sin
+from math import atan2, cos, sin, sqrt
 from typing import Optional, Tuple
 
 from .errors import MotionDivergenceError
@@ -42,20 +46,16 @@ __all__ = [
 JITTER_LO = 0.9
 JITTER_HI = 1.0
 
-# Longest segment simulate_segment drives, in cm. A simulated cm costs a
-# few microseconds at the default step, so this bound keeps one call to a
-# few seconds; an unbounded length could run for hours.
+# Longest segment simulate_segment drives, in cm. A simulated cm costs
+# about 3 microseconds at the default robot (2.7-3.5 us on a shared 2-core
+# Xeon under Python 3.11; a 1e6 cm call took 2.9 s), so this bound keeps
+# one call to a few seconds; an unbounded length could run for hours.
 MAX_SEGMENT_LENGTH = 1e6
 
 # The leg-jump kernel below is the only kernel, in pure Python; the name
 # stays because benchmark runs record it in their identity.
 KERNEL_BACKEND = "pure"
 
-# Fewest steps worth a jump; a shorter run of steps is stepped.
-_MIN_JUMP = 8
-# Steps held back from a jump's first guess, which is taken at the current
-# heading; curvature can bring the trigger a step or two closer.
-_SPARE_STEPS = 2
 # Headings a jump may span: cos stays near 1e-6 or above, far from the
 # 1e-12 at which a step reports divergence.
 _MAX_JUMP_HEADING = math.pi / 2 - 1e-6
@@ -221,24 +221,33 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
     The model is an Euler step loop: each step of ``step`` cm moves the
     robot along its heading, then turns the heading by b = kappa*step and
     tests the pivot triggers. Between pivots the headings of successive
-    steps form an arithmetic progression, so J steps from heading phi move
-    the robot by step*sin(J*b/2)/sin(b/2) along the mean heading
-    phi + (J-1)*b/2 (by J*step along phi when b = 0), roll the wheels by
-    J*step*fl and J*step*fr, and turn the heading by J*b. The loop jumps
-    such runs of steps in one go and takes the other steps one at a time.
+    steps form an arithmetic progression, so J steps from heading phi end
+    at
 
-    A jump of J steps is taken only when bounds over its heading range
-    [phi, phi + J*b], widened by 1e-12 rad, show that the step loop would
-    make no decision inside it: along-track motion is at most ``step`` per
-    step, so x + (J+1)*step stays below ``length`` and no end step falls
-    inside; lateral motion per step lies between step*sin(lo) and
-    step*sin(hi), so no trigger (y >= h heading up, y <= -h heading down)
-    is within 1e-9 cm of firing; the headings stay 1e-6 rad clear of
-    +-pi/2, so no step can diverge; and J fits in the step budget. J is
-    first guessed from the current heading and halved until the bounds
-    hold; below _MIN_JUMP steps the loop steps instead. Every pivot, the
-    end step, the divergence test and the budget test therefore run as
-    single steps, and a jump of J steps spends J steps of the budget.
+        x_J = x + g*(sin(phi + (J - 1/2)*b) - sin(phi - b/2))
+        y_J = y + g*(cos(phi - b/2) - cos(phi + (J - 1/2)*b))
+
+    with g = step/(2*sin(b/2)) (J*step*cos(phi) and J*step*sin(phi) when
+    b = 0), roll the wheels by J*step*fl and J*step*fr, and turn the
+    heading by J*b. Each pass of the loop below moves through one such run
+    in a single jump and then takes one step of the step loop, the one
+    that decides something: a pivot, the end step, divergence or the
+    budget.
+
+    The jump's J is solved from the closed form, not searched for. It is
+    the largest J that keeps x_J below ``length - 1e-9`` and y_J inside
+    the trigger it heads for by 1e-9 cm; that keeps the heading 1e-6 rad
+    clear of +-pi/2 and from crossing zero, so y moves one way only and
+    the end point bounds every step inside the jump; and that fits in the
+    step budget. The two position bounds are inverted in tangent
+    half-angle form, which has no cancellation at small b. The end point
+    of the solved J is then computed exactly as the jump will move, and J
+    steps back by one while rounding leaves it on the wrong side of a
+    bound. A jump therefore makes none of the step loop's decisions: every
+    pivot, the end step, the divergence test and the budget test run as
+    single steps, and a jump of J steps spends J steps of the budget. At
+    the default robot each leg between pivots costs one jump and one
+    step; a leg whose heading changes sign costs two of each.
 
     The result equals the step loop's up to rounding: the jumped sums round
     differently, so coordinates and wheel totals differ by about 1e-12
@@ -263,39 +272,72 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
     steps = 0
     b = kappa * step
     sin_half_b = sin(0.5 * b)
+    x_stop = length - 1e-9
+    y_stop = h - 1e-9
     while x < length:
-        jump = (length - x) / step
-        lateral = step * sin(phi)
-        if lateral > 0.0:
-            jump = min(jump, (h - y) / lateral)
-        elif lateral < 0.0:
-            jump = min(jump, (h + y) / -lateral)
-        jump = min(int(jump) - _SPARE_STEPS, max_steps - steps)
-        while jump >= _MIN_JUMP:
-            span = jump * step
+        # Solve the jump in a frame mirrored so that the heading is
+        # non-negative: y rises, and only the trigger at +h can fire.
+        sign = 1.0 if phi > 0.0 or (phi == 0.0 and b >= 0.0) else -1.0
+        p = sign * phi
+        room = y_stop - sign * y
+        jump = max_steps - steps
+        if room <= 0.0 or p >= _MAX_JUMP_HEADING:
+            jump = 0
+        elif b == 0.0:
+            jump = min(jump, (x_stop - x) / (step * cos(p)))
+            if p > 0.0:
+                jump = min(jump, room / (step * sin(p)))
+        else:
+            bm = sign * b
+            # g*(cos(a) - cos(a + t)) = room, with a = p - bm/2, t = J*bm
+            # and tau = tan(t/2), is the quadratic
+            # (2cos(a) - q)*tau^2 + 2sin(a)*tau - q = 0, q = room/g.
+            a = p - 0.5 * bm
+            sa = sin(a)
+            ca = cos(a)
+            inv_g = 2.0 * sign * sin_half_b / step
+            q = room * inv_g
+            disc = sa * sa + q * (2.0 * ca - q)
+            if disc >= 0.0:
+                r = sqrt(disc)
+                if sa > 0.0:
+                    jump = min(jump, 2.0 * atan2(q, sa + r) / bm)
+                else:  # the same root, without cancelling sa against r
+                    jump = min(jump, 2.0 * atan2(r - sa, 2.0 * ca - q) / bm)
+            if bm > 0.0:
+                jump = min(jump, (_MAX_JUMP_HEADING - p) / bm)
+            else:
+                jump = min(jump, p / -bm)
+            if jump * step >= x_stop - x:
+                # g*(sin(a + t) - sin(a)) = x_stop - x, in the same form.
+                q = (x_stop - x) * inv_g
+                disc = ca * ca - q * (q + 2.0 * sa)
+                if disc >= 0.0:
+                    jump = min(jump,
+                               2.0 * atan2(q, ca + sqrt(disc)) / bm)
+        jump = int(jump)
+        while jump > 0:
             end = phi + jump * b
-            lo = min(phi, end) - 1e-12
-            hi = max(phi, end) + 1e-12
-            if (-_MAX_JUMP_HEADING < lo and hi < _MAX_JUMP_HEADING
-                    and x + span + step < length - 1e-9
-                    and not (hi > 0.0 and y + span * sin(hi) >= h - 1e-9)
-                    and not (lo < 0.0 and y + span * sin(lo) <= 1e-9 - h)):
-                break
-            jump //= 2
-        if jump >= _MIN_JUMP:  # span and end are this jump's
             if b == 0.0:
-                chord = span
+                chord = jump * step
                 mid = phi
             else:
                 chord = step * sin(0.5 * jump * b) / sin_half_b
                 mid = phi + 0.5 * (jump - 1) * b
-            x += chord * cos(mid)
-            y += chord * sin(mid)
+            x_end = x + chord * cos(mid)
+            y_end = y + chord * sin(mid)
+            if (x_end < x_stop and sign * y_end < y_stop
+                    and 0.0 <= sign * end < _MAX_JUMP_HEADING):
+                break
+            jump -= 1
+        if jump > 0:
+            span = jump * step
+            x = x_end
+            y = y_end
             wl += span * fl
             wr += span * fr
             phi = end
             steps += jump
-            continue
         if steps >= max_steps:
             return wl, wr, n_right, n_left, pivots, y, False
         steps += 1

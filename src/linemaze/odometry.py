@@ -75,10 +75,13 @@ class CalibConstants:
     radius: float
 
     def __post_init__(self) -> None:
-        for name in ("c", "c_left", "c_right"):
+        if not (0.0 < self.c <= 1.0):
+            raise CalibrationError("c must lie in (0, 1], got %r" % (self.c,))
+        for name in ("c_left", "c_right"):
             v = getattr(self, name)
-            if not (0.0 < v <= 1.0):
-                raise CalibrationError("%s must lie in (0, 1], got %r" % (name, v))
+            if not (0.0 < v < math.inf):
+                raise CalibrationError("%s must lie in (0, inf), got %r"
+                                       % (name, v))
         for name in ("f_lc", "f_rc", "k"):
             if getattr(self, name) < 0.0:
                 raise CalibrationError("%s must be non-negative" % name)
@@ -103,9 +106,9 @@ def calibration_from_motion(params: MotionParams) -> CalibConstants:
     * ``c`` averages the heading cosine over the two regimes a leg sees: just
       after a departure the heading sits at the (jittered) initial error, and
       between corrections it sits near the pivot exit angle.
-    * per-wheel factors divide out each wheel's share of the drift circle,
-      capped at 1 to respect the model's contract that projection never
-      credits a wheel with more track than roll.
+    * per-wheel factors divide out each wheel's share of the drift circle.
+      The inner wheel of the circle rolls less than the midpoint travels,
+      so its constant can exceed 1.
     * ``h`` converts the lateral trigger threshold into the straight-running
       distance between corrective turns (divide by the sine of the exit
       angle), scaled by a safety factor so the residual term stays
@@ -116,8 +119,8 @@ def calibration_from_motion(params: MotionParams) -> CalibConstants:
     fl, fr = params.wheel_factors()
     return CalibConstants(
         c=c,
-        c_left=min(1.0, c / fl),
-        c_right=min(1.0, c / fr),
+        c_left=c / fl,
+        c_right=c / fr,
         f_lc=params.pivot_left,
         f_rc=params.pivot_right,
         k=params.inner_rot_const,

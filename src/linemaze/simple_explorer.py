@@ -199,8 +199,6 @@ def replay(maze: MazeSpec, reduced: Sequence[int]) -> List[str]:
     length) — a finished tape from the same maze never does.
     """
     path = [maze.start]
-    if maze.start == maze.end:
-        return path
     budget = 10 * len(maze.edges)
     idx = 0
 
@@ -224,7 +222,8 @@ def replay(maze: MazeSpec, reduced: Sequence[int]) -> List[str]:
             "replay hit a dead end at %r; the tape is not a reduced "
             "forward run" % (node,))
 
-    for traversals, node in enumerate(_walk(maze, consume, dead_end), 1):
+    walk = _walk(maze, consume, dead_end) if maze.start != maze.end else ()
+    for traversals, node in enumerate(walk, 1):
         path.append(node)
         if node != maze.end and traversals >= budget:
             raise InconsistencyError(

@@ -156,7 +156,7 @@ KERNEL_SEEDS = range(20)
 # Re-record only for a change meant to alter the kernel's output:
 # ``PYTHONPATH=src python tests/test_motion_sim.py``
 KERNEL_DIGEST = (
-    "39efdb7951b1ede13a6ec3005d4a716cf2468b1ce8185c4ba63bda9034e84b99")
+    "6236c8ca5ca81a327d68431dab8f8f7c569801c37d15825233541d7e1d83dd92")
 
 
 def kernel_digest():
@@ -246,6 +246,25 @@ def test_leg_jumps_match_the_step_loop_property(length, speed_ratio, h, theta,
     assert_same_run(*simulate_both(length, p, seed), length)
 
 
+@pytest.mark.parametrize("speed_ratio", [0.5, 2.0])
+def test_leg_jumps_match_the_step_loop_when_the_heading_changes_sign(
+        speed_ratio):
+    # A shallow pivot exit and strong drift: the drift turns the heading
+    # back through zero within every leg after a pivot, before the robot
+    # reaches the far band edge, so every pivot after the first is on one
+    # side (left for a clockwise drift, b < 0; right for a
+    # counter-clockwise one, b > 0).
+    p = MotionParams(speed_ratio=speed_ratio, theta=0.05)
+    for length in (0.7, 5.0, 30.0, 100.0):
+        for s in range(10):
+            jumped, stepped = simulate_both(length, p, s)
+            assert_same_run(jumped, stepped, length)
+            if length >= 5.0:
+                same_side = (jumped.n_left if speed_ratio < 1.0
+                             else jumped.n_right)
+                assert same_side >= max(2, jumped.turn_count - 1)
+
+
 def kernel_args(length, p, seed=0):
     """``_integrate``'s arguments as ``simulate_segment`` passes them, with
     the step budget left off."""
@@ -265,17 +284,25 @@ def kernel_args(length, p, seed=0):
     return calls[0]
 
 
-def least_budget(kernel, args):
-    """The smallest step budget with which ``kernel`` finishes the segment."""
+def least_budget(kernel, args, reached=lambda out: out[-1]):
+    """The smallest step budget with which ``kernel``'s output is
+    ``reached``; by default, with which it finishes the segment."""
     lo, hi = 0, 10 * int(args[0] / args[-1])
-    assert kernel(*args, hi)[-1]
+    assert reached(kernel(*args, hi))
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if kernel(*args, mid)[-1]:
+        if reached(kernel(*args, mid)):
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def pivot_steps(args, count):
+    """The steps on which the step loop makes its first ``count`` pivots."""
+    return [least_budget(step_loop_integrate, args,
+                         lambda out, i=i: out[2] + out[3] >= i)
+            for i in range(1, count + 1)]
 
 
 @pytest.mark.parametrize("length,overrides,seed", [
@@ -287,14 +314,45 @@ def test_no_jump_skips_the_step_budget(length, overrides, seed):
     # One step less than the step loop needs fails in both kernels, and
     # every budget from that need on passes in both. A failing run stops
     # after exactly the budgeted steps, so its partial totals agree too.
+    # A leg's jump ends on the step before its pivot, so a budget of that
+    # many steps ends exactly on a jump boundary.
     args = kernel_args(length, MotionParams(**overrides), seed)
     need = least_budget(step_loop_integrate, args)
-    for budget in (0, 1, 7, 8, 9, need // 2, need - 1, need, need + 1):
+    jump_ends = [k - 1 for k in pivot_steps(args, 3)]
+    budgets = [0, 1, 7, 8, 9, need // 2, need - 1, need, need + 1]
+    for budget in budgets + [k + d for k in jump_ends for d in (-1, 0, 1)]:
         jumped = motion_sim._integrate(*args, budget)
         stepped = step_loop_integrate(*args, budget)
         assert jumped[-1] == stepped[-1] == (budget >= need), budget
         assert jumped[2:4] == stepped[2:4], budget
         assert jumped[0] == pytest.approx(stepped[0], rel=1e-9), budget
+
+
+@pytest.mark.parametrize("alpha0", [0.17, -0.17])
+@pytest.mark.parametrize("n", [57, 100])
+def test_a_jump_solved_within_rounding_of_its_trigger(alpha0, n):
+    # The band edge is placed so that the first leg's trigger margin falls
+    # on the closed-form end point of step n, give or take a few ulps: the
+    # solved jump then lands within rounding of the trigger, and rounding
+    # decides whether it ends after step n or n - 1. Either way both
+    # kernels pivot on the same steps.
+    args = list(kernel_args(10.0, MotionParams()))
+    b = args[4] * args[-1]
+    chord = args[-1] * math.sin(0.5 * n * b) / math.sin(0.5 * b)
+    edge = abs(chord * math.sin(alpha0 + 0.5 * (n - 1) * b)) + 1e-9
+    args[2] = alpha0
+    budget = 40 * 1000
+    for ulps in range(-4, 5):
+        h = edge
+        for _ in range(abs(ulps)):
+            h = math.nextafter(h, math.copysign(math.inf, ulps))
+        args[1] = h
+        jumped = motion_sim._integrate(*args, budget)
+        stepped = step_loop_integrate(*args, budget)
+        assert jumped[2:4] == stepped[2:4] and jumped[-1] is stepped[-1], ulps
+        assert jumped[0] == pytest.approx(stepped[0], rel=1e-9), ulps
+        for a, c in zip(jumped[4], stepped[4]):
+            assert a == pytest.approx(c, rel=1e-9), ulps
 
 
 def test_a_whole_number_of_steps_can_end_one_step_sooner():

@@ -45,27 +45,30 @@ def test_calibration_matched_wheels_infinite_radius():
     assert cal.c_left == cal.c_right == pytest.approx(cal.c, rel=1e-15)
 
 
-def test_calibration_caps_wheel_constants_at_one():
-    # A small initial-error angle pushes c above the slow wheel's factor;
-    # the per-wheel constant must cap at 1 (a wheel cannot be credited with
-    # more track than it rolled).
-    cal = calibration_from_motion(MotionParams(alpha=math.radians(4.0)))
-    assert cal.c_left == 1.0
+def test_calibration_inner_wheel_constant_can_exceed_one():
+    # A small initial-error angle pushes c above the slow wheel's factor.
+    # The inner wheel of the drift circle rolls less than the midpoint
+    # travels, so its constant divides out its factor uncapped.
+    params = MotionParams(alpha=math.radians(4.0))
+    fl, fr = params.wheel_factors()
+    cal = calibration_from_motion(params)
+    assert cal.c_left == pytest.approx(cal.c / fl, rel=1e-15)
+    assert cal.c_left > 1.0
     assert 0.0 < cal.c_right < 1.0
 
 
 def test_calibration_left_faster_robot():
     cal = calibration_from_motion(MotionParams(speed_ratio=0.98))
     assert cal.radius > 0.0  # magnitude, not signed
-    assert cal.c_right == pytest.approx(min(1.0, cal.c / (1.0 + MotionParams(
-        speed_ratio=0.98).kappa * 10.0 / 2.0)), rel=1e-12)
+    assert cal.c_right == pytest.approx(cal.c / (1.0 + MotionParams(
+        speed_ratio=0.98).kappa * 10.0 / 2.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("kwargs,msg", [
     (dict(c=0.0), "c must lie"),
     (dict(c=1.5), "c must lie"),
     (dict(c_left=-0.1), "c_left must lie"),
-    (dict(c_right=2.0), "c_right must lie"),
+    (dict(c_right=math.inf), "c_right must lie"),
     (dict(f_lc=-1.0), "f_lc must be non-negative"),
     (dict(k=-0.1), "k must be non-negative"),
     (dict(h=0.0), "h must be positive"),
@@ -73,6 +76,7 @@ def test_calibration_left_faster_robot():
     (dict(f_rc=-1.0), "f_rc must be non-negative"),
     (dict(radius=0.0), "radius must be positive"),
     (dict(radius=-5.0), "radius must be positive"),
+    (dict(c_left=math.nan), "c_left must lie"),
 ])
 def test_calibration_validation(kwargs, msg):
     base = dict(c=1.0, c_left=1.0, c_right=1.0, f_lc=0.0, f_rc=0.0, k=0.0,
@@ -431,3 +435,48 @@ def test_arc_beats_basic_clearly_on_small_error_angles():
         arc = estimate_length(log, cal, "arc")
         basic = estimate_length(log, cal, "basic")
         assert abs(arc - 10.0) < abs(basic - 10.0)
+
+
+# --------------------------------------------- across the speed-ratio range
+
+ENVELOPE_SEEDS = range(20)
+ENVELOPE_LENGTHS = (14.0, 100.0)
+# Arc mode subtracts modelled midpoint stretches from a wheel's stripped
+# roll, but the inner wheel of the drift circle rolls less than the
+# midpoint travels; from a speed ratio of about 1.08 on 100 cm the
+# subtraction goes negative and arc raises CalibrationError.
+ARC_INNER_WHEEL_DEFECT = pytest.mark.xfail(
+    strict=True, raises=CalibrationError,
+    reason="arc's stretches are in midpoint units, its bracket in wheel units")
+
+
+@pytest.mark.parametrize("speed_ratio", [1.0, 1.02, 1.05, 1.1, 1.2])
+def test_basic_holds_across_the_speed_ratio_envelope(speed_ratio):
+    # Each wheel's constant divides out that wheel's share of the drift
+    # circle, so basic stays within 0.1% wherever the wheels are matched
+    # or 20% apart, and no run reads further off than the raw mean.
+    params = MotionParams(speed_ratio=speed_ratio)
+    cal = calibration_from_motion(params)
+    for length in ENVELOPE_LENGTHS:
+        basic, raw = [], []
+        for seed in ENVELOPE_SEEDS:
+            log = simulate_segment(length, params, seed=seed)
+            basic.append(abs(estimate_length(log, cal, "basic") - length))
+            raw.append(abs(estimate_length(log, cal, "raw") - length))
+        assert statistics.median(basic) <= 1e-3 * length, length
+        assert all(b <= r for b, r in zip(basic, raw)), length
+
+
+@pytest.mark.parametrize("speed_ratio", [
+    1.0, 1.02, 1.05,
+    pytest.param(1.1, marks=ARC_INNER_WHEEL_DEFECT),
+    pytest.param(1.2, marks=ARC_INNER_WHEEL_DEFECT),
+])
+def test_arc_across_the_speed_ratio_envelope(speed_ratio):
+    params = MotionParams(speed_ratio=speed_ratio)
+    cal = calibration_from_motion(params)
+    for length in ENVELOPE_LENGTHS:
+        arc = [abs(estimate_length(simulate_segment(length, params, seed=s),
+                                   cal, "arc") - length)
+               for s in ENVELOPE_SEEDS]
+        assert statistics.median(arc) <= 1e-3 * length, length

@@ -134,6 +134,14 @@ def test_replay_leftover_codes(fig1):
         replay(fig1, [3, 1, 1, 2])
 
 
+@pytest.mark.parametrize("end", ["A", "B"])
+def test_replay_rejects_leftover_codes_whether_or_not_start_is_end(end):
+    maze = build_maze([("A", 0, 0), ("B", 0, 10)], [("A", "B")], "A", end)
+    with pytest.raises(InconsistencyError,
+                       match="tape has 3 unused junction entries"):
+        replay(maze, [1, 2, 3])
+
+
 # -------------------------------------------------------------- properties
 
 @pytest.mark.parametrize("pref_name", ["RFLD", "LFRD"])
