@@ -23,9 +23,9 @@ from .maze_model import (MazeEdge, MazeNode, MazeSpec, Point2D,
 from .motion_sim import (EncoderLog, MotionParams, radius_from_ratio,
                          simulate_segment)
 from .odometry import (CalibConstants, arc_len_from_height,
-                       arc_len_from_height_chord_form, calibration_from_motion,
-                       chord_from_arc, estimate_length, linearize_arc,
-                       linearize_basic, predict_without_encoder, residual_arc)
+                       calibration_from_motion, chord_from_arc,
+                       estimate_length, linearize_arc, linearize_basic,
+                       predict_without_encoder, residual_arc)
 from .simple_explorer import (PREF_LFRD, PREF_RFLD, PREFERENCES, JunctionTape,
                               explore_simple, reduce_tape, replay)
 
@@ -42,10 +42,9 @@ __all__ = [
     "MazeEdge", "MazeNode", "MazeSpec", "Point2D", "bundled_maze_text",
     "make_maze", "parse_maze", "serialize_maze",
     "EncoderLog", "MotionParams", "radius_from_ratio", "simulate_segment",
-    "CalibConstants", "arc_len_from_height", "arc_len_from_height_chord_form",
-    "calibration_from_motion", "chord_from_arc", "estimate_length",
-    "linearize_arc", "linearize_basic", "predict_without_encoder",
-    "residual_arc",
+    "CalibConstants", "arc_len_from_height", "calibration_from_motion",
+    "chord_from_arc", "estimate_length", "linearize_arc", "linearize_basic",
+    "predict_without_encoder", "residual_arc",
     "PREF_LFRD", "PREF_RFLD", "PREFERENCES", "JunctionTape", "explore_simple",
     "reduce_tape", "replay",
     "__version__",

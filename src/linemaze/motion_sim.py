@@ -101,8 +101,8 @@ class MotionParams:
         if not (self.wheel_base > 0.0 and math.isfinite(self.wheel_base)):
             raise ValueError("wheel_base must be positive and finite")
         for name in ("pivot_left", "pivot_right", "inner_rot_const"):
-            if getattr(self, name) < 0.0:
-                raise ValueError("%s must be non-negative" % name)
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError("%s must be non-negative and finite" % name)
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise ValueError("step must be positive and finite")
 

@@ -9,9 +9,11 @@ functions here undo both effects at two levels of fidelity:
   then project the remaining roll distance onto the track with a constant
   mean-cosine factor.
 * arc-aware (``linearize_arc``): additionally decompose the stripped roll
-  distance into the per-oscillation stretches the controller geometry
-  implies, and replace each stretch (an arc of the drift circle) by its
-  along-track chord.
+  distance into the stretches the controller geometry implies, and replace
+  each stretch (an arc of the drift circle) by its along-track chord. N
+  pivots give 2N-1 tangent-start half stretches, each rising by ``h``: the
+  first one, then two for each of the N-1 full oscillations between pivots.
+  What is left is the residual stretch before the segment end.
 
 ``predict_without_encoder`` estimates length from pivot counts alone — no
 encoder readings at all — which works because the controller makes the robot
@@ -31,7 +33,6 @@ __all__ = [
     "CalibConstants",
     "calibration_from_motion",
     "arc_len_from_height",
-    "arc_len_from_height_chord_form",
     "chord_from_arc",
     "linearize_basic",
     "residual_arc",
@@ -61,8 +62,11 @@ class CalibConstants:
     k: extra distance charged to the inner wheel of each pivot (cm).
     h: straight-equivalent half-gap of the lateral oscillation (cm) — the
         model's period parameter, not necessarily the sensor threshold.
-    radius: magnitude of the drift-circle radius (cm); ``math.inf`` for a
-        perfectly matched drive.
+    radius: magnitude of the left wheel's path radius (cm),
+        ``radius_from_ratio`` = wheel_base/(speed_ratio-1): 500 cm for the
+        default robot, whose midpoint path radius 1/kappa is 505 cm. The arc
+        model uses it for both wheels. ``math.inf`` for a perfectly matched
+        drive.
     """
 
     c: float
@@ -83,8 +87,9 @@ class CalibConstants:
                 raise CalibrationError("%s must lie in (0, inf), got %r"
                                        % (name, v))
         for name in ("f_lc", "f_rc", "k"):
-            if getattr(self, name) < 0.0:
-                raise CalibrationError("%s must be non-negative" % name)
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise CalibrationError("%s must be non-negative and finite"
+                                       % name)
         if not (self.h > 0.0 and math.isfinite(self.h)):
             raise CalibrationError("h must be positive and finite")
         if not self.radius > 0.0:
@@ -147,36 +152,12 @@ def arc_len_from_height(height: float, radius: float) -> float:
     return radius * math.asin(height / radius)
 
 
-def arc_len_from_height_chord_form(height: float, radius: float) -> float:
-    """Arc length whose full-span *chord* is ``height``.
+def chord_from_arc(s: float, radius: float) -> float:
+    """Along-track projection (chord) of a tangent-start arc of length ``s``.
 
-    Chord-consistent form: ``S = 2R * asin(height / 2R)`` — the exact inverse
-    of ``chord_from_arc(S, R, "full")``. Agrees with ``arc_len_from_height``
-    to first order when ``height`` is small against ``radius``; the two
-    differ at third order because one treats ``height`` as a coordinate
-    advance and the other as a chord.
-    """
-    if height < 0.0:
-        raise ArcDomainError("height must be non-negative, got %r" % height)
-    if not radius > 0.0:
-        raise ArcDomainError("radius must be positive, got %r" % radius)
-    if math.isinf(radius):
-        return height
-    if height > 2.0 * radius:
-        raise ArcDomainError(
-            "height/(2*radius) = %g exceeds 1; no such arc"
-            % (height / (2.0 * radius)))
-    return 2.0 * radius * math.asin(height / (2.0 * radius))
-
-
-def chord_from_arc(s: float, radius: float, span: str) -> float:
-    """Along-track projection (chord) of an arc of length ``s``.
-
-    span="full": chord of the whole arc, ``2R sin(s/2R)`` — an oscillation
-    stretch whose endpoints sit at the same lateral offset.
-    span="half": tangent-start projection, ``R sin(s/R)`` — a stretch that
-    starts parallel to the track (first leg, residual leg).
-    Infinite radius returns ``s`` unchanged.
+    ``R sin(s/R)`` for a stretch that starts parallel to the track. A full
+    oscillation stretch, whose endpoints sit at the same lateral offset, is
+    two of these end to end. Infinite radius returns ``s`` unchanged.
     """
     if s < 0.0:
         raise ArcDomainError("arc length must be non-negative, got %r" % s)
@@ -184,21 +165,11 @@ def chord_from_arc(s: float, radius: float, span: str) -> float:
         raise ArcDomainError("radius must be positive, got %r" % radius)
     if math.isinf(radius):
         return s
-    if span == "full":
-        ratio = s / (2.0 * radius)
-        if ratio > math.pi / 2.0:
-            raise ArcDomainError(
-                "s/(2*radius) = %g exceeds pi/2; chord is not monotone there"
-                % ratio)
-        return 2.0 * radius * math.sin(ratio)
-    if span == "half":
-        ratio = s / radius
-        if ratio > math.pi / 2.0:
-            raise ArcDomainError(
-                "s/radius = %g exceeds pi/2; chord is not monotone there"
-                % ratio)
-        return radius * math.sin(ratio)
-    raise ValueError("span must be 'full' or 'half', got %r" % (span,))
+    ratio = s / radius
+    if ratio > math.pi / 2.0:
+        raise ArcDomainError(
+            "s/radius = %g exceeds pi/2; chord is not monotone there" % ratio)
+    return radius * math.sin(ratio)
 
 
 def _wheel_view(log: EncoderLog, cal: CalibConstants, wheel: str):
@@ -219,7 +190,7 @@ def _bracket(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     total, f_c, n_inner, _ = _wheel_view(log, cal, wheel)
     n = log.n_right + log.n_left
     bracket = total - f_c * n - cal.k * n_inner
-    if bracket < 0.0:
+    if not bracket >= 0.0:
         raise CalibrationError(
             "pivot charges exceed the %s wheel's roll distance "
             "(%g for %d turns); calibration inconsistent with the log"
@@ -237,28 +208,35 @@ def linearize_basic(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     return _bracket(log, cal, wheel) * c_wheel
 
 
-def _stretch_arcs(cal: CalibConstants):
-    """Model arc lengths (S_2h, S_h) of a full oscillation stretch and of a
-    tangent-start half stretch."""
-    s_2h = arc_len_from_height_chord_form(2.0 * cal.h, cal.radius)
+def _half_stretch(cal: CalibConstants):
+    """Model arc length S_h of a tangent-start half stretch, and its chord.
+
+    A full oscillation stretch is two half stretches, so its arc is 2*S_h
+    and its chord twice the half chord; doubling is exact in floating point.
+    """
     s_h = arc_len_from_height(cal.h, cal.radius)
-    return s_2h, s_h
+    return s_h, chord_from_arc(s_h, cal.radius)
+
+
+def _stretch_chords(n: int, x_h: float) -> float:
+    """Chord sum of the (N-1) full stretches and the first half stretch."""
+    return (n - 1) * (2.0 * x_h) + x_h
 
 
 def residual_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     """Arc length of the final partial stretch before the segment end.
 
-    Subtracts the modeled full stretches — (N-1) oscillation arcs plus the
-    initial tangent-start arc — from the stripped roll distance; what is
-    left is the last, incomplete stretch.
+    Subtracts the modeled stretches — (N-1) full oscillation arcs of two
+    half stretches each, plus the initial half stretch — from the stripped
+    roll distance; what is left is the last, incomplete stretch.
     """
     n = log.n_right + log.n_left
     if n < 1:
         raise ValueError(
             "residual_arc needs at least one pivot turn; "
             "pivot-free logs take the single-arc fallback")
-    s_2h, s_h = _stretch_arcs(cal)
-    s_d = _bracket(log, cal, wheel) - (n - 1) * s_2h - s_h
+    s_h, _ = _half_stretch(cal)
+    s_d = _bracket(log, cal, wheel) - (n - 1) * (2.0 * s_h) - s_h
     if s_d < -1e-9:
         raise CalibrationError(
             "modeled stretches exceed the %s wheel's roll distance by %g; "
@@ -270,7 +248,7 @@ def linearize_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     """Arc-aware length estimate from one wheel's encoder total.
 
     Decomposes the stripped roll distance into (N-1) full oscillation arcs,
-    one tangent-start arc, and a residual arc; replaces every arc by its
+    the initial half stretch, and a residual arc; replaces every arc by its
     along-track chord and projects with the wheel's cosine constant. With no
     pivots at all the whole stripped distance is treated as a single
     tangent-start arc.
@@ -278,13 +256,10 @@ def linearize_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     _, _, _, c_wheel = _wheel_view(log, cal, wheel)
     n = log.n_right + log.n_left
     if n == 0:
-        chord = chord_from_arc(_bracket(log, cal, wheel), cal.radius, "half")
-        return chord * c_wheel
-    s_2h, s_h = _stretch_arcs(cal)
-    x_2h = chord_from_arc(s_2h, cal.radius, "full")
-    x_h = chord_from_arc(s_h, cal.radius, "half")
-    d_d = chord_from_arc(residual_arc(log, cal, wheel), cal.radius, "half")
-    return ((n - 1) * x_2h + x_h + d_d) * c_wheel
+        return chord_from_arc(_bracket(log, cal, wheel), cal.radius) * c_wheel
+    _, x_h = _half_stretch(cal)
+    d_d = chord_from_arc(residual_arc(log, cal, wheel), cal.radius)
+    return (_stretch_chords(n, x_h) + d_d) * c_wheel
 
 
 def predict_without_encoder(n_right: int, n_left: int,
@@ -298,10 +273,8 @@ def predict_without_encoder(n_right: int, n_left: int,
     n = n_right + n_left
     if n < 1:
         raise ValueError("need at least one pivot turn to predict a length")
-    s_2h, s_h = _stretch_arcs(cal)
-    x_2h = chord_from_arc(s_2h, cal.radius, "full")
-    x_h = chord_from_arc(s_h, cal.radius, "half")
-    return ((n - 1) * x_2h + x_h) * cal.c
+    _, x_h = _half_stretch(cal)
+    return _stretch_chords(n, x_h) * cal.c
 
 
 def estimate_length(log: EncoderLog, cal: CalibConstants, mode: str) -> float:

@@ -17,10 +17,8 @@ from linemaze.mapping_explorer import explore_map, next_target
 from linemaze.maze_model import Point2D
 from linemaze.mazegen import random_maze, random_tree
 from linemaze.motion_sim import MotionParams, simulate_segment
-from linemaze.odometry import (arc_len_from_height,
-                               arc_len_from_height_chord_form,
-                               calibration_from_motion, chord_from_arc,
-                               estimate_length)
+from linemaze.odometry import (arc_len_from_height, calibration_from_motion,
+                               chord_from_arc, estimate_length)
 from linemaze.simple_explorer import (PREF_RFLD, explore_simple, reduce_tape,
                                       replay)
 from oracles import (brute_force_shortest, graphs_isomorphic, shifted,
@@ -116,22 +114,20 @@ def test_acceptance_5_arc_chord_numerics():
                 height = frac * radius
                 if frac == 0.0:
                     assert arc_len_from_height(0.0, radius) == 0.0
-                    assert chord_from_arc(0.0, radius, "half") == 0.0
+                    assert chord_from_arc(0.0, radius) == 0.0
                     continue
                 expected = integrated_arc(height, radius)
                 arc = arc_len_from_height(height, radius)
                 assert abs(arc - expected) / expected < 1e-9
                 # Inverting through the chord must recover the height.
-                back = chord_from_arc(expected, radius, "half")
+                back = chord_from_arc(expected, radius)
                 assert abs(back - height) / height < 1e-9
                 # The straight line between the endpoints never exceeds
                 # the path along the curve.
-                assert chord_from_arc(arc, radius, "half") <= arc
-                assert chord_from_arc(arc, radius, "full") <= arc
-                # Doubled-span round trip through the other closed form.
-                full_chord = chord_from_arc(arc, radius, "full")
-                round_trip = arc_len_from_height_chord_form(full_chord,
-                                                            radius)
+                assert chord_from_arc(arc, radius) <= arc
+                # Round trip through the other closed form.
+                round_trip = arc_len_from_height(chord_from_arc(arc, radius),
+                                                 radius)
                 assert abs(round_trip - arc) / arc < 1e-9
 
 

@@ -426,6 +426,12 @@ def test_bad_length_rejected(bad):
     (dict(pivot_right=-0.1), "pivot_right must be non-negative"),
     (dict(inner_rot_const=-0.1), "inner_rot_const must be non-negative"),
     (dict(step=0.0), "step must be positive"),
+    (dict(pivot_left=math.nan), "pivot_left must be non-negative"),
+    (dict(pivot_left=math.inf), "pivot_left must be non-negative"),
+    (dict(pivot_right=math.nan), "pivot_right must be non-negative"),
+    (dict(pivot_right=math.inf), "pivot_right must be non-negative"),
+    (dict(inner_rot_const=math.nan), "inner_rot_const must be non-negative"),
+    (dict(inner_rot_const=math.inf), "inner_rot_const must be non-negative"),
 ])
 def test_bad_params_rejected(kwargs, msg):
     with pytest.raises(ValueError, match=msg):

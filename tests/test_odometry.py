@@ -1,15 +1,17 @@
 """Inverse odometry: calibration, arc/chord geometry, length correction."""
 
+import hashlib
 import math
+import random
 import statistics
 
 import pytest
 from scipy.integrate import quad
 
-from linemaze.errors import ArcDomainError, CalibrationError
+from linemaze.errors import (ArcDomainError, CalibrationError,
+                             InconsistencyError)
 from linemaze.motion_sim import EncoderLog, MotionParams, simulate_segment
 from linemaze.odometry import (CalibConstants, arc_len_from_height,
-                               arc_len_from_height_chord_form,
                                calibration_from_motion, chord_from_arc,
                                estimate_length, linearize_arc, linearize_basic,
                                predict_without_encoder, residual_arc)
@@ -77,6 +79,12 @@ def test_calibration_left_faster_robot():
     (dict(radius=0.0), "radius must be positive"),
     (dict(radius=-5.0), "radius must be positive"),
     (dict(c_left=math.nan), "c_left must lie"),
+    (dict(f_lc=math.nan), "f_lc must be non-negative"),
+    (dict(f_lc=math.inf), "f_lc must be non-negative"),
+    (dict(f_rc=math.nan), "f_rc must be non-negative"),
+    (dict(f_rc=math.inf), "f_rc must be non-negative"),
+    (dict(k=math.nan), "k must be non-negative"),
+    (dict(k=math.inf), "k must be non-negative"),
 ])
 def test_calibration_validation(kwargs, msg):
     base = dict(c=1.0, c_left=1.0, c_right=1.0, f_lc=0.0, f_rc=0.0, k=0.0,
@@ -101,54 +109,43 @@ def test_arc_len_direct_oracle():
         20.135792079033074, rel=1e-12)
 
 
-def test_arc_len_chord_form_is_exact_inverse_of_full_chord():
-    for radius in (10.0, 100.0, 5000.0):
-        for frac in (0.01, 0.3, 0.9, 1.7):
-            height = frac * radius
-            s = arc_len_from_height_chord_form(height, radius)
-            assert chord_from_arc(s, radius, "full") == pytest.approx(
-                height, rel=1e-12)
-
-
-def test_two_arc_forms_agree_for_shallow_arcs():
-    # The forms differ at third order, so their relative gap is bounded by
-    # the squared height/radius ratio.
-    for radius in (10.0, 100.0, 1000.0):
-        for frac in (0.001, 0.01, 0.1, 0.3):
-            height = frac * radius
-            direct = arc_len_from_height(height, radius)
-            chordf = arc_len_from_height_chord_form(height, radius)
-            assert abs(direct - chordf) / direct <= frac * frac
+def test_full_stretch_is_two_half_stretches_bit_for_bit():
+    # A full oscillation stretch rises by 2h and ends at the lateral offset
+    # it started from; its closed forms 2R*asin(2h/2R) and 2R*sin(S/2R)
+    # equal two tangent-start half stretches exactly, not just to rounding.
+    rng = random.Random(0)
+    for _ in range(2000):
+        radius = math.exp(rng.uniform(math.log(0.1), math.log(1e8)))
+        height = rng.uniform(0.0, radius / 2.0)
+        s_h = arc_len_from_height(height, radius)
+        s_full = 2.0 * radius * math.asin(2.0 * height / (2.0 * radius))
+        assert s_full == 2.0 * s_h
+        x_full = 2.0 * radius * math.sin(s_full / (2.0 * radius))
+        assert x_full == 2.0 * chord_from_arc(s_h, radius)
 
 
 def test_chord_oracle_values():
-    assert chord_from_arc(0.0, 100.0, "full") == 0.0
-    assert chord_from_arc(0.0, 100.0, "half") == 0.0
-    # Quarter circle spans the half-chord domain boundary exactly.
-    assert chord_from_arc(100.0 * math.pi / 2.0, 100.0, "half") == pytest.approx(
+    assert chord_from_arc(0.0, 100.0) == 0.0
+    # Quarter circle spans the chord's domain boundary exactly.
+    assert chord_from_arc(100.0 * math.pi / 2.0, 100.0) == pytest.approx(
         100.0, rel=1e-12)
-    assert chord_from_arc(10.0, 1000.0, "half") == pytest.approx(
+    assert chord_from_arc(10.0, 1000.0) == pytest.approx(
         9.999833334166664, rel=1e-12)
 
 
 def test_infinite_radius_identities():
     assert arc_len_from_height(5.0, math.inf) == 5.0
-    assert arc_len_from_height_chord_form(5.0, math.inf) == 5.0
-    assert chord_from_arc(5.0, math.inf, "full") == 5.0
-    assert chord_from_arc(5.0, math.inf, "half") == 5.0
+    assert chord_from_arc(5.0, math.inf) == 5.0
 
 
 def test_chord_never_exceeds_arc():
     for radius in (10.0, 100.0, 10000.0):
         for s in (0.0, 0.1, 1.0, radius * 0.5, radius * 1.5):
-            for span in ("full", "half"):
-                if span == "half" and s / radius > math.pi / 2.0:
-                    continue
-                chord = chord_from_arc(s, radius, span)
-                assert chord <= s
-                if s > 0.0:
-                    assert chord < s
-    assert chord_from_arc(7.0, math.inf, "full") == 7.0
+            chord = chord_from_arc(s, radius)
+            assert chord <= s
+            if s > 0.0:
+                assert chord < s
+    assert chord_from_arc(7.0, math.inf) == 7.0
 
 
 def test_chord_taylor_small_angle():
@@ -156,7 +153,7 @@ def test_chord_taylor_small_angle():
         for frac in (1e-3, 5e-3, 9.9e-3):
             s = frac * radius
             taylor = s * (1.0 - s * s / (6.0 * radius * radius))
-            err = abs(chord_from_arc(s, radius, "half") - taylor) / s
+            err = abs(chord_from_arc(s, radius) - taylor) / s
             assert err < 1e-6
 
 
@@ -182,21 +179,17 @@ def test_arc_len_matches_adaptive_integration():
     lambda: arc_len_from_height(1.0, -5.0),
     lambda: arc_len_from_height(1.0, 0.0),
     lambda: arc_len_from_height(11.0, 10.0),
-    lambda: arc_len_from_height_chord_form(-1.0, 10.0),
-    lambda: arc_len_from_height_chord_form(25.0, 10.0),
-    lambda: chord_from_arc(-1.0, 10.0, "half"),
-    lambda: chord_from_arc(1.0, 0.0, "half"),
-    lambda: chord_from_arc(16.0, 10.0, "half"),
-    lambda: chord_from_arc(32.0, 10.0, "full"),
+    lambda: arc_len_from_height(1.0, math.nan),
+    lambda: chord_from_arc(1.0, -5.0),
+    lambda: chord_from_arc(-1.0, 10.0),
+    lambda: chord_from_arc(1.0, 0.0),
+    lambda: chord_from_arc(16.0, 10.0),
+    # Just past the quarter circle, where the chord stops growing.
+    lambda: chord_from_arc(math.nextafter(10.0 * math.pi / 2.0, 20.0), 10.0),
 ])
 def test_arc_domain_errors(call):
     with pytest.raises(ArcDomainError):
         call()
-
-
-def test_chord_span_argument_checked():
-    with pytest.raises(ValueError, match="span must be"):
-        chord_from_arc(1.0, 10.0, "quarter")
 
 
 # ------------------------------------------------------- basic linearization
@@ -230,6 +223,16 @@ def test_bracket_negative_raises():
         linearize_basic(log, cal, "left")
 
 
+def test_nan_wheel_total_is_a_calibration_error(default_cal):
+    # A NaN total leaves no roll distance to correct: both corrected modes
+    # raise instead of returning nan (basic) or a finite guess (arc).
+    for wl, wr in ((math.nan, math.nan), (14.2, math.nan)):
+        log = log_of(wl, wr, n_right=6, n_left=6, true_length=14.0)
+        for mode in ("basic", "arc"):
+            with pytest.raises(CalibrationError, match="pivot charges exceed"):
+                estimate_length(log, default_cal, mode)
+
+
 def test_wheel_argument_checked(default_cal):
     with pytest.raises(ValueError, match="wheel must be"):
         linearize_basic(log_of(10.0, 10.0), default_cal, "center")
@@ -254,9 +257,9 @@ def test_residual_zero_when_roll_is_exactly_the_first_stretch():
 def test_residual_zero_on_exact_multiples_with_charges():
     cal = CalibConstants(c=1.0, c_left=1.0, c_right=1.0, f_lc=0.008,
                          f_rc=0.008, k=0.002, h=0.5, radius=100.0)
-    s_2h = arc_len_from_height_chord_form(2.0 * cal.h, cal.radius)
+    # Four turns: three full stretches plus the first, 2*4 - 1 half stretches.
     s_h = arc_len_from_height(cal.h, cal.radius)
-    wl = 3.0 * s_2h + s_h + cal.f_lc * 4 + cal.k * 2
+    wl = 7.0 * s_h + cal.f_lc * 4 + cal.k * 2
     log = log_of(wl, wl, n_right=2, n_left=2)
     assert residual_arc(log, cal, "left") == pytest.approx(0.0, abs=1e-12)
 
@@ -275,8 +278,7 @@ def test_residual_negative_is_a_calibration_error():
 
 
 def test_residual_bounded_by_one_stretch(default_params, default_cal):
-    s_2h = arc_len_from_height_chord_form(2.0 * default_cal.h,
-                                          default_cal.radius)
+    s_2h = 2.0 * arc_len_from_height(default_cal.h, default_cal.radius)
     for seed in range(100):
         log = simulate_segment(14.0, default_params, seed=seed)
         s_d = residual_arc(log, default_cal, "left")
@@ -293,22 +295,21 @@ def test_arc_identity_configuration():
 def test_arc_zero_turn_fallback_uses_single_arc():
     cal = unit_cal(radius=100.0)
     log = log_of(10.0, 10.0)
-    expected = chord_from_arc(10.0, 100.0, "half")
+    expected = chord_from_arc(10.0, 100.0)
     assert linearize_arc(log, cal, "left") == pytest.approx(expected, rel=1e-15)
 
 
 def test_arc_inverts_synthetic_log_exactly():
     # A log composed of exact model arcs plus exact pivot charges must come
-    # back as exactly the sum of the matching chords.
+    # back as exactly the sum of the matching chords: three turns make two
+    # full stretches plus the first, five half stretches, then the residual.
     cal = unit_cal(radius=100.0)
-    s_2h = arc_len_from_height_chord_form(2.0 * cal.h, cal.radius)
     s_h = arc_len_from_height(cal.h, cal.radius)
-    s_d = 0.3 * s_2h
-    wl = 2.0 * s_2h + s_h + s_d
+    s_d = 0.6 * s_h
+    wl = 5.0 * s_h + s_d
     log = log_of(wl, wl, n_right=2, n_left=1)
-    expected = (2.0 * chord_from_arc(s_2h, cal.radius, "full")
-                + chord_from_arc(s_h, cal.radius, "half")
-                + chord_from_arc(s_d, cal.radius, "half"))
+    expected = (5.0 * chord_from_arc(s_h, cal.radius)
+                + chord_from_arc(s_d, cal.radius))
     got = linearize_arc(log, cal, "left")
     assert abs(got - expected) / expected < 1e-6
     assert got == pytest.approx(expected, rel=1e-12)
@@ -317,14 +318,12 @@ def test_arc_inverts_synthetic_log_exactly():
 def test_arc_hand_built_chord_sum():
     cal = CalibConstants(c=0.99, c_left=0.99, c_right=0.99, f_lc=0.01,
                          f_rc=0.01, k=0.005, h=0.5, radius=100.0)
-    s_2h = arc_len_from_height_chord_form(1.0, 100.0)
     s_h = arc_len_from_height(0.5, 100.0)
     s_d = 0.6
-    wl = 2.0 * s_2h + s_h + s_d + cal.f_lc * 3 + cal.k * 1
+    wl = 5.0 * s_h + s_d + cal.f_lc * 3 + cal.k * 1
     log = log_of(wl, wl, n_right=2, n_left=1)
-    expected = (2.0 * chord_from_arc(s_2h, 100.0, "full")
-                + chord_from_arc(s_h, 100.0, "half")
-                + chord_from_arc(s_d, 100.0, "half")) * 0.99
+    expected = (5.0 * chord_from_arc(s_h, 100.0)
+                + chord_from_arc(s_d, 100.0)) * 0.99
     assert linearize_arc(log, cal, "left") == pytest.approx(expected, rel=1e-12)
 
 
@@ -350,7 +349,7 @@ def test_arc_correction_beats_raw_reading(default_params, default_cal):
 
 def test_predict_single_turn(default_cal):
     s_h = arc_len_from_height(default_cal.h, default_cal.radius)
-    expected = chord_from_arc(s_h, default_cal.radius, "half") * default_cal.c
+    expected = chord_from_arc(s_h, default_cal.radius) * default_cal.c
     assert predict_without_encoder(1, 0, default_cal) == pytest.approx(
         expected, rel=1e-15)
 
@@ -396,6 +395,73 @@ def test_raw_estimate_does_not_overflow(default_cal):
 def test_estimate_length_unknown_mode(default_cal):
     with pytest.raises(ValueError, match="mode must be"):
         estimate_length(log_of(10.0, 10.0), default_cal, "psychic")
+
+
+# ------------------------------------------------------- bit-for-bit pin
+
+ESTIMATOR_ROBOTS = (dict(), dict(speed_ratio=1.0), dict(speed_ratio=0.98),
+                    dict(speed_ratio=1.05), dict(h=0.3))
+ESTIMATOR_LENGTHS = (2.0, 7.0, 14.0, 60.0)
+ESTIMATOR_SEEDS = range(8)
+HAND_BUILT_SEEDS = range(2000)
+# Any change to an estimate, a residual, a prediction or the type of error
+# one of them raises moves the digest, which pins the estimators' output
+# bit for bit. Re-record only for a change meant to alter that output:
+# ``PYTHONPATH=src python tests/test_odometry.py``
+ESTIMATOR_DIGEST = (
+    "c03a9bf88612d05b81cb6552cbf70ea897cae4bee78be017caef416f942c3692")
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (ValueError, InconsistencyError) as exc:
+        return type(exc).__name__
+
+
+def _estimator_lines(log, cal):
+    lines = [_outcome(estimate_length, log, cal, mode)
+             for mode in ("raw", "basic", "arc")]
+    lines.append(_outcome(predict_without_encoder, log.n_right, log.n_left,
+                          cal))
+    lines += [_outcome(residual_arc, log, cal, wheel)
+              for wheel in ("left", "right")]
+    return lines
+
+
+def _hand_built_case(seed):
+    """A random log and calibration; the arc model rejects about half."""
+    rng = random.Random(seed)
+    h = rng.uniform(0.05, 2.0)
+    radius = rng.choice((math.inf, 2.0 * h * math.exp(rng.uniform(0.0, 12.0))))
+    f_lc, f_rc, k = (rng.choice((0.0, rng.uniform(0.0, 0.5)))
+                     for _ in range(3))
+    cal = CalibConstants(c=rng.uniform(0.5, 1.0),
+                         c_left=rng.uniform(0.5, 1.5),
+                         c_right=rng.uniform(0.5, 1.5),
+                         f_lc=f_lc, f_rc=f_rc, k=k, h=h, radius=radius)
+    wl = rng.uniform(0.0, 80.0)
+    wr = rng.choice((wl, rng.uniform(0.0, 80.0)))
+    log = log_of(wl, wr, n_right=rng.randint(0, 12), n_left=rng.randint(0, 12))
+    return log, cal
+
+
+def estimator_digest():
+    lines = []
+    for overrides in ESTIMATOR_ROBOTS:
+        params = MotionParams(**overrides)
+        cal = calibration_from_motion(params)
+        for length in ESTIMATOR_LENGTHS:
+            for seed in ESTIMATOR_SEEDS:
+                lines += _estimator_lines(
+                    simulate_segment(length, params, seed=seed), cal)
+    for seed in HAND_BUILT_SEEDS:
+        lines += _estimator_lines(*_hand_built_case(seed))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_estimators_are_bit_identical_to_the_recorded_digest():
+    assert estimator_digest() == ESTIMATOR_DIGEST
 
 
 # ------------------------------------------------------- statistical bands
@@ -480,3 +546,7 @@ def test_arc_across_the_speed_ratio_envelope(speed_ratio):
                                    cal, "arc") - length)
                for s in ENVELOPE_SEEDS]
         assert statistics.median(arc) <= 1e-3 * length, length
+
+
+if __name__ == "__main__":
+    print(estimator_digest())

@@ -21,6 +21,7 @@ RETIRED = [
     ("motion_sim", "simulate_free_arc"),
     ("_directions", "relative_of"),
     ("_directions", "ABS_NAMES"),
+    ("odometry", "arc_len_from_height_chord_form"),
 ]
 
 
@@ -52,3 +53,5 @@ def test_retired_names_are_gone():
             or f.startswith(("pivot_arc_", "pivot_lin_"))] == []
     seed = inspect.signature(linemaze.simulate_segment).parameters["seed"]
     assert seed.default is inspect.Parameter.empty
+    chord = inspect.signature(linemaze.chord_from_arc).parameters
+    assert list(chord) == ["s", "radius"]
