@@ -191,16 +191,18 @@ def cmd_tableone(args: argparse.Namespace) -> str:
     params = MotionParams()
     cal = calibration_from_motion(params)
 
-    rows: List[Tuple[float, float, float, float, float]] = []
-    for length in args.lengths:
-        raws: List[float] = []
-        corrs: List[float] = []
-        for s in range(args.seed, args.seed + args.seeds):
+    # Seed-major, so that each seed's jitter is drawn once for all lengths.
+    raws: List[List[float]] = [[] for _ in args.lengths]
+    corrs: List[List[float]] = [[] for _ in args.lengths]
+    for s in range(args.seed, args.seed + args.seeds):
+        for length, raw, corr in zip(args.lengths, raws, corrs):
             log = _drive(length, mode, params, s)
-            raws.append(estimate_length(log, cal, "raw"))
-            corrs.append(estimate_length(log, cal, mode))
-        med_raw = statistics.median(raws)
-        med_corr = statistics.median(corrs)
+            raw.append(estimate_length(log, cal, "raw"))
+            corr.append(estimate_length(log, cal, mode))
+    rows: List[Tuple[float, float, float, float, float]] = []
+    for length, raw, corr in zip(args.lengths, raws, corrs):
+        med_raw = statistics.median(raw)
+        med_corr = statistics.median(corr)
         rows.append((length, med_raw, med_corr,
                      (med_raw - length) / length * 100.0,
                      (med_corr - length) / length * 100.0))

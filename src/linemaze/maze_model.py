@@ -66,27 +66,54 @@ class MazeSpec:
         whose endpoints are known, distinct and axis-aligned.
         """
         by_id = self._by_id
-        exits = {n.id: [] for n in self.nodes}
-        for k, e in enumerate(self.edges):
+        edges = self.edges
+        # Per edge: its direction from a to b, its length, and its slot at
+        # either end. Per node, first its edges' indices, then its exits.
+        heading = []
+        lengths = []
+        table = {n.id: [] for n in self.nodes}
+        for k, e in enumerate(edges):
             pa, pb = by_id[e.a].position, by_id[e.b].position
-            direction = direction_between(pa.x, pa.y, pb.x, pb.y)
-            length = math.hypot(pb.x - pa.x, pb.y - pa.y)
-            exits[e.a].append((direction, length, pb.x, pb.y, e.b, k))
-            exits[e.b].append((reverse(direction), length, pa.x, pa.y, e.a, k))
-        # Lanes of one direction run nearest first: by length, then by the
-        # neighbor's coordinate, which no two exits of a node share.
-        slot_of = {}
-        for node_id, out in exits.items():
+            heading.append(direction_between(pa.x, pa.y, pb.x, pb.y))
+            lengths.append(math.hypot(pb.x - pa.x, pb.y - pa.y))
+            table[e.a].append(k)
+            table[e.b].append(k)
+        slot_a = [None] * len(edges)
+        slot_b = [None] * len(edges)
+        for node_id, ks in table.items():
+            out = []
+            for k in ks:
+                e = edges[k]
+                if e.a == node_id:
+                    q = by_id[e.b].position
+                    out.append((heading[k], lengths[k], q.x, q.y, e.b, k))
+                else:
+                    q = by_id[e.a].position
+                    out.append((reverse(heading[k]), lengths[k], q.x, q.y,
+                                e.a, k))
+            # Lanes of one direction run nearest first: by length, then by
+            # the neighbor's coordinate, which no two exits of a node share.
             out.sort()
+            ks.clear()
             lanes = {}
             for direction, _length, _x, _y, _other, k in out:
                 lane = lanes.get(direction, 0)
                 lanes[direction] = lane + 1
-                slot_of[node_id, k] = (direction, lane)
-        return {
-            node_id: {slot_of[node_id, k]: (other, length, slot_of[other, k])
-                      for _d, length, _x, _y, other, k in out}
-            for node_id, out in exits.items()}
+                if edges[k].a == node_id:
+                    slot_a[k] = (direction, lane)
+                else:
+                    slot_b[k] = (direction, lane)
+                ks.append(k)
+        for node_id, ks in table.items():
+            exits = {}
+            for k in ks:
+                e = edges[k]
+                if e.a == node_id:
+                    exits[slot_a[k]] = (e.b, lengths[k], slot_b[k])
+                else:
+                    exits[slot_b[k]] = (e.a, lengths[k], slot_a[k])
+            table[node_id] = exits
+        return table
 
     def node(self, node_id):
         try:

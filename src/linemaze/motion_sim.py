@@ -22,6 +22,7 @@ keeps the step loop to compare against.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -46,10 +47,11 @@ __all__ = [
 JITTER_LO = 0.9
 JITTER_HI = 1.0
 
-# Longest segment simulate_segment drives, in cm. A simulated cm costs
-# about 3 microseconds at the default robot (2.7-3.5 us on a shared 2-core
-# Xeon under Python 3.11; a 1e6 cm call took 2.9 s), so this bound keeps
-# one call to a few seconds; an unbounded length could run for hours.
+# Longest segment simulate_segment drives, in cm. At the default robot a
+# call costs about 11 microseconds plus 1.3 us per simulated cm (1.3 us/cm
+# at 100 and 1,000 cm on a shared 2-core Xeon under Python 3.11; a 1e6 cm
+# call took 1.5 s), so this bound keeps one call to a few seconds; an
+# unbounded length could run for hours.
 MAX_SEGMENT_LENGTH = 1e6
 
 # The leg-jump kernel below is the only kernel, in pure Python; the name
@@ -116,8 +118,12 @@ class MotionParams:
 
     def wheel_factors(self) -> Tuple[float, float]:
         """Per-wheel path-length factors (fl, fr) relative to midpoint travel."""
-        half = self.kappa * self.wheel_base / 2.0
-        return 1.0 - half, 1.0 + half
+        return _wheel_factors(self.kappa, self.wheel_base)
+
+
+def _wheel_factors(kappa: float, wheel_base: float) -> Tuple[float, float]:
+    half = kappa * wheel_base / 2.0
+    return 1.0 - half, 1.0 + half
 
 
 @dataclass(frozen=True)
@@ -157,11 +163,28 @@ def radius_from_ratio(speed_ratio: float, wheel_base: float) -> float:
     return wheel_base / (speed_ratio - 1.0)
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _initial_heading(alpha: float, seed: int) -> float:
+    """Signed start-of-segment heading drawn from ``random.Random(seed)``.
+
+    Remembers only the last draw: a run of segments with one seed, as
+    ``tableone`` drives them, seeds the generator once. A larger cache
+    would pay off only in a process that repeats whole runs.
+    """
+    rng = random.Random(seed)
+    if not alpha > 0.0:
+        return 0.0
+    magnitude = alpha * rng.uniform(JITTER_LO, JITTER_HI)
+    return magnitude if rng.random() < 0.5 else -magnitude
+
+
 def simulate_segment(length: float, params: MotionParams,
                      seed: int) -> EncoderLog:
     """Drive one straight taped segment of ``length`` and log the encoders.
 
-    ``seed`` seeds the heading jitter draw.
+    ``seed`` seeds the heading jitter draw. A call with the same seed and
+    ``alpha`` as the call just before it reuses that call's draw instead of
+    seeding a new generator; the draw, and so the log, is the same.
 
     Raises ValueError for a length that is not positive or exceeds
     ``MAX_SEGMENT_LENGTH``, and MotionDivergenceError if the controller
@@ -176,14 +199,9 @@ def simulate_segment(length: float, params: MotionParams,
         raise ValueError("length must be positive and small enough to count "
                          "its steps; %g cm at a %g cm step is not"
                          % (length, params.step))
-    rng = random.Random(seed)
-    if params.alpha > 0.0:
-        magnitude = params.alpha * rng.uniform(JITTER_LO, JITTER_HI)
-        alpha0 = magnitude if rng.random() < 0.5 else -magnitude
-    else:
-        alpha0 = 0.0
-
-    fl, fr = params.wheel_factors()
+    alpha0 = _initial_heading(params.alpha, seed)
+    kappa = params.kappa
+    fl, fr = _wheel_factors(kappa, params.wheel_base)
     k = params.inner_rot_const
     # Pivot charges, with the extra rotation cost charged to the inner wheel
     # of the turn.
@@ -194,7 +212,7 @@ def simulate_segment(length: float, params: MotionParams,
     max_steps = int(budget) + 10000
 
     wl, wr, n_right, n_left, pivots, y_final, ok = _integrate(
-        length, params.h, alpha0, params.theta, params.kappa, fl, fr,
+        length, params.h, alpha0, params.theta, kappa, fl, fr,
         rp_l, rp_r, lp_l, lp_r, params.step, max_steps)
     if not ok:
         raise MotionDivergenceError(
@@ -284,9 +302,13 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
         if room <= 0.0 or p >= _MAX_JUMP_HEADING:
             jump = 0
         elif b == 0.0:
-            jump = min(jump, (x_stop - x) / (step * cos(p)))
+            cap = (x_stop - x) / (step * cos(p))
+            if cap < jump:
+                jump = cap
             if p > 0.0:
-                jump = min(jump, room / (step * sin(p)))
+                cap = room / (step * sin(p))
+                if cap < jump:
+                    jump = cap
         else:
             bm = sign * b
             # g*(cos(a) - cos(a + t)) = room, with a = p - bm/2, t = J*bm
@@ -301,20 +323,25 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
             if disc >= 0.0:
                 r = sqrt(disc)
                 if sa > 0.0:
-                    jump = min(jump, 2.0 * atan2(q, sa + r) / bm)
+                    cap = 2.0 * atan2(q, sa + r) / bm
                 else:  # the same root, without cancelling sa against r
-                    jump = min(jump, 2.0 * atan2(r - sa, 2.0 * ca - q) / bm)
+                    cap = 2.0 * atan2(r - sa, 2.0 * ca - q) / bm
+                if cap < jump:
+                    jump = cap
             if bm > 0.0:
-                jump = min(jump, (_MAX_JUMP_HEADING - p) / bm)
+                cap = (_MAX_JUMP_HEADING - p) / bm
             else:
-                jump = min(jump, p / -bm)
+                cap = p / -bm
+            if cap < jump:
+                jump = cap
             if jump * step >= x_stop - x:
                 # g*(sin(a + t) - sin(a)) = x_stop - x, in the same form.
                 q = (x_stop - x) * inv_g
                 disc = ca * ca - q * (q + 2.0 * sa)
                 if disc >= 0.0:
-                    jump = min(jump,
-                               2.0 * atan2(q, ca + sqrt(disc)) / bm)
+                    cap = 2.0 * atan2(q, ca + sqrt(disc)) / bm
+                    if cap < jump:
+                        jump = cap
         jump = int(jump)
         while jump > 0:
             end = phi + jump * b

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ArcDomainError, CalibrationError
 from .motion_sim import (JITTER_HI, JITTER_LO, EncoderLog, MotionParams,
@@ -99,6 +100,17 @@ class CalibConstants:
                 "need 2*h <= radius for the arc model (2*%g > %g)"
                 % (self.h, self.radius))
 
+    @cached_property
+    def _half_stretch(self):
+        """Model arc length S_h of a tangent-start half stretch, and its chord.
+
+        A full oscillation stretch is two half stretches, so its arc is 2*S_h
+        and its chord twice the half chord; doubling is exact in floating
+        point. Computed once per calibration, on first use.
+        """
+        s_h = arc_len_from_height(self.h, self.radius)
+        return s_h, chord_from_arc(s_h, self.radius)
+
 
 def calibration_from_motion(params: MotionParams) -> CalibConstants:
     """Derive the correction constants that match the simulated robot.
@@ -140,13 +152,13 @@ def arc_len_from_height(height: float, radius: float) -> float:
     Direct inverse-sine form: ``S = R * asin(height / R)``; an infinite
     radius degenerates to ``S = height``.
     """
-    if height < 0.0:
+    if not height >= 0.0:
         raise ArcDomainError("height must be non-negative, got %r" % height)
     if not radius > 0.0:
         raise ArcDomainError("radius must be positive, got %r" % radius)
     if math.isinf(radius):
         return height
-    if height > radius:
+    if not height <= radius:
         raise ArcDomainError(
             "height/radius = %g exceeds 1; no such arc" % (height / radius))
     return radius * math.asin(height / radius)
@@ -159,14 +171,14 @@ def chord_from_arc(s: float, radius: float) -> float:
     oscillation stretch, whose endpoints sit at the same lateral offset, is
     two of these end to end. Infinite radius returns ``s`` unchanged.
     """
-    if s < 0.0:
+    if not s >= 0.0:
         raise ArcDomainError("arc length must be non-negative, got %r" % s)
     if not radius > 0.0:
         raise ArcDomainError("radius must be positive, got %r" % radius)
     if math.isinf(radius):
         return s
     ratio = s / radius
-    if ratio > math.pi / 2.0:
+    if not ratio <= math.pi / 2.0:
         raise ArcDomainError(
             "s/radius = %g exceeds pi/2; chord is not monotone there" % ratio)
     return radius * math.sin(ratio)
@@ -191,6 +203,10 @@ def _bracket(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     n = log.n_right + log.n_left
     bracket = total - f_c * n - cal.k * n_inner
     if not bracket >= 0.0:
+        if math.isnan(total):
+            raise CalibrationError(
+                "the %s wheel's total is not a number (%r); the log cannot "
+                "be corrected" % (wheel, total))
         raise CalibrationError(
             "pivot charges exceed the %s wheel's roll distance "
             "(%g for %d turns); calibration inconsistent with the log"
@@ -206,16 +222,6 @@ def linearize_basic(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     """
     _, _, _, c_wheel = _wheel_view(log, cal, wheel)
     return _bracket(log, cal, wheel) * c_wheel
-
-
-def _half_stretch(cal: CalibConstants):
-    """Model arc length S_h of a tangent-start half stretch, and its chord.
-
-    A full oscillation stretch is two half stretches, so its arc is 2*S_h
-    and its chord twice the half chord; doubling is exact in floating point.
-    """
-    s_h = arc_len_from_height(cal.h, cal.radius)
-    return s_h, chord_from_arc(s_h, cal.radius)
 
 
 def _stretch_chords(n: int, x_h: float) -> float:
@@ -235,7 +241,7 @@ def residual_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
         raise ValueError(
             "residual_arc needs at least one pivot turn; "
             "pivot-free logs take the single-arc fallback")
-    s_h, _ = _half_stretch(cal)
+    s_h, _ = cal._half_stretch
     s_d = _bracket(log, cal, wheel) - (n - 1) * (2.0 * s_h) - s_h
     if s_d < -1e-9:
         raise CalibrationError(
@@ -257,7 +263,7 @@ def linearize_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     n = log.n_right + log.n_left
     if n == 0:
         return chord_from_arc(_bracket(log, cal, wheel), cal.radius) * c_wheel
-    _, x_h = _half_stretch(cal)
+    _, x_h = cal._half_stretch
     d_d = chord_from_arc(residual_arc(log, cal, wheel), cal.radius)
     return (_stretch_chords(n, x_h) + d_d) * c_wheel
 
@@ -273,7 +279,7 @@ def predict_without_encoder(n_right: int, n_left: int,
     n = n_right + n_left
     if n < 1:
         raise ValueError("need at least one pivot turn to predict a length")
-    _, x_h = _half_stretch(cal)
+    _, x_h = cal._half_stretch
     return _stretch_chords(n, x_h) * cal.c
 
 

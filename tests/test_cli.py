@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from linemaze import motion_sim
 from linemaze.cli import run
 from linemaze.errors import GraphQueryError, InconsistencyError
 from linemaze.maze_model import serialize_maze
@@ -208,6 +209,24 @@ def test_tableone_tsv(capsys):
                            "--format", "tsv")
     assert code == 0
     assert out == TABLEONE_TSV_SEED5
+
+
+def test_tableone_seeds_one_generator_per_seed(capsys, monkeypatch):
+    # Seed-major: all lengths of one seed share its jitter draw, so L
+    # lengths and N seeds build N generators, not L*N.
+    built = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed=None):
+            built.append(seed)
+            super().__init__(seed)
+
+    motion_sim._initial_heading.cache_clear()
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    code, _out, _ = run_cli(capsys, "tableone", "--seeds", "4", "--seed", "3",
+                            "--lengths", "10", "14", "8")
+    assert code == 0
+    assert built == [3, 4, 5, 6]
 
 
 # ------------------------------------------------------- measurement bands

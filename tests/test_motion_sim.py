@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 import statistics
 
 import pytest
@@ -454,6 +455,53 @@ def test_segment_simulation_invariants(length, seed):
     assert log.trajectory[-1][0] == length
     assert abs(log.trajectory[-1][1]) <= p.h + p.step
     assert log == simulate_segment(length, p, seed=seed)
+
+
+# ------------------------------------------------------------- jitter memo
+
+def fresh_heading(alpha, seed):
+    """Start heading drawn from a new ``random.Random(seed)``."""
+    if alpha == 0.0:
+        return 0.0
+    rng = random.Random(seed)
+    magnitude = alpha * rng.uniform(motion_sim.JITTER_LO, motion_sim.JITTER_HI)
+    return magnitude if rng.random() < 0.5 else -magnitude
+
+
+# Two robots share every seed but not alpha; the third draws no jitter.
+MEMO_ROBOTS = (MotionParams(), MotionParams(alpha=math.radians(6.0)),
+               MotionParams(alpha=0.0))
+memo_calls = st.lists(st.tuples(st.sampled_from(MEMO_ROBOTS),
+                                st.integers(min_value=0, max_value=2),
+                                st.sampled_from((1.0, 3.0, 10.0))),
+                      min_size=1, max_size=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(calls=memo_calls)
+def test_any_interleaving_of_seeds_gives_fresh_draws(calls):
+    # Repeated, alternating and shared seeds: each log equals the log of a
+    # call that seeds a new generator, and each heading a fresh draw.
+    memo = motion_sim._initial_heading
+    memo.cache_clear()
+    got = [simulate_segment(length, p, seed=s) for p, s, length in calls]
+    headings = [memo(p.alpha, s) for p, s, _length in calls]
+    want = []
+    for p, s, length in calls:
+        memo.cache_clear()
+        want.append(simulate_segment(length, p, seed=s))
+    assert got == want
+    assert headings == [fresh_heading(p.alpha, s) for p, s, _length in calls]
+
+
+def test_a_repeated_seed_reuses_the_last_draw_only():
+    memo = motion_sim._initial_heading
+    memo.cache_clear()
+    p = MotionParams()
+    for s in (4, 4, 5, 4, 4):
+        simulate_segment(3.0, p, seed=s)
+    info = memo.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (2, 3, 1)
 
 
 if __name__ == "__main__":

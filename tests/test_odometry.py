@@ -186,6 +186,11 @@ def test_arc_len_matches_adaptive_integration():
     lambda: chord_from_arc(16.0, 10.0),
     # Just past the quarter circle, where the chord stops growing.
     lambda: chord_from_arc(math.nextafter(10.0 * math.pi / 2.0, 20.0), 10.0),
+    # NaN fails every domain check, on a finite and on an infinite radius.
+    lambda: arc_len_from_height(math.nan, 10.0),
+    lambda: arc_len_from_height(math.nan, math.inf),
+    lambda: chord_from_arc(math.nan, 10.0),
+    lambda: chord_from_arc(math.nan, math.inf),
 ])
 def test_arc_domain_errors(call):
     with pytest.raises(ArcDomainError):
@@ -229,7 +234,7 @@ def test_nan_wheel_total_is_a_calibration_error(default_cal):
     for wl, wr in ((math.nan, math.nan), (14.2, math.nan)):
         log = log_of(wl, wr, n_right=6, n_left=6, true_length=14.0)
         for mode in ("basic", "arc"):
-            with pytest.raises(CalibrationError, match="pivot charges exceed"):
+            with pytest.raises(CalibrationError, match="total is not a number"):
                 estimate_length(log, default_cal, mode)
 
 
