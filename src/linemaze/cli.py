@@ -117,16 +117,18 @@ def _drive_path(maze: MazeSpec, path: Sequence[str], mode: str,
 
     A hop's direction and length come from the maze's branch table; the
     hops are driven in order with seeds drawn from ``random.Random(seed)``.
+    Ideal odometry ignores seeds, so it draws none.
     """
-    rng = random.Random(seed)
+    rng = None if mode == "ideal" else random.Random(seed)
     hops = []
     for a, b in zip(path, path[1:]):
         direction, length = next(
             (slot[0], length)
             for slot, (other, length, _back) in maze.branches[a].items()
             if other == b)
+        hop_seed = 0 if rng is None else rng.randrange(2 ** 31)
         hops.append((a, b, direction, length,
-                     _drive(length, mode, params, rng.randrange(2 ** 31))))
+                     _drive(length, mode, params, hop_seed)))
     return hops
 
 
@@ -246,6 +248,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if not exc.code else 1
     started = time.perf_counter()
     try:
+        # random.Random seeds by absolute value: -7 would replay 7's draws.
+        if args.seed < 0:
+            raise ValueError("--seed must be at least 0")
         if args.command == "solve":
             out = cmd_solve(args)
         elif args.command == "tableone":

@@ -134,7 +134,8 @@ def shortest_paths(adjacency: Mapping[str, Sequence[Tuple[str, float]]],
             nd = d + w
             # Keep equal-length alternatives: the lexicographic winner may
             # run through a prefix that pops later.
-            if nb not in best or nd <= best[nb]:
+            known = best.get(nb)
+            if known is None or nd <= known:
                 best[nb] = nd
                 heapq.heappush(heap, (nd, path + (nb,)))
 

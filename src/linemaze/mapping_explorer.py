@@ -29,7 +29,7 @@ On every arrival the measured coordinate is matched against the known points
 within a tolerance: a hit means a revisit (the stored coordinate is reused,
 never averaged), a miss mints a new name. Known points are bucketed in a
 uniform grid whose cells are at least twice the tolerance wide, so a match
-only looks at the 3x3 cells around the measured coordinate. A point is fully
+only looks at the cells its tolerance box overlaps. A point is fully
 explored once every one of its branches has been walked; whenever the
 current point is finished, the robot searches the walked graph with
 ``graph_path``'s shortest-path routine, the same one (and the same
@@ -87,23 +87,21 @@ class ExplorationState:
     neighbors: Dict[str, List[Tuple[str, float]]] = field(default_factory=dict)
     node_of: Dict[str, str] = field(default_factory=dict)
     trace: List[Tuple[str, int, int, float, float]] = field(default_factory=list)
-    # Grid index over ``coordinate`` for match_point: cell key -> names. The
-    # cell width is a power of two, so x / cell is exact, and at least 1 cm,
-    # so it is finite for every finite x.
-    _grid: Dict[Tuple[int, int], List[str]] = field(
+    # Grid index over ``coordinate`` for match_point: cell key -> (x, y,
+    # name) per point. The cell width is a power of two, so x / cell is
+    # exact, and at least 1 cm, so it is finite for every finite x.
+    _grid: Dict[Tuple[int, int], List[Tuple[float, float, str]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _cell: float = field(default=1.0, init=False, repr=False, compare=False)
     _indexed: int = field(default=0, init=False, repr=False, compare=False)
 
 
-def _cell_key(c: Point2D, cell: float) -> Tuple[int, int]:
-    return math.floor(c.x / cell), math.floor(c.y / cell)
-
-
 def _index_point(state: ExplorationState, name: str) -> None:
     """Add a point whose coordinate was just stored to the grid index."""
-    key = _cell_key(state.coordinate[name], state._cell)
-    state._grid.setdefault(key, []).append(name)
+    c = state.coordinate[name]
+    cell = state._cell
+    key = math.floor(c.x / cell), math.floor(c.y / cell)
+    state._grid.setdefault(key, []).append((c.x, c.y, name))
     state._indexed += 1
 
 
@@ -128,8 +126,10 @@ def match_point(coord: Point2D, state: ExplorationState,
     None when nothing matches; an error when two known points both match,
     since then the tolerance is too coarse for the maze's geometry.
 
-    Only the grid cells next to ``coord`` are searched. The grid is rebuilt
-    when ``tol`` outgrows its cells, or when points were added to
+    Only the grid cells that the tolerance box around ``coord`` overlaps
+    are probed, the box widened by a hair for rounding. Cells are at least
+    2*tol wide, so that is one to four cells. The grid is rebuilt when
+    ``tol`` outgrows its cells, or when points were added to
     ``state.coordinate`` without it (stored coordinates never move).
     Coordinates must be finite.
     """
@@ -137,17 +137,23 @@ def match_point(coord: Point2D, state: ExplorationState,
         raise ValueError("tol must be positive, got %r" % (tol,))
     if state._indexed != len(state.coordinate) or not state._cell >= 2.0 * tol:
         _reindex(state, tol)
-    # A point within tol of coord lies at most half a cell away on each axis,
-    # so its cell key differs from coord's by at most 1 per axis.
-    kx, ky = _cell_key(coord, state._cell)
+    cell = state._cell
+    x, y = coord.x, coord.y
+    # Per axis: coord's cell key, and its offset into that cell as a share
+    # of the cell. The box reaches the previous cell when the offset is
+    # within tol of 0, and the next when within tol of 1. The 1e-9 hair
+    # covers rounding in the offsets and in the test below.
+    near = tol / cell + 1e-9
+    far = 1.0 - near
+    kx, ky = math.floor(x / cell), math.floor(y / cell)
+    fx, fy = x / cell - kx, y / cell - ky
+    gys = range(ky - (fy <= near), ky + (fy >= far) + 1)
     grid = state._grid
-    known = state.coordinate
     hits = []
-    for gx in (kx - 1, kx, kx + 1):
-        for gy in (ky - 1, ky, ky + 1):
-            for name in grid.get((gx, gy), ()):
-                c = known[name]
-                if max(abs(coord.x - c.x), abs(coord.y - c.y)) <= tol:
+    for gx in range(kx - (fx <= near), kx + (fx >= far) + 1):
+        for gy in gys:
+            for cx, cy, name in grid.get((gx, gy), ()):
+                if abs(x - cx) <= tol and abs(y - cy) <= tol:
                     hits.append(name)
     if not hits:
         return None
@@ -155,7 +161,7 @@ def match_point(coord: Point2D, state: ExplorationState,
         raise ExplorationError(
             "measured coordinate (%g, %g) matches points %s within tolerance "
             "%g; tolerance too large for this maze's point spacing"
-            % (coord.x, coord.y, ", ".join(sorted(hits)), tol))
+            % (x, y, ", ".join(sorted(hits)), tol))
     return hits[0]
 
 
@@ -189,7 +195,9 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     the calibration derived from it. src is the odometry mode, one of
     ``ODOMETRY_MODES``; tol is the coordinate-match tolerance in cm
     (default: 3% of the longest segment measured so far, floored at 1 cm).
-    Each walk is driven with a seed drawn from ``random.Random(seed)``.
+    Noisy modes drive each walk with a seed drawn from
+    ``random.Random(seed)``; ideal odometry walks the true lengths and
+    draws nothing.
     ``node_of`` in the returned state names the maze node behind every
     discovered point.
 
@@ -207,7 +215,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
         raise ValueError("tol must be positive, got %r" % (tol,))
 
     budget = 4 * len(maze.edges)
-    rng = random.Random(seed)
+    rng = None if src == "ideal" else random.Random(seed)
 
     state = ExplorationState()
     start_name = "0"
@@ -226,35 +234,38 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     # walked slots and walked neighbors correspond one to one.
     table: Dict[str, Dict[Slot, str]] = {start_name: {}}
     longest = 0.0
+    eff_tol = 1.0 if tol is None else tol
     traversals = 0
     branches = maze.branches
-
-    def measure(true_length: float) -> float:
-        seed_i = rng.randrange(2 ** 31)
-        if src == "ideal":
-            return true_length
-        log = simulate_segment(true_length, params, seed=seed_i)
-        return estimate_length(log, cal, src)
+    point, coordinate, neighbors = state.point, state.coordinate, state.neighbors
 
     def walk(slot: Slot) -> None:
         """Traverse one branch of the current point and log the arrival."""
-        nonlocal true_node, longest, traversals
+        nonlocal true_node, longest, eff_tol, traversals
         traversals += 1
         if traversals > budget:
             raise ExplorationError(
                 "exploration exceeded its budget of %d traversals; odometry "
                 "errors are likely re-opening finished points" % budget)
-        cur = state.point[-1]
+        cur = point[-1]
         try:
             other, length, back = branches[true_node][slot]
         except KeyError:
             raise InconsistencyError(
                 "no branch %r at point %r" % (slot, cur)) from None
-        measured = measure(length)
-        longest = max(longest, measured)
-        eff_tol = tol if tol is not None else max(1.0, 0.03 * longest)
+        if rng is None:
+            measured = length
+        else:
+            log = simulate_segment(length, params,
+                                   seed=rng.randrange(2 ** 31))
+            measured = estimate_length(log, cal, src)
+        if measured > longest:
+            longest = measured
+            # The default tolerance, max(1, 3% of longest), only grows.
+            if tol is None and 0.03 * longest > 1.0:
+                eff_tol = 0.03 * longest
         dx, dy = DELTA[slot[0]]
-        prev = state.coordinate[cur]
+        prev = coordinate[cur]
         guess = Point2D(prev.x + dx * measured, prev.y + dy * measured)
 
         name = match_point(guess, state, eff_tol)
@@ -266,36 +277,36 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                     "coordinate by more than the tolerance %g"
                     % (name_of_truth[other], guess.x, guess.y, eff_tol))
             name = str(len(state.type_of))
-            state.type_of[name] = maze.degree(other) - 1
-            state.coordinate[name] = guess
+            state.type_of[name] = len(branches[other]) - 1
+            coordinate[name] = guess
             _index_point(state, name)
-            state.neighbors[name] = []
+            neighbors[name] = []
             state.node_of[name] = other
             name_of_truth[other] = name
             table[name] = {}
         elif state.node_of[name] != other:
+            c = coordinate[name]
             raise ExplorationError(
                 "odometry drift: arrival at a new point was confused with "
                 "known point %r at (%g, %g); tolerance %g too large for the "
-                "accumulated error"
-                % (name, state.coordinate[name].x, state.coordinate[name].y,
-                   eff_tol))
+                "accumulated error" % (name, c.x, c.y, eff_tol))
 
-        c = state.coordinate[name]
+        c = coordinate[name]
         if slot not in table[cur]:
             # Stored coordinates never move, so an edge is weighed once.
             w = math.hypot(c.x - prev.x, c.y - prev.y)
-            state.neighbors[cur].append((name, w))
-            state.neighbors[name].append((cur, w))
+            neighbors[cur].append((name, w))
+            neighbors[name].append((cur, w))
             table[cur][slot] = name
             table[name][back] = cur
-        state.point.append(name)
+        point.append(name)
         true_node = other
-        state.trace.append((name, state.type_of[name],
-                            max(1, len(state.neighbors[name])), c.x, c.y))
+        # The edge just walked is listed, so the count is at least 1.
+        state.trace.append((name, state.type_of[name], len(neighbors[name]),
+                            c.x, c.y))
 
     while True:
-        cur = state.point[-1]
+        cur = point[-1]
         # Branch preference: east, north, west, south; among lanes of one
         # direction, the nearest-reaching branch first. That is slot order.
         pending = next((slot for slot in branches[true_node]
@@ -307,7 +318,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
         if path is None:
             break
         for nxt in path[1:]:
-            walk(next(slot for slot, name in table[state.point[-1]].items()
+            walk(next(slot for slot, name in table[point[-1]].items()
                       if name == nxt))
     return state
 

@@ -41,9 +41,6 @@ class MazeEdge:
     a: str
     b: str
 
-    def key(self):
-        return frozenset((self.a, self.b))
-
 
 @dataclass(frozen=True)
 class MazeSpec:
@@ -132,8 +129,13 @@ def _validate(maze):
     nodes, edges, start, end = maze.nodes, maze.edges, maze.start, maze.end
     seen = set()
     for n in nodes:
-        if not n.id or any(c.isspace() for c in n.id):
+        # str.split() splits at exactly the characters str.isspace() accepts.
+        if n.id.split() != [n.id]:
             raise MazeValidationError("node id %r is empty or contains whitespace" % n.id)
+        if "#" in n.id:
+            raise MazeValidationError(
+                "node id %r contains '#', which starts a comment in the maze "
+                "format" % n.id)
         if n.id in seen:
             raise MazeValidationError("duplicate node id %r" % n.id)
         seen.add(n.id)
@@ -155,7 +157,7 @@ def _validate(maze):
             raise MazeValidationError("edge %s-%s references an unknown node" % (e.a, e.b))
         if e.a == e.b:
             raise MazeValidationError("edge %s-%s is a self-loop" % (e.a, e.b))
-        key = e.key()
+        key = (e.a, e.b) if e.a < e.b else (e.b, e.a)
         if key in edge_keys:
             raise MazeValidationError("duplicate edge %s-%s" % (e.a, e.b))
         edge_keys.add(key)
@@ -191,7 +193,7 @@ def _validate(maze):
             raise MazeValidationError(
                 "degree-2 node %r is collinear (not a turn)" % n.id)
 
-    _check_crossings(by_id, edges)
+    _check_crossings(maze, coords)
 
     # Connectivity.
     if nodes:
@@ -207,7 +209,7 @@ def _validate(maze):
             raise MazeValidationError("maze is not connected")
 
 
-def _check_crossings(by_id, edges):
+def _check_crossings(maze, coords):
     """Reject perpendicular contacts that the graph does not represent.
 
     Collinear overlap is always allowed: overlapping edges model parallel
@@ -216,20 +218,20 @@ def _check_crossings(by_id, edges):
     node is not one of its endpoints) is a lane, legitimate only when the
     node really lies on a corridor of that axis, i.e. has an incident edge
     collinear with the passing edge.
+
+    ``coords`` maps (x, y) to node id. A node's axes are those of its exits
+    in ``maze.branches``: odd direction codes run east-west, even ones
+    north-south.
     """
-    coords = {(n.position.x, n.position.y): n.id for n in by_id.values()}
-    axes_at = {n.id: set() for n in by_id.values()}
+    by_id = maze._by_id
+    edges = maze.edges
     horizontal, vertical = [], []
     for k, e in enumerate(edges):
         pa, pb = by_id[e.a].position, by_id[e.b].position
         if pa.y == pb.y:
-            axis = "h"
             horizontal.append((pa.y, min(pa.x, pb.x), max(pa.x, pb.x), k))
         else:
-            axis = "v"
             vertical.append((pa.x, min(pa.y, pb.y), max(pa.y, pb.y), k))
-        axes_at[e.a].add(axis)
-        axes_at[e.b].add(axis)
 
     # Horizontal edges sorted by y; each vertical edge tests only those in
     # its y-range. Of several offending pairs, the one reported is the one
@@ -245,10 +247,11 @@ def _check_crossings(by_id, edges):
             node_here = coords.get((vx, hy))
             ok = node_here is not None
             if ok:
-                for k, axis in ((kh, "h"), (kv, "v")):
+                for k, parity in ((kh, 1), (kv, 0)):
                     if node_here in (edges[k].a, edges[k].b):
                         continue
-                    if axis not in axes_at[node_here]:
+                    if all(d % 2 != parity for d, _lane
+                           in maze.branches[node_here]):
                         ok = False
             if not ok:
                 pair = (min(kh, kv), max(kh, kv))

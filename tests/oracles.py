@@ -9,15 +9,21 @@
   log, the oracle for ``build_graph``'s view of the walked graph.
 - ``step_loop_integrate``: the motion kernel as one Euler step at a time,
   the oracle for ``motion_sim._integrate``'s leg jumps.
+- ``reference_validate``: the maze validator as it was before it reused
+  its coordinate map and the branch table for the crossing check, the
+  oracle for ``make_maze``'s first error. It accepts ``#`` in node ids,
+  which the package now rejects.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from math import cos, sin
 from typing import Dict, Optional, Set, Tuple
 
-from linemaze.errors import GraphQueryError, InconsistencyError
+from linemaze.errors import (GraphQueryError, InconsistencyError,
+                             MazeValidationError)
 from linemaze.graph_path import MazeGraph, PathResult
-from linemaze.maze_model import Point2D
+from linemaze.maze_model import MAX_DEGREE, Point2D
 
 
 def brute_force_shortest(g: MazeGraph, s: str, t: str) -> PathResult:
@@ -191,3 +197,123 @@ def step_loop_integrate(length, h, alpha0, theta, kappa, fl, fr,
             n_left += 1
             pivots.append((x, y))
     return wl, wr, n_right, n_left, pivots, y, True
+
+
+def reference_validate(maze):
+    """Raise ``make_maze``'s first MazeValidationError for ``maze``, as the
+    validator did with its own coordinate map and per-node axis sets."""
+    nodes, edges, start, end = maze.nodes, maze.edges, maze.start, maze.end
+    seen = set()
+    for n in nodes:
+        if not n.id or any(c.isspace() for c in n.id):
+            raise MazeValidationError("node id %r is empty or contains whitespace" % n.id)
+        if n.id in seen:
+            raise MazeValidationError("duplicate node id %r" % n.id)
+        seen.add(n.id)
+        if not (math.isfinite(n.position.x) and math.isfinite(n.position.y)):
+            raise MazeValidationError("node %r has non-finite coordinates" % n.id)
+
+    coords = {}
+    for n in nodes:
+        key = (n.position.x, n.position.y)
+        if key in coords:
+            raise MazeValidationError(
+                "nodes %r and %r share coordinates %r" % (coords[key], n.id, key))
+        coords[key] = n.id
+
+    by_id = {n.id: n for n in nodes}
+    edge_keys = set()
+    for e in edges:
+        if e.a not in by_id or e.b not in by_id:
+            raise MazeValidationError("edge %s-%s references an unknown node" % (e.a, e.b))
+        if e.a == e.b:
+            raise MazeValidationError("edge %s-%s is a self-loop" % (e.a, e.b))
+        key = frozenset((e.a, e.b))
+        if key in edge_keys:
+            raise MazeValidationError("duplicate edge %s-%s" % (e.a, e.b))
+        edge_keys.add(key)
+        pa, pb = by_id[e.a].position, by_id[e.b].position
+        if pa.x != pb.x and pa.y != pb.y:
+            raise MazeValidationError("edge %s-%s not axis-aligned" % (e.a, e.b))
+        if not math.isfinite(math.hypot(pb.x - pa.x, pb.y - pa.y)):
+            raise MazeValidationError(
+                "edge %s-%s is too long: its length is not finite" % (e.a, e.b))
+
+    if start not in by_id:
+        raise MazeValidationError("start refers to unknown node %r" % start)
+    if end not in by_id:
+        raise MazeValidationError("end refers to unknown node %r" % end)
+
+    branches = maze.branches
+    for n in nodes:
+        degree = len(branches[n.id])
+        if degree == 0:
+            raise MazeValidationError("node %r is isolated" % n.id)
+        if degree > MAX_DEGREE:
+            raise MazeValidationError(
+                "node %r has degree %d > %d" % (n.id, degree, MAX_DEGREE))
+
+    for n in nodes:
+        if len(branches[n.id]) != 2:
+            continue
+        (d1, _lane1), (d2, _lane2) = branches[n.id]
+        if (d1 - d2) % 2 == 0:
+            raise MazeValidationError(
+                "degree-2 node %r is collinear (not a turn)" % n.id)
+
+    reference_check_crossings(by_id, edges)
+
+    if nodes:
+        stack = [nodes[0].id]
+        reached = {nodes[0].id}
+        while stack:
+            cur = stack.pop()
+            for other, _length, _back in branches[cur].values():
+                if other not in reached:
+                    reached.add(other)
+                    stack.append(other)
+        if len(reached) != len(nodes):
+            raise MazeValidationError("maze is not connected")
+
+
+def reference_check_crossings(by_id, edges):
+    """The crossing sweep with its own (x, y) -> id map and axis sets."""
+    coords = {(n.position.x, n.position.y): n.id for n in by_id.values()}
+    axes_at = {n.id: set() for n in by_id.values()}
+    horizontal, vertical = [], []
+    for k, e in enumerate(edges):
+        pa, pb = by_id[e.a].position, by_id[e.b].position
+        if pa.y == pb.y:
+            axis = "h"
+            horizontal.append((pa.y, min(pa.x, pb.x), max(pa.x, pb.x), k))
+        else:
+            axis = "v"
+            vertical.append((pa.x, min(pa.y, pb.y), max(pa.y, pb.y), k))
+        axes_at[e.a].add(axis)
+        axes_at[e.b].add(axis)
+
+    horizontal.sort()
+    ys = [h[0] for h in horizontal]
+    first = None
+    for vx, vy1, vy2, kv in vertical:
+        for hy, hx1, hx2, kh in horizontal[bisect_left(ys, vy1):
+                                          bisect_right(ys, vy2)]:
+            if not hx1 <= vx <= hx2:
+                continue
+            node_here = coords.get((vx, hy))
+            ok = node_here is not None
+            if ok:
+                for k, axis in ((kh, "h"), (kv, "v")):
+                    if node_here in (edges[k].a, edges[k].b):
+                        continue
+                    if axis not in axes_at[node_here]:
+                        ok = False
+            if not ok:
+                pair = (min(kh, kv), max(kh, kv))
+                if first is None or pair < first[0]:
+                    first = (pair, edges[kh], edges[kv], vx, hy)
+    if first is not None:
+        _pair, h_e, v_e, vx, hy = first
+        raise MazeValidationError(
+            "edges %s-%s and %s-%s cross at (%g, %g); crossings must be a junction node"
+            % (h_e.a, h_e.b, v_e.a, v_e.b, vx, hy))

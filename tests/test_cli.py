@@ -229,6 +229,22 @@ def test_tableone_seeds_one_generator_per_seed(capsys, monkeypatch):
     assert built == [3, 4, 5, 6]
 
 
+def test_ideal_solve_builds_no_generator(capsys, monkeypatch):
+    # Ideal odometry walks and drives the true lengths: no draw is read.
+    built = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed=None):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    code, out, _ = run_cli(capsys, "solve", "--maze", "fig2", "--seed", "3")
+    assert code == 0
+    assert out == SOLVE_FIG2_IDEAL
+    assert built == []
+
+
 # ------------------------------------------------------- measurement bands
 
 def tableone_rows(capsys, *extra):
@@ -330,6 +346,19 @@ def test_tableone_argument_validation(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error: --")
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--maze", "fig2", "--odometry", "arc"),
+    ("tableone", "--seeds", "3"),
+    ("plot", "--maze", "fig2", "--out", "/nonexistent-dir/x.svg"),
+])
+def test_negative_seed_is_usage_error(capsys, argv):
+    # random.Random seeds by absolute value, so -7 would replay seed 7.
+    code, out, err = run_cli(capsys, *argv, "--seed", "-7")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --seed must be at least 0\n"
 
 
 def test_unknown_flag(capsys):

@@ -1,15 +1,18 @@
 """Mapping explorer: visit log, typed points, coordinates, revisit matching."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linemaze import mapping_explorer
 from linemaze.errors import ExplorationError
 from linemaze.mapping_explorer import (ExplorationState, explore_map,
                                        match_point, next_target, trace_lines)
 from linemaze.maze_model import Point2D
+from linemaze.mazegen import random_maze
 from linemaze.odometry import ODOMETRY_MODES
 
 FIG2_TRACE = [
@@ -336,6 +339,58 @@ def test_seed_changes_the_noise(fig2):
     assert trace_lines(a) != trace_lines(b)
     again = explore_map(fig2, src="raw", seed=0)
     assert trace_lines(a) == trace_lines(again)
+
+
+def test_ideal_mode_draws_nothing(fig2, monkeypatch):
+    built = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed=None):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    state = explore_map(fig2, src="ideal", seed=5)
+    assert trace_lines(state) == FIG2_TRACE
+    assert built == []
+    explore_map(fig2, src="raw", seed=5)
+    assert built[0] == 5
+
+
+@pytest.mark.parametrize("maze_seed", [None, 0, 1, 2])
+def test_one_match_per_traversal_one_route_search_per_finished_stop(
+        fig2, monkeypatch, maze_seed):
+    # The explorer calls both through the module, where a tracer can wrap
+    # them.
+    maze = fig2 if maze_seed is None else random_maze(
+        random.Random(maze_seed), max_nodes=60, loops=6)
+    matches = []
+    searches = []
+    match, search = mapping_explorer.match_point, mapping_explorer.next_target
+
+    def counting_match(coord, state, tol):
+        matches.append(len(state.point))
+        return match(coord, state, tol)
+
+    def counting_search(state):
+        cur = state.point[-1]
+        # Only a finished point asks for a route, once per stop there.
+        assert len(state.neighbors[cur]) == state.type_of[cur] + 1
+        searches.append((len(state.point), search(state)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(mapping_explorer, "match_point", counting_match)
+    monkeypatch.setattr(mapping_explorer, "next_target", counting_search)
+    state = explore_map(maze)
+    traversals = len(state.point) - 1
+    assert matches == list(range(1, traversals + 1))
+    stops = [at for at, _route in searches]
+    assert stops == sorted(set(stops))
+    routes = [route for _at, route in searches[:-1]]
+    assert searches[-1][1] is None and None not in routes
+    # Every edge is walked once as a pending branch; every other walk is a
+    # hop of a route.
+    assert traversals == len(maze.edges) + sum(len(r) - 1 for r in routes)
 
 
 # ---------------------------------------------------------------- failures

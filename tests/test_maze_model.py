@@ -4,15 +4,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linemaze._directions import EAST, NORTH, SOUTH, WEST
 from linemaze.errors import MazeSyntaxError, MazeValidationError
-from linemaze.maze_model import (MazeEdge, MazeNode, Point2D,
+from linemaze.maze_model import (MazeEdge, MazeNode, MazeSpec, Point2D,
                                  _check_crossings, bundled_maze_text,
                                  make_maze, parse_maze, serialize_maze)
 from linemaze.mazegen import random_maze
 
 from conftest import build_maze
+from oracles import reference_validate
 
 
 BUNDLED = ["fig1", "fig2", "corridor", "plus"]
@@ -110,6 +113,35 @@ def test_duplicate_node_id():
 def test_whitespace_node_id():
     with pytest.raises(MazeValidationError, match="empty or contains whitespace"):
         make_maze([MazeNode("a b", Point2D(0.0, 0.0))], [], "a b", "a b")
+
+
+def test_hash_in_node_id_rejected():
+    # serialize_maze would write "node a#b ...", which parses as a comment.
+    with pytest.raises(MazeValidationError, match="contains '#'"):
+        build_maze([("a#b", 0, 0), ("F", 0, 10)], [("a#b", "F")], "a#b", "F")
+
+
+# Ids from this alphabet may hold a comment character or whitespace that
+# str.split() splits at: ASCII, Unicode, and characters that also end a
+# line for str.splitlines().
+_ID_ALPHABET = "ab9\u00e9-# \t\u2003\x85\u2028\x1c"
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=st.text(_ID_ALPHABET, max_size=4), at=st.integers(0, 3),
+       ends=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_every_accepted_maze_round_trips(drawn, at, ends):
+    # A T junction; one of its four ids is drawn.
+    ids = ["S", "J", "D", "F"]
+    ids[at] = drawn
+    positions = [(0.0, 0.0), (0.0, 10.0), (6.0, 10.0), (-6.0, 10.0)]
+    nodes = [MazeNode(i, Point2D(x, y)) for i, (x, y) in zip(ids, positions)]
+    edges = [MazeEdge(ids[1], ids[k]) for k in (0, 2, 3)]
+    try:
+        maze = make_maze(nodes, edges, ids[ends[0]], ids[ends[1]])
+    except MazeValidationError:
+        return
+    assert parse_maze(serialize_maze(maze)) == maze
 
 
 def test_non_finite_coordinates():
@@ -336,6 +368,13 @@ def _injected_maze(seed):
     return kind, by_id, tuple(edges)
 
 
+def sweep_crossings(by_id, edges):
+    """``_check_crossings`` called the way ``_validate`` calls it."""
+    maze = MazeSpec(tuple(by_id.values()), edges, "", "")
+    _check_crossings(maze, {(n.position.x, n.position.y): n.id
+                            for n in maze.nodes})
+
+
 def _crossing_outcome(check, by_id, edges):
     try:
         check(by_id, edges)
@@ -348,7 +387,7 @@ def test_crossing_sweep_agrees_with_pairwise_check():
     outcomes = {}
     for seed in range(100):
         kind, by_id, edges = _injected_maze(seed)
-        got = _crossing_outcome(_check_crossings, by_id, edges)
+        got = _crossing_outcome(sweep_crossings, by_id, edges)
         assert got == _crossing_outcome(pairwise_crossings, by_id, edges), seed
         outcomes.setdefault(kind, set()).add(got == "ok")
     # Each kind of injected edge is checked, and both verdicts occur.
@@ -357,6 +396,102 @@ def test_crossing_sweep_agrees_with_pairwise_check():
     assert outcomes["t_junction"] == {True}
     assert outcomes["lane"] == {True, False}
     assert outcomes["random"] == {True, False}
+
+
+# Errors raised in the validator's first loop, over the nodes in order.
+_NODE_ERRORS = ("is empty or contains whitespace", "duplicate node id",
+                "non-finite coordinates")
+
+
+def _perturbed_maze(seed, kinds):
+    """A generated maze with one perturbation per entry of ``kinds``.
+
+    Returns (nodes, edges, start, end), unvalidated. New nodes and edges go
+    to random places in their lists, so which error comes first varies.
+    """
+    rng = random.Random(seed)
+    maze = random_maze(rng, max_nodes=rng.choice((8, 20, 40)),
+                       loops=rng.randrange(6))
+    nodes, edges = list(maze.nodes), list(maze.edges)
+    ends = [maze.start, maze.end]
+    xs = sorted({n.position.x for n in nodes})
+    ys = sorted({n.position.y for n in nodes})
+
+    def insert(seq, item):
+        seq.insert(rng.randrange(len(seq) + 1), item)
+
+    def node_at(x, y):
+        for n in nodes:
+            if (n.position.x, n.position.y) == (x, y):
+                return n.id
+        insert(nodes, MazeNode("q%d" % len(nodes), Point2D(x, y)))
+        return "q%d" % (len(nodes) - 1)
+
+    for kind in kinds:
+        if kind == "edge":
+            # Axis-aligned, along a row or column or between two, from one
+            # node or off-grid point to another: a crossing, a touch, a
+            # lane or a new junction.
+            fixed = rng.choice(ys) + rng.choice((0.0, 0.0, 0.5))
+            lo, hi = sorted(rng.sample(xs, 2)) if len(xs) > 1 else (0.0, 1.0)
+            p, q = (lo + rng.choice((0.0, -1.0)), fixed), (hi, fixed)
+            if rng.random() < 0.5:
+                p, q = p[::-1], q[::-1]
+            insert(edges, MazeEdge(node_at(*p), node_at(*q)))
+        elif kind == "dup_id":
+            n = rng.choice(nodes)
+            insert(nodes, MazeNode(n.id, Point2D(n.position.x + 0.5,
+                                                 n.position.y)))
+        elif kind == "dup_edge":
+            e = rng.choice(edges)
+            insert(edges, rng.choice((e, MazeEdge(e.b, e.a))))
+        elif kind == "shared":
+            insert(nodes, MazeNode("s%d" % len(nodes),
+                                   rng.choice(nodes).position))
+        else:
+            old = rng.choice(nodes).id
+            new = old[:1] + rng.choice(kind) + old[1:]
+            nodes = [MazeNode(new if n.id == old else n.id, n.position)
+                     for n in nodes]
+            edges = [MazeEdge(new if e.a == old else e.a,
+                              new if e.b == old else e.b) for e in edges]
+            ends = [new if i == old else i for i in ends]
+    return nodes, edges, ends[0], ends[1]
+
+
+def _validation_outcome(validate, nodes, edges, start, end):
+    try:
+        validate(MazeSpec(tuple(nodes), tuple(edges), start, end))
+    except MazeValidationError as exc:
+        return str(exc)
+    return "ok"
+
+
+def _expected_outcome(nodes, edges, start, end):
+    """The reference validator's first error, except that a node id with
+    '#' fails in the node loop right after the whitespace test."""
+    for k, n in enumerate(nodes):
+        if "#" in n.id and n.id.split() == [n.id]:
+            before = _validation_outcome(reference_validate, nodes[:k], (),
+                                         start, end)
+            if any(m in before for m in _NODE_ERRORS):
+                return before
+            return ("node id %r contains '#', which starts a comment in the "
+                    "maze format" % n.id)
+    return _validation_outcome(reference_validate, nodes, edges, start, end)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32),
+       kinds=st.lists(st.sampled_from(["edge", "edge", "dup_id", "dup_edge",
+                                       "shared", " \t\u2003\x85", "#"]),
+                      max_size=3))
+def test_validator_agrees_with_reference(seed, kinds):
+    nodes, edges, start, end = _perturbed_maze(seed, kinds)
+    got = _validation_outcome(lambda m: make_maze(m.nodes, m.edges, m.start,
+                                                  m.end),
+                              nodes, edges, start, end)
+    assert got == _expected_outcome(nodes, edges, start, end)
 
 
 def test_overlapping_parallel_lanes_accepted(fig2):
