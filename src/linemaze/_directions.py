@@ -31,19 +31,3 @@ def absolute_of(rel, heading):
     """Absolute direction reached by turning `rel` from a heading."""
     return wrap4(heading + rel - 2)
 
-
-def direction_between(ax, ay, bx, by):
-    """Absolute direction of the axis-aligned step from (ax, ay) to (bx, by).
-
-    Ties are broken by the dominant axis so that near-axis-aligned steps
-    (noisy coordinates) still resolve; exact diagonals raise ValueError.
-    """
-    dx = bx - ax
-    dy = by - ay
-    if dx == 0.0 and dy == 0.0:
-        raise ValueError("zero-length step has no direction")
-    if abs(dx) >= abs(dy):
-        if abs(dx) == abs(dy):
-            raise ValueError("diagonal step has no axis direction")
-        return EAST if dx > 0 else WEST
-    return NORTH if dy > 0 else SOUTH

@@ -14,7 +14,7 @@ from functools import cached_property
 from importlib import resources
 from typing import Tuple
 
-from ._directions import direction_between, reverse
+from ._directions import EAST, NORTH, SOUTH, WEST
 from .errors import MazeSyntaxError, MazeValidationError
 
 MAX_DEGREE = 4
@@ -59,58 +59,55 @@ class MazeSpec:
 
         Each node's dict runs in slot order. Lengths are the straight-line
         distance between the edge's endpoints, and the back slot is the
-        same edge's slot at the neighbor. Built on first use, from edges
-        whose endpoints are known, distinct and axis-aligned.
+        same edge's slot at the neighbor. Built on first use, in one pass
+        over the edges that checks each one as it indexes it: it raises
+        MazeValidationError, with the validator's message, at the first
+        edge with an unknown endpoint, a self-loop, a duplicate, a diagonal
+        or zero-length span or a non-finite length.
         """
         by_id = self._by_id
-        edges = self.edges
-        # Per edge: its direction from a to b, its length, and its slot at
-        # either end. Per node, first its edges' indices, then its exits.
-        heading = []
-        lengths = []
-        table = {n.id: [] for n in self.nodes}
-        for k, e in enumerate(edges):
-            pa, pb = by_id[e.a].position, by_id[e.b].position
-            heading.append(direction_between(pa.x, pa.y, pb.x, pb.y))
-            lengths.append(math.hypot(pb.x - pa.x, pb.y - pa.y))
-            table[e.a].append(k)
-            table[e.b].append(k)
-        slot_a = [None] * len(edges)
-        slot_b = [None] * len(edges)
-        for node_id, ks in table.items():
-            out = []
-            for k in ks:
-                e = edges[k]
-                if e.a == node_id:
-                    q = by_id[e.b].position
-                    out.append((heading[k], lengths[k], q.x, q.y, e.b, k))
-                else:
-                    q = by_id[e.a].position
-                    out.append((reverse(heading[k]), lengths[k], q.x, q.y,
-                                e.a, k))
+        ends = {n.id: [] for n in self.nodes}
+        seen = set()
+        for e in self.edges:
+            a, b = e.a, e.b
+            if a not in by_id or b not in by_id:
+                raise MazeValidationError("edge %s-%s references an unknown node" % (a, b))
+            if a == b:
+                raise MazeValidationError("edge %s-%s is a self-loop" % (a, b))
+            key = (a, b) if a < b else (b, a)
+            if key in seen:
+                raise MazeValidationError("duplicate edge %s-%s" % (a, b))
+            seen.add(key)
+            pa, pb = by_id[a].position, by_id[b].position
+            # Exactly one axis may differ: not a diagonal, not zero-length.
+            if (pa.x != pb.x) == (pa.y != pb.y):
+                raise MazeValidationError("edge %s-%s not axis-aligned" % (a, b))
+            length = math.hypot(pb.x - pa.x, pb.y - pa.y)
+            if not math.isfinite(length):
+                raise MazeValidationError(
+                    "edge %s-%s is too long: its length is not finite" % (a, b))
+            if pa.y == pb.y:
+                there, back = (EAST, WEST) if pb.x > pa.x else (WEST, EAST)
+            else:
+                there, back = (NORTH, SOUTH) if pb.y > pa.y else (SOUTH, NORTH)
+            # Each end's sort key, and the edge's slot at a and at b.
+            slots = [None, None]
+            ends[a].append((there, length, pb.x, pb.y, b, slots, 0))
+            ends[b].append((back, length, pa.x, pa.y, a, slots, 1))
+        for out in ends.values():
             # Lanes of one direction run nearest first: by length, then by
             # the neighbor's coordinate, which no two exits of a node share.
             out.sort()
-            ks.clear()
             lanes = {}
-            for direction, _length, _x, _y, _other, k in out:
+            for direction, _length, _x, _y, _other, slots, side in out:
                 lane = lanes.get(direction, 0)
                 lanes[direction] = lane + 1
-                if edges[k].a == node_id:
-                    slot_a[k] = (direction, lane)
-                else:
-                    slot_b[k] = (direction, lane)
-                ks.append(k)
-        for node_id, ks in table.items():
-            exits = {}
-            for k in ks:
-                e = edges[k]
-                if e.a == node_id:
-                    exits[slot_a[k]] = (e.b, lengths[k], slot_b[k])
-                else:
-                    exits[slot_b[k]] = (e.a, lengths[k], slot_a[k])
-            table[node_id] = exits
-        return table
+                slots[side] = (direction, lane)
+        for node_id, out in ends.items():
+            # Replacing each node's keys with its exits frees them as it goes.
+            ends[node_id] = {slots[side]: (other, length, slots[1 - side])
+                             for _d, length, _x, _y, other, slots, side in out}
+        return ends
 
     def node(self, node_id):
         try:
@@ -126,7 +123,7 @@ class MazeSpec:
 
 
 def _validate(maze):
-    nodes, edges, start, end = maze.nodes, maze.edges, maze.start, maze.end
+    nodes, start, end = maze.nodes, maze.start, maze.end
     seen = set()
     for n in nodes:
         # str.split() splits at exactly the characters str.isspace() accepts.
@@ -151,30 +148,12 @@ def _validate(maze):
         coords[key] = n.id
 
     by_id = maze._by_id  # safe now that node ids are unique
-    edge_keys = set()
-    for e in edges:
-        if e.a not in by_id or e.b not in by_id:
-            raise MazeValidationError("edge %s-%s references an unknown node" % (e.a, e.b))
-        if e.a == e.b:
-            raise MazeValidationError("edge %s-%s is a self-loop" % (e.a, e.b))
-        key = (e.a, e.b) if e.a < e.b else (e.b, e.a)
-        if key in edge_keys:
-            raise MazeValidationError("duplicate edge %s-%s" % (e.a, e.b))
-        edge_keys.add(key)
-        pa, pb = by_id[e.a].position, by_id[e.b].position
-        if pa.x != pb.x and pa.y != pb.y:
-            raise MazeValidationError("edge %s-%s not axis-aligned" % (e.a, e.b))
-        if not math.isfinite(math.hypot(pb.x - pa.x, pb.y - pa.y)):
-            raise MazeValidationError(
-                "edge %s-%s is too long: its length is not finite" % (e.a, e.b))
-
+    branches = maze.branches  # checks every edge
     if start not in by_id:
         raise MazeValidationError("start refers to unknown node %r" % start)
     if end not in by_id:
         raise MazeValidationError("end refers to unknown node %r" % end)
 
-    # Safe now that every edge joins two known nodes along one axis.
-    branches = maze.branches
     for n in nodes:
         degree = len(branches[n.id])
         if degree == 0:

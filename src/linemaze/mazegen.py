@@ -67,26 +67,24 @@ def random_maze(rng, max_nodes=50, loops=0, leaf_ends=True):
         adj[a].add(b)
         adj[b].add(a)
 
-    # Contract straight-through degree-2 cells until all remaining
-    # degree-2 nodes are turns.
-    changed = True
-    while changed:
-        changed = False
-        for cell in list(adj):
-            nbs = adj[cell]
-            if len(nbs) != 2:
-                continue
-            n1, n2 = sorted(nbs)
-            same_col = n1[0] == cell[0] == n2[0]
-            same_row = n1[1] == cell[1] == n2[1]
-            if not (same_col or same_row):
-                continue
-            adj[n1].discard(cell)
-            adj[n2].discard(cell)
-            adj[n1].add(n2)
-            adj[n2].add(n1)
-            del adj[cell]
-            changed = True
+    # Contract straight-through degree-2 cells, so that every remaining
+    # degree-2 node is a turn. One pass suffices: each neighbor of a
+    # contracted cell reaches the other in the direction it reached the
+    # cell, so no remaining cell's exit directions change.
+    for cell in list(adj):
+        nbs = adj[cell]
+        if len(nbs) != 2:
+            continue
+        n1, n2 = sorted(nbs)
+        same_col = n1[0] == cell[0] == n2[0]
+        same_row = n1[1] == cell[1] == n2[1]
+        if not (same_col or same_row):
+            continue
+        adj[n1].discard(cell)
+        adj[n2].discard(cell)
+        adj[n1].add(n2)
+        adj[n2].add(n1)
+        del adj[cell]
 
     names = {cell: "p%d" % i for i, cell in enumerate(sorted(adj))}
     nodes = [MazeNode(names[cell], Point2D(xs[cell[0]], ys[cell[1]]))

@@ -93,8 +93,12 @@ def render_svg(maze: MazeSpec,
     out.append('<g class="labels" font-size="2.5" fill="black" stroke="none">')
     for node in sorted(maze.nodes, key=lambda n: n.id):
         p = node.position
+        # Ids may hold any non-space character but '#', so escape the
+        # ones XML text reserves.
+        label = (node.id.replace("&", "&amp;").replace("<", "&lt;")
+                 .replace(">", "&gt;"))
         out.append('<text x="%s" y="%s">%s</text>'
-                   % (fx(p.x + 1.0), fy(p.y + 1.0), node.id))
+                   % (fx(p.x + 1.0), fy(p.y + 1.0), label))
     out.append('</g>')
     if trajectory:
         pts = " ".join("%s,%s" % (fx(x), fy(y)) for x, y in trajectory)

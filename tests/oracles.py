@@ -13,6 +13,9 @@
   its coordinate map and the branch table for the crossing check, the
   oracle for ``make_maze``'s first error. It accepts ``#`` in node ids,
   which the package now rejects.
+- ``reference_branches``: the branch table as it was built before the
+  edge checks moved into it, in three passes over per-edge arrays, the
+  oracle for ``MazeSpec.branches`` and its per-node order.
 """
 
 import math
@@ -20,6 +23,7 @@ from bisect import bisect_left, bisect_right
 from math import cos, sin
 from typing import Dict, Optional, Set, Tuple
 
+from linemaze._directions import EAST, NORTH, SOUTH, WEST, reverse
 from linemaze.errors import (GraphQueryError, InconsistencyError,
                              MazeValidationError)
 from linemaze.graph_path import MazeGraph, PathResult
@@ -317,3 +321,60 @@ def reference_check_crossings(by_id, edges):
         raise MazeValidationError(
             "edges %s-%s and %s-%s cross at (%g, %g); crossings must be a junction node"
             % (h_e.a, h_e.b, v_e.a, v_e.b, vx, hy))
+
+
+def reference_branches(maze):
+    """``MazeSpec.branches`` of a maze whose edges are known to be valid.
+
+    Directions come from the dominant axis of each edge's a-to-b step, as
+    the retired ``_directions.direction_between`` gave them.
+    """
+    by_id = {n.id: n for n in maze.nodes}
+    edges = maze.edges
+    heading = []
+    lengths = []
+    table = {n.id: [] for n in maze.nodes}
+    for k, e in enumerate(edges):
+        pa, pb = by_id[e.a].position, by_id[e.b].position
+        dx, dy = pb.x - pa.x, pb.y - pa.y
+        if abs(dx) >= abs(dy):
+            heading.append(EAST if dx > 0 else WEST)
+        else:
+            heading.append(NORTH if dy > 0 else SOUTH)
+        lengths.append(math.hypot(pb.x - pa.x, pb.y - pa.y))
+        table[e.a].append(k)
+        table[e.b].append(k)
+    slot_a = [None] * len(edges)
+    slot_b = [None] * len(edges)
+    for node_id, ks in table.items():
+        out = []
+        for k in ks:
+            e = edges[k]
+            if e.a == node_id:
+                q = by_id[e.b].position
+                out.append((heading[k], lengths[k], q.x, q.y, e.b, k))
+            else:
+                q = by_id[e.a].position
+                out.append((reverse(heading[k]), lengths[k], q.x, q.y,
+                            e.a, k))
+        out.sort()
+        ks.clear()
+        lanes = {}
+        for direction, _length, _x, _y, _other, k in out:
+            lane = lanes.get(direction, 0)
+            lanes[direction] = lane + 1
+            if edges[k].a == node_id:
+                slot_a[k] = (direction, lane)
+            else:
+                slot_b[k] = (direction, lane)
+            ks.append(k)
+    for node_id, ks in table.items():
+        exits = {}
+        for k in ks:
+            e = edges[k]
+            if e.a == node_id:
+                exits[slot_a[k]] = (e.b, lengths[k], slot_b[k])
+            else:
+                exits[slot_b[k]] = (e.a, lengths[k], slot_a[k])
+        table[node_id] = exits
+    return table

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -487,6 +488,19 @@ def test_plot_fig2_ideal_structure(tmp_path, capsys):
     assert svg.count('class="turn"') == 2
     assert svg.startswith("<svg ")
     assert svg.rstrip().endswith("</svg>")
+
+
+def test_plot_escapes_node_ids(tmp_path, capsys):
+    maze = tmp_path / "marks.maze"
+    maze.write_text("node S&T 0 0\nnode <F> 0 10\nnode a>&<b 5 10\n"
+                    "edge S&T <F>\nedge <F> a>&<b\nstart S&T\nend a>&<b\n")
+    out = tmp_path / "marks.svg"
+    code, _, _ = run_cli(capsys, "plot", "--maze", str(maze),
+                         "--out", str(out))
+    assert code == 0
+    root = ET.parse(str(out)).getroot()
+    labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels == ["<F>", "S&T", "a>&<b"]
 
 
 def test_plot_corridor_two_point_trajectory(tmp_path, capsys):

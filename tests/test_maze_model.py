@@ -15,7 +15,7 @@ from linemaze.maze_model import (MazeEdge, MazeNode, MazeSpec, Point2D,
 from linemaze.mazegen import random_maze
 
 from conftest import build_maze
-from oracles import reference_validate
+from oracles import reference_branches, reference_validate
 
 
 BUNDLED = ["fig1", "fig2", "corridor", "plus"]
@@ -183,6 +183,49 @@ def test_edge_length_overflow():
                        match="edge A-B is too long: its length is not finite"):
         build_maze([("A", -1e308, 0), ("B", 1e308, 0)], [("A", "B")],
                    "A", "B")
+
+
+# Edge lists over the nodes below, each with one bad edge: the message
+# names the first bad edge in list order.
+_BAD_EDGES = [
+    ([("S", "F"), ("S", "Q")], "edge S-Q references an unknown node"),
+    ([("S", "S"), ("S", "F")], "edge S-S is a self-loop"),
+    ([("S", "F"), ("S", "F")], "duplicate edge S-F"),
+    ([("S", "F"), ("F", "S")], "duplicate edge F-S"),
+    ([("S", "F"), ("F", "D")], "edge F-D not axis-aligned"),
+    ([("S", "F"), ("F", "B"), ("B", "A")],
+     "edge B-A is too long: its length is not finite"),
+]
+
+
+@pytest.mark.parametrize("edges, message", _BAD_EDGES)
+def test_branches_check_edges_of_an_unvalidated_maze(edges, message):
+    nodes = [MazeNode(i, Point2D(x, y)) for i, x, y in
+             [("S", 0.0, 0.0), ("F", 0.0, 10.0), ("D", 3.0, 20.0),
+              ("A", -1e308, 10.0), ("B", 1e308, 10.0)]]
+    maze = MazeSpec(tuple(nodes), tuple(MazeEdge(a, b) for a, b in edges),
+                    "S", "F")
+    with pytest.raises(MazeValidationError) as exc:
+        maze.branches
+    assert str(exc.value) == message
+    with pytest.raises(MazeValidationError) as exc:
+        reference_validate(maze)
+    assert str(exc.value) == message
+
+
+def test_branches_reject_a_zero_length_edge():
+    # Two nodes at one point: the edge between them runs along no axis.
+    # The validator reports the shared coordinates before any edge.
+    nodes = [("S", 0.0, 0.0), ("T", 0.0, 0.0), ("F", 0.0, 10.0)]
+    edges = [("S", "F"), ("S", "T")]
+    maze = MazeSpec(tuple(MazeNode(i, Point2D(x, y)) for i, x, y in nodes),
+                    tuple(MazeEdge(a, b) for a, b in edges), "S", "F")
+    with pytest.raises(MazeValidationError,
+                       match="^edge S-T not axis-aligned$"):
+        maze.branches
+    with pytest.raises(MazeValidationError,
+                       match=r"^nodes 'S' and 'T' share coordinates \(0.0, 0.0\)$"):
+        build_maze(nodes, edges, "S", "F")
 
 
 def test_unknown_start_and_end():
@@ -579,3 +622,37 @@ def test_branches_are_consistent_on_bundled_mazes(fig1, fig2, corridor, plus):
 def test_branches_are_consistent_on_generated_mazes(seed):
     _check_branches(random_maze(random.Random(seed), max_nodes=40, loops=4,
                                 leaf_ends=seed % 2 == 0))
+
+
+def _same_branches(maze):
+    # Compared item by item, so each node's exit order counts too.
+    got = [(n, list(t.items())) for n, t in maze.branches.items()]
+    assert got == [(n, list(t.items()))
+                   for n, t in reference_branches(maze).items()]
+
+
+def test_branches_match_reference_on_bundled_mazes(fig1, fig2, corridor,
+                                                   plus):
+    for maze in (fig1, fig2, corridor, plus):
+        _same_branches(maze)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_branches_match_reference_on_generated_mazes(seed):
+    rng = random.Random(seed)
+    _same_branches(random_maze(rng, max_nodes=rng.choice((20, 100, 400)),
+                               loops=rng.randrange(20),
+                               leaf_ends=seed % 2 == 0))
+
+
+def test_branches_match_reference_on_injected_edges():
+    # Injected edges run along rows and columns, past other nodes and over
+    # existing edges, so some nodes get a second lane in one direction.
+    kinds = set()
+    for seed in range(100):
+        kind, by_id, edges = _injected_maze(seed)
+        maze = MazeSpec(tuple(by_id.values()), edges, "", "")
+        _same_branches(maze)
+        if any(lane for t in maze.branches.values() for _d, lane in t):
+            kinds.add(kind)
+    assert {"t_junction", "random"} <= kinds

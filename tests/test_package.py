@@ -22,6 +22,7 @@ RETIRED = [
     ("_directions", "relative_of"),
     ("_directions", "ABS_NAMES"),
     ("odometry", "arc_len_from_height_chord_form"),
+    ("_directions", "direction_between"),
 ]
 
 
