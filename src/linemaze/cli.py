@@ -48,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "odometry, extract shortest paths.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, maze: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, maze: bool = True,
+               report: bool = True) -> None:
         if maze:
             p.add_argument("--maze", required=True,
                            help="maze file path, or the name of a bundled "
@@ -57,8 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="distance measurement mode")
         p.add_argument("--seed", type=int, default=0,
                        help="simulation seed (default 0)")
-        p.add_argument("--format", choices=("text", "tsv"), default="text",
-                       help="report format")
+        if report:
+            p.add_argument("--format", choices=("text", "tsv"),
+                           default="text", help="report format")
 
     s = sub.add_parser("solve", help="explore a maze and report the "
                                      "shortest start-to-end path")
@@ -82,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot", help="write an SVG of the maze and the "
                                     "driven shortest path")
-    common(p)
+    common(p, report=False)
     p.add_argument("--out", required=True, help="output SVG path")
     return parser
 

@@ -81,9 +81,9 @@ def build_graph(state) -> MazeGraph:
             if b < a:
                 continue  # each edge is listed at both ends; check it once
             ca, cb = coords[a], coords[b]
-            major = max(abs(cb.x - ca.x), abs(cb.y - ca.y))
-            minor = min(abs(cb.x - ca.x), abs(cb.y - ca.y))
-            if minor > max(1.0, 0.5 * major):
+            dx, dy = abs(cb.x - ca.x), abs(cb.y - ca.y)
+            # Too diagonal: the smaller delta exceeds 1 and half the larger.
+            if dx > 1.0 and dy > 1.0 and dx > 0.5 * dy and dy > 0.5 * dx:
                 raise InconsistencyError(
                     "coordinate delta %r -> %r is (%g, %g): too diagonal for "
                     "a straight axis-aligned traversal; exploration state "

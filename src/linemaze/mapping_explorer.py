@@ -14,8 +14,8 @@ A branch is named by its slot, (direction, lane), and the slots of a point
 are those that ``MazeSpec.branches`` lists for its maze node, with the
 node each one reaches, its true length and its slot at the far end. The
 simulator drives a branch by one lookup in that table. While it runs, the
-explorer also keeps its own branch table: for each point, the slot of every
-walked branch and the point it reaches. It tells the robot which branches
+explorer also keeps its own branch table: for each point, every walked
+neighbor and the slot that reaches it. It tells the robot which branches
 are still pending, whether an edge is walked for the first time (and so
 must be weighed and added to the map), and which branch to take for each
 hop of a route.
@@ -218,30 +218,31 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     rng = None if src == "ideal" else random.Random(seed)
 
     state = ExplorationState()
-    start_name = "0"
-    state.point.append(start_name)
-    state.type_of[start_name] = maze.degree(maze.start) - 1
-    state.coordinate[start_name] = Point2D(0.0, 0.0)
-    state.neighbors[start_name] = []
-    state.node_of[start_name] = maze.start
-    _index_point(state, start_name)
-    state.trace.append((start_name, state.type_of[start_name], 1, 0.0, 0.0))
-
-    true_node = maze.start
-    name_of_truth: Dict[str, str] = {maze.start: start_name}
-    # Branch table: per point, each walked slot -> the point it reaches. A
-    # maze has no duplicate edges and node_of is one to one, so a point's
-    # walked slots and walked neighbors correspond one to one.
-    table: Dict[str, Dict[Slot, str]] = {start_name: {}}
+    name_of_truth: Dict[str, str] = {}
+    # Branch table: per point, each walked neighbor -> the slot that reaches
+    # it. A maze has no duplicate edges and node_of is one to one, so a
+    # point's walked slots and walked neighbors correspond one to one.
+    table: Dict[str, Dict[str, Slot]] = {}
     longest = 0.0
     eff_tol = 1.0 if tol is None else tol
     traversals = 0
     branches = maze.branches
     point, coordinate, neighbors = state.point, state.coordinate, state.neighbors
+    node_of = state.node_of
+
+    def add_point(name: str, node: str, coord: Point2D) -> None:
+        """Enter a new point, maze node ``node`` at ``coord``, everywhere."""
+        state.type_of[name] = len(branches[node]) - 1
+        coordinate[name] = coord
+        _index_point(state, name)
+        neighbors[name] = []
+        node_of[name] = node
+        name_of_truth[node] = name
+        table[name] = {}
 
     def walk(slot: Slot) -> None:
         """Traverse one branch of the current point and log the arrival."""
-        nonlocal true_node, longest, eff_tol, traversals
+        nonlocal longest, eff_tol, traversals
         traversals += 1
         if traversals > budget:
             raise ExplorationError(
@@ -249,7 +250,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                 "errors are likely re-opening finished points" % budget)
         cur = point[-1]
         try:
-            other, length, back = branches[true_node][slot]
+            other, length, back = branches[node_of[cur]][slot]
         except KeyError:
             raise InconsistencyError(
                 "no branch %r at point %r" % (slot, cur)) from None
@@ -277,14 +278,8 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                     "coordinate by more than the tolerance %g"
                     % (name_of_truth[other], guess.x, guess.y, eff_tol))
             name = str(len(state.type_of))
-            state.type_of[name] = len(branches[other]) - 1
-            coordinate[name] = guess
-            _index_point(state, name)
-            neighbors[name] = []
-            state.node_of[name] = other
-            name_of_truth[other] = name
-            table[name] = {}
-        elif state.node_of[name] != other:
+            add_point(name, other, guess)
+        elif node_of[name] != other:
             c = coordinate[name]
             raise ExplorationError(
                 "odometry drift: arrival at a new point was confused with "
@@ -292,25 +287,29 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                 "accumulated error" % (name, c.x, c.y, eff_tol))
 
         c = coordinate[name]
-        if slot not in table[cur]:
+        if name not in table[cur]:
             # Stored coordinates never move, so an edge is weighed once.
             w = math.hypot(c.x - prev.x, c.y - prev.y)
             neighbors[cur].append((name, w))
             neighbors[name].append((cur, w))
-            table[cur][slot] = name
-            table[name][back] = cur
+            table[cur][name] = slot
+            table[name][cur] = back
         point.append(name)
-        true_node = other
         # The edge just walked is listed, so the count is at least 1.
         state.trace.append((name, state.type_of[name], len(neighbors[name]),
                             c.x, c.y))
 
+    # maze.node raises the package's error for an unknown start id.
+    add_point("0", maze.node(maze.start).id, Point2D(0.0, 0.0))
+    point.append("0")
+    state.trace.append(("0", state.type_of["0"], 1, 0.0, 0.0))
     while True:
         cur = point[-1]
         # Branch preference: east, north, west, south; among lanes of one
         # direction, the nearest-reaching branch first. That is slot order.
-        pending = next((slot for slot in branches[true_node]
-                        if slot not in table[cur]), None)
+        walked = table[cur].values()
+        pending = next((slot for slot in branches[node_of[cur]]
+                        if slot not in walked), None)
         if pending is not None:
             walk(pending)
             continue
@@ -318,8 +317,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
         if path is None:
             break
         for nxt in path[1:]:
-            walk(next(slot for slot, name in table[point[-1]].items()
-                      if name == nxt))
+            walk(table[point[-1]][nxt])
     return state
 
 

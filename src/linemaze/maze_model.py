@@ -250,6 +250,11 @@ def make_maze(nodes, edges, start, end):
     return maze
 
 
+# Per record kind: its token count and the fields its syntax error quotes.
+_RECORDS = {"node": (4, "node <id> <x> <y>"), "edge": (3, "edge <a> <b>"),
+            "start": (2, "start <id>"), "end": (2, "end <id>")}
+
+
 def parse_maze(text):
     """Parse the line-oriented maze format into a validated MazeSpec.
 
@@ -258,45 +263,36 @@ def parse_maze(text):
     """
     nodes = []
     edges = []
-    start = None
-    end = None
+    marks = {}  # "start" and "end" -> node id
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        # Most lines hold no comment, and testing for one is cheap.
+        tokens = (raw[:raw.index("#")] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind = tokens[0]
+        try:
+            count, fields = _RECORDS[kind]
+        except KeyError:
+            raise MazeSyntaxError(lineno, "unknown record type %r" % kind) from None
+        if len(tokens) != count:
+            raise MazeSyntaxError(lineno, "%s record needs: %s" % (kind, fields))
         if kind == "node":
-            if len(tokens) != 4:
-                raise MazeSyntaxError(lineno, "node record needs: node <id> <x> <y>")
             try:
                 x, y = float(tokens[2]), float(tokens[3])
             except ValueError:
+                line = raw.split("#", 1)[0].strip()
                 raise MazeSyntaxError(lineno, "bad coordinate in %r" % line) from None
             nodes.append(MazeNode(tokens[1], Point2D(x, y)))
         elif kind == "edge":
-            if len(tokens) != 3:
-                raise MazeSyntaxError(lineno, "edge record needs: edge <a> <b>")
             edges.append(MazeEdge(tokens[1], tokens[2]))
-        elif kind == "start":
-            if len(tokens) != 2:
-                raise MazeSyntaxError(lineno, "start record needs: start <id>")
-            if start is not None:
-                raise MazeSyntaxError(lineno, "duplicate start record")
-            start = tokens[1]
-        elif kind == "end":
-            if len(tokens) != 2:
-                raise MazeSyntaxError(lineno, "end record needs: end <id>")
-            if end is not None:
-                raise MazeSyntaxError(lineno, "duplicate end record")
-            end = tokens[1]
+        elif kind in marks:
+            raise MazeSyntaxError(lineno, "duplicate %s record" % kind)
         else:
-            raise MazeSyntaxError(lineno, "unknown record type %r" % kind)
-    if start is None:
-        raise MazeValidationError("missing start record")
-    if end is None:
-        raise MazeValidationError("missing end record")
-    return make_maze(nodes, edges, start, end)
+            marks[kind] = tokens[1]
+    for kind in ("start", "end"):
+        if kind not in marks:
+            raise MazeValidationError("missing %s record" % kind)
+    return make_maze(nodes, edges, marks["start"], marks["end"])
 
 
 def serialize_maze(maze):

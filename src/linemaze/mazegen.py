@@ -29,7 +29,7 @@ def random_maze(rng, max_nodes=50, loops=0, leaf_ends=True):
     # Spanning tree over a connected subset of grid cells.
     first = (rng.randrange(side), rng.randrange(side))
     cells = {first}
-    tree_edges = set()
+    edges = set()  # (cell, cell) pairs, smaller cell first
     frontier = [(first, nb) for nb in _grid_neighbors(first, side)]
     while frontier and len(cells) < target:
         idx = rng.randrange(len(frontier))
@@ -38,29 +38,23 @@ def random_maze(rng, max_nodes=50, loops=0, leaf_ends=True):
         if dst in cells:
             continue
         cells.add(dst)
-        tree_edges.add(_cell_edge(src, dst))
+        edges.add((src, dst) if src < dst else (dst, src))
         for nb in _grid_neighbors(dst, side):
             if nb not in cells:
                 frontier.append((dst, nb))
 
-    edges = set(tree_edges)
     if loops:
-        candidates = []
-        for cell in cells:
-            for nb in _grid_neighbors(cell, side):
-                if nb in cells:
-                    key = _cell_edge(cell, nb)
-                    if key not in edges:
-                        candidates.append(key)
-        candidates = sorted(set(candidates))
+        # Each adjacent pair once, from its west or south cell.
+        candidates = sorted({(cell, nb) for cell in cells
+                             for nb in ((cell[0] + 1, cell[1]),
+                                        (cell[0], cell[1] + 1))
+                             if nb in cells} - edges)
         rng.shuffle(candidates)
         edges.update(candidates[:loops])
 
     # Randomized but monotone coordinates keep the lattice axis-aligned.
-    cols = sorted({c for c, _ in cells})
-    rows = sorted({r for _, r in cells})
-    xs = _cumulative(rng, cols)
-    ys = _cumulative(rng, rows)
+    xs = _cumulative(rng, sorted({c for c, _ in cells}))
+    ys = _cumulative(rng, sorted({r for _, r in cells}))
 
     adj = {cell: set() for cell in cells}
     for a, b in edges:
@@ -86,25 +80,16 @@ def random_maze(rng, max_nodes=50, loops=0, leaf_ends=True):
         adj[n2].add(n1)
         del adj[cell]
 
-    names = {cell: "p%d" % i for i, cell in enumerate(sorted(adj))}
+    order = sorted(adj)
+    names = {cell: "p%d" % i for i, cell in enumerate(order)}
     nodes = [MazeNode(names[cell], Point2D(xs[cell[0]], ys[cell[1]]))
-             for cell in sorted(adj)]
-    maze_edges = []
-    seen = set()
-    for cell in sorted(adj):
-        for nb in sorted(adj[cell]):
-            key = frozenset((cell, nb))
-            if key in seen:
-                continue
-            seen.add(key)
-            maze_edges.append(MazeEdge(names[cell], names[nb]))
+             for cell in order]
+    # Each edge once, from its smaller cell.
+    maze_edges = [MazeEdge(names[cell], names[nb])
+                  for cell in order for nb in sorted(adj[cell]) if nb > cell]
 
     ids = [n.id for n in nodes]
-    degree = {i: 0 for i in ids}
-    for e in maze_edges:
-        degree[e.a] += 1
-        degree[e.b] += 1
-    leaves = [i for i in ids if degree[i] == 1]
+    leaves = [names[cell] for cell in order if len(adj[cell]) == 1]
     pool = leaves if (leaf_ends and len(leaves) >= 2) else ids
     start, end = rng.sample(pool, 2)
     return make_maze(nodes, maze_edges, start, end)
@@ -115,33 +100,21 @@ def random_tree(rng, max_nodes=50):
     return random_maze(rng, max_nodes=max_nodes, loops=0, leaf_ends=True)
 
 
+# Grid steps east, west, north, south: the order cells join the frontier.
+_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
 def _grid_neighbors(cell, side):
     c, r = cell
-    out = []
-    if c + 1 < side:
-        out.append((c + 1, r))
-    if c > 0:
-        out.append((c - 1, r))
-    if r + 1 < side:
-        out.append((c, r + 1))
-    if r > 0:
-        out.append((c, r - 1))
-    return out
-
-
-def _cell_edge(a, b):
-    return (a, b) if a <= b else (b, a)
+    return [(c + dc, r + dr) for dc, dr in _STEPS
+            if 0 <= c + dc < side and 0 <= r + dr < side]
 
 
 def _cumulative(rng, indices):
-    pos = {}
+    """Coordinate per sorted index: a random spacing times each gap's steps."""
+    pos = {indices[0]: 0.0}
     total = 0.0
-    prev = None
-    for idx in indices:
-        if prev is None:
-            total = 0.0
-        else:
-            total += rng.choice(SPACINGS) * (idx - prev)
+    for prev, idx in zip(indices, indices[1:]):
+        total += rng.choice(SPACINGS) * (idx - prev)
         pos[idx] = total
-        prev = idx
     return pos

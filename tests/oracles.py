@@ -16,6 +16,13 @@
 - ``reference_branches``: the branch table as it was built before the
   edge checks moved into it, in three passes over per-edge arrays, the
   oracle for ``MazeSpec.branches`` and its per-node order.
+- ``reference_too_diagonal``: ``build_graph``'s diagonal test written with
+  ``max``/``min``, the oracle for its comparison-only form.
+- ``reference_random_maze``: the maze generator as it was before it kept
+  one edge set, the oracle for ``mazegen.random_maze``'s mazes and random
+  stream.
+- ``reference_parse_maze``: the maze parser as it was before its record
+  table, the oracle for ``parse_maze``'s specs and messages.
 """
 
 import math
@@ -25,9 +32,10 @@ from typing import Dict, Optional, Set, Tuple
 
 from linemaze._directions import EAST, NORTH, SOUTH, WEST, reverse
 from linemaze.errors import (GraphQueryError, InconsistencyError,
-                             MazeValidationError)
+                             MazeSyntaxError, MazeValidationError)
 from linemaze.graph_path import MazeGraph, PathResult
-from linemaze.maze_model import MAX_DEGREE, Point2D
+from linemaze.maze_model import (MAX_DEGREE, MazeEdge, MazeNode, Point2D,
+                                 make_maze)
 
 
 def brute_force_shortest(g: MazeGraph, s: str, t: str) -> PathResult:
@@ -122,9 +130,7 @@ def visit_log_graph(state) -> MazeGraph:
                 "visit log repeats %r consecutively; no traversal can do that"
                 % (a,))
         ca, cb = state.coordinate[a], state.coordinate[b]
-        major = max(abs(cb.x - ca.x), abs(cb.y - ca.y))
-        minor = min(abs(cb.x - ca.x), abs(cb.y - ca.y))
-        if minor > max(1.0, 0.5 * major):
+        if reference_too_diagonal(cb.x - ca.x, cb.y - ca.y):
             raise InconsistencyError(
                 "coordinate delta %r -> %r is (%g, %g): too diagonal for a "
                 "straight axis-aligned traversal; exploration state corrupt"
@@ -142,6 +148,14 @@ def visit_log_graph(state) -> MazeGraph:
         adj[b].append((a, w))
     return MazeGraph(coordinates=dict(coords),
                      adjacency={k: tuple(sorted(v)) for k, v in adj.items()})
+
+
+def reference_too_diagonal(dx: float, dy: float) -> bool:
+    """True when a coordinate delta is too diagonal for a straight walk:
+    its smaller component exceeds both 1 cm and half the larger one."""
+    major = max(abs(dx), abs(dy))
+    minor = min(abs(dx), abs(dy))
+    return minor > max(1.0, 0.5 * major)
 
 
 def step_loop_integrate(length, h, alpha0, theta, kappa, fl, fr,
@@ -378,3 +392,169 @@ def reference_branches(maze):
                 exits[slot_b[k]] = (e.a, lengths[k], slot_a[k])
         table[node_id] = exits
     return table
+
+
+_SPACINGS = (4.0, 6.0, 8.0, 11.0)
+
+
+def reference_random_maze(rng, max_nodes=50, loops=0, leaf_ends=True):
+    """``mazegen.random_maze`` with a tree-edge set beside its loop-edge
+    copy, deduplicated loop candidates, a ``seen`` set of emitted edges and
+    degrees recounted from the edge list."""
+    target = max(2, rng.randint(max(2, max_nodes // 2), max_nodes))
+    side = max(2, int(target ** 0.5) + 2)
+
+    first = (rng.randrange(side), rng.randrange(side))
+    cells = {first}
+    tree_edges = set()
+    frontier = [(first, nb) for nb in _reference_grid_neighbors(first, side)]
+    while frontier and len(cells) < target:
+        idx = rng.randrange(len(frontier))
+        frontier[idx], frontier[-1] = frontier[-1], frontier[idx]
+        src, dst = frontier.pop()
+        if dst in cells:
+            continue
+        cells.add(dst)
+        tree_edges.add(_reference_cell_edge(src, dst))
+        for nb in _reference_grid_neighbors(dst, side):
+            if nb not in cells:
+                frontier.append((dst, nb))
+
+    edges = set(tree_edges)
+    if loops:
+        candidates = []
+        for cell in cells:
+            for nb in _reference_grid_neighbors(cell, side):
+                if nb in cells:
+                    key = _reference_cell_edge(cell, nb)
+                    if key not in edges:
+                        candidates.append(key)
+        candidates = sorted(set(candidates))
+        rng.shuffle(candidates)
+        edges.update(candidates[:loops])
+
+    cols = sorted({c for c, _ in cells})
+    rows = sorted({r for _, r in cells})
+    xs = _reference_cumulative(rng, cols)
+    ys = _reference_cumulative(rng, rows)
+
+    adj = {cell: set() for cell in cells}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+
+    for cell in list(adj):
+        nbs = adj[cell]
+        if len(nbs) != 2:
+            continue
+        n1, n2 = sorted(nbs)
+        same_col = n1[0] == cell[0] == n2[0]
+        same_row = n1[1] == cell[1] == n2[1]
+        if not (same_col or same_row):
+            continue
+        adj[n1].discard(cell)
+        adj[n2].discard(cell)
+        adj[n1].add(n2)
+        adj[n2].add(n1)
+        del adj[cell]
+
+    names = {cell: "p%d" % i for i, cell in enumerate(sorted(adj))}
+    nodes = [MazeNode(names[cell], Point2D(xs[cell[0]], ys[cell[1]]))
+             for cell in sorted(adj)]
+    maze_edges = []
+    seen = set()
+    for cell in sorted(adj):
+        for nb in sorted(adj[cell]):
+            key = frozenset((cell, nb))
+            if key in seen:
+                continue
+            seen.add(key)
+            maze_edges.append(MazeEdge(names[cell], names[nb]))
+
+    ids = [n.id for n in nodes]
+    degree = {i: 0 for i in ids}
+    for e in maze_edges:
+        degree[e.a] += 1
+        degree[e.b] += 1
+    leaves = [i for i in ids if degree[i] == 1]
+    pool = leaves if (leaf_ends and len(leaves) >= 2) else ids
+    start, end = rng.sample(pool, 2)
+    return make_maze(nodes, maze_edges, start, end)
+
+
+def _reference_grid_neighbors(cell, side):
+    c, r = cell
+    out = []
+    if c + 1 < side:
+        out.append((c + 1, r))
+    if c > 0:
+        out.append((c - 1, r))
+    if r + 1 < side:
+        out.append((c, r + 1))
+    if r > 0:
+        out.append((c, r - 1))
+    return out
+
+
+def _reference_cell_edge(a, b):
+    return (a, b) if a <= b else (b, a)
+
+
+def _reference_cumulative(rng, indices):
+    pos = {}
+    total = 0.0
+    prev = None
+    for idx in indices:
+        if prev is None:
+            total = 0.0
+        else:
+            total += rng.choice(_SPACINGS) * (idx - prev)
+        pos[idx] = total
+        prev = idx
+    return pos
+
+
+def reference_parse_maze(text):
+    """``parse_maze`` with one token-count check per record kind and
+    separate start and end variables."""
+    nodes = []
+    edges = []
+    start = None
+    end = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        kind = tokens[0]
+        if kind == "node":
+            if len(tokens) != 4:
+                raise MazeSyntaxError(lineno, "node record needs: node <id> <x> <y>")
+            try:
+                x, y = float(tokens[2]), float(tokens[3])
+            except ValueError:
+                raise MazeSyntaxError(lineno, "bad coordinate in %r" % line) from None
+            nodes.append(MazeNode(tokens[1], Point2D(x, y)))
+        elif kind == "edge":
+            if len(tokens) != 3:
+                raise MazeSyntaxError(lineno, "edge record needs: edge <a> <b>")
+            edges.append(MazeEdge(tokens[1], tokens[2]))
+        elif kind == "start":
+            if len(tokens) != 2:
+                raise MazeSyntaxError(lineno, "start record needs: start <id>")
+            if start is not None:
+                raise MazeSyntaxError(lineno, "duplicate start record")
+            start = tokens[1]
+        elif kind == "end":
+            if len(tokens) != 2:
+                raise MazeSyntaxError(lineno, "end record needs: end <id>")
+            if end is not None:
+                raise MazeSyntaxError(lineno, "duplicate end record")
+            end = tokens[1]
+        else:
+            raise MazeSyntaxError(lineno, "unknown record type %r" % kind)
+    if start is None:
+        raise MazeValidationError("missing start record")
+    if end is None:
+        raise MazeValidationError("missing end record")
+    return make_maze(nodes, edges, start, end)

@@ -362,9 +362,18 @@ def test_negative_seed_is_usage_error(capsys, argv):
     assert err == "error: --seed must be at least 0\n"
 
 
-def test_unknown_flag(capsys):
+def test_unknown_flag(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "solve", "--maze", "fig2", "--bogus")
     assert code == 1
+    # plot prints no report, so it has no --format.
+    svg = tmp_path / "x.svg"
+    code, out, err = run_cli(capsys, "plot", "--maze", "fig2", "--out",
+                             str(svg), "--format", "tsv")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].endswith(
+        "error: unrecognized arguments: --format tsv")
+    assert not svg.exists()
 
 
 def test_missing_subcommand(capsys):

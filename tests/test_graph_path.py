@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linemaze.errors import GraphQueryError, InconsistencyError
 from linemaze.graph_path import (MazeGraph, PathResult, build_graph, dijkstra,
@@ -11,8 +13,8 @@ from linemaze.graph_path import (MazeGraph, PathResult, build_graph, dijkstra,
 from linemaze.mapping_explorer import ExplorationState, explore_map
 from linemaze.maze_model import Point2D
 from linemaze.mazegen import random_maze
-from oracles import (brute_force_shortest, graphs_isomorphic, shifted,
-                     visit_log_graph)
+from oracles import (brute_force_shortest, graphs_isomorphic,
+                     reference_too_diagonal, shifted, visit_log_graph)
 from test_explorer_fixture import NOISY_EVERY, SEEDS, _maze
 
 FIG2_EXPORT = """\
@@ -110,6 +112,38 @@ def test_build_graph_tolerates_snapping_skew():
     assert g.edge_count() == 1
     assert dict(g.neighbors("0"))["1"] == pytest.approx(math.hypot(0.4, 10))
     assert g == visit_log_graph(st)
+
+
+# Small deltas near the thresholds, huge ones whose difference overflows to
+# inf, and any finite float.
+_COORD = st.one_of(st.floats(-20.0, 20.0),
+                   st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0, -1e308, 1e308)),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=400, deadline=None)
+@example(ca=(0.0, 0.0), cb=(1.0, 1.5))  # one delta equals 1
+@example(ca=(0.0, 0.0), cb=(1.5, 1.0))
+@example(ca=(0.0, 0.0), cb=(2.0, 4.0))  # one delta is half the other
+@example(ca=(0.0, 0.0), cb=(-4.0, 2.0))
+@example(ca=(0.0, 0.0), cb=(2.0, 2.0))
+@example(ca=(-1e308, 0.0), cb=(1e308, 3.0))  # one delta overflows to inf
+@example(ca=(-1e308, -1e308), cb=(1e308, 1e308))  # both overflow
+@given(ca=st.tuples(_COORD, _COORD), cb=st.tuples(_COORD, _COORD))
+def test_build_graph_diagonal_check_matches_reference(ca, cb):
+    state = state_of(["0", "1"], {"0": ca, "1": cb})
+    try:
+        got = build_graph(state)
+    except InconsistencyError as exc:
+        got = str(exc)
+    diagonal = reference_too_diagonal(cb[0] - ca[0], cb[1] - ca[1])
+    assert (isinstance(got, str) and "too diagonal" in got) == diagonal
+    # Same message, or the same graph, as the oracle's old expression.
+    try:
+        want = visit_log_graph(state)
+    except InconsistencyError as exc:
+        want = str(exc)
+    assert got == want
 
 
 def test_build_graph_rejects_coincident_vertices():

@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linemaze._directions import EAST, NORTH, SOUTH, WEST
-from linemaze.errors import MazeSyntaxError, MazeValidationError
+from linemaze.errors import (LinemazeError, MazeSyntaxError,
+                             MazeValidationError)
 from linemaze.maze_model import (MazeEdge, MazeNode, MazeSpec, Point2D,
                                  _check_crossings, bundled_maze_text,
                                  make_maze, parse_maze, serialize_maze)
-from linemaze.mazegen import random_maze
+from linemaze.mazegen import random_maze, random_tree
 
 from conftest import build_maze
-from oracles import reference_branches, reference_validate
+from oracles import (reference_branches, reference_parse_maze,
+                     reference_random_maze, reference_validate)
 
 
 BUNDLED = ["fig1", "fig2", "corridor", "plus"]
@@ -60,6 +62,10 @@ def test_comments_and_blank_lines_ignored():
     ("start", 1, "start record needs"),
     ("end", 1, "end record needs"),
     ("wall S F", 1, "unknown record type"),
+    ("node S 0 0 9", 1, "node record needs"),
+    ("edge S F G", 1, "edge record needs"),
+    ("start S F", 1, "start record needs"),
+    ("end F G", 1, "end record needs"),
 ])
 def test_syntax_errors_carry_line_numbers(bad_line, lineno, msg):
     with pytest.raises(MazeSyntaxError, match=msg) as ei:
@@ -92,6 +98,63 @@ def test_missing_start_end(missing, msg):
     lines = [l for l in lines if not l.startswith(missing)]
     with pytest.raises(MazeValidationError, match=msg):
         parse_maze("\n".join(lines) + "\n")
+
+
+# Record-like lines: known and unknown kinds, 0-4 tokens, varied spacing,
+# optional comments. Tokens are ids and coordinates, valid or not. Known kinds,
+# nodes most, are drawn more often, so that lines get past the record checks
+# to the coordinate and validation errors.
+_KINDS = ("node", "node", "node", "edge", "edge", "start", "end", "wall",
+          "Node", "", "#")
+_TOKENS = ("S", "J", "D", "F", "p0", "0", "10", "-6", "6", "nan", "1e309",
+           "-0", "1_0", "x", "inf")
+_RECORD = st.builds(
+    lambda pad, sep, kind, tokens, comment:
+        pad + sep.join([kind] + tokens) + comment,
+    st.sampled_from(("", " ", "\t")), st.sampled_from((" ", "  ", "\t ")),
+    st.sampled_from(_KINDS),
+    st.integers(0, 4).flatmap(lambda n: st.lists(
+        st.sampled_from(_TOKENS), min_size=n, max_size=n)),
+    st.sampled_from(("", " # note", "#end F")))
+# A valid T junction that drawn lines are mixed into.
+_T_MAZE = ("node S 0 0", "node J 0 10", "node D 6 10", "node F -6 10",
+           "edge J S", "edge J D", "edge J F", "start S", "end F")
+
+
+def _parse_outcome(parse, text):
+    """The spec and its text, or the error's type and message. Any error
+    but the package's escapes."""
+    try:
+        maze = parse(text)
+    except LinemazeError as exc:
+        return type(exc), str(exc)
+    return maze, serialize_maze(maze)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), base=st.booleans(),
+       lines=st.lists(_RECORD, max_size=6))
+def test_parser_matches_reference(data, base, lines):
+    text_lines = list(_T_MAZE) if base else []
+    for line in lines:
+        text_lines.insert(data.draw(st.integers(0, len(text_lines))), line)
+    breaks = data.draw(st.lists(st.sampled_from(("\n", "\r\n", "\r", "\x0b")),
+                                min_size=len(text_lines),
+                                max_size=len(text_lines)))
+    text = "".join(line + br for line, br in zip(text_lines, breaks))
+    assert (_parse_outcome(parse_maze, text)
+            == _parse_outcome(reference_parse_maze, text))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), max_nodes=st.integers(2, 150),
+       loops=st.integers(0, 30), leaf_ends=st.booleans())
+def test_generated_mazes_round_trip(seed, max_nodes, loops, leaf_ends):
+    maze = random_maze(random.Random(seed), max_nodes, loops, leaf_ends)
+    text = serialize_maze(maze)
+    again = parse_maze(text)
+    assert again == maze
+    assert serialize_maze(again) == text
 
 
 def test_serialize_uses_repr_coordinates():
@@ -656,3 +719,33 @@ def test_branches_match_reference_on_injected_edges():
         if any(lane for t in maze.branches.values() for _d, lane in t):
             kinds.add(kind)
     assert {"t_junction", "random"} <= kinds
+
+
+# ------------------------------------------------------------- generation
+
+# (max_nodes, seeds): from the smallest grid up to the benchmark's middle
+# rung, fewer seeds where a maze costs more.
+_GENERATOR_GRID = [(2, 40), (3, 40), (4, 40), (12, 30), (40, 20), (120, 8),
+                   (400, 3), (800, 2)]
+
+
+def _same_draw(got, want, rng_got, rng_want):
+    assert serialize_maze(got) == serialize_maze(want)
+    assert (got.start, got.end) == (want.start, want.end)
+    assert repr(got.branches) == repr(want.branches)
+    # Both consumed the same random stream.
+    assert rng_got.getstate() == rng_want.getstate()
+
+
+@pytest.mark.parametrize("max_nodes, seeds", _GENERATOR_GRID)
+def test_generator_matches_reference(max_nodes, seeds):
+    for seed in range(seeds):
+        for loops in sorted({0, max_nodes // 10, max_nodes // 5}):
+            for leaf_ends in (True, False):
+                rng, ref = random.Random(seed), random.Random(seed)
+                _same_draw(random_maze(rng, max_nodes, loops, leaf_ends),
+                           reference_random_maze(ref, max_nodes, loops,
+                                                 leaf_ends), rng, ref)
+        rng, ref = random.Random(seed), random.Random(seed)
+        _same_draw(random_tree(rng, max_nodes),
+                   reference_random_maze(ref, max_nodes), rng, ref)
