@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import random
 import statistics
 import sys
 import time
@@ -98,9 +97,10 @@ def _load_maze(arg: str) -> Tuple[MazeSpec, str]:
     return parse_maze(text), path.stem
 
 
-def _drive(length: float, mode: str, params: MotionParams,
-           seed: int) -> EncoderLog:
-    """Encoder log of one straight segment of ``length``.
+def _drive(length: float, mode: str, params: MotionParams, seed: int,
+           index: int) -> EncoderLog:
+    """Encoder log of one straight segment of ``length``, jitter key
+    (seed, index).
 
     Ideal odometry drives a perfect straight run: both wheels roll exactly
     ``length``, with no pivots. Every other mode simulates the segment.
@@ -109,7 +109,7 @@ def _drive(length: float, mode: str, params: MotionParams,
         return EncoderLog(wl_total=length, wr_total=length, n_right=0,
                           n_left=0, true_length=length,
                           trajectory=((0.0, 0.0), (length, 0.0)))
-    return simulate_segment(length, params, seed=seed)
+    return simulate_segment(length, params, seed, index)
 
 
 def _drive_path(maze: MazeSpec, path: Sequence[str], mode: str,
@@ -117,20 +117,17 @@ def _drive_path(maze: MazeSpec, path: Sequence[str], mode: str,
                 seed: int) -> List[Tuple[str, str, int, float, EncoderLog]]:
     """Drive each hop of ``path``: (from, to, direction, length, log).
 
-    A hop's direction and length come from the maze's branch table; the
-    hops are driven in order with seeds drawn from ``random.Random(seed)``.
-    Ideal odometry ignores seeds, so it draws none.
+    A hop's direction and length come from the maze's branch table; hop i
+    is driven with jitter key (seed, i).
     """
-    rng = None if mode == "ideal" else random.Random(seed)
     hops = []
-    for a, b in zip(path, path[1:]):
+    for i, (a, b) in enumerate(zip(path, path[1:])):
         direction, length = next(
             (slot[0], length)
             for slot, (other, length, _back) in maze.branches[a].items()
             if other == b)
-        hop_seed = 0 if rng is None else rng.randrange(2 ** 31)
         hops.append((a, b, direction, length,
-                     _drive(length, mode, params, hop_seed)))
+                     _drive(length, mode, params, seed, i)))
     return hops
 
 
@@ -195,16 +192,13 @@ def cmd_tableone(args: argparse.Namespace) -> str:
     params = MotionParams()
     cal = calibration_from_motion(params)
 
-    # Seed-major, so that each seed's jitter is drawn once for all lengths.
-    raws: List[List[float]] = [[] for _ in args.lengths]
-    corrs: List[List[float]] = [[] for _ in args.lengths]
-    for s in range(args.seed, args.seed + args.seeds):
-        for length, raw, corr in zip(args.lengths, raws, corrs):
-            log = _drive(length, mode, params, s)
+    rows: List[Tuple[float, float, float, float, float]] = []
+    for length in args.lengths:
+        raw, corr = [], []
+        for s in range(args.seed, args.seed + args.seeds):
+            log = _drive(length, mode, params, s, 0)
             raw.append(estimate_length(log, cal, "raw"))
             corr.append(estimate_length(log, cal, mode))
-    rows: List[Tuple[float, float, float, float, float]] = []
-    for length, raw, corr in zip(args.lengths, raws, corrs):
         med_raw = statistics.median(raw)
         med_corr = statistics.median(corr)
         rows.append((length, med_raw, med_corr,
@@ -250,9 +244,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if not exc.code else 1
     started = time.perf_counter()
     try:
-        # random.Random seeds by absolute value: -7 would replay 7's draws.
         if args.seed < 0:
             raise ValueError("--seed must be at least 0")
+        if args.seed >= 2 ** 64:
+            raise ValueError("--seed must be below 2**64")
         if args.command == "solve":
             out = cmd_solve(args)
         elif args.command == "tableone":

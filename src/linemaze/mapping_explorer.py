@@ -46,7 +46,6 @@ reachable point first) and walks them as distinct branches.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -195,8 +194,8 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     the calibration derived from it. src is the odometry mode, one of
     ``ODOMETRY_MODES``; tol is the coordinate-match tolerance in cm
     (default: 3% of the longest segment measured so far, floored at 1 cm).
-    Noisy modes drive each walk with a seed drawn from
-    ``random.Random(seed)``; ideal odometry walks the true lengths and
+    Noisy modes drive traversal k, the walk that arrives at ``point[k]``,
+    with jitter key (seed, k); ideal odometry walks the true lengths and
     draws nothing.
     ``node_of`` in the returned state names the maze node behind every
     discovered point.
@@ -215,7 +214,6 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
         raise ValueError("tol must be positive, got %r" % (tol,))
 
     budget = 4 * len(maze.edges)
-    rng = None if src == "ideal" else random.Random(seed)
 
     state = ExplorationState()
     name_of_truth: Dict[str, str] = {}
@@ -254,12 +252,8 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
         except KeyError:
             raise InconsistencyError(
                 "no branch %r at point %r" % (slot, cur)) from None
-        if rng is None:
-            measured = length
-        else:
-            log = simulate_segment(length, params,
-                                   seed=rng.randrange(2 ** 31))
-            measured = estimate_length(log, cal, src)
+        measured = length if src == "ideal" else estimate_length(
+            simulate_segment(length, params, seed, traversals), cal, src)
         if measured > longest:
             longest = measured
             # The default tolerance, max(1, 3% of longest), only grows.

@@ -208,9 +208,11 @@ def _check_crossings(maze, coords):
     for k, e in enumerate(edges):
         pa, pb = by_id[e.a].position, by_id[e.b].position
         if pa.y == pb.y:
-            horizontal.append((pa.y, min(pa.x, pb.x), max(pa.x, pb.x), k))
+            lo, hi = (pa.x, pb.x) if pa.x < pb.x else (pb.x, pa.x)
+            horizontal.append((pa.y, lo, hi, k))
         else:
-            vertical.append((pa.x, min(pa.y, pb.y), max(pa.y, pb.y), k))
+            lo, hi = (pa.y, pb.y) if pa.y < pb.y else (pb.y, pa.y)
+            vertical.append((pa.x, lo, hi, k))
 
     # Horizontal edges sorted by y; each vertical edge tests only those in
     # its y-range. Of several offending pairs, the one reported is the one

@@ -22,9 +22,7 @@ keeps the step loop to compare against.
 
 from __future__ import annotations
 
-import functools
 import math
-import random
 from dataclasses import dataclass, field
 from math import atan2, cos, sin, sqrt
 from typing import Optional, Tuple
@@ -42,10 +40,12 @@ __all__ = [
     "radius_from_ratio",
 ]
 
-# Start-of-segment heading jitter: |alpha0| is drawn uniformly from
-# [JITTER_LO * alpha, JITTER_HI * alpha], with a random sign.
+# Start-of-segment heading jitter: |alpha0| is uniform on
+# [JITTER_LO * alpha, JITTER_HI * alpha], with a random sign, keyed by
+# (run seed, segment index), two integers in [0, 2**64).
 JITTER_LO = 0.9
 JITTER_HI = 1.0
+_MASK64 = (1 << 64) - 1
 
 # Longest segment simulate_segment drives, in cm. At the default robot a
 # call costs about 11 microseconds plus 1.3 us per simulated cm (1.3 us/cm
@@ -163,33 +163,41 @@ def radius_from_ratio(speed_ratio: float, wheel_base: float) -> float:
     return wheel_base / (speed_ratio - 1.0)
 
 
-@functools.lru_cache(maxsize=1, typed=True)
-def _initial_heading(alpha: float, seed: int) -> float:
-    """Signed start-of-segment heading drawn from ``random.Random(seed)``.
+def _mix64(z: int) -> int:
+    """splitmix64's finalizer: a bijection of the integers in [0, 2**64)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
 
-    Remembers only the last draw: a run of segments with one seed, as
-    ``tableone`` drives them, seeds the generator once. A larger cache
-    would pay off only in a process that repeats whole runs.
+
+def _initial_heading(alpha: float, seed: int, index: int) -> float:
+    """Signed start heading of segment ``index`` of a run seeded ``seed``.
+
+    z = mix(mix(seed) + G*index) mod 2**64, G odd, is one to one in each
+    key with the other fixed; its top 53 bits set the size, bit 0 the sign.
     """
-    rng = random.Random(seed)
+    if not (0 <= seed <= _MASK64 and 0 <= index <= _MASK64):
+        raise ValueError("seed and index must lie in [0, 2**64), got %r, %r"
+                         % (seed, index))
     if not alpha > 0.0:
         return 0.0
-    magnitude = alpha * rng.uniform(JITTER_LO, JITTER_HI)
-    return magnitude if rng.random() < 0.5 else -magnitude
+    z = _mix64(_mix64(seed) + index * 0x9E3779B97F4A7C15 & _MASK64)
+    u = (z >> 11) * 2.0 ** -53
+    magnitude = alpha * (JITTER_LO + (JITTER_HI - JITTER_LO) * u)
+    return -magnitude if z & 1 else magnitude
 
 
-def simulate_segment(length: float, params: MotionParams,
-                     seed: int) -> EncoderLog:
+def simulate_segment(length: float, params: MotionParams, seed: int,
+                     index: int = 0) -> EncoderLog:
     """Drive one straight taped segment of ``length`` and log the encoders.
 
-    ``seed`` seeds the heading jitter draw. A call with the same seed and
-    ``alpha`` as the call just before it reuses that call's draw instead of
-    seeding a new generator; the draw, and so the log, is the same.
+    The start heading's jitter is keyed by ``seed`` and ``index``, so
+    segment ``index`` of a run seeded ``seed`` replays alone in one call.
 
     Raises ValueError for a length that is not positive or exceeds
-    ``MAX_SEGMENT_LENGTH``, and MotionDivergenceError if the controller
-    fails to make progress (the heading collapses onto +-90 degrees or the
-    step budget runs out).
+    ``MAX_SEGMENT_LENGTH`` or a seed or index outside [0, 2**64), and
+    MotionDivergenceError if the controller fails to make progress (the
+    heading collapses onto +-90 degrees or the step budget runs out).
     """
     if not 0.0 < length <= MAX_SEGMENT_LENGTH:
         raise ValueError("length must be positive and at most %g cm, got %r"
@@ -199,7 +207,7 @@ def simulate_segment(length: float, params: MotionParams,
         raise ValueError("length must be positive and small enough to count "
                          "its steps; %g cm at a %g cm step is not"
                          % (length, params.step))
-    alpha0 = _initial_heading(params.alpha, seed)
+    alpha0 = _initial_heading(params.alpha, seed, index)
     kappa = params.kappa
     fl, fr = _wheel_factors(kappa, params.wheel_base)
     k = params.inner_rot_const

@@ -109,7 +109,7 @@ def _walk(maze: MazeSpec,
     """
     node = maze.start
     by_dir = _unique_exits(maze, node)
-    if maze.degree(node) == 1:
+    if len(by_dir) == 1:
         heading = next(iter(by_dir))
     else:
         heading = choose(node, by_dir, NORTH, False)
@@ -119,7 +119,7 @@ def _walk(maze: MazeSpec,
         if node == maze.end:
             return
         by_dir = _unique_exits(maze, node)
-        degree = maze.degree(node)
+        degree = len(by_dir)
         if degree == 1:
             dead_end(node)
             heading = reverse(heading)

@@ -9,6 +9,9 @@
   log, the oracle for ``build_graph``'s view of the walked graph.
 - ``step_loop_integrate``: the motion kernel as one Euler step at a time,
   the oracle for ``motion_sim._integrate``'s leg jumps.
+- ``fresh_heading``: the start-heading jitter as it was drawn before it was
+  keyed by (seed, index), from a new ``random.Random(seed)``. The kernel
+  and estimator digests run under it, so they pin only their own layer.
 - ``reference_validate``: the maze validator as it was before it reused
   its coordinate map and the branch table for the crossing check, the
   oracle for ``make_maze``'s first error. It accepts ``#`` in node ids,
@@ -26,10 +29,12 @@
 """
 
 import math
+import random
 from bisect import bisect_left, bisect_right
 from math import cos, sin
 from typing import Dict, Optional, Set, Tuple
 
+from linemaze import motion_sim
 from linemaze._directions import EAST, NORTH, SOUTH, WEST, reverse
 from linemaze.errors import (GraphQueryError, InconsistencyError,
                              MazeSyntaxError, MazeValidationError)
@@ -156,6 +161,16 @@ def reference_too_diagonal(dx: float, dy: float) -> bool:
     major = max(abs(dx), abs(dy))
     minor = min(abs(dx), abs(dy))
     return minor > max(1.0, 0.5 * major)
+
+
+def fresh_heading(alpha, seed, index=0):
+    """Start heading drawn from a new ``random.Random(seed)``; the index is
+    ignored. A drop-in for ``motion_sim._initial_heading``."""
+    if alpha == 0.0:
+        return 0.0
+    rng = random.Random(seed)
+    magnitude = alpha * rng.uniform(motion_sim.JITTER_LO, motion_sim.JITTER_HI)
+    return magnitude if rng.random() < 0.5 else -magnitude
 
 
 def step_loop_integrate(length, h, alpha0, theta, kappa, fl, fr,

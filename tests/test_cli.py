@@ -3,18 +3,20 @@
 import math
 import random
 import re
+import statistics
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from linemaze import motion_sim
+from linemaze import cli, mapping_explorer
 from linemaze.cli import run
 from linemaze.errors import GraphQueryError, InconsistencyError
 from linemaze.maze_model import serialize_maze
 from linemaze.mazegen import random_maze
 from linemaze.motion_sim import MotionParams, simulate_segment
+from linemaze.odometry import calibration_from_motion, estimate_length
 
 SOLVE_FIG2_IDEAL = """\
 maze: fig2
@@ -83,14 +85,14 @@ segments:
   segment           true        raw  corrected
   S-A              10.00      10.23      10.01
   A-E              14.00      14.32      14.01
-  E-F               8.00       8.19       8.01
+  E-F               8.00       8.19       8.00
 """
 
 TABLEONE_DEFAULT_20 = """\
   actual    encoder    formula    err_enc  err_formula
-   10.00      10.23      10.01      2.34%        0.06%
+   10.00      10.23      10.01      2.34%        0.07%
    14.00      14.32      14.01      2.31%        0.07%
-    8.00       8.19       8.01      2.32%        0.06%
+    8.00       8.19       8.01      2.32%        0.07%
 """
 
 TABLEONE_IDEAL_1 = """\
@@ -100,7 +102,7 @@ TABLEONE_IDEAL_1 = """\
 
 TABLEONE_TSV_SEED5 = """\
 actual\tencoder\tformula\terr_enc_pct\terr_formula_pct
-10.00\t10.2345\t10.0067\t2.3450\t0.0675
+10.00\t10.2347\t10.0069\t2.3469\t0.0693
 """
 
 
@@ -212,38 +214,56 @@ def test_tableone_tsv(capsys):
     assert out == TABLEONE_TSV_SEED5
 
 
-def test_tableone_seeds_one_generator_per_seed(capsys, monkeypatch):
-    # Seed-major: all lengths of one seed share its jitter draw, so L
-    # lengths and N seeds build N generators, not L*N.
-    built = []
+def spy_segments(monkeypatch):
+    """Record the (length, seed, index) of every segment the CLI and the
+    mapping explorer simulate."""
+    calls = []
 
-    class CountingRandom(random.Random):
-        def __init__(self, seed=None):
-            built.append(seed)
-            super().__init__(seed)
+    def spy(length, params, seed, index=0):
+        calls.append((length, seed, index))
+        return simulate_segment(length, params, seed, index)
 
-    motion_sim._initial_heading.cache_clear()
-    monkeypatch.setattr(random, "Random", CountingRandom)
-    code, _out, _ = run_cli(capsys, "tableone", "--seeds", "4", "--seed", "3",
-                            "--lengths", "10", "14", "8")
+    for module in (cli, mapping_explorer):
+        monkeypatch.setattr(module, "simulate_segment", spy)
+    return calls
+
+
+def test_tableone_keys_each_seed_at_index_zero(capsys, monkeypatch):
+    # Seed s drives every length with jitter key (s, 0), so all lengths of
+    # one seed share a start heading, and each row is the median over the
+    # seeds of one call each.
+    calls = spy_segments(monkeypatch)
+    code, out, _ = run_cli(capsys, "tableone", "--seeds", "4", "--seed", "3",
+                           "--lengths", "10", "14", "8", "--format", "tsv")
     assert code == 0
-    assert built == [3, 4, 5, 6]
+    assert sorted(calls) == sorted((length, s, 0) for s in range(3, 7)
+                                   for length in (10.0, 14.0, 8.0))
+    p = MotionParams()
+    cal = calibration_from_motion(p)
+    for line, length in zip(out.splitlines()[1:], (10.0, 14.0, 8.0)):
+        logs = [simulate_segment(length, p, s, 0) for s in range(3, 7)]
+        assert line.split("\t")[1:3] == [
+            "%.4f" % statistics.median(estimate_length(log, cal, mode)
+                                       for log in logs)
+            for mode in ("raw", "arc")]
 
 
 def test_ideal_solve_builds_no_generator(capsys, monkeypatch):
-    # Ideal odometry walks and drives the true lengths: no draw is read.
-    built = []
-
-    class CountingRandom(random.Random):
-        def __init__(self, seed=None):
-            built.append(seed)
-            super().__init__(seed)
-
-    monkeypatch.setattr(random, "Random", CountingRandom)
+    # Ideal odometry walks and drives the true lengths: nothing is
+    # simulated, in the explorer or in the hop table.
+    calls = spy_segments(monkeypatch)
     code, out, _ = run_cli(capsys, "solve", "--maze", "fig2", "--seed", "3")
     assert code == 0
     assert out == SOLVE_FIG2_IDEAL
-    assert built == []
+    assert calls == []
+    code, _out, _ = run_cli(capsys, "solve", "--maze", "fig2", "--seed", "3",
+                            "--odometry", "arc")
+    assert code == 0
+    # The explorer's walks are keyed (3, 1), (3, 2), ...; the report's
+    # three hops (3, 0), (3, 1), (3, 2).
+    walks = len(calls) - 3
+    assert [c[1:] for c in calls] == \
+        [(3, k) for k in range(1, walks + 1)] + [(3, i) for i in range(3)]
 
 
 # ------------------------------------------------------- measurement bands
@@ -355,11 +375,53 @@ def test_tableone_argument_validation(capsys, argv):
     ("plot", "--maze", "fig2", "--out", "/nonexistent-dir/x.svg"),
 ])
 def test_negative_seed_is_usage_error(capsys, argv):
-    # random.Random seeds by absolute value, so -7 would replay seed 7.
     code, out, err = run_cli(capsys, *argv, "--seed", "-7")
     assert code == 1
     assert out == ""
     assert err == "error: --seed must be at least 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--maze", "fig2", "--odometry", "arc"),
+    ("solve", "--maze", "fig2"),
+    ("tableone", "--seeds", "3"),
+    ("plot", "--maze", "fig2", "--out", "/nonexistent-dir/x.svg"),
+])
+def test_seed_beyond_64_bits_is_usage_error(capsys, argv):
+    # A jitter key holds 64 bits; a wider seed is refused, not folded onto
+    # a smaller one, also in ideal mode, which draws nothing.
+    code, out, err = run_cli(capsys, *argv, "--seed", str(2 ** 64))
+    assert code == 1
+    assert out == ""
+    assert err == "error: --seed must be below 2**64\n"
+
+
+def test_tableone_seed_window_beyond_64_bits_is_usage_error(capsys):
+    top = 2 ** 64 - 1
+    code, out, _ = run_cli(capsys, "tableone", "--seeds", "1", "--lengths",
+                           "10", "--seed", str(top))
+    assert code == 0 and out
+    code, out, err = run_cli(capsys, "tableone", "--seeds", "2", "--lengths",
+                             "10", "--seed", str(top))
+    assert code == 1
+    assert out == ""
+    assert err == ("error: seed and index must lie in [0, 2**64), got %d, 0\n"
+                   % (top + 1))
+
+
+def test_exhausted_traversal_budget_exits_two(capsys, monkeypatch):
+    # A route search that sends the robot back and forth between its
+    # current point and the previous one never finishes the map; fig2 has
+    # 8 edges, so the budget is 32 walks.
+    def bounce(state):
+        return [state.point[-1], state.point[-2]]
+
+    monkeypatch.setattr(mapping_explorer, "next_target", bounce)
+    code, out, err = run_cli(capsys, "solve", "--maze", "fig2")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: exploration exceeded its budget of 32 traversals; "
+                   "odometry errors are likely re-opening finished points\n")
 
 
 def test_unknown_flag(capsys, tmp_path):
@@ -444,11 +506,13 @@ def test_seed_flag(capsys):
 
 def test_seed_changes_noisy_output(capsys):
     # solve rounds to two decimals, which can coincide across seeds; the
-    # four-decimal tableone TSV resolves the jitter.
+    # four-decimal tableone TSV resolves the jitter. The two windows of
+    # seeds do not overlap: windows that do can share their median seed
+    # and so print the same table.
     _, a, _ = run_cli(capsys, "tableone", "--seeds", "3", "--lengths", "10",
                       "--seed", "0", "--format", "tsv")
     _, b, _ = run_cli(capsys, "tableone", "--seeds", "3", "--lengths", "10",
-                      "--seed", "1", "--format", "tsv")
+                      "--seed", "3", "--format", "tsv")
     assert a != b
 
 
@@ -532,12 +596,10 @@ def test_plot_noisy_marks_every_pivot(tmp_path, capsys):
     assert code == 0
     svg = out.read_text()
 
-    # Re-derive the per-segment simulation seeds the same way the command
-    # draws them, and count the pivots the robot actually executed.
-    rng = random.Random(seed)
+    # Hop i of the path is keyed (seed, i): replay each hop alone and count
+    # the pivots the robot actually executed.
     params = MotionParams()
     total_turns = 0
-    for length in (10.0, 14.0, 8.0):  # path S-A, A-E, E-F
-        log = simulate_segment(length, params, seed=rng.randrange(2 ** 31))
-        total_turns += log.turn_count
+    for i, length in enumerate((10.0, 14.0, 8.0)):  # path S-A, A-E, E-F
+        total_turns += simulate_segment(length, params, seed, i).turn_count
     assert svg.count('class="turn"') >= total_turns

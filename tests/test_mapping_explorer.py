@@ -13,6 +13,7 @@ from linemaze.mapping_explorer import (ExplorationState, explore_map,
                                        match_point, next_target, trace_lines)
 from linemaze.maze_model import Point2D
 from linemaze.mazegen import random_maze
+from linemaze.motion_sim import simulate_segment
 from linemaze.odometry import ODOMETRY_MODES
 
 FIG2_TRACE = [
@@ -341,20 +342,62 @@ def test_seed_changes_the_noise(fig2):
     assert trace_lines(a) == trace_lines(again)
 
 
+def recording_segments(monkeypatch):
+    """Record every ``simulate_segment`` call of the explorer as
+    ((length, params, seed, index), log)."""
+    calls = []
+    simulate = mapping_explorer.simulate_segment
+
+    def spy(*args):
+        calls.append((args, simulate(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(mapping_explorer, "simulate_segment", spy)
+    return calls
+
+
 def test_ideal_mode_draws_nothing(fig2, monkeypatch):
-    built = []
-
-    class CountingRandom(random.Random):
-        def __init__(self, seed=None):
-            built.append(seed)
-            super().__init__(seed)
-
-    monkeypatch.setattr(random, "Random", CountingRandom)
+    calls = recording_segments(monkeypatch)
     state = explore_map(fig2, src="ideal", seed=5)
     assert trace_lines(state) == FIG2_TRACE
-    assert built == []
+    assert calls == []
     explore_map(fig2, src="raw", seed=5)
-    assert built[0] == 5
+    assert calls and all(args[2] == 5 for args, _log in calls)
+
+
+@pytest.mark.parametrize("mode,maze_seed", [
+    ("raw", None), ("arc", None), ("basic", 3), ("arc", 11)])
+def test_each_traversal_replays_alone(fig2, monkeypatch, mode, maze_seed):
+    # Traversal k is keyed (seed, k) and arrives at point[k]: each recorded
+    # call, replayed by itself in a shuffled order, gives the same log bit
+    # for bit.
+    maze = fig2 if maze_seed is None else random_maze(
+        random.Random(maze_seed), max_nodes=40, loops=4)
+    calls = recording_segments(monkeypatch)
+    state = explore_map(maze, src=mode, seed=17)
+    assert len(calls) == len(state.point) - 1
+    order = list(range(len(calls)))
+    random.Random(maze_seed).shuffle(order)
+    for k in order:
+        (length, params, seed, index), log = calls[k]
+        assert (seed, index) == (17, k + 1)
+        a = maze.position(state.node_of[state.point[k]])
+        b = maze.position(state.node_of[state.point[k + 1]])
+        assert length == math.hypot(b.x - a.x, b.y - a.y)
+        replayed = simulate_segment(length, params, seed, index)
+        assert repr(replayed) == repr(log)
+
+
+def test_exhausted_traversal_budget(fig2, monkeypatch):
+    # A route search that bounces between the current point and the
+    # previous one never finishes the map; fig2's 8 edges allow 32 walks.
+    monkeypatch.setattr(mapping_explorer, "next_target",
+                        lambda state: [state.point[-1], state.point[-2]])
+    with pytest.raises(ExplorationError) as err:
+        explore_map(fig2, src="arc")
+    assert str(err.value) == (
+        "exploration exceeded its budget of 32 traversals; odometry errors "
+        "are likely re-opening finished points")
 
 
 @pytest.mark.parametrize("maze_seed", [None, 0, 1, 2])

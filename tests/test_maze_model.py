@@ -334,6 +334,22 @@ def test_unrepresented_crossing_rejected():
             "S", "F")
 
 
+@pytest.mark.parametrize("vertical", [("S", "F"), ("F", "S")])
+@pytest.mark.parametrize("horizontal", [("A", "B"), ("B", "A")])
+def test_crossing_found_whichever_way_its_edges_are_written(vertical,
+                                                            horizontal):
+    # An edge's endpoints may come in either order along its axis.
+    with pytest.raises(MazeValidationError) as err:
+        build_maze(
+            [("S", 0, -10), ("F", 0, 10), ("A", -5, 0), ("B", 5, 0),
+             ("T", 5, 10)],
+            [vertical, horizontal, ("B", "T"), ("T", "F")],
+            "S", "F")
+    assert str(err.value) == (
+        "edges %s-%s and %s-%s cross at (0, 0); crossings must be a "
+        "junction node" % (horizontal + vertical))
+
+
 def test_crossing_at_junction_node_accepted():
     # Same picture but with a degree-4 node at the intersection.
     maze = build_maze(

@@ -2,18 +2,18 @@
 
 import hashlib
 import math
-import random
 import statistics
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from linemaze import motion_sim
 from linemaze.errors import MotionDivergenceError
 from linemaze.motion_sim import (EncoderLog, MotionParams, radius_from_ratio,
                                  simulate_segment)
-from oracles import step_loop_integrate
+from oracles import fresh_heading, step_loop_integrate
 
 
 def polyline_length(points):
@@ -153,7 +153,9 @@ KERNEL_CASES = [
 ]
 KERNEL_SEEDS = range(20)
 # Any change to a float, a pivot or the divergence message moves the digest,
-# which pins the leg-jump kernel's output across processes bit for bit.
+# which pins the leg-jump kernel's output across processes bit for bit. It
+# runs under ``fresh_heading``'s fixed start headings, so a change to how a
+# jitter key becomes a heading moves JITTER_DIGEST instead.
 # Re-record only for a change meant to alter the kernel's output:
 # ``PYTHONPATH=src python tests/test_motion_sim.py``
 KERNEL_DIGEST = (
@@ -162,15 +164,17 @@ KERNEL_DIGEST = (
 
 def kernel_digest():
     lines = []
-    for length, overrides in KERNEL_CASES:
-        p = MotionParams(**overrides)
-        for s in KERNEL_SEEDS:
-            lines.append(repr(simulate_segment(length, p, seed=s)))
-    try:
-        simulate_segment(200.0, MotionParams(h=200.0, alpha=0.0,
-                                             speed_ratio=1.1), seed=0)
-    except MotionDivergenceError as exc:
-        lines.append(str(exc))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(motion_sim, "_initial_heading", fresh_heading)
+        for length, overrides in KERNEL_CASES:
+            p = MotionParams(**overrides)
+            for s in KERNEL_SEEDS:
+                lines.append(repr(simulate_segment(length, p, seed=s)))
+        try:
+            simulate_segment(200.0, MotionParams(h=200.0, alpha=0.0,
+                                                 speed_ratio=1.1), seed=0)
+        except MotionDivergenceError as exc:
+            lines.append(str(exc))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -245,6 +249,27 @@ def test_leg_jumps_match_the_step_loop_property(length, speed_ratio, h, theta,
                                                 seed):
     p = MotionParams(speed_ratio=speed_ratio, h=h, theta=theta)
     assert_same_run(*simulate_both(length, p, seed), length)
+
+
+# A case the property above can draw: the jump kernel's end point lies
+# 1.94e-10 cm from the step loop's, outside the test's 1.91e-10 bound; the
+# step loop's own end y is off by up to 1.5e-10 cm against a double-double
+# reference. It is keyed by the start heading it was found with, not by a
+# seed, so a change to the jitter cannot hide it.
+STEP_LOOP_BOUND_DEFECT = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the end-point bound grows with length, the rounding with legs")
+RECORDED_ALPHA0 = -0.15942473113620448
+
+
+@STEP_LOOP_BOUND_DEFECT
+def test_leg_jumps_match_the_step_loop_at_the_recorded_heading():
+    p = MotionParams(speed_ratio=1.3883701437769478, h=0.01,
+                     theta=1.19921875)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(motion_sim, "_initial_heading",
+                   lambda alpha, seed, index: RECORDED_ALPHA0)
+        assert_same_run(*simulate_both(191.0, p, 0), 191.0)
 
 
 @pytest.mark.parametrize("speed_ratio", [0.5, 2.0])
@@ -414,6 +439,15 @@ def test_bad_length_rejected(bad):
         simulate_segment(bad, MotionParams(), seed=0)
 
 
+def test_uncountable_step_budget_rejected():
+    # 40 * 1e4 cm / 1e-305 cm overflows to inf: no step count fits.
+    with pytest.raises(ValueError) as err:
+        simulate_segment(1e4, MotionParams(step=1e-305), seed=0)
+    assert str(err.value) == (
+        "length must be positive and small enough to count its steps; "
+        "10000 cm at a 1e-305 cm step is not")
+
+
 @pytest.mark.parametrize("kwargs,msg", [
     (dict(h=0.0), "h must be positive"),
     (dict(h=math.inf), "h must be positive"),
@@ -457,52 +491,98 @@ def test_segment_simulation_invariants(length, seed):
     assert log == simulate_segment(length, p, seed=seed)
 
 
-# ------------------------------------------------------------- jitter memo
+# ------------------------------------------------------------------ jitter
 
-def fresh_heading(alpha, seed):
-    """Start heading drawn from a new ``random.Random(seed)``."""
-    if alpha == 0.0:
-        return 0.0
-    rng = random.Random(seed)
-    magnitude = alpha * rng.uniform(motion_sim.JITTER_LO, motion_sim.JITTER_HI)
-    return magnitude if rng.random() < 0.5 else -magnitude
+JITTER_ALPHAS = (MotionParams().alpha, math.radians(6.0), 0.0)
+JITTER_KEYS = [0, 1, 2, 3, 7, 10, 1000, 2 ** 31 - 1, 2 ** 32, 2 ** 63,
+               2 ** 64 - 1]
+# Pins how a jitter key (seed, index) becomes a start heading, bit for bit.
+# Re-record only for a change meant to alter every noisy output:
+# ``PYTHONPATH=src python tests/test_motion_sim.py``
+JITTER_DIGEST = (
+    "e23fa1f30155926496d4a8e6cdd7631b7b662c55de95a64095b1d20f109d6b5f")
 
 
-# Two robots share every seed but not alpha; the third draws no jitter.
-MEMO_ROBOTS = (MotionParams(), MotionParams(alpha=math.radians(6.0)),
-               MotionParams(alpha=0.0))
-memo_calls = st.lists(st.tuples(st.sampled_from(MEMO_ROBOTS),
-                                st.integers(min_value=0, max_value=2),
-                                st.sampled_from((1.0, 3.0, 10.0))),
-                      min_size=1, max_size=12)
+def jitter_digest():
+    lines = [repr(motion_sim._initial_heading(alpha, seed, index))
+             for alpha in JITTER_ALPHAS
+             for seed in JITTER_KEYS for index in JITTER_KEYS]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_jitter_is_bit_identical_to_the_recorded_digest():
+    assert jitter_digest() == JITTER_DIGEST
+
+
+def test_jitter_is_uniform_with_an_independent_sign():
+    alpha = MotionParams().alpha
+    headings = [motion_sim._initial_heading(alpha, seed, index)
+                for seed in range(100) for index in range(100)]
+    assert len(set(headings)) == len(headings)
+    share = [(abs(a) / alpha - motion_sim.JITTER_LO)
+             / (motion_sim.JITTER_HI - motion_sim.JITTER_LO) for a in headings]
+    assert all(0.9 * alpha <= abs(a) <= alpha for a in headings)
+    assert stats.kstest(share, "uniform").pvalue > 0.01
+    # 10,000 fair signs have a standard deviation of 0.005 in their share.
+    negative = [a < 0.0 for a in headings]
+    assert abs(statistics.mean(negative) - 0.5) < 0.02
+    for low in (True, False):
+        half = [n for n, u in zip(negative, share) if (u < 0.5) is low]
+        assert abs(statistics.mean(half) - 0.5) < 0.03
+
+
+def test_jitter_keys_are_one_to_one_in_seed_and_in_index():
+    # Adjacent and far-apart keys, on both axes and on the diagonal.
+    alpha = MotionParams().alpha
+    keys = [(s, i) for s in JITTER_KEYS for i in JITTER_KEYS]
+    keys += [(s + 1, i - 1) for s, i in keys if 0 < i and s < 2 ** 64 - 1]
+    headings = {motion_sim._initial_heading(alpha, s, i) for s, i in keys}
+    assert len(headings) == len(set(keys))
+
+
+@pytest.mark.parametrize("seed,index", [
+    (-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64), (-7, 3), (2 ** 64 + 1, 1)])
+@pytest.mark.parametrize("alpha", [MotionParams().alpha, 0.0])
+def test_jitter_keys_outside_64_bits_are_rejected(seed, index, alpha):
+    # Masking would fold seed s + 2**64 onto s; the key is refused instead,
+    # whether or not the robot draws any jitter.
+    with pytest.raises(ValueError) as err:
+        simulate_segment(3.0, MotionParams(alpha=alpha), seed, index)
+    assert str(err.value) == (
+        "seed and index must lie in [0, 2**64), got %r, %r" % (seed, index))
+
+
+def test_the_index_defaults_to_zero_and_moves_the_jitter():
+    p = MotionParams()
+    assert simulate_segment(10.0, p, 4) == simulate_segment(10.0, p, 4, 0)
+    assert simulate_segment(10.0, p, 4, 1) != simulate_segment(10.0, p, 4, 0)
+
+
+jitter_calls = st.lists(st.tuples(st.sampled_from(JITTER_ALPHAS),
+                                  st.integers(min_value=0, max_value=2),
+                                  st.integers(min_value=0, max_value=2),
+                                  st.sampled_from((1.0, 3.0, 10.0))),
+                        min_size=1, max_size=12)
 
 
 @settings(max_examples=40, deadline=None)
-@given(calls=memo_calls)
-def test_any_interleaving_of_seeds_gives_fresh_draws(calls):
-    # Repeated, alternating and shared seeds: each log equals the log of a
-    # call that seeds a new generator, and each heading a fresh draw.
-    memo = motion_sim._initial_heading
-    memo.cache_clear()
-    got = [simulate_segment(length, p, seed=s) for p, s, length in calls]
-    headings = [memo(p.alpha, s) for p, s, _length in calls]
-    want = []
-    for p, s, length in calls:
-        memo.cache_clear()
-        want.append(simulate_segment(length, p, seed=s))
-    assert got == want
-    assert headings == [fresh_heading(p.alpha, s) for p, s, _length in calls]
+@given(calls=jitter_calls, order=st.randoms(use_true_random=False))
+def test_any_interleaving_of_keys_gives_the_same_logs(calls, order):
+    # Repeated, alternating and shared keys: each call's log depends on its
+    # own arguments only, so the calls replayed one by one in another order
+    # give the same logs.
+    def one(call):
+        alpha, seed, index, length = call
+        return simulate_segment(length, MotionParams(alpha=alpha), seed,
+                                index)
 
-
-def test_a_repeated_seed_reuses_the_last_draw_only():
-    memo = motion_sim._initial_heading
-    memo.cache_clear()
-    p = MotionParams()
-    for s in (4, 4, 5, 4, 4):
-        simulate_segment(3.0, p, seed=s)
-    info = memo.cache_info()
-    assert (info.hits, info.misses, info.maxsize) == (2, 3, 1)
+    got = [one(call) for call in calls]
+    shuffled = list(range(len(calls)))
+    order.shuffle(shuffled)
+    again = {k: one(calls[k]) for k in shuffled}
+    assert got == [again[k] for k in range(len(calls))]
 
 
 if __name__ == "__main__":
     print(kernel_digest())
+    print(jitter_digest())

@@ -134,6 +134,15 @@ def test_replay_leftover_codes(fig1):
         replay(fig1, [3, 1, 1, 2])
 
 
+def test_replay_around_a_ring_exhausts_the_budget(ring_maze):
+    # Right at X from the start, then straight on at every return: each lap
+    # of the ring is 5 walks and reads one code, so 20 codes outlast the
+    # budget of 70 walks (10 per edge).
+    with pytest.raises(InconsistencyError) as err:
+        replay(ring_maze, [1] + [2] * 19)
+    assert str(err.value) == "tape did not reach the end within 70 traversals"
+
+
 @pytest.mark.parametrize("end", ["A", "B"])
 def test_replay_rejects_leftover_codes_whether_or_not_start_is_end(end):
     maze = build_maze([("A", 0, 0), ("B", 0, 10)], [("A", "B")], "A", end)
