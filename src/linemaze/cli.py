@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -183,6 +182,13 @@ def cmd_solve(args: argparse.Namespace) -> str:
     return "\n".join(out) + "\n"
 
 
+def _median(values: List[float]) -> float:
+    """``statistics.median`` of a non-empty list, without importing it."""
+    s = sorted(values)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
+
+
 def cmd_tableone(args: argparse.Namespace) -> str:
     mode = args.odometry or "arc"
     if args.seeds < 1:
@@ -199,8 +205,8 @@ def cmd_tableone(args: argparse.Namespace) -> str:
             log = _drive(length, mode, params, s, 0)
             raw.append(estimate_length(log, cal, "raw"))
             corr.append(estimate_length(log, cal, mode))
-        med_raw = statistics.median(raw)
-        med_corr = statistics.median(corr)
+        med_raw = _median(raw)
+        med_corr = _median(corr)
         rows.append((length, med_raw, med_corr,
                      (med_raw - length) / length * 100.0,
                      (med_corr - length) / length * 100.0))

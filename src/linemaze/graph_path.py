@@ -13,8 +13,7 @@ its next target with it, so both share one tie-break.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 from .errors import GraphQueryError, InconsistencyError
 from .maze_model import MazeSpec, Point2D
@@ -30,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MazeGraph:
+class MazeGraph(NamedTuple):
     """Undirected graph with coordinates and symmetric weighted adjacency."""
 
     coordinates: Dict[str, Point2D]
@@ -50,8 +48,7 @@ class MazeGraph:
         return sum(len(v) for v in self.adjacency.values()) // 2
 
 
-@dataclass(frozen=True)
-class PathResult:
+class PathResult(NamedTuple):
     """A path as an ordered vertex list plus its total length in cm."""
 
     nodes: List[str]
@@ -80,14 +77,14 @@ def build_graph(state) -> MazeGraph:
                     "that" % (a,))
             if b < a:
                 continue  # each edge is listed at both ends; check it once
-            ca, cb = coords[a], coords[b]
-            dx, dy = abs(cb.x - ca.x), abs(cb.y - ca.y)
+            (xa, ya), (xb, yb) = coords[a], coords[b]
+            dx, dy = abs(xb - xa), abs(yb - ya)
             # Too diagonal: the smaller delta exceeds 1 and half the larger.
             if dx > 1.0 and dy > 1.0 and dx > 0.5 * dy and dy > 0.5 * dx:
                 raise InconsistencyError(
                     "coordinate delta %r -> %r is (%g, %g): too diagonal for "
                     "a straight axis-aligned traversal; exploration state "
-                    "corrupt" % (a, b, cb.x - ca.x, cb.y - ca.y))
+                    "corrupt" % (a, b, xb - xa, yb - ya))
             if not w > 0.0:
                 raise InconsistencyError(
                     "vertices %r and %r coincide; cannot weight their edge"

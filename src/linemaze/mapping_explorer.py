@@ -46,14 +46,13 @@ reachable point first) and walks them as distinct branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ._directions import DELTA
 from .errors import ExplorationError, InconsistencyError
 from .graph_path import shortest_paths
 from .maze_model import MazeSpec, Point2D, Slot
-from .motion_sim import MotionParams, simulate_segment
+from .motion_sim import MotionParams, _jitter_key, simulate_segment
 from .odometry import ODOMETRY_MODES, calibration_from_motion, estimate_length
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "trace_lines",
 ]
 
-@dataclass
 class ExplorationState:
     """The mapping robot's knowledge, updated arrival by arrival.
 
@@ -80,27 +78,27 @@ class ExplorationState:
         where explored counts the distinct neighbors walked (floored at 1).
     """
 
-    point: List[str] = field(default_factory=list)
-    type_of: Dict[str, int] = field(default_factory=dict)
-    coordinate: Dict[str, Point2D] = field(default_factory=dict)
-    neighbors: Dict[str, List[Tuple[str, float]]] = field(default_factory=dict)
-    node_of: Dict[str, str] = field(default_factory=dict)
-    trace: List[Tuple[str, int, int, float, float]] = field(default_factory=list)
-    # Grid index over ``coordinate`` for match_point: cell key -> (x, y,
-    # name) per point. The cell width is a power of two, so x / cell is
-    # exact, and at least 1 cm, so it is finite for every finite x.
-    _grid: Dict[Tuple[int, int], List[Tuple[float, float, str]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _cell: float = field(default=1.0, init=False, repr=False, compare=False)
-    _indexed: int = field(default=0, init=False, repr=False, compare=False)
+    def __init__(self) -> None:
+        self.point: List[str] = []
+        self.type_of: Dict[str, int] = {}
+        self.coordinate: Dict[str, Point2D] = {}
+        self.neighbors: Dict[str, List[Tuple[str, float]]] = {}
+        self.node_of: Dict[str, str] = {}
+        self.trace: List[Tuple[str, int, int, float, float]] = []
+        # Grid index over ``coordinate`` for match_point: cell key -> (x, y,
+        # name) per point. The cell width is a power of two, so x / cell is
+        # exact, and at least 1 cm, so it is finite for every finite x.
+        self._grid: Dict[Tuple[int, int], List[Tuple[float, float, str]]] = {}
+        self._cell = 1.0
+        self._indexed = 0
 
 
 def _index_point(state: ExplorationState, name: str) -> None:
     """Add a point whose coordinate was just stored to the grid index."""
-    c = state.coordinate[name]
+    x, y = state.coordinate[name]
     cell = state._cell
-    key = math.floor(c.x / cell), math.floor(c.y / cell)
-    state._grid.setdefault(key, []).append((c.x, c.y, name))
+    key = math.floor(x / cell), math.floor(y / cell)
+    state._grid.setdefault(key, []).append((x, y, name))
     state._indexed += 1
 
 
@@ -137,7 +135,7 @@ def match_point(coord: Point2D, state: ExplorationState,
     if state._indexed != len(state.coordinate) or not state._cell >= 2.0 * tol:
         _reindex(state, tol)
     cell = state._cell
-    x, y = coord.x, coord.y
+    x, y = coord
     # Per axis: coord's cell key, and its offset into that cell as a share
     # of the cell. The box reaches the previous cell when the offset is
     # within tol of 0, and the next when within tol of 1. The 1e-9 hair
@@ -200,10 +198,12 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     ``node_of`` in the returned state names the maze node behind every
     discovered point.
 
-    Raises ExplorationError when the odometry is too noisy for the maze
-    (a revisited point lands outside tolerance, a measured coordinate
-    becomes ambiguous, or the traversal budget of 4 per edge runs out).
+    Raises ValueError for a seed outside [0, 2**64), in every mode, and
+    ExplorationError when the odometry is too noisy for the maze (a
+    revisited point lands outside tolerance, a measured coordinate becomes
+    ambiguous, or the traversal budget of 4 per edge runs out).
     """
+    _jitter_key(seed, 0)
     if params is None:
         params = MotionParams()
     if src not in ODOMETRY_MODES:
@@ -260,8 +260,8 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
             if tol is None and 0.03 * longest > 1.0:
                 eff_tol = 0.03 * longest
         dx, dy = DELTA[slot[0]]
-        prev = coordinate[cur]
-        guess = Point2D(prev.x + dx * measured, prev.y + dy * measured)
+        px, py = coordinate[cur]
+        guess = Point2D(px + dx * measured, py + dy * measured)
 
         name = match_point(guess, state, eff_tol)
         if name is None:
@@ -280,10 +280,10 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                 "known point %r at (%g, %g); tolerance %g too large for the "
                 "accumulated error" % (name, c.x, c.y, eff_tol))
 
-        c = coordinate[name]
+        x, y = coordinate[name]
         if name not in table[cur]:
             # Stored coordinates never move, so an edge is weighed once.
-            w = math.hypot(c.x - prev.x, c.y - prev.y)
+            w = math.hypot(x - px, y - py)
             neighbors[cur].append((name, w))
             neighbors[name].append((cur, w))
             table[cur][name] = slot
@@ -291,7 +291,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
         point.append(name)
         # The edge just walked is listed, so the count is at least 1.
         state.trace.append((name, state.type_of[name], len(neighbors[name]),
-                            c.x, c.y))
+                            x, y))
 
     # maze.node raises the package's error for an unknown start id.
     add_point("0", maze.node(maze.start).id, Point2D(0.0, 0.0))

@@ -9,10 +9,9 @@ they share; any other crossing or touch must be modeled as a junction.
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from ._directions import EAST, NORTH, SOUTH, WEST
 from .errors import MazeSyntaxError, MazeValidationError
@@ -24,30 +23,33 @@ MAX_DEGREE = 4
 Slot = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Point2D:
+class Point2D(NamedTuple):
     x: float
     y: float
 
 
-@dataclass(frozen=True)
-class MazeNode:
+class MazeNode(NamedTuple):
     id: str
     position: Point2D
 
 
-@dataclass(frozen=True)
-class MazeEdge:
+class MazeEdge(NamedTuple):
     a: str
     b: str
 
 
-@dataclass(frozen=True)
-class MazeSpec:
+class _MazeFields(NamedTuple):
     nodes: tuple
     edges: tuple
     start: str
     end: str
+
+
+class MazeSpec(_MazeFields):
+    # No __slots__: the cached properties below live in the instance dict,
+    # which they fill directly, so no attribute can be assigned.
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to MazeSpec.%s" % name)
 
     @cached_property
     def _by_id(self):
@@ -78,22 +80,22 @@ class MazeSpec:
             if key in seen:
                 raise MazeValidationError("duplicate edge %s-%s" % (a, b))
             seen.add(key)
-            pa, pb = by_id[a].position, by_id[b].position
+            (xa, ya), (xb, yb) = by_id[a].position, by_id[b].position
             # Exactly one axis may differ: not a diagonal, not zero-length.
-            if (pa.x != pb.x) == (pa.y != pb.y):
+            if (xa != xb) == (ya != yb):
                 raise MazeValidationError("edge %s-%s not axis-aligned" % (a, b))
-            length = math.hypot(pb.x - pa.x, pb.y - pa.y)
+            length = math.hypot(xb - xa, yb - ya)
             if not math.isfinite(length):
                 raise MazeValidationError(
                     "edge %s-%s is too long: its length is not finite" % (a, b))
-            if pa.y == pb.y:
-                there, back = (EAST, WEST) if pb.x > pa.x else (WEST, EAST)
+            if ya == yb:
+                there, back = (EAST, WEST) if xb > xa else (WEST, EAST)
             else:
-                there, back = (NORTH, SOUTH) if pb.y > pa.y else (SOUTH, NORTH)
+                there, back = (NORTH, SOUTH) if yb > ya else (SOUTH, NORTH)
             # Each end's sort key, and the edge's slot at a and at b.
             slots = [None, None]
-            ends[a].append((there, length, pb.x, pb.y, b, slots, 0))
-            ends[b].append((back, length, pa.x, pa.y, a, slots, 1))
+            ends[a].append((there, length, xb, yb, b, slots, 0))
+            ends[b].append((back, length, xa, ya, a, slots, 1))
         for out in ends.values():
             # Lanes of one direction run nearest first: by length, then by
             # the neighbor's coordinate, which no two exits of a node share.

@@ -23,9 +23,9 @@ keeps the step loop to compare against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
 from math import atan2, cos, sin, sqrt
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import MotionDivergenceError
 
@@ -63,8 +63,19 @@ KERNEL_BACKEND = "pure"
 _MAX_JUMP_HEADING = math.pi / 2 - 1e-6
 
 
-@dataclass(frozen=True)
-class MotionParams:
+class _MotionFields(NamedTuple):
+    h: float = 0.1
+    alpha: float = math.radians(10.0)
+    theta: float = math.radians(10.0)
+    speed_ratio: float = 1.02
+    wheel_base: float = 10.0
+    pivot_left: float = 0.008
+    pivot_right: float = 0.008
+    inner_rot_const: float = 0.002
+    step: float = 0.01
+
+
+class MotionParams(_MotionFields):
     """Physical parameters of the simulated robot.
 
     Distances are in centimetres, angles in radians.
@@ -81,17 +92,10 @@ class MotionParams:
     step: integration step along the robot path.
     """
 
-    h: float = 0.1
-    alpha: float = math.radians(10.0)
-    theta: float = math.radians(10.0)
-    speed_ratio: float = 1.02
-    wheel_base: float = 10.0
-    pivot_left: float = 0.008
-    pivot_right: float = 0.008
-    inner_rot_const: float = 0.002
-    step: float = 0.01
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.h > 0.0 and math.isfinite(self.h)):
             raise ValueError("h must be positive and finite")
         if not (0.0 <= self.alpha < math.pi / 2):
@@ -107,6 +111,10 @@ class MotionParams:
                 raise ValueError("%s must be non-negative and finite" % name)
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise ValueError("step must be positive and finite")
+        return self
+
+    # _replace builds through _make, so both must run the checks above.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @property
     def kappa(self) -> float:
@@ -126,8 +134,7 @@ def _wheel_factors(kappa: float, wheel_base: float) -> Tuple[float, float]:
     return 1.0 - half, 1.0 + half
 
 
-@dataclass(frozen=True)
-class EncoderLog:
+class EncoderLog(NamedTuple):
     """Encoder readout and ground truth for one traversed segment.
 
     wl_total/wr_total: accumulated left/right wheel distances.
@@ -145,7 +152,7 @@ class EncoderLog:
     n_right: int
     n_left: int
     true_length: float
-    trajectory: Optional[Tuple[Tuple[float, float], ...]] = field(default=None)
+    trajectory: Optional[Tuple[Tuple[float, float], ...]] = None
 
     @property
     def turn_count(self) -> int:
@@ -170,15 +177,25 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _jitter_key(seed: int, index: int) -> Tuple[int, int]:
+    """The key as ints; ValueError unless both are integers in [0, 2**64)."""
+    try:
+        seed, index = operator.index(seed), operator.index(index)
+        if 0 <= seed <= _MASK64 and 0 <= index <= _MASK64:
+            return seed, index
+    except TypeError:
+        pass
+    raise ValueError("seed and index must lie in [0, 2**64), got %r, %r"
+                     % (seed, index))
+
+
 def _initial_heading(alpha: float, seed: int, index: int) -> float:
     """Signed start heading of segment ``index`` of a run seeded ``seed``.
 
     z = mix(mix(seed) + G*index) mod 2**64, G odd, is one to one in each
     key with the other fixed; its top 53 bits set the size, bit 0 the sign.
     """
-    if not (0 <= seed <= _MASK64 and 0 <= index <= _MASK64):
-        raise ValueError("seed and index must lie in [0, 2**64), got %r, %r"
-                         % (seed, index))
+    seed, index = _jitter_key(seed, index)
     if not alpha > 0.0:
         return 0.0
     z = _mix64(_mix64(seed) + index * 0x9E3779B97F4A7C15 & _MASK64)
@@ -202,34 +219,31 @@ def simulate_segment(length: float, params: MotionParams, seed: int,
     if not 0.0 < length <= MAX_SEGMENT_LENGTH:
         raise ValueError("length must be positive and at most %g cm, got %r"
                          % (MAX_SEGMENT_LENGTH, length))
-    budget = 40.0 * length / params.step
+    # One unpacking: a named field read costs about twice an attribute read.
+    (h, alpha, theta, _ratio, wheel_base, pivot_left, pivot_right, k,
+     step) = params
+    budget = 40.0 * length / step
     if not math.isfinite(budget):
         raise ValueError("length must be positive and small enough to count "
                          "its steps; %g cm at a %g cm step is not"
-                         % (length, params.step))
-    alpha0 = _initial_heading(params.alpha, seed, index)
+                         % (length, step))
+    alpha0 = _initial_heading(alpha, seed, index)
     kappa = params.kappa
-    fl, fr = _wheel_factors(kappa, params.wheel_base)
-    k = params.inner_rot_const
-    # Pivot charges, with the extra rotation cost charged to the inner wheel
-    # of the turn.
-    rp_l = params.pivot_left
-    rp_r = params.pivot_right + k
-    lp_l = params.pivot_left + k
-    lp_r = params.pivot_right
+    fl, fr = _wheel_factors(kappa, wheel_base)
     max_steps = int(budget) + 10000
 
+    # Pivot charges (rp_l, rp_r, lp_l, lp_r), with the extra rotation cost
+    # charged to the inner wheel of the turn.
     wl, wr, n_right, n_left, pivots, y_final, ok = _integrate(
-        length, params.h, alpha0, params.theta, kappa, fl, fr,
-        rp_l, rp_r, lp_l, lp_r, params.step, max_steps)
+        length, h, alpha0, theta, kappa, fl, fr, pivot_left, pivot_right + k,
+        pivot_left + k, pivot_right, step, max_steps)
     if not ok:
         raise MotionDivergenceError(
             "line follower failed to traverse a %g cm segment "
             "(heading diverged or step budget exhausted)" % length)
 
     trajectory = ((0.0, 0.0),) + tuple(pivots) + ((length, y_final),)
-    return EncoderLog(wl_total=wl, wr_total=wr, n_right=n_right,
-                      n_left=n_left, true_length=length, trajectory=trajectory)
+    return EncoderLog(wl, wr, n_right, n_left, length, trajectory)
 
 
 def _integrate(length, h, alpha0, theta, kappa, fl, fr,

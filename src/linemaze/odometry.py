@@ -23,8 +23,8 @@ oscillate with a fixed lateral period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ArcDomainError, CalibrationError
 from .motion_sim import (JITTER_HI, JITTER_LO, EncoderLog, MotionParams,
@@ -52,8 +52,18 @@ _H_SCALE = 0.98
 ODOMETRY_MODES = ("ideal", "raw", "basic", "arc")
 
 
-@dataclass(frozen=True)
-class CalibConstants:
+class _CalibFields(NamedTuple):
+    c: float
+    c_left: float
+    c_right: float
+    f_lc: float
+    f_rc: float
+    k: float
+    h: float
+    radius: float
+
+
+class CalibConstants(_CalibFields):
     """Correction constants describing one robot's line-following gait.
 
     c: mean along-track projection (cosine) of the oscillating heading.
@@ -70,16 +80,13 @@ class CalibConstants:
         drive.
     """
 
-    c: float
-    c_left: float
-    c_right: float
-    f_lc: float
-    f_rc: float
-    k: float
-    h: float
-    radius: float
+    # No __slots__: the cached property below lives in the instance dict,
+    # which it fills directly, so no attribute can be assigned.
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to CalibConstants.%s" % name)
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 < self.c <= 1.0):
             raise CalibrationError("c must lie in (0, 1], got %r" % (self.c,))
         for name in ("c_left", "c_right"):
@@ -99,6 +106,10 @@ class CalibConstants:
             raise CalibrationError(
                 "need 2*h <= radius for the arc model (2*%g > %g)"
                 % (self.h, self.radius))
+        return self
+
+    # _replace builds through _make, so both must run the checks above.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @cached_property
     def _half_stretch(self):

@@ -20,8 +20,7 @@ both into a clean error instead of an endless walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from ._directions import (BACK, FRONT, LEFT, NORTH, REL_NAMES, RIGHT,
                           absolute_of, reverse)
@@ -47,8 +46,7 @@ PREFERENCES: Dict[str, Tuple[int, int, int, int]] = {
 }
 
 
-@dataclass
-class JunctionTape:
+class JunctionTape(NamedTuple):
     """Junction bookkeeping of one exploration.
 
     sums: accumulated relative-turn codes, one entry per junction on the

@@ -468,6 +468,17 @@ def test_odometry_source_modes(fig2):
         trace_lines(explore_map(fig2, src="ideal"))
 
 
+@pytest.mark.parametrize("mode", ODOMETRY_MODES)
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+def test_explore_refuses_a_bad_seed_in_every_mode(fig2, mode, seed):
+    # Ideal odometry draws no jitter, but it refuses what the noisy modes
+    # would refuse on their first walk.
+    with pytest.raises(ValueError) as err:
+        explore_map(fig2, src=mode, seed=seed)
+    assert str(err.value) == (
+        "seed and index must lie in [0, 2**64), got %r, 0" % (seed,))
+
+
 def test_odometry_source_invalid(fig2):
     for bad in ("raw-encoder", "corrected-basic", "corrected-arc", "IDEAL",
                 ""):

@@ -541,11 +541,13 @@ def test_jitter_keys_are_one_to_one_in_seed_and_in_index():
 
 
 @pytest.mark.parametrize("seed,index", [
-    (-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64), (-7, 3), (2 ** 64 + 1, 1)])
+    (-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64), (-7, 3), (2 ** 64 + 1, 1),
+    (1.5, 0), (0, 1.5), (2.0, 0)])
 @pytest.mark.parametrize("alpha", [MotionParams().alpha, 0.0])
 def test_jitter_keys_outside_64_bits_are_rejected(seed, index, alpha):
     # Masking would fold seed s + 2**64 onto s; the key is refused instead,
-    # whether or not the robot draws any jitter.
+    # whether or not the robot draws any jitter. A key that is not an
+    # integer is refused the same way.
     with pytest.raises(ValueError) as err:
         simulate_segment(3.0, MotionParams(alpha=alpha), seed, index)
     assert str(err.value) == (

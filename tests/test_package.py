@@ -1,14 +1,21 @@
 """The package's exports: every listed name resolves, once, and retired
-names stay retired."""
+names stay retired. Its records stay immutable and checked, and importing
+the CLI stays cheap."""
 
-import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import linemaze
+from linemaze import (CalibConstants, CalibrationError, EncoderLog,
+                      JunctionTape, MazeEdge, MazeGraph, MazeNode,
+                      MotionParams, PathResult, Point2D, bundled_maze_text,
+                      calibration_from_motion, parse_maze)
 
 SUBMODULES = sorted("linemaze." + m.name
                     for m in pkgutil.iter_modules(linemaze.__path__))
@@ -49,10 +56,81 @@ def test_retired_names_are_gone():
     for name in ("incident_edges", "exits", "edge_length", "edge_other",
                  "edge_direction", "_incident"):
         assert not hasattr(linemaze.MazeSpec, name), name
-    fields = [f.name for f in dataclasses.fields(linemaze.MotionParams)]
+    fields = linemaze.MotionParams._fields
     assert [f for f in fields if f == "seed"
             or f.startswith(("pivot_arc_", "pivot_lin_"))] == []
     seed = inspect.signature(linemaze.simulate_segment).parameters["seed"]
     assert seed.default is inspect.Parameter.empty
     chord = inspect.signature(linemaze.chord_from_arc).parameters
     assert list(chord) == ["s", "radius"]
+
+
+def test_importing_the_cli_loads_no_heavy_standard_modules():
+    # dataclasses (with inspect, ast and dis) and statistics (with
+    # fractions and decimal) cost most of a cold start, which every short
+    # CLI call pays.
+    src = os.path.dirname(os.path.dirname(linemaze.__file__))
+    code = ("import sys; sys.path.insert(0, %r); before = set(sys.modules); "
+            "import linemaze.cli; print(*sorted(set(sys.modules) - before))"
+            % src)
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    added = set(out.split())
+    assert "linemaze.cli" in added
+    assert added & {"dataclasses", "inspect", "statistics"} == set()
+
+
+RECORDS = [
+    Point2D(1.0, 2.0), MazeNode("A", Point2D(0.0, 0.0)), MazeEdge("A", "B"),
+    parse_maze(bundled_maze_text("fig2")), MotionParams(),
+    EncoderLog(1.0, 1.0, 0, 0, 1.0),
+    calibration_from_motion(MotionParams()),
+    MazeGraph({"A": Point2D(0.0, 0.0)}, {"A": ()}), PathResult(["A"], 0.0),
+    JunctionTape([3, 1]),
+]
+CACHED = ("branches", "_by_id", "_half_stretch")
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_refuse_assignment(record):
+    # MazeSpec and CalibConstants keep their caches in an instance dict:
+    # a filled cache, like a field or a new name, cannot be assigned.
+    for name in CACHED:
+        getattr(record, name, None)
+    for name in record._fields + CACHED + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_every_way_of_building_motion_params_is_checked():
+    good = MotionParams()
+    bad = [-1.0] + list(good)[1:]
+    for build in (lambda: MotionParams(-1.0), lambda: MotionParams(h=-1.0),
+                  lambda: good._replace(h=-1.0),
+                  lambda: MotionParams._make(bad)):
+        with pytest.raises(ValueError, match="^h must be positive and finite$"):
+            build()
+    assert good._replace(h=0.2) == MotionParams(h=0.2)
+    assert type(good._replace(h=0.2)) is MotionParams
+    assert MotionParams._make(list(good)) == good
+
+
+def test_every_way_of_building_calib_constants_is_checked():
+    good = calibration_from_motion(MotionParams())
+    bad = [2.0] + list(good)[1:]
+    for build in (lambda: CalibConstants(*bad), lambda: good._replace(c=2.0),
+                  lambda: CalibConstants._make(bad)):
+        with pytest.raises(CalibrationError,
+                           match=r"^c must lie in \(0, 1\], got 2\.0$"):
+            build()
+    assert type(good._replace(k=0.0)) is CalibConstants
+    assert CalibConstants._make(list(good)) == good
+
+
+def test_record_reprs():
+    assert repr(Point2D(1.0, -2.5)) == "Point2D(x=1.0, y=-2.5)"
+    assert repr(MazeNode("A", Point2D(0.0, 3.0))) == (
+        "MazeNode(id='A', position=Point2D(x=0.0, y=3.0))")
+    assert repr(MazeEdge("A", "B")) == "MazeEdge(a='A', b='B')"
+    assert repr(PathResult(["A", "B"], 14.5)) == (
+        "PathResult(nodes=['A', 'B'], length=14.5)")
