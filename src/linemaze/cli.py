@@ -19,6 +19,7 @@ line on standard error; stdout stays byte-deterministic for fixed inputs
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 import time
@@ -249,6 +250,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 1
     started = time.perf_counter()
+    # Commands build no reference cycles: pause automatic collection.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         if args.seed < 0:
             raise ValueError("--seed must be at least 0")
@@ -269,6 +273,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (InconsistencyError, GraphQueryError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 3
+    finally:
+        if enabled:
+            gc.enable()
     sys.stdout.write(out)
     sys.stderr.write("duration: %.3f s\n" % (time.perf_counter() - started))
     return 0

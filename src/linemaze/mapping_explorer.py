@@ -224,12 +224,15 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     longest = 0.0
     eff_tol = 1.0 if tol is None else tol
     traversals = 0
+    unfinished = 0  # points with fewer walked neighbors than branches
     branches = maze.branches
     point, coordinate, neighbors = state.point, state.coordinate, state.neighbors
     node_of = state.node_of
 
     def add_point(name: str, node: str, coord: Point2D) -> None:
         """Enter a new point, maze node ``node`` at ``coord``, everywhere."""
+        nonlocal unfinished
+        unfinished += 1
         state.type_of[name] = len(branches[node]) - 1
         coordinate[name] = coord
         _index_point(state, name)
@@ -240,7 +243,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
 
     def walk(slot: Slot) -> None:
         """Traverse one branch of the current point and log the arrival."""
-        nonlocal longest, eff_tol, traversals
+        nonlocal longest, eff_tol, traversals, unfinished
         traversals += 1
         if traversals > budget:
             raise ExplorationError(
@@ -288,6 +291,9 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
             neighbors[name].append((cur, w))
             table[cur][name] = slot
             table[name][cur] = back
+            for end in (cur, name):
+                if len(neighbors[end]) == state.type_of[end] + 1:
+                    unfinished -= 1
         point.append(name)
         # The edge just walked is listed, so the count is at least 1.
         state.trace.append((name, state.type_of[name], len(neighbors[name]),
@@ -307,10 +313,11 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
         if pending is not None:
             walk(pending)
             continue
-        path = next_target(state)
-        if path is None:
+        # Every point was reached over walked edges, so the route search
+        # finds one whenever a point is unfinished.
+        if not unfinished:
             break
-        for nxt in path[1:]:
+        for nxt in next_target(state)[1:]:
             walk(table[point[-1]][nxt])
     return state
 

@@ -11,6 +11,7 @@ import math
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 from importlib import resources
+from itertools import accumulate
 from typing import NamedTuple, Tuple
 
 from ._directions import EAST, NORTH, SOUTH, WEST
@@ -206,40 +207,50 @@ def _check_crossings(maze, coords):
     """
     by_id = maze._by_id
     edges = maze.edges
-    horizontal, vertical = [], []
+    rows, vertical = {}, []
     for k, e in enumerate(edges):
         pa, pb = by_id[e.a].position, by_id[e.b].position
         if pa.y == pb.y:
             lo, hi = (pa.x, pb.x) if pa.x < pb.x else (pb.x, pa.x)
-            horizontal.append((pa.y, lo, hi, k))
+            rows.setdefault(pa.y, []).append((lo, hi, k, pa.y))
         else:
             lo, hi = (pa.y, pb.y) if pa.y < pb.y else (pb.y, pa.y)
             vertical.append((pa.x, lo, hi, k))
 
-    # Horizontal edges sorted by y; each vertical edge tests only those in
-    # its y-range. Of several offending pairs, the one reported is the one
-    # an all-pairs loop in edge order would meet first.
-    horizontal.sort()
-    ys = [h[0] for h in horizontal]
+    # Horizontal edges by row (-0.0 and 0.0 share one), each row sorted by
+    # left end beside the running maximum of its right ends. Each vertical
+    # edge visits the rows in its y-range and, as lanes overlap, walks back
+    # from its x while that maximum still reaches it. Of several offending
+    # pairs, the one reported is the one an all-pairs loop in edge order
+    # would meet first.
+    ys = sorted(rows)
+    index = []
+    for y in ys:
+        row = sorted(rows[y])
+        index.append((row, [h[0] for h in row],
+                      list(accumulate([h[1] for h in row], max))))
     first = None
     for vx, vy1, vy2, kv in vertical:
-        for hy, hx1, hx2, kh in horizontal[bisect_left(ys, vy1):
-                                          bisect_right(ys, vy2)]:
-            if not hx1 <= vx <= hx2:
-                continue
-            node_here = coords.get((vx, hy))
-            ok = node_here is not None
-            if ok:
-                for k, parity in ((kh, 1), (kv, 0)):
-                    if node_here in (edges[k].a, edges[k].b):
-                        continue
-                    if all(d % 2 != parity for d, _lane
-                           in maze.branches[node_here]):
-                        ok = False
-            if not ok:
-                pair = (min(kh, kv), max(kh, kv))
-                if first is None or pair < first[0]:
-                    first = (pair, edges[kh], edges[kv], vx, hy)
+        for row, lefts, reach in index[bisect_left(ys, vy1):
+                                       bisect_right(ys, vy2)]:
+            j = bisect_right(lefts, vx) - 1
+            while j >= 0 and reach[j] >= vx:
+                hx1, hx2, kh, hy = row[j]
+                j -= 1
+                # An end of both edges is the node they share, as no two
+                # nodes share coordinates.
+                if hx2 < vx or ((hy == vy1 or hy == vy2)
+                                and (vx == hx1 or vx == hx2)):
+                    continue
+                node_here = coords.get((vx, hy))
+                if node_here is None or not all(
+                        node_here in (edges[k].a, edges[k].b)
+                        or any(d % 2 == parity
+                               for d, _lane in maze.branches[node_here])
+                        for k, parity in ((kh, 1), (kv, 0))):
+                    pair = (min(kh, kv), max(kh, kv))
+                    if first is None or pair < first[0]:
+                        first = (pair, edges[kh], edges[kv], vx, hy)
     if first is not None:
         _pair, h_e, v_e, vx, hy = first
         raise MazeValidationError(

@@ -113,8 +113,10 @@ class MotionParams(_MotionFields):
             raise ValueError("step must be positive and finite")
         return self
 
-    # _replace builds through _make, so both must run the checks above.
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
+    # _replace builds through _make, so both must run the checks above;
+    # the base's _make checks the length.
+    _make = classmethod(
+        lambda cls, iterable: cls(*_MotionFields._make(iterable)))
 
     @property
     def kappa(self) -> float:

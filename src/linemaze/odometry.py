@@ -108,8 +108,10 @@ class CalibConstants(_CalibFields):
                 % (self.h, self.radius))
         return self
 
-    # _replace builds through _make, so both must run the checks above.
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
+    # _replace builds through _make, so both must run the checks above;
+    # the base's _make checks the length.
+    _make = classmethod(
+        lambda cls, iterable: cls(*_CalibFields._make(iterable)))
 
     @cached_property
     def _half_stretch(self):

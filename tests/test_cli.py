@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
+import gc
 import math
 import random
 import re
@@ -13,7 +14,8 @@ import pytest
 from linemaze import cli, mapping_explorer
 from linemaze.cli import run
 from linemaze.errors import GraphQueryError, InconsistencyError
-from linemaze.maze_model import serialize_maze
+from linemaze.mapping_explorer import explore_map
+from linemaze.maze_model import parse_maze, serialize_maze
 from linemaze.mazegen import random_maze
 from linemaze.motion_sim import MotionParams, simulate_segment
 from linemaze.odometry import calibration_from_motion, estimate_length
@@ -464,6 +466,70 @@ def test_internal_contradictions_exit_three(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "solve", "--maze", "fig2")
     assert code == 3
     assert err == "error: no such vertex\n"
+
+
+# -------------------------------------------------------------- collector
+
+@pytest.fixture
+def collector():
+    """Hands the collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _inconsistent(args):
+    raise InconsistencyError("impossible state")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv, code, solve", [
+    (("solve", "--maze", "fig2"), 0, None),
+    (("solve", "--maze", "nosuch"), 1, None),
+    (("solve", "--maze", "fig2", "--bogus"), 1, None),
+    (("solve", "--maze", "fig2", "--tol", "4.0"), 2, None),
+    (("solve", "--maze", "fig2"), 3, _inconsistent),
+], ids=["exit0", "exit1", "exit1-usage", "exit2", "exit3"])
+def test_run_leaves_the_collector_as_it_found_it(capsys, monkeypatch,
+                                                 collector, enabled, argv,
+                                                 code, solve):
+    if solve is not None:
+        monkeypatch.setattr(cli, "cmd_solve", solve)
+    (gc.enable if enabled else gc.disable)()
+    assert run_cli(capsys, *argv)[0] == code
+    assert gc.isenabled() is enabled
+
+
+def test_collector_is_paused_while_a_command_runs(capsys, monkeypatch,
+                                                  collector):
+    seen = []
+    solve = cli.cmd_solve
+
+    def recording(args):
+        seen.append(gc.isenabled())
+        out = solve(args)
+        seen.append(gc.isenabled())
+        return out
+
+    monkeypatch.setattr(cli, "cmd_solve", recording)
+    gc.enable()
+    assert run_cli(capsys, "solve", "--maze", "fig2")[0] == 0
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("mode", ["ideal", "arc"])
+def test_loading_and_exploring_a_maze_leave_no_cycles(collector, mode):
+    # The premise of the pause: reference counting frees all of it.
+    text = serialize_maze(random_maze(random.Random(7), max_nodes=200,
+                                      loops=20))
+    gc.disable()
+    gc.collect()
+    maze = parse_maze(text)
+    state = explore_map(maze, src=mode)
+    assert len(state.type_of) == len(maze.nodes)
+    del maze, state
+    assert gc.collect() == 0
 
 
 def test_error_output_is_a_single_line(capsys, tmp_path):

@@ -429,11 +429,17 @@ def test_one_match_per_traversal_one_route_search_per_finished_stop(
     assert matches == list(range(1, traversals + 1))
     stops = [at for at, _route in searches]
     assert stops == sorted(set(stops))
-    routes = [route for _at, route in searches[:-1]]
-    assert searches[-1][1] is None and None not in routes
+    # The explorer stops when its count of unfinished points reaches zero,
+    # so every search it runs finds a route.
+    routes = [route for _at, route in searches]
+    assert None not in routes
     # Every edge is walked once as a pending branch; every other walk is a
     # hop of a route.
     assert traversals == len(maze.edges) + sum(len(r) - 1 for r in routes)
+    # When it stops, every point is finished and a search would find none.
+    assert all(len(state.neighbors[name]) == state.type_of[name] + 1
+               for name in state.type_of)
+    assert search(state) is None
 
 
 # ---------------------------------------------------------------- failures

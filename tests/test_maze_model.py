@@ -16,8 +16,9 @@ from linemaze.maze_model import (MazeEdge, MazeNode, MazeSpec, Point2D,
 from linemaze.mazegen import random_maze, random_tree
 
 from conftest import build_maze
-from oracles import (reference_branches, reference_parse_maze,
-                     reference_random_maze, reference_validate)
+from oracles import (reference_branches, reference_check_crossings,
+                     reference_parse_maze, reference_random_maze,
+                     reference_validate)
 
 
 BUNDLED = ["fig1", "fig2", "corridor", "plus"]
@@ -518,6 +519,74 @@ def test_crossing_sweep_agrees_with_pairwise_check():
     assert outcomes["t_junction"] == {True}
     assert outcomes["lane"] == {True, False}
     assert outcomes["random"] == {True, False}
+
+
+def _row_index_outcome(nodes, edges):
+    """The crossing check's verdict on hand-placed nodes ("A x y" each)
+    and edges ("A-B" each), after checking it against both references."""
+    by_id = {}
+    for spec in nodes.split(","):
+        name, x, y = spec.split()
+        by_id[name] = MazeNode(name, Point2D(float(x), float(y)))
+    edges = tuple(MazeEdge(*e.split("-")) for e in edges.split())
+    got = _crossing_outcome(sweep_crossings, by_id, edges)
+    assert got == _crossing_outcome(reference_check_crossings, by_id, edges)
+    assert got == _crossing_outcome(pairwise_crossings, by_id, edges)
+    return got
+
+
+def test_row_index_reports_the_edges_own_y_not_the_row_key():
+    # E-F opens the row as -0.0; A-B, in the same row, is at 0.0.
+    nodes = "E 10 -0.0, F 20 -0.0, A -5 0.0, B 5 0.0, C 0 -5, D 0 5"
+    message = ("edges A-B and C-D cross at (0, 0); crossings must be a "
+               "junction node")
+    assert _row_index_outcome(nodes, "E-F A-B C-D") == message
+    with pytest.raises(MazeValidationError) as err:
+        build_maze([(n, float(x), float(y)) for n, x, y
+                    in (spec.split() for spec in nodes.split(","))],
+                   [("E", "F"), ("A", "B"), ("C", "D")], "A", "B")
+    assert str(err.value) == message
+
+
+def test_row_index_walks_back_to_a_long_lane():
+    # L1-L2 runs the whole row, listed first; the shorter edges after it
+    # end left of x = 50, where V1-V2 crosses the lane with no node.
+    nodes = ("L1 -10 0, L2 100 0, P 0 0, Q 10 0, R 20 0, S 30 0, "
+             "V1 50 -5, V2 50 5")
+    assert _row_index_outcome(nodes, "L1-L2 P-Q R-S V1-V2") == (
+        "edges L1-L2 and V1-V2 cross at (50, 0); crossings must be a "
+        "junction node")
+    # With a node there, the same lane is a legitimate junction.
+    assert _row_index_outcome(nodes + ", X 50 0",
+                              "L1-X X-L2 P-Q R-S V1-X X-V2") == "ok"
+
+
+def test_row_index_rejects_a_touch_at_the_end_of_one_edge_only():
+    message = ("edges A-B and C-D cross at (0, 0); crossings must be a "
+               "junction node")
+    # C-D ends on A-B between its nodes: a T with no junction.
+    assert _row_index_outcome("A -5 0, B 5 0, C 0 0, D 0 5",
+                              "A-B C-D") == message
+    # C-D passes A, the end of A-B, which has no north-south corridor.
+    assert _row_index_outcome("A 0 0, B 10 0, C 0 -5, D 0 5",
+                              "A-B C-D") == message
+    # Ends of both edges meet at the node they share: a corner.
+    assert _row_index_outcome("A 0 0, B 10 0, D 0 5", "A-B A-D") == "ok"
+
+
+@pytest.mark.parametrize("passing, others, message", [
+    # A-B runs east-west past M; M-T runs north, M-W east along A-B.
+    ("A -5 0, B 5 0", "T 0 5, W 3 0", "edges A-B and M-T cross at (0, 0)"),
+    # A-B runs north-south past M; M-T runs east, M-W north along A-B.
+    ("A 0 -5, B 0 5", "T 5 0, W 0 3", "edges M-T and A-B cross at (0, 0)"),
+], ids=["east-west", "north-south"])
+def test_row_index_lane_rule_at_a_passed_node(passing, others, message):
+    # A-B meets M-T at M, which is an end of M-T only: a lane past M, so
+    # legitimate only if M has an edge collinear with A-B.
+    nodes = "%s, M 0 0, %s" % (passing, others)
+    assert _row_index_outcome(nodes, "A-B M-T") == (
+        message + "; crossings must be a junction node")
+    assert _row_index_outcome(nodes, "A-B M-T M-W") == "ok"
 
 
 # Errors raised in the validator's first loop, over the nodes in order.

@@ -127,6 +127,23 @@ def test_every_way_of_building_calib_constants_is_checked():
     assert CalibConstants._make(list(good)) == good
 
 
+@pytest.mark.parametrize("cls, good", [
+    (MotionParams, MotionParams()),
+    (CalibConstants, calibration_from_motion(MotionParams())),
+], ids=["MotionParams", "CalibConstants"])
+def test_make_refuses_a_wrong_length(cls, good):
+    # As a plain named tuple's _make does, with its message; MotionParams
+    # would otherwise fill the missing fields with their defaults.
+    n = len(cls._fields)
+    for values in (list(good)[:1], list(good) + [1.0]):
+        with pytest.raises(TypeError) as err:
+            cls._make(values)
+        assert str(err.value) == "Expected %d arguments, got %d" % (
+            n, len(values))
+    with pytest.raises(TypeError, match="^Expected %d arguments, got 0$" % n):
+        cls._make(iter(()))
+
+
 def test_record_reprs():
     assert repr(Point2D(1.0, -2.5)) == "Point2D(x=1.0, y=-2.5)"
     assert repr(MazeNode("A", Point2D(0.0, 3.0))) == (
