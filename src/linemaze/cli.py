@@ -23,6 +23,7 @@ import gc
 import math
 import sys
 import time
+from functools import cache
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -40,6 +41,7 @@ from .svgplot import render_svg, world_points
 __all__ = ["run", "main", "cmd_solve", "cmd_tableone", "cmd_plot"]
 
 
+@cache  # built on the first run() call, then shared by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linemaze",
@@ -76,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("tableone", help="measurement accuracy table over "
                                         "seeded straight-segment runs")
     common(t, maze=False)
-    t.add_argument("--lengths", type=float, nargs="+", default=[10.0, 14.0, 8.0],
+    # A tuple: every call of the shared parser gets this same default.
+    t.add_argument("--lengths", type=float, nargs="+", default=(10.0, 14.0, 8.0),
                    help="segment lengths in cm")
     t.add_argument("--seeds", type=int, default=100,
                    help="number of sequential seeds per length")

@@ -116,7 +116,7 @@ def _reindex(state: ExplorationState, tol: float) -> None:
         _index_point(state, name)
 
 
-def match_point(coord: Point2D, state: ExplorationState,
+def match_point(coord: Tuple[float, float], state: ExplorationState,
                 tol: float) -> Optional[str]:
     """Name of the unique known point within Chebyshev ``tol`` of ``coord``.
 
@@ -264,7 +264,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                 eff_tol = 0.03 * longest
         dx, dy = DELTA[slot[0]]
         px, py = coordinate[cur]
-        guess = Point2D(px + dx * measured, py + dy * measured)
+        guess = (px + dx * measured, py + dy * measured)
 
         name = match_point(guess, state, eff_tol)
         if name is None:
@@ -273,9 +273,9 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                     "odometry drift: arrived back at point %r but the "
                     "measured coordinate (%g, %g) missed its stored "
                     "coordinate by more than the tolerance %g"
-                    % (name_of_truth[other], guess.x, guess.y, eff_tol))
+                    % (name_of_truth[other], *guess, eff_tol))
             name = str(len(state.type_of))
-            add_point(name, other, guess)
+            add_point(name, other, tuple.__new__(Point2D, guess))
         elif node_of[name] != other:
             c = coordinate[name]
             raise ExplorationError(

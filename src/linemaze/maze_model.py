@@ -68,49 +68,7 @@ class MazeSpec(_MazeFields):
         edge with an unknown endpoint, a self-loop, a duplicate, a diagonal
         or zero-length span or a non-finite length.
         """
-        by_id = self._by_id
-        ends = {n.id: [] for n in self.nodes}
-        seen = set()
-        for e in self.edges:
-            a, b = e.a, e.b
-            if a not in by_id or b not in by_id:
-                raise MazeValidationError("edge %s-%s references an unknown node" % (a, b))
-            if a == b:
-                raise MazeValidationError("edge %s-%s is a self-loop" % (a, b))
-            key = (a, b) if a < b else (b, a)
-            if key in seen:
-                raise MazeValidationError("duplicate edge %s-%s" % (a, b))
-            seen.add(key)
-            (xa, ya), (xb, yb) = by_id[a].position, by_id[b].position
-            # Exactly one axis may differ: not a diagonal, not zero-length.
-            if (xa != xb) == (ya != yb):
-                raise MazeValidationError("edge %s-%s not axis-aligned" % (a, b))
-            length = math.hypot(xb - xa, yb - ya)
-            if not math.isfinite(length):
-                raise MazeValidationError(
-                    "edge %s-%s is too long: its length is not finite" % (a, b))
-            if ya == yb:
-                there, back = (EAST, WEST) if xb > xa else (WEST, EAST)
-            else:
-                there, back = (NORTH, SOUTH) if yb > ya else (SOUTH, NORTH)
-            # Each end's sort key, and the edge's slot at a and at b.
-            slots = [None, None]
-            ends[a].append((there, length, xb, yb, b, slots, 0))
-            ends[b].append((back, length, xa, ya, a, slots, 1))
-        for out in ends.values():
-            # Lanes of one direction run nearest first: by length, then by
-            # the neighbor's coordinate, which no two exits of a node share.
-            out.sort()
-            lanes = {}
-            for direction, _length, _x, _y, _other, slots, side in out:
-                lane = lanes.get(direction, 0)
-                lanes[direction] = lane + 1
-                slots[side] = (direction, lane)
-        for node_id, out in ends.items():
-            # Replacing each node's keys with its exits frees them as it goes.
-            ends[node_id] = {slots[side]: (other, length, slots[1 - side])
-                             for _d, length, _x, _y, other, slots, side in out}
-        return ends
+        return _index_edges(self)[0]
 
     def node(self, node_id):
         try:
@@ -123,6 +81,62 @@ class MazeSpec(_MazeFields):
 
     def degree(self, node_id):
         return len(self.branches[self.node(node_id).id])
+
+
+def _index_edges(maze):
+    """``maze.branches``, with the lines that ``_check_crossings`` sweeps.
+
+    One pass over the edges reads each one's end positions once, checks the
+    edge and indexes it. Returns (branches, rows, vertical): per row y, its
+    horizontal edges as (left x, right x, edge index, y), and every
+    vertical edge as (x, low y, high y, edge index).
+    """
+    by_id = maze._by_id
+    ends = {n.id: [] for n in maze.nodes}
+    seen = set()
+    rows, vertical = {}, []
+    for k, (a, b) in enumerate(maze.edges):
+        if a not in by_id or b not in by_id:
+            raise MazeValidationError("edge %s-%s references an unknown node" % (a, b))
+        if a == b:
+            raise MazeValidationError("edge %s-%s is a self-loop" % (a, b))
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
+            raise MazeValidationError("duplicate edge %s-%s" % (a, b))
+        seen.add(key)
+        (xa, ya), (xb, yb) = by_id[a].position, by_id[b].position
+        # Exactly one axis may differ: not a diagonal, not zero-length.
+        if (xa != xb) == (ya != yb):
+            raise MazeValidationError("edge %s-%s not axis-aligned" % (a, b))
+        length = math.hypot(xb - xa, yb - ya)
+        if not math.isfinite(length):
+            raise MazeValidationError(
+                "edge %s-%s is too long: its length is not finite" % (a, b))
+        if ya == yb:
+            there, back = (EAST, WEST) if xb > xa else (WEST, EAST)
+            rows.setdefault(ya, []).append(
+                (xa, xb, k, ya) if xa < xb else (xb, xa, k, ya))
+        else:
+            there, back = (NORTH, SOUTH) if yb > ya else (SOUTH, NORTH)
+            vertical.append((xa, ya, yb, k) if ya < yb else (xa, yb, ya, k))
+        # Each end's sort key, and the edge's slot at a and at b.
+        slots = [None, None]
+        ends[a].append((there, length, xb, yb, b, slots, 0))
+        ends[b].append((back, length, xa, ya, a, slots, 1))
+    for out in ends.values():
+        # Lanes of one direction run nearest first: by length, then by
+        # the neighbor's coordinate, which no two exits of a node share.
+        out.sort()
+        prev = None
+        for direction, _length, _x, _y, _other, slots, side in out:
+            lane = lane + 1 if direction == prev else 0
+            prev = direction
+            slots[side] = (direction, lane)
+    for node_id, out in ends.items():
+        # Replacing each node's keys with its exits frees them as it goes.
+        ends[node_id] = {slots[side]: (other, length, slots[1 - side])
+                         for _d, length, _x, _y, other, slots, side in out}
+    return ends, rows, vertical
 
 
 def _validate(maze):
@@ -151,7 +165,8 @@ def _validate(maze):
         coords[key] = n.id
 
     by_id = maze._by_id  # safe now that node ids are unique
-    branches = maze.branches  # checks every edge
+    branches, rows, vertical = _index_edges(maze)  # checks every edge
+    maze.__dict__["branches"] = branches  # fills the property's cache
     if start not in by_id:
         raise MazeValidationError("start refers to unknown node %r" % start)
     if end not in by_id:
@@ -175,7 +190,7 @@ def _validate(maze):
             raise MazeValidationError(
                 "degree-2 node %r is collinear (not a turn)" % n.id)
 
-    _check_crossings(maze, coords)
+    _check_crossings(maze, coords, rows, vertical)
 
     # Connectivity.
     if nodes:
@@ -191,7 +206,7 @@ def _validate(maze):
             raise MazeValidationError("maze is not connected")
 
 
-def _check_crossings(maze, coords):
+def _check_crossings(maze, coords, rows, vertical):
     """Reject perpendicular contacts that the graph does not represent.
 
     Collinear overlap is always allowed: overlapping edges model parallel
@@ -201,21 +216,12 @@ def _check_crossings(maze, coords):
     node really lies on a corridor of that axis, i.e. has an incident edge
     collinear with the passing edge.
 
-    ``coords`` maps (x, y) to node id. A node's axes are those of its exits
-    in ``maze.branches``: odd direction codes run east-west, even ones
-    north-south.
+    ``coords`` maps (x, y) to node id, and ``rows`` and ``vertical`` are
+    the edges' lines as ``_index_edges`` returns them. A node's axes are
+    those of its exits in ``maze.branches``: odd direction codes run
+    east-west, even ones north-south.
     """
-    by_id = maze._by_id
     edges = maze.edges
-    rows, vertical = {}, []
-    for k, e in enumerate(edges):
-        pa, pb = by_id[e.a].position, by_id[e.b].position
-        if pa.y == pb.y:
-            lo, hi = (pa.x, pb.x) if pa.x < pb.x else (pb.x, pa.x)
-            rows.setdefault(pa.y, []).append((lo, hi, k, pa.y))
-        else:
-            lo, hi = (pa.y, pb.y) if pa.y < pb.y else (pb.y, pa.y)
-            vertical.append((pa.x, lo, hi, k))
 
     # Horizontal edges by row (-0.0 and 0.0 share one), each row sorted by
     # left end beside the running maximum of its right ends. Each vertical
@@ -279,6 +285,7 @@ def parse_maze(text):
     nodes = []
     edges = []
     marks = {}  # "start" and "end" -> node id
+    new = tuple.__new__  # skips the records' Python-level __new__
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # Most lines hold no comment, and testing for one is cheap.
         tokens = (raw[:raw.index("#")] if "#" in raw else raw).split()
@@ -297,9 +304,9 @@ def parse_maze(text):
             except ValueError:
                 line = raw.split("#", 1)[0].strip()
                 raise MazeSyntaxError(lineno, "bad coordinate in %r" % line) from None
-            nodes.append(MazeNode(tokens[1], Point2D(x, y)))
+            nodes.append(new(MazeNode, (tokens[1], new(Point2D, (x, y)))))
         elif kind == "edge":
-            edges.append(MazeEdge(tokens[1], tokens[2]))
+            edges.append(new(MazeEdge, (tokens[1], tokens[2])))
         elif kind in marks:
             raise MazeSyntaxError(lineno, "duplicate %s record" % kind)
         else:

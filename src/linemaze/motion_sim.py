@@ -244,8 +244,9 @@ def simulate_segment(length: float, params: MotionParams, seed: int,
             "line follower failed to traverse a %g cm segment "
             "(heading diverged or step budget exhausted)" % length)
 
-    trajectory = ((0.0, 0.0),) + tuple(pivots) + ((length, y_final),)
-    return EncoderLog(wl, wr, n_right, n_left, length, trajectory)
+    # tuple.__new__ skips the record's Python-level __new__, as _make does.
+    return tuple.__new__(EncoderLog, (wl, wr, n_right, n_left, length, (
+        (0.0, 0.0), *pivots, (length, y_final))))
 
 
 def _integrate(length, h, alpha0, theta, kappa, fl, fr,

@@ -17,7 +17,7 @@ from linemaze.errors import GraphQueryError, InconsistencyError
 from linemaze.mapping_explorer import explore_map
 from linemaze.maze_model import parse_maze, serialize_maze
 from linemaze.mazegen import random_maze
-from linemaze.motion_sim import MotionParams, simulate_segment
+from linemaze.motion_sim import EncoderLog, MotionParams, simulate_segment
 from linemaze.odometry import calibration_from_motion, estimate_length
 
 SOLVE_FIG2_IDEAL = """\
@@ -448,6 +448,62 @@ def test_missing_subcommand(capsys):
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "solve", "--help")[0] == 0
+
+
+# ---------------------------------------------------------- shared parser
+
+def test_the_parser_is_built_once_and_shared(capsys):
+    cli._build_parser.cache_clear()
+    for argv, want in ((("solve", "--maze", "fig2"), SOLVE_FIG2_IDEAL),
+                       (("tableone", "--seeds", "20"), TABLEONE_DEFAULT_20),
+                       (("solve", "--maze", "fig2"), SOLVE_FIG2_IDEAL)):
+        assert run_cli(capsys, *argv)[:2] == (0, want)
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_usage_errors_and_help_leave_the_parser_as_it_was(capsys):
+    help_text = run_cli(capsys, "solve", "--help")[1]
+    for argv, code in ((("solve", "--maze", "fig2", "--bogus"), 1),
+                       (("tableone", "--lengths"), 1), ((), 1),
+                       (("--help",), 0), (("solve", "--help"), 0)):
+        assert run_cli(capsys, *argv)[0] == code
+        assert run_cli(capsys, "solve", "--maze", "fig2")[:2] == (
+            0, SOLVE_FIG2_IDEAL)
+        assert run_cli(capsys, "solve", "--maze", "fig2", "--format",
+                       "tsv")[:2] == (0, SOLVE_FIG2_TSV)
+        assert run_cli(capsys, "solve", "--maze", "nosuch")[0] == 1
+        assert run_cli(capsys, "solve", "--help")[:2] == (0, help_text)
+
+
+def test_defaults_do_not_leak_between_calls(capsys):
+    code, out, _ = run_cli(capsys, "tableone", "--lengths", "3",
+                           "--seeds", "20")
+    assert code == 0 and len(out.splitlines()) == 2
+    assert run_cli(capsys, "tableone", "--seeds", "20")[:2] == (
+        0, TABLEONE_DEFAULT_20)
+    simple = ("solve", "--maze", "fig1", "--algo", "simple")
+    assert run_cli(capsys, *simple, "--show-tape")[:2] == (
+        0, SOLVE_FIG1_SIMPLE)
+    code, out, _ = run_cli(capsys, *simple)
+    assert code == 0
+    assert out == SOLVE_FIG1_SIMPLE.replace("tape: 3 1 1\n", "")
+
+
+def test_a_warm_command_leaves_no_cycles(capsys, collector):
+    assert run_cli(capsys, "solve", "--maze", "fig2")[0] == 0
+    gc.disable()
+    gc.collect()
+    assert run_cli(capsys, "solve", "--maze", "fig2", "--odometry",
+                   "arc")[:2] == (0, SOLVE_FIG2_ARC)
+    assert gc.collect() == 0
+
+
+def test_ideal_drive_builds_a_plain_encoder_log():
+    log = cli._drive(14.0, "ideal", MotionParams(), 0, 0)
+    assert type(log) is EncoderLog
+    assert type(log.trajectory) is tuple
+    assert log == (14.0, 14.0, 0, 0, 14.0, ((0.0, 0.0), (14.0, 0.0)))
 
 
 def test_internal_contradictions_exit_three(capsys, monkeypatch):

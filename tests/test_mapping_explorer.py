@@ -72,6 +72,15 @@ def test_fig2_node_of_names_each_point_in_every_mode(fig2, mode):
                              "4": "G", "5": "C", "6": "B", "7": "F"}
 
 
+@pytest.mark.parametrize("mode", ["ideal", "raw", "basic", "arc"])
+def test_stored_coordinates_are_points(fig2, mode):
+    # A measured coordinate is a plain pair until it mints a point.
+    state = explore_map(fig2, src=mode)
+    assert len(state.coordinate) == 8
+    for c in state.coordinate.values():
+        assert type(c) is Point2D and type(c.x) is float
+
+
 def test_fig2_every_point_finishes_fully_explored(fig2):
     state = explore_map(fig2, src="ideal")
     for name, t in state.type_of.items():

@@ -11,8 +11,9 @@ from linemaze._directions import EAST, NORTH, SOUTH, WEST
 from linemaze.errors import (LinemazeError, MazeSyntaxError,
                              MazeValidationError)
 from linemaze.maze_model import (MazeEdge, MazeNode, MazeSpec, Point2D,
-                                 _check_crossings, bundled_maze_text,
-                                 make_maze, parse_maze, serialize_maze)
+                                 _check_crossings, _index_edges,
+                                 bundled_maze_text, make_maze, parse_maze,
+                                 serialize_maze)
 from linemaze.mazegen import random_maze, random_tree
 
 from conftest import build_maze
@@ -32,6 +33,20 @@ def test_bundled_mazes_parse_and_roundtrip(name):
     maze = parse_maze(text)
     again = parse_maze(serialize_maze(maze))
     assert again == maze
+
+
+def test_parsed_records_are_the_named_tuple_types():
+    # parse_maze builds its records with tuple.__new__, not their
+    # constructors: they must still be exactly these types.
+    maze = parse_maze(serialize_maze(random_maze(random.Random(3),
+                                                 max_nodes=40, loops=4)))
+    for n in maze.nodes:
+        assert type(n) is MazeNode and type(n.position) is Point2D
+        assert type(n.id) is str and type(n.position.x) is float
+        assert n == MazeNode(n.id, Point2D(*n.position))
+    for e in maze.edges:
+        assert type(e) is MazeEdge and e == MazeEdge(e.a, e.b)
+    assert type(maze) is MazeSpec
 
 
 def test_bundled_name_with_and_without_suffix():
@@ -495,7 +510,7 @@ def sweep_crossings(by_id, edges):
     """``_check_crossings`` called the way ``_validate`` calls it."""
     maze = MazeSpec(tuple(by_id.values()), edges, "", "")
     _check_crossings(maze, {(n.position.x, n.position.y): n.id
-                            for n in maze.nodes})
+                            for n in maze.nodes}, *_index_edges(maze)[1:])
 
 
 def _crossing_outcome(check, by_id, edges):

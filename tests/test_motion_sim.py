@@ -118,6 +118,14 @@ def test_trajectory_shape():
         assert abs(y) == pytest.approx(p.h, abs=p.step)
 
 
+def test_the_log_is_an_encoder_log_with_a_tuple_trajectory():
+    log = simulate_segment(30.0, MotionParams(), seed=4)
+    assert type(log) is EncoderLog
+    assert type(log.trajectory) is tuple and len(log.trajectory) > 2
+    assert all(type(v) is tuple and len(v) == 2 for v in log.trajectory)
+    assert log == EncoderLog(*log)
+
+
 def test_all_turns_on_one_side_when_only_drift_bends_the_path():
     # No initial tilt, strong wheel mismatch: the robot always drifts the
     # same way, so every pivot is a right turn.

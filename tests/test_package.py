@@ -80,6 +80,36 @@ def test_importing_the_cli_loads_no_heavy_standard_modules():
     assert added & {"dataclasses", "inspect", "statistics"} == set()
 
 
+IMPORT_BUILDS_NO_PARSER = """\
+import argparse, contextlib, io, sys
+sys.path.insert(0, %r)
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import linemaze.cli
+counts = [len(built)]
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(2):
+        linemaze.cli.run(["solve", "--maze", "fig2"])
+        counts.append(len(built))
+print(*counts)
+"""
+
+
+def test_importing_the_cli_builds_no_parser():
+    # The parser is built on the first run() call and shared by later
+    # ones; building it at import would move its cost into every import.
+    src = os.path.dirname(os.path.dirname(linemaze.__file__))
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", IMPORT_BUILDS_NO_PARSER % src],
+        check=True, capture_output=True, text=True, timeout=60).stdout
+    # The main parser and one per subcommand, all on the first call.
+    assert out.split() == ["0", "4", "4"]
+
+
 RECORDS = [
     Point2D(1.0, 2.0), MazeNode("A", Point2D(0.0, 0.0)), MazeEdge("A", "B"),
     parse_maze(bundled_maze_text("fig2")), MotionParams(),
