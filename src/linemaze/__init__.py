@@ -14,9 +14,9 @@ from .errors import (ArcDomainError, CalibrationError, ExplorationError,
                      MazeSyntaxError, MazeValidationError,
                      MotionDivergenceError)
 from .graph_path import (MazeGraph, PathResult, build_graph, dijkstra,
-                         export_graph, graph_from_maze, shortest_paths)
+                         graph_from_maze, shortest_paths)
 from .mapping_explorer import (ExplorationState, explore_map, match_point,
-                               next_target, trace_lines)
+                               next_target)
 from .maze_model import (MazeEdge, MazeNode, MazeSpec, Point2D,
                          bundled_maze_text, make_maze, parse_maze,
                          serialize_maze)
@@ -35,10 +35,9 @@ __all__ = [
     "ArcDomainError", "CalibrationError", "ExplorationError",
     "GraphQueryError", "InconsistencyError", "LinemazeError",
     "MazeSyntaxError", "MazeValidationError", "MotionDivergenceError",
-    "MazeGraph", "PathResult", "build_graph", "dijkstra", "export_graph",
+    "MazeGraph", "PathResult", "build_graph", "dijkstra",
     "graph_from_maze", "shortest_paths",
-    "ExplorationState", "explore_map", "match_point",
-    "next_target", "trace_lines",
+    "ExplorationState", "explore_map", "match_point", "next_target",
     "MazeEdge", "MazeNode", "MazeSpec", "Point2D", "bundled_maze_text",
     "make_maze", "parse_maze", "serialize_maze",
     "EncoderLog", "MotionParams", "radius_from_ratio", "simulate_segment",

@@ -25,7 +25,6 @@ __all__ = [
     "graph_from_maze",
     "shortest_paths",
     "dijkstra",
-    "export_graph",
 ]
 
 
@@ -34,18 +33,6 @@ class MazeGraph(NamedTuple):
 
     coordinates: Dict[str, Point2D]
     adjacency: Dict[str, Tuple[Tuple[str, float], ...]]
-
-    def vertices(self) -> List[str]:
-        return sorted(self.coordinates)
-
-    def neighbors(self, name: str) -> Tuple[Tuple[str, float], ...]:
-        try:
-            return self.adjacency[name]
-        except KeyError:
-            raise GraphQueryError("unknown vertex %r" % (name,)) from None
-
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.adjacency.values()) // 2
 
 
 class PathResult(NamedTuple):
@@ -152,12 +139,3 @@ def dijkstra(g: MazeGraph, s: str, t: str) -> PathResult:
             return PathResult(nodes=list(path), length=length)
     raise GraphQueryError("no path from %r to %r" % (s, t))
 
-
-def export_graph(g: MazeGraph) -> str:
-    """Stable text form, one vertex per line: ``name x y : neighbor,length ...``"""
-    lines = []
-    for name in g.vertices():
-        c = g.coordinates[name]
-        nbrs = " ".join("%s,%g" % (nb, w) for nb, w in g.adjacency[name])
-        lines.append("%s %g %g : %s" % (name, c.x, c.y, nbrs))
-    return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ The robot starts at an arbitrary node it calls point "0" at coordinate
 (number of branches minus one), its coordinate, and its walked neighbors
 with the coordinate distance to each. That graph is the result;
 ``graph_path.build_graph`` only sorts it. The visit log (every point name
-in arrival order) and a trace row per arrival record how it was walked.
+in arrival order) records how it was walked.
 Distances come from an odometry mode (ground truth, raw encoders, or one of
 two encoder corrections), so a coordinate is the previous point's coordinate
 advanced along the heading axis by the measured distance.
@@ -60,7 +60,6 @@ __all__ = [
     "explore_map",
     "match_point",
     "next_target",
-    "trace_lines",
 ]
 
 class ExplorationState:
@@ -74,8 +73,6 @@ class ExplorationState:
     node_of: per-name maze node id, the simulator's ground truth. The robot
         never steers by it; the explorer checks arrivals against it to
         detect drift, and reports use it as labels.
-    trace: one row per arrival — (name, type, explored-at-arrival, x, y),
-        where explored counts the distinct neighbors walked (floored at 1).
     """
 
     def __init__(self) -> None:
@@ -84,7 +81,6 @@ class ExplorationState:
         self.coordinate: Dict[str, Point2D] = {}
         self.neighbors: Dict[str, List[Tuple[str, float]]] = {}
         self.node_of: Dict[str, str] = {}
-        self.trace: List[Tuple[str, int, int, float, float]] = []
         # Grid index over ``coordinate`` for match_point: cell key -> (x, y,
         # name) per point. The cell width is a power of two, so x / cell is
         # exact, and at least 1 cm, so it is finite for every finite x.
@@ -283,9 +279,9 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                 "known point %r at (%g, %g); tolerance %g too large for the "
                 "accumulated error" % (name, c.x, c.y, eff_tol))
 
-        x, y = coordinate[name]
         if name not in table[cur]:
             # Stored coordinates never move, so an edge is weighed once.
+            x, y = coordinate[name]
             w = math.hypot(x - px, y - py)
             neighbors[cur].append((name, w))
             neighbors[name].append((cur, w))
@@ -295,14 +291,10 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
                 if len(neighbors[end]) == state.type_of[end] + 1:
                     unfinished -= 1
         point.append(name)
-        # The edge just walked is listed, so the count is at least 1.
-        state.trace.append((name, state.type_of[name], len(neighbors[name]),
-                            x, y))
 
     # maze.node raises the package's error for an unknown start id.
     add_point("0", maze.node(maze.start).id, Point2D(0.0, 0.0))
     point.append("0")
-    state.trace.append(("0", state.type_of["0"], 1, 0.0, 0.0))
     while True:
         cur = point[-1]
         # Branch preference: east, north, west, south; among lanes of one
@@ -321,7 +313,3 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
             walk(table[point[-1]][nxt])
     return state
 
-
-def trace_lines(state: ExplorationState) -> List[str]:
-    """Exploration trace, one line per arrival: name type explored x y."""
-    return ["%s %d %d %g %g" % row for row in state.trace]

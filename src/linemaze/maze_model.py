@@ -74,13 +74,10 @@ class MazeSpec(_MazeFields):
         try:
             return self._by_id[node_id]
         except KeyError:
-            raise MazeValidationError("unknown node id %r" % node_id) from None
+            raise MazeValidationError("unknown node id %r" % (node_id,)) from None
 
     def position(self, node_id):
         return self.node(node_id).position
-
-    def degree(self, node_id):
-        return len(self.branches[self.node(node_id).id])
 
 
 def _index_edges(maze):
@@ -168,9 +165,9 @@ def _validate(maze):
     branches, rows, vertical = _index_edges(maze)  # checks every edge
     maze.__dict__["branches"] = branches  # fills the property's cache
     if start not in by_id:
-        raise MazeValidationError("start refers to unknown node %r" % start)
+        raise MazeValidationError("start refers to unknown node %r" % (start,))
     if end not in by_id:
-        raise MazeValidationError("end refers to unknown node %r" % end)
+        raise MazeValidationError("end refers to unknown node %r" % (end,))
 
     for n in nodes:
         degree = len(branches[n.id])

@@ -156,10 +156,6 @@ class EncoderLog(NamedTuple):
     true_length: float
     trajectory: Optional[Tuple[Tuple[float, float], ...]] = None
 
-    @property
-    def turn_count(self) -> int:
-        return self.n_right + self.n_left
-
 
 def radius_from_ratio(speed_ratio: float, wheel_base: float) -> float:
     """Turning radius of the *left wheel* path implied by the speed ratio.

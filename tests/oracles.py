@@ -7,6 +7,11 @@
   an exploration started there.
 - ``visit_log_graph``: the graph of an exploration rebuilt from its visit
   log, the oracle for ``build_graph``'s view of the walked graph.
+- ``trace_rows`` and ``trace_lines``: an exploration's per-arrival trace,
+  rebuilt from its visit log, types and coordinates, and its text form.
+  The explorer digests and the worked traces are written in them.
+- ``export_graph``: a graph's stable text form, one vertex per line. The
+  ideal explorer digests and the fig2 export golden are written in it.
 - ``step_loop_integrate``: the motion kernel as one Euler step at a time,
   the oracle for ``motion_sim._integrate``'s leg jumps.
 - ``fresh_heading``: the start-heading jitter as it was drawn before it was
@@ -32,7 +37,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from math import cos, sin
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from linemaze import motion_sim
 from linemaze._directions import EAST, NORTH, SOUTH, WEST, reverse
@@ -155,6 +160,40 @@ def visit_log_graph(state) -> MazeGraph:
                      adjacency={k: tuple(sorted(v)) for k, v in adj.items()})
 
 
+def trace_rows(state) -> List[Tuple[str, int, int, float, float]]:
+    """One row per arrival: (name, type, explored, x, y).
+
+    explored counts the distinct neighbors of the name among the walks up
+    to that arrival, the one just walked included; the start, reached by no
+    walk, counts 1.
+    """
+    walked: Dict[str, Set[str]] = {name: set() for name in state.type_of}
+    rows = []
+    for k, name in enumerate(state.point):
+        if k:
+            walked[name].add(state.point[k - 1])
+            walked[state.point[k - 1]].add(name)
+        c = state.coordinate[name]
+        rows.append((name, state.type_of[name], max(1, len(walked[name])),
+                     c.x, c.y))
+    return rows
+
+
+def trace_lines(rows) -> List[str]:
+    """Trace rows as text, one line per arrival: name type explored x y."""
+    return ["%s %d %d %g %g" % row for row in rows]
+
+
+def export_graph(g: MazeGraph) -> str:
+    """Stable text form, one vertex per line: ``name x y : neighbor,length ...``"""
+    lines = []
+    for name in sorted(g.coordinates):
+        c = g.coordinates[name]
+        nbrs = " ".join("%s,%g" % (nb, w) for nb, w in g.adjacency[name])
+        lines.append("%s %g %g : %s" % (name, c.x, c.y, nbrs))
+    return "\n".join(lines) + "\n"
+
+
 def reference_too_diagonal(dx: float, dy: float) -> bool:
     """True when a coordinate delta is too diagonal for a straight walk:
     its smaller component exceeds both 1 cm and half the larger one."""
@@ -273,9 +312,9 @@ def reference_validate(maze):
                 "edge %s-%s is too long: its length is not finite" % (e.a, e.b))
 
     if start not in by_id:
-        raise MazeValidationError("start refers to unknown node %r" % start)
+        raise MazeValidationError("start refers to unknown node %r" % (start,))
     if end not in by_id:
-        raise MazeValidationError("end refers to unknown node %r" % end)
+        raise MazeValidationError("end refers to unknown node %r" % (end,))
 
     branches = maze.branches
     for n in nodes:

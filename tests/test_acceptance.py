@@ -63,7 +63,7 @@ def test_acceptance_2_mapping_golden(fig2):
             "6": (-5.0, 10.0), "7": (14.0, 18.0),
         }
         graph = build_graph(state)
-        assert sorted(n for n, _w in graph.neighbors("1")) == [
+        assert sorted(n for n, _w in graph.adjacency["1"]) == [
             "0", "2", "5", "6"]
 
 

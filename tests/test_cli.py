@@ -723,5 +723,6 @@ def test_plot_noisy_marks_every_pivot(tmp_path, capsys):
     params = MotionParams()
     total_turns = 0
     for i, length in enumerate((10.0, 14.0, 8.0)):  # path S-A, A-E, E-F
-        total_turns += simulate_segment(length, params, seed, i).turn_count
+        log = simulate_segment(length, params, seed, i)
+        total_turns += log.n_right + log.n_left
     assert svg.count('class="turn"') >= total_turns

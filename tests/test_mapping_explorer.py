@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from linemaze import mapping_explorer
 from linemaze.errors import ExplorationError
 from linemaze.mapping_explorer import (ExplorationState, explore_map,
-                                       match_point, next_target, trace_lines)
+                                       match_point, next_target)
 from linemaze.maze_model import Point2D
 from linemaze.mazegen import random_maze
 from linemaze.motion_sim import simulate_segment
 from linemaze.odometry import ODOMETRY_MODES
+from oracles import trace_lines, trace_rows
 
 FIG2_TRACE = [
     "0 0 1 0 0",
@@ -49,14 +50,19 @@ def state_with(points, type_of, coords, visit=None):
     return st
 
 
+def lines(state):
+    """The exploration's trace as text, rebuilt by the oracle."""
+    return trace_lines(trace_rows(state))
+
+
 # ------------------------------------------------------------- worked runs
 
 def test_fig2_ideal_full_trace(fig2):
     state = explore_map(fig2, src="ideal")
-    assert trace_lines(state) == FIG2_TRACE
+    assert lines(state) == FIG2_TRACE
     assert state.point == ["0", "1", "2", "3", "4", "3", "5", "1", "6", "1",
                            "2", "7"]
-    assert [t for _n, t, _e, _x, _y in state.trace] == [
+    assert [state.type_of[n] for n in state.point] == [
         0, 3, 2, 2, 0, 2, 1, 3, 0, 3, 2, 0]
     assert len(state.type_of) == 8
     coords = {n: (c.x, c.y) for n, c in state.coordinate.items()}
@@ -99,7 +105,7 @@ def test_fig2_lanes_walked_nearest_first(fig2):
 
 def test_corridor_two_points(corridor):
     state = explore_map(corridor)
-    assert trace_lines(state) == ["0 0 1 0 0", "1 0 1 0 10"]
+    assert lines(state) == ["0 0 1 0 0", "1 0 1 0 10"]
     assert len(state.type_of) == 2
 
 
@@ -114,21 +120,30 @@ def test_plus_maze_center_reaches_full_count(plus):
 
 
 def test_explored_counter_is_nondecreasing_per_point(fig2):
+    # A point's explored count only grows: its walked neighbors are
+    # listed in the order the visit log first walks each edge, and none
+    # is ever dropped.
     state = explore_map(fig2, src="ideal")
-    last = {}
-    for name, _t, explored, _x, _y in state.trace:
-        assert explored >= last.get(name, 1)
-        last[name] = explored
+    walked = {name: [] for name in state.type_of}
+    for a, b in zip(state.point, state.point[1:]):
+        for here, there in ((a, b), (b, a)):
+            if there not in walked[here]:
+                walked[here].append(there)
+    assert walked == {name: [b for b, _w in nbrs]
+                      for name, nbrs in state.neighbors.items()}
 
 
 def test_trace_rows_match_state(fig2):
+    # Every arrival names a recorded point, and every walk joins two
+    # stored coordinates over a walked edge weighed by their distance.
     state = explore_map(fig2, src="ideal")
-    assert len(state.trace) == len(state.point)
-    for (name, t, _e, x, y), visited in zip(state.trace, state.point):
-        assert name == visited
-        assert t == state.type_of[name]
-        c = state.coordinate[name]
-        assert (x, y) == (c.x, c.y)
+    assert state.point[0] == "0" and state.coordinate["0"] == (0.0, 0.0)
+    assert set(state.point) == set(state.type_of) == \
+        set(state.coordinate) == set(state.node_of)
+    for a, b in zip(state.point, state.point[1:]):
+        ca, cb = state.coordinate[a], state.coordinate[b]
+        assert dict(state.neighbors[a])[b] == \
+            math.hypot(cb.x - ca.x, cb.y - ca.y)
 
 
 # ---------------------------------------------------------- point matching
@@ -317,7 +332,7 @@ def test_arc_correction_tightens_the_map(fig2):
 def test_measured_moves_are_axis_aligned(fig2):
     # Ideal odometry: every hop changes exactly one coordinate axis.
     state = explore_map(fig2, src="ideal")
-    rows = [(x, y) for _n, _t, _e, x, y in state.trace]
+    rows = [state.coordinate[n] for n in state.point]
     for (x0, y0), (x1, y1) in zip(rows, rows[1:]):
         assert (x0 != x1) != (y0 != y1)
 
@@ -325,7 +340,7 @@ def test_measured_moves_are_axis_aligned(fig2):
     # coordinate is the previous one advanced along the heading axis);
     # revisits snap to stored coordinates and may adjust both axes.
     noisy = explore_map(fig2, src="raw")
-    rows = [(n, x, y) for n, _t, _e, x, y in noisy.trace]
+    rows = [(n, *noisy.coordinate[n]) for n in noisy.point]
     seen = {rows[0][0]}
     for (_n0, x0, y0), (n1, x1, y1) in zip(rows, rows[1:]):
         if n1 not in seen:
@@ -333,22 +348,29 @@ def test_measured_moves_are_axis_aligned(fig2):
         seen.add(n1)
 
 
-def test_revisits_snap_to_the_stored_coordinate(fig2):
+def test_revisits_snap_to_the_stored_coordinate(fig2, monkeypatch):
+    # A revisit reuses the stored coordinate and never averages it: every
+    # coordinate known at an arrival is the same when exploration ends.
+    known = []
+    match = mapping_explorer.match_point
+
+    def recording_match(coord, state, tol):
+        known.append(dict(state.coordinate))
+        return match(coord, state, tol)
+
+    monkeypatch.setattr(mapping_explorer, "match_point", recording_match)
     state = explore_map(fig2, src="raw")
-    first_seen = {}
-    for name, _t, _e, x, y in state.trace:
-        if name in first_seen:
-            assert (x, y) == first_seen[name]
-        else:
-            first_seen[name] = (x, y)
+    assert len(state.point) - 1 == len(known) > len(state.coordinate)
+    for coords in known:
+        assert all(state.coordinate[n] == c for n, c in coords.items())
 
 
 def test_seed_changes_the_noise(fig2):
     a = explore_map(fig2, src="raw", seed=0)
     b = explore_map(fig2, src="raw", seed=1)
-    assert trace_lines(a) != trace_lines(b)
+    assert lines(a) != lines(b)
     again = explore_map(fig2, src="raw", seed=0)
-    assert trace_lines(a) == trace_lines(again)
+    assert lines(a) == lines(again)
 
 
 def recording_segments(monkeypatch):
@@ -368,7 +390,7 @@ def recording_segments(monkeypatch):
 def test_ideal_mode_draws_nothing(fig2, monkeypatch):
     calls = recording_segments(monkeypatch)
     state = explore_map(fig2, src="ideal", seed=5)
-    assert trace_lines(state) == FIG2_TRACE
+    assert lines(state) == FIG2_TRACE
     assert calls == []
     explore_map(fig2, src="raw", seed=5)
     assert calls and all(args[2] == 5 for args, _log in calls)
@@ -479,8 +501,7 @@ def test_odometry_source_modes(fig2):
     assert ODOMETRY_MODES == ("ideal", "raw", "basic", "arc")
     for mode in ODOMETRY_MODES:
         assert len(explore_map(fig2, src=mode).type_of) == 8
-    assert trace_lines(explore_map(fig2)) == \
-        trace_lines(explore_map(fig2, src="ideal"))
+    assert lines(explore_map(fig2)) == lines(explore_map(fig2, src="ideal"))
 
 
 @pytest.mark.parametrize("mode", ODOMETRY_MODES)
@@ -506,6 +527,5 @@ def test_odometry_source_invalid(fig2):
 # ------------------------------------------------------------ trace format
 
 def test_trace_lines_format():
-    st = ExplorationState()
-    st.trace = [("0", 0, 1, 0.0, 0.0), ("1", 3, 2, -5.0, 10.25)]
-    assert trace_lines(st) == ["0 0 1 0 0", "1 3 2 -5 10.25"]
+    rows = [("0", 0, 1, 0.0, 0.0), ("1", 3, 2, -5.0, 10.25)]
+    assert trace_lines(rows) == ["0 0 1 0 0", "1 3 2 -5 10.25"]

@@ -308,10 +308,18 @@ def test_branches_reject_a_zero_length_edge():
 
 
 def test_unknown_start_and_end():
+    nodes, edges = [("S", 0, 0), ("F", 0, 10)], [("S", "F")]
     with pytest.raises(MazeValidationError, match="start refers to unknown"):
-        build_maze([("S", 0, 0), ("F", 0, 10)], [("S", "F")], "Q", "F")
+        build_maze(nodes, edges, "Q", "F")
     with pytest.raises(MazeValidationError, match="end refers to unknown"):
-        build_maze([("S", 0, 0), ("F", 0, 10)], [("S", "F")], "S", "Q")
+        build_maze(nodes, edges, "S", "Q")
+    # A tuple is quoted whole, not spread over the message's one slot.
+    for start, end, message in [
+            (("S", "F"), "F", "start refers to unknown node ('S', 'F')"),
+            ("S", ("F",), "end refers to unknown node ('F',)")]:
+        with pytest.raises(MazeValidationError) as err:
+            build_maze(nodes, edges, start, end)
+        assert str(err.value) == message
 
 
 def test_isolated_node():
@@ -337,7 +345,7 @@ def test_collinear_degree2_node_rejected():
 def test_degree2_turn_accepted():
     maze = build_maze([("S", 0, 0), ("M", 0, 5), ("F", 6, 5)],
                       [("S", "M"), ("M", "F")], "S", "F")
-    assert maze.degree("M") == 2
+    assert len(maze.branches["M"]) == 2
 
 
 def test_unrepresented_crossing_rejected():
@@ -372,7 +380,7 @@ def test_crossing_at_junction_node_accepted():
         [("S", 0, -10), ("X", 0, 0), ("F", 0, 10), ("A", -5, 0), ("B", 5, 0)],
         [("S", "X"), ("X", "F"), ("X", "A"), ("X", "B")],
         "S", "F")
-    assert maze.degree("X") == 4
+    assert len(maze.branches["X"]) == 4
 
 
 def test_lane_passing_a_node_needs_collinear_corridor():
@@ -702,7 +710,7 @@ def test_validator_agrees_with_reference(seed, kinds):
 
 def test_overlapping_parallel_lanes_accepted(fig2):
     # fig2 has two northbound lanes at E; collinear overlap is legal.
-    assert fig2.degree("E") == 3
+    assert len(fig2.branches["E"]) == 3
 
 
 def test_disconnected():
@@ -721,12 +729,17 @@ def test_start_equals_end_allowed():
 def test_unknown_node_query(fig1):
     with pytest.raises(MazeValidationError, match="unknown node id"):
         fig1.position("nope")
+    # A one-item tuple is not the id it holds, and a pair is one bad id.
+    for node_id, message in [(("A",), "unknown node id ('A',)"),
+                             (("A", "B"), "unknown node id ('A', 'B')")]:
+        with pytest.raises(MazeValidationError) as err:
+            fig1.node(node_id)
+        assert str(err.value) == message
 
 
 def test_degrees_fig2(fig2):
-    assert {n.id: fig2.degree(n.id) for n in fig2.nodes} == {
+    assert {n.id: len(fig2.branches[n.id]) for n in fig2.nodes} == {
         "S": 1, "A": 4, "E": 3, "D": 3, "G": 1, "C": 2, "B": 1, "F": 1}
-    assert fig2.degree("A") == 4
 
 
 def test_edge_queries(fig1):
@@ -762,7 +775,7 @@ def _check_branches(maze):
     assert list(maze.branches) == list(pos)
     assert sum(len(t) for t in maze.branches.values()) == 2 * len(maze.edges)
     for n, table in maze.branches.items():
-        assert maze.degree(n) == len(table)
+        assert len(maze.branches[n]) == len(table)
         assert list(table) == sorted(table)
         lanes = {}
         for (d, lane), (o, length, back) in table.items():

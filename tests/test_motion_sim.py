@@ -28,7 +28,7 @@ def test_perfect_robot_rolls_exactly_the_segment():
     log = simulate_segment(10.0, p, seed=0)
     assert log.wl_total == 10.0
     assert log.wr_total == 10.0
-    assert log.turn_count == 0
+    assert log.n_right + log.n_left == 0
     assert log.trajectory == ((0.0, 0.0), (10.0, 0.0))
     assert log.true_length == 10.0
 
@@ -40,7 +40,7 @@ def test_kernel_wheel_accounting_without_pivot_charges():
                      pivot_left=0.0, pivot_right=0.0, inner_rot_const=0.0)
     fl, fr = p.wheel_factors()
     log = simulate_segment(10.0, p, seed=0)
-    assert log.turn_count > 0
+    assert log.n_right + log.n_left > 0
     assert log.wr_total / log.wl_total == pytest.approx(fr / fl, rel=1e-12)
 
 
@@ -94,7 +94,7 @@ def test_zigzag_path_length_matches_sawtooth_model():
     log = simulate_segment(10.0, p, seed=0)
     expected = 10.0 / math.cos(math.radians(10.0))
     assert polyline_length(log.trajectory) == pytest.approx(expected, rel=1e-2)
-    assert log.turn_count > 30
+    assert log.n_right + log.n_left > 30
 
 
 def test_endpoint_lands_on_the_stop_marker():
@@ -111,7 +111,7 @@ def test_trajectory_shape():
     log = simulate_segment(10.0, p, seed=3)
     assert log.trajectory[0] == (0.0, 0.0)
     assert log.trajectory[-1][0] == 10.0
-    assert len(log.trajectory) == log.turn_count + 2
+    assert len(log.trajectory) == log.n_right + log.n_left + 2
     # Pivot points sit on the band edges.
     for x, y in log.trajectory[1:-1]:
         assert 0.0 < x < 10.0
@@ -133,7 +133,7 @@ def test_all_turns_on_one_side_when_only_drift_bends_the_path():
     log = simulate_segment(10.0, p, seed=0)
     assert log.n_left == 0
     assert log.n_right > 0
-    assert log.turn_count == abs(log.n_right - log.n_left)
+    assert log.n_right + log.n_left == abs(log.n_right - log.n_left)
 
 
 def test_same_seed_same_run():
@@ -296,7 +296,8 @@ def test_leg_jumps_match_the_step_loop_when_the_heading_changes_sign(
             if length >= 5.0:
                 same_side = (jumped.n_left if speed_ratio < 1.0
                              else jumped.n_right)
-                assert same_side >= max(2, jumped.turn_count - 1)
+                assert same_side >= max(
+                    2, jumped.n_right + jumped.n_left - 1)
 
 
 def kernel_args(length, p, seed=0):

@@ -30,6 +30,8 @@ RETIRED = [
     ("_directions", "ABS_NAMES"),
     ("odometry", "arc_len_from_height_chord_form"),
     ("_directions", "direction_between"),
+    ("graph_path", "export_graph"),
+    ("mapping_explorer", "trace_lines"),
 ]
 
 
@@ -53,9 +55,15 @@ def test_retired_names_are_gone():
         for sub in SUBMODULES:
             assert name not in _exported(importlib.import_module(sub)), \
                 (sub, name)
-    for name in ("incident_edges", "exits", "edge_length", "edge_other",
-                 "edge_direction", "_incident"):
-        assert not hasattr(linemaze.MazeSpec, name), name
+    for owner, names in (
+            (linemaze.MazeSpec, ("incident_edges", "exits", "edge_length",
+                                 "edge_other", "edge_direction", "_incident",
+                                 "degree")),
+            (linemaze.MazeGraph, ("vertices", "neighbors", "edge_count")),
+            (linemaze.EncoderLog, ("turn_count",)),
+            (linemaze.ExplorationState(), ("trace",))):
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
     fields = linemaze.MotionParams._fields
     assert [f for f in fields if f == "seed"
             or f.startswith(("pivot_arc_", "pivot_lin_"))] == []

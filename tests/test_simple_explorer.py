@@ -169,9 +169,10 @@ def test_random_trees_replay_to_the_shortest_path(pref_name):
         assert path == list(truth.nodes)
         # No dead-end detours survive on the replayed run.
         for node in path[1:-1]:
-            assert maze.degree(node) >= 2
+            assert len(maze.branches[node]) >= 2
         # One tape entry per decision point along the run.
-        decisions = sum(1 for node in path[1:-1] if maze.degree(node) >= 3)
-        if maze.degree(maze.start) >= 2 and maze.start != maze.end:
+        decisions = sum(1 for node in path[1:-1]
+                        if len(maze.branches[node]) >= 3)
+        if len(maze.branches[maze.start]) >= 2 and maze.start != maze.end:
             decisions += 1
         assert len(reduced) == decisions
