@@ -13,8 +13,8 @@ from .errors import (ArcDomainError, CalibrationError, ExplorationError,
                      GraphQueryError, InconsistencyError, LinemazeError,
                      MazeSyntaxError, MazeValidationError,
                      MotionDivergenceError)
-from .graph_path import (MazeGraph, PathResult, build_graph, dijkstra,
-                         graph_from_maze, shortest_paths)
+from .graph_path import (PathResult, build_graph, dijkstra, graph_from_maze,
+                         shortest_paths)
 from .mapping_explorer import (ExplorationState, explore_map, match_point,
                                next_target)
 from .maze_model import (MazeEdge, MazeNode, MazeSpec, Point2D,
@@ -35,8 +35,8 @@ __all__ = [
     "ArcDomainError", "CalibrationError", "ExplorationError",
     "GraphQueryError", "InconsistencyError", "LinemazeError",
     "MazeSyntaxError", "MazeValidationError", "MotionDivergenceError",
-    "MazeGraph", "PathResult", "build_graph", "dijkstra",
-    "graph_from_maze", "shortest_paths",
+    "PathResult", "build_graph", "dijkstra", "graph_from_maze",
+    "shortest_paths",
     "ExplorationState", "explore_map", "match_point", "next_target",
     "MazeEdge", "MazeNode", "MazeSpec", "Point2D", "bundled_maze_text",
     "make_maze", "parse_maze", "serialize_maze",

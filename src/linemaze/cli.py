@@ -229,8 +229,7 @@ def cmd_plot(args: argparse.Namespace) -> str:
     maze, _stem = _load_maze(args.maze)
     mode = args.odometry or "ideal"
     params = MotionParams()
-    graph = graph_from_maze(maze)
-    result = dijkstra(graph, maze.start, maze.end)
+    result = dijkstra(graph_from_maze(maze), maze.start, maze.end)
 
     world: List[Tuple[float, float]] = []
     for a, _b, direction, _length, log in _drive_path(

@@ -1,13 +1,14 @@
 """Adjacency-list graphs over discovered (or true) mazes, plus shortest paths.
 
-``build_graph`` reads a mapping exploration's map: the walked graph the
-explorer kept, each edge weighed by the coordinate distance between its
-endpoints, checked once per edge and sorted. ``graph_from_maze`` builds the
-same kind of graph from a maze's true positions. ``shortest_paths`` is the
-package's one shortest-path routine: a Dijkstra search in which
-equal-length paths resolve to the lexicographically smallest node sequence.
-``dijkstra`` answers s→t queries with it, and the mapping explorer routes to
-its next target with it, so both share one tie-break.
+A graph maps each vertex name to its ``(neighbor, weight)`` pairs, in any
+order; coordinates stay in ``ExplorationState.coordinate`` and
+``MazeSpec.position``. ``build_graph`` checks a mapping exploration's walked
+graph once per edge and returns it; ``graph_from_maze`` gives a maze's true
+edge lengths. ``shortest_paths`` is the package's one shortest-path routine:
+a Dijkstra search in which equal-length paths resolve to the
+lexicographically smallest node sequence. ``dijkstra`` answers s→t queries
+with it, and the mapping explorer routes to its next target with it, so
+both share one tie-break.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ import heapq
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 from .errors import GraphQueryError, InconsistencyError
-from .maze_model import MazeSpec, Point2D
+from .maze_model import MazeSpec
 
 __all__ = [
-    "MazeGraph",
     "PathResult",
     "build_graph",
     "graph_from_maze",
@@ -27,12 +27,7 @@ __all__ = [
     "dijkstra",
 ]
 
-
-class MazeGraph(NamedTuple):
-    """Undirected graph with coordinates and symmetric weighted adjacency."""
-
-    coordinates: Dict[str, Point2D]
-    adjacency: Dict[str, Tuple[Tuple[str, float], ...]]
+Adjacency = Mapping[str, Sequence[Tuple[str, float]]]
 
 
 class PathResult(NamedTuple):
@@ -42,21 +37,19 @@ class PathResult(NamedTuple):
     length: float
 
 
-def build_graph(state) -> MazeGraph:
-    """Graph of a finished exploration: the explorer's walked graph, sorted.
+def build_graph(state) -> Dict[str, List[Tuple[str, float]]]:
+    """Graph of a finished exploration: the explorer's walked graph itself.
 
-    Each point keeps its walked neighbors with the weights the explorer
-    gave them; every point gets an entry, and each list is sorted. Each
-    walked edge is checked once. A self-edge or a zero weight flags a
-    corrupt state, and so does a grossly diagonal coordinate delta, which
-    no straight axis-aligned walk can produce; mild skew is tolerated
+    Returns ``state.neighbors``, each point's walked neighbors with the
+    weights the explorer gave them, in the order their edges were first
+    walked. Each walked edge is checked once. A self-edge or a zero weight
+    flags a corrupt state, and so does a grossly diagonal coordinate delta,
+    which no straight axis-aligned walk can produce; mild skew is tolerated
     because coordinate snapping under noisy odometry bends deltas slightly
     off-axis.
     """
     coords = state.coordinate
-    adjacency = {}
-    for a in coords:
-        nbrs = state.neighbors[a]
+    for a, nbrs in state.neighbors.items():
         for b, w in nbrs:
             if a == b:
                 raise InconsistencyError(
@@ -76,27 +69,26 @@ def build_graph(state) -> MazeGraph:
                 raise InconsistencyError(
                     "vertices %r and %r coincide; cannot weight their edge"
                     % (a, b))
-        adjacency[a] = tuple(sorted(nbrs))
-    return MazeGraph(coordinates=dict(coords), adjacency=adjacency)
+    return state.neighbors
 
 
-def graph_from_maze(maze: MazeSpec) -> MazeGraph:
-    """Ground-truth graph of a maze: node positions, edges weighed by length."""
-    return MazeGraph(
-        coordinates={n.id: n.position for n in maze.nodes},
-        adjacency={node: tuple(sorted((other, length)
-                                      for other, length, _back in out.values()))
-                   for node, out in maze.branches.items()})
+def graph_from_maze(maze: MazeSpec) -> Dict[str, List[Tuple[str, float]]]:
+    """Ground-truth graph of a maze: each node's exits, in slot order, as
+    (neighbor, edge length) pairs."""
+    return {node: [(other, length) for other, length, _back in out.values()]
+            for node, out in maze.branches.items()}
 
 
-def shortest_paths(adjacency: Mapping[str, Sequence[Tuple[str, float]]],
+def shortest_paths(adjacency: Adjacency,
                    s: str) -> Iterator[Tuple[float, Tuple[str, ...]]]:
     """Yield ``(length, path)`` once per vertex reachable from ``s``.
 
     Yields come in ``(length, path)`` order, starting with ``(0.0, (s,))``;
     each path is the lexicographically smallest of the shortest paths to its
     last vertex. ``adjacency`` maps a vertex to ``(neighbor, weight)`` pairs
-    with positive weights. Lengths are summed in path order.
+    with positive weights, in any order: the yields do not depend on it,
+    as the heap orders entries by ``(length, path)`` and pushes each path
+    at most once. Lengths are summed in path order.
     """
     # Heap entries carry the whole path: ordering by (length, path) pops
     # equal-length candidates lexicographically, and any prefix of a
@@ -124,18 +116,19 @@ def shortest_paths(adjacency: Mapping[str, Sequence[Tuple[str, float]]],
                 heapq.heappush(heap, (nd, path + (nb,)))
 
 
-def dijkstra(g: MazeGraph, s: str, t: str) -> PathResult:
-    """Shortest s→t path; equal-length paths resolve to the
+def dijkstra(adjacency: Adjacency, s: str, t: str) -> PathResult:
+    """Shortest s→t path in ``adjacency``; equal-length paths resolve to the
     lexicographically smallest node sequence.
 
-    Raises GraphQueryError for unknown vertices or an unreachable target.
+    Raises GraphQueryError for a vertex the graph does not list (an
+    unhashable one included) or an unreachable target.
     """
-    if s not in g.coordinates:
-        raise GraphQueryError("unknown vertex %r" % (s,))
-    if t not in g.coordinates:
-        raise GraphQueryError("unknown vertex %r" % (t,))
-    for length, path in shortest_paths(g.adjacency, s):
+    for v in (s, t):
+        try:
+            adjacency[v]
+        except (KeyError, TypeError):
+            raise GraphQueryError("unknown vertex %r" % (v,)) from None
+    for length, path in shortest_paths(adjacency, s):
         if path[-1] == t:
             return PathResult(nodes=list(path), length=length)
     raise GraphQueryError("no path from %r to %r" % (s, t))
-

@@ -4,7 +4,7 @@ The robot starts at an arbitrary node it calls point "0" at coordinate
 (0, 0), heading north. Its map is the walked graph: each point's type
 (number of branches minus one), its coordinate, and its walked neighbors
 with the coordinate distance to each. That graph is the result;
-``graph_path.build_graph`` only sorts it. The visit log (every point name
+``graph_path.build_graph`` checks it and returns it. The visit log (every point name
 in arrival order) records how it was walked.
 Distances come from an odometry mode (ground truth, raw encoders, or one of
 two encoder corrections), so a coordinate is the previous point's coordinate

@@ -73,7 +73,7 @@ class MazeSpec(_MazeFields):
     def node(self, node_id):
         try:
             return self._by_id[node_id]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise MazeValidationError("unknown node id %r" % (node_id,)) from None
 
     def position(self, node_id):
@@ -93,7 +93,11 @@ def _index_edges(maze):
     seen = set()
     rows, vertical = {}, []
     for k, (a, b) in enumerate(maze.edges):
-        if a not in by_id or b not in by_id:
+        try:
+            known = a in by_id and b in by_id
+        except TypeError:  # an unhashable endpoint
+            known = False
+        if not known:
             raise MazeValidationError("edge %s-%s references an unknown node" % (a, b))
         if a == b:
             raise MazeValidationError("edge %s-%s is a self-loop" % (a, b))
@@ -140,6 +144,8 @@ def _validate(maze):
     nodes, start, end = maze.nodes, maze.start, maze.end
     seen = set()
     for n in nodes:
+        if not isinstance(n.id, str):
+            raise MazeValidationError("node id %r is not a string" % (n.id,))
         # str.split() splits at exactly the characters str.isspace() accepts.
         if n.id.split() != [n.id]:
             raise MazeValidationError("node id %r is empty or contains whitespace" % n.id)
@@ -150,7 +156,12 @@ def _validate(maze):
         if n.id in seen:
             raise MazeValidationError("duplicate node id %r" % n.id)
         seen.add(n.id)
-        if not (math.isfinite(n.position.x) and math.isfinite(n.position.y)):
+        try:
+            finite = math.isfinite(n.position.x) and math.isfinite(n.position.y)
+        except (AttributeError, TypeError):
+            raise MazeValidationError("node %r position %r is not a Point2D "
+                                      "of numbers" % (n.id, n.position)) from None
+        if not finite:
             raise MazeValidationError("node %r has non-finite coordinates" % n.id)
 
     coords = {}
@@ -164,9 +175,10 @@ def _validate(maze):
     by_id = maze._by_id  # safe now that node ids are unique
     branches, rows, vertical = _index_edges(maze)  # checks every edge
     maze.__dict__["branches"] = branches  # fills the property's cache
-    if start not in by_id:
+    # Node ids are strings, so a start or end of another type is unknown.
+    if not isinstance(start, str) or start not in by_id:
         raise MazeValidationError("start refers to unknown node %r" % (start,))
-    if end not in by_id:
+    if not isinstance(end, str) or end not in by_id:
         raise MazeValidationError("end refers to unknown node %r" % (end,))
 
     for n in nodes:
@@ -328,6 +340,8 @@ def serialize_maze(maze):
 
 def bundled_maze_text(name):
     """Text of a maze shipped with the package (e.g. 'fig2.maze')."""
+    if not isinstance(name, str):
+        raise MazeValidationError("no bundled maze named %r" % (name,))
     if not name.endswith(".maze"):
         name += ".maze"
     ref = resources.files("linemaze").joinpath("data", name)

@@ -2,16 +2,20 @@
 
 - ``brute_force_shortest``: exhaustive simple-path search, the oracle for
   ``dijkstra`` on small graphs.
+- ``maze_graph``: a maze's true graph paired with its node positions. The
+  package's graphs are bare adjacency mappings; the oracles that compare
+  or print them by coordinate take a (coordinates, adjacency) pair.
 - ``graphs_isomorphic``: coordinate-matching graph comparison.
 - ``shifted``: a graph moved so that one vertex sits at (0, 0), the frame of
   an exploration started there.
-- ``visit_log_graph``: the graph of an exploration rebuilt from its visit
-  log, the oracle for ``build_graph``'s view of the walked graph.
+- ``visit_log_graph``: the adjacency of an exploration rebuilt from its
+  visit log, the oracle for the walked graph that ``build_graph`` returns.
 - ``trace_rows`` and ``trace_lines``: an exploration's per-arrival trace,
   rebuilt from its visit log, types and coordinates, and its text form.
   The explorer digests and the worked traces are written in them.
-- ``export_graph``: a graph's stable text form, one vertex per line. The
-  ideal explorer digests and the fig2 export golden are written in it.
+- ``export_graph``: a graph's stable text form, one vertex per line and
+  each neighbor list sorted. The ideal explorer digests and the fig2 export
+  golden are written in it.
 - ``step_loop_integrate``: the motion kernel as one Euler step at a time,
   the oracle for ``motion_sim._integrate``'s leg jumps.
 - ``fresh_heading``: the start-heading jitter as it was drawn before it was
@@ -43,24 +47,27 @@ from linemaze import motion_sim
 from linemaze._directions import EAST, NORTH, SOUTH, WEST, reverse
 from linemaze.errors import (GraphQueryError, InconsistencyError,
                              MazeSyntaxError, MazeValidationError)
-from linemaze.graph_path import MazeGraph, PathResult
+from linemaze.graph_path import PathResult, graph_from_maze
 from linemaze.maze_model import (MAX_DEGREE, MazeEdge, MazeNode, Point2D,
                                  make_maze)
 
+# A graph with coordinates: (name -> Point2D, name -> [(neighbor, weight)]).
+Graph = Tuple[Dict[str, Point2D], Dict[str, List[Tuple[str, float]]]]
 
-def brute_force_shortest(g: MazeGraph, s: str, t: str) -> PathResult:
+
+def brute_force_shortest(adjacency, s: str, t: str) -> PathResult:
     """Exact shortest path by enumerating every simple path (|V| <= 12).
 
     Sums weights in path order exactly like ``dijkstra`` does, so results
     compare equal bit for bit, ties included.
     """
-    if len(g.coordinates) > 12:
+    if len(adjacency) > 12:
         raise GraphQueryError(
             "brute-force enumeration limited to 12 vertices, got %d"
-            % len(g.coordinates))
-    if s not in g.coordinates:
+            % len(adjacency))
+    if s not in adjacency:
         raise GraphQueryError("unknown vertex %r" % (s,))
-    if t not in g.coordinates:
+    if t not in adjacency:
         raise GraphQueryError("unknown vertex %r" % (t,))
     if s == t:
         return PathResult(nodes=[s], length=0.0)
@@ -74,7 +81,7 @@ def brute_force_shortest(g: MazeGraph, s: str, t: str) -> PathResult:
             if best is None or cand < best:
                 best = cand
             return
-        for nb, w in g.adjacency[node]:
+        for nb, w in adjacency[node]:
             if nb not in path:
                 extend(path + (nb,), length + w)
 
@@ -84,80 +91,87 @@ def brute_force_shortest(g: MazeGraph, s: str, t: str) -> PathResult:
     return PathResult(nodes=list(best[1]), length=best[0])
 
 
-def graphs_isomorphic(a: MazeGraph, b: MazeGraph, coord_tol: float = 1e-6,
+def maze_graph(maze) -> Graph:
+    """A maze's ground truth as (node positions, ``graph_from_maze``)."""
+    return {n.id: n.position for n in maze.nodes}, graph_from_maze(maze)
+
+
+def graphs_isomorphic(a: Graph, b: Graph, coord_tol: float = 1e-6,
                       weight_tol: float = 1e-9) -> bool:
     """True when a coordinate-matching vertex bijection maps a onto b.
 
-    Vertices pair up by Chebyshev-nearest coordinates within ``coord_tol``
-    (each vertex of one graph must claim exactly one of the other); the
-    bijection must then carry every edge to an edge with the same weight
-    within ``weight_tol``.
+    Each graph is a (coordinates, adjacency) pair. Vertices pair up by
+    Chebyshev-nearest coordinates within ``coord_tol`` (each vertex of one
+    graph must claim exactly one of the other); the bijection must then
+    carry every edge to an edge with the same weight within ``weight_tol``.
     """
-    if len(a.coordinates) != len(b.coordinates):
+    (coords_a, adj_a), (coords_b, adj_b) = a, b
+    if len(coords_a) != len(coords_b):
         return False
     mapping: Dict[str, str] = {}
     claimed: Set[str] = set()
-    for name, ca in a.coordinates.items():
-        hits = [nb for nb, cb in b.coordinates.items()
+    for name, ca in coords_a.items():
+        hits = [nb for nb, cb in coords_b.items()
                 if max(abs(ca.x - cb.x), abs(ca.y - cb.y)) <= coord_tol]
         if len(hits) != 1 or hits[0] in claimed:
             return False
         mapping[name] = hits[0]
         claimed.add(hits[0])
-    for name, nbrs in a.adjacency.items():
+    for name, nbrs in adj_a.items():
         image = {mapping[nb] for nb, _w in nbrs}
-        target = {nb for nb, _w in b.adjacency[mapping[name]]}
+        target = {nb for nb, _w in adj_b[mapping[name]]}
         if image != target:
             return False
-        weights_b = dict(b.adjacency[mapping[name]])
+        weights_b = dict(adj_b[mapping[name]])
         for nb, w in nbrs:
             if abs(w - weights_b[mapping[nb]]) > weight_tol:
                 return False
     return True
 
 
-def shifted(g: MazeGraph, origin: str) -> MazeGraph:
+def shifted(g: Graph, origin: str) -> Graph:
     """``g`` with every coordinate moved so that ``origin`` is at (0, 0)."""
-    o = g.coordinates[origin]
-    return MazeGraph(
-        coordinates={k: Point2D(c.x - o.x, c.y - o.y)
-                     for k, c in g.coordinates.items()},
-        adjacency=g.adjacency)
+    coords, adjacency = g
+    o = coords[origin]
+    return ({k: Point2D(c.x - o.x, c.y - o.y) for k, c in coords.items()},
+            adjacency)
 
 
-def visit_log_graph(state) -> MazeGraph:
-    """Graph of an exploration rebuilt from its visit log.
+def visit_log_graph(state) -> Dict[str, List[Tuple[str, float]]]:
+    """Adjacency of an exploration rebuilt from its visit log.
 
     Two names are adjacent iff they appear consecutively in the log, and
-    each edge weighs the coordinate distance between its endpoints. It
-    raises the same errors as ``build_graph``: a repeated name, a grossly
-    diagonal delta, or coinciding endpoints.
+    each edge weighs the coordinate distance between its endpoints. Each
+    list runs in the order the log first walks its edges, as the explorer
+    keeps it. It raises the same errors as ``build_graph``: a repeated
+    name, a grossly diagonal delta, or coinciding endpoints.
     """
-    pairs = set()
+    coords = state.coordinate
+    adj: Dict[str, List[Tuple[str, float]]] = {name: [] for name in coords}
+    walked = set()
     for a, b in zip(state.point, state.point[1:]):
         if a == b:
             raise InconsistencyError(
                 "visit log repeats %r consecutively; no traversal can do that"
                 % (a,))
-        ca, cb = state.coordinate[a], state.coordinate[b]
+        ca, cb = coords[a], coords[b]
         if reference_too_diagonal(cb.x - ca.x, cb.y - ca.y):
             raise InconsistencyError(
                 "coordinate delta %r -> %r is (%g, %g): too diagonal for a "
                 "straight axis-aligned traversal; exploration state corrupt"
                 % (a, b, cb.x - ca.x, cb.y - ca.y))
-        pairs.add(tuple(sorted((a, b))))
-    coords = state.coordinate
-    adj = {name: [] for name in coords}
-    for a, b in sorted(pairs):
-        ca, cb = coords[a], coords[b]
+        if frozenset((a, b)) in walked:
+            continue
+        walked.add(frozenset((a, b)))
         w = math.hypot(cb.x - ca.x, cb.y - ca.y)
         if not w > 0.0:
+            lo, hi = sorted((a, b))
             raise InconsistencyError(
-                "vertices %r and %r coincide; cannot weight their edge" % (a, b))
+                "vertices %r and %r coincide; cannot weight their edge"
+                % (lo, hi))
         adj[a].append((b, w))
         adj[b].append((a, w))
-    return MazeGraph(coordinates=dict(coords),
-                     adjacency={k: tuple(sorted(v)) for k, v in adj.items()})
+    return adj
 
 
 def trace_rows(state) -> List[Tuple[str, int, int, float, float]]:
@@ -184,12 +198,14 @@ def trace_lines(rows) -> List[str]:
     return ["%s %d %d %g %g" % row for row in rows]
 
 
-def export_graph(g: MazeGraph) -> str:
-    """Stable text form, one vertex per line: ``name x y : neighbor,length ...``"""
+def export_graph(g: Graph) -> str:
+    """Stable text form of a (coordinates, adjacency) pair, one vertex per
+    line, neighbors sorted: ``name x y : neighbor,length ...``"""
+    coords, adjacency = g
     lines = []
-    for name in sorted(g.coordinates):
-        c = g.coordinates[name]
-        nbrs = " ".join("%s,%g" % (nb, w) for nb, w in g.adjacency[name])
+    for name in sorted(coords):
+        c = coords[name]
+        nbrs = " ".join("%s,%g" % nb for nb in sorted(adjacency[name]))
         lines.append("%s %g %g : %s" % (name, c.x, c.y, nbrs))
     return "\n".join(lines) + "\n"
 

@@ -21,8 +21,8 @@ from linemaze.odometry import (arc_len_from_height, calibration_from_motion,
                                chord_from_arc, estimate_length)
 from linemaze.simple_explorer import (PREF_RFLD, explore_simple, reduce_tape,
                                       replay)
-from oracles import (brute_force_shortest, graphs_isomorphic, shifted,
-                     visit_log_graph)
+from oracles import (brute_force_shortest, graphs_isomorphic, maze_graph,
+                     shifted, visit_log_graph)
 
 
 @contextmanager
@@ -63,7 +63,7 @@ def test_acceptance_2_mapping_golden(fig2):
             "6": (-5.0, 10.0), "7": (14.0, 18.0),
         }
         graph = build_graph(state)
-        assert sorted(n for n, _w in graph.adjacency["1"]) == [
+        assert sorted(n for n, _w in graph["1"]) == [
             "0", "2", "5", "6"]
 
 
@@ -181,8 +181,8 @@ def test_acceptance_8_mapping_completeness():
             traversals = len(state.point) - 1
             assert traversals <= 4 * len(maze.edges)
             graph = build_graph(state)
-            assert graphs_isomorphic(
-                graph, shifted(graph_from_maze(maze), maze.start))
+            assert graphs_isomorphic((state.coordinate, graph),
+                                     shifted(maze_graph(maze), maze.start))
             # The walked graph kept during exploration is the visit-log
             # graph, weights included, and it has nothing left to explore.
             assert graph == visit_log_graph(state)

@@ -85,8 +85,9 @@ def _run(maze, mode):
     except ExplorationError as exc:
         return _digest("error: %s" % exc)
     if mode == "ideal":
+        graph = (state.coordinate, build_graph(state))
         return _digest((sorted(state.type_of.items()), _coords(state),
-                        export_graph(build_graph(state)), _first_walks(state)))
+                        export_graph(graph), _first_walks(state)))
     return _digest((state.point, trace_rows(state), _coords(state)))
 
 

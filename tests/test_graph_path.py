@@ -7,14 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linemaze.errors import GraphQueryError, InconsistencyError
-from linemaze.graph_path import (MazeGraph, PathResult, build_graph, dijkstra,
-                                 graph_from_maze)
-from linemaze.mapping_explorer import ExplorationState, explore_map
+from linemaze.errors import (ExplorationError, GraphQueryError,
+                             InconsistencyError)
+from linemaze.graph_path import (PathResult, build_graph, dijkstra,
+                                 graph_from_maze, shortest_paths)
+from linemaze.mapping_explorer import (ExplorationState, explore_map,
+                                       next_target)
 from linemaze.maze_model import Point2D
 from linemaze.mazegen import random_maze
+from linemaze.odometry import ODOMETRY_MODES
 from oracles import (brute_force_shortest, export_graph, graphs_isomorphic,
-                     reference_too_diagonal, shifted, visit_log_graph)
+                     maze_graph, reference_too_diagonal, shifted,
+                     visit_log_graph)
 from test_explorer_fixture import NOISY_EVERY, SEEDS, _maze
 
 FIG2_EXPORT = """\
@@ -30,9 +34,9 @@ S 0 0 : A,10
 
 
 def graph_of(coords, adjacency):
-    return MazeGraph(coordinates={k: Point2D(float(x), float(y))
-                                  for k, (x, y) in coords.items()},
-                     adjacency={k: tuple(v) for k, v in adjacency.items()})
+    """A (coordinates, adjacency) pair, as the isomorphism oracle takes."""
+    return ({k: Point2D(float(x), float(y)) for k, (x, y) in coords.items()},
+            adjacency)
 
 
 def state_of(visits, coords):
@@ -56,19 +60,23 @@ def state_of(visits, coords):
 
 def test_graph_from_maze_fig2(fig2):
     g = graph_from_maze(fig2)
-    assert sorted(g.coordinates) == ["A", "B", "C", "D", "E", "F", "G", "S"]
-    assert sum(map(len, g.adjacency.values())) == 2 * 8
-    assert [nb for nb, _w in g.adjacency["A"]] == ["B", "C", "E", "S"]
-    assert export_graph(g) == FIG2_EXPORT
+    assert sorted(g) == ["A", "B", "C", "D", "E", "F", "G", "S"]
+    assert sum(map(len, g.values())) == 2 * 8
+    # Slot order: east, north, west, south.
+    assert g["A"] == [("E", 14.0), ("C", 3.0), ("B", 5.0), ("S", 10.0)]
+    assert export_graph(maze_graph(fig2)) == FIG2_EXPORT
 
 
 def test_build_graph_from_exploration(fig2):
     state = explore_map(fig2, src="ideal")
     g = build_graph(state)
-    assert [nb for nb, _w in g.adjacency["1"]] == ["0", "2", "5", "6"]
-    assert sum(map(len, g.adjacency.values())) == 2 * 8
+    assert g is state.neighbors
+    # First-walk order: 0 on arrival, then 2, 5 and 6 as they are walked.
+    assert [nb for nb, _w in g["1"]] == ["0", "2", "5", "6"]
+    assert sum(map(len, g.values())) == 2 * 8
     assert g == visit_log_graph(state)
-    assert graphs_isomorphic(g, shifted(graph_from_maze(fig2), fig2.start))
+    assert graphs_isomorphic((state.coordinate, g),
+                             shifted(maze_graph(fig2), fig2.start))
 
 
 def rejection(build, state):
@@ -109,8 +117,8 @@ def test_build_graph_rejects_diagonal_delta():
 def test_build_graph_tolerates_snapping_skew():
     st = state_of(["0", "1"], {"0": (0, 0), "1": (0.4, 10)})
     g = build_graph(st)
-    assert sum(map(len, g.adjacency.values())) == 2 * 1
-    assert dict(g.adjacency["0"])["1"] == pytest.approx(math.hypot(0.4, 10))
+    assert sum(map(len, g.values())) == 2 * 1
+    assert dict(g["0"])["1"] == pytest.approx(math.hypot(0.4, 10))
     assert g == visit_log_graph(st)
 
 
@@ -185,10 +193,18 @@ def test_unknown_endpoints(fig2, s, t):
         brute_force_shortest(g, s, t)
 
 
+def test_unhashable_endpoints_are_unknown_vertices(fig2):
+    g = graph_from_maze(fig2)
+    for s, t, message in [(["S"], "F", "unknown vertex ['S']"),
+                          ("S", {"F"}, "unknown vertex {'F'}")]:
+        with pytest.raises(GraphQueryError) as err:
+            dijkstra(g, s, t)
+        assert str(err.value) == message
+
+
 def test_unreachable_target():
-    g = graph_of({"a": (0, 0), "b": (0, 10), "c": (20, 0), "d": (20, 10)},
-                 {"a": [("b", 10.0)], "b": [("a", 10.0)],
-                  "c": [("d", 10.0)], "d": [("c", 10.0)]})
+    g = {"a": [("b", 10.0)], "b": [("a", 10.0)],
+         "c": [("d", 10.0)], "d": [("c", 10.0)]}
     with pytest.raises(GraphQueryError, match="no path"):
         dijkstra(g, "a", "c")
     with pytest.raises(GraphQueryError, match="no path"):
@@ -196,11 +212,10 @@ def test_unreachable_target():
 
 
 def test_tie_breaks_lexicographically_diamond():
-    g = graph_of({"s": (0, 0), "a": (0, 10), "b": (10, 0), "t": (10, 10)},
-                 {"s": [("a", 10.0), ("b", 10.0)],
-                  "a": [("s", 10.0), ("t", 10.0)],
-                  "b": [("s", 10.0), ("t", 10.0)],
-                  "t": [("a", 10.0), ("b", 10.0)]})
+    g = {"s": [("a", 10.0), ("b", 10.0)],
+         "a": [("s", 10.0), ("t", 10.0)],
+         "b": [("s", 10.0), ("t", 10.0)],
+         "t": [("a", 10.0), ("b", 10.0)]}
     res = dijkstra(g, "s", "t")
     assert res.nodes == ["s", "a", "t"]
     assert res == brute_force_shortest(g, "s", "t")
@@ -209,25 +224,21 @@ def test_tie_breaks_lexicographically_diamond():
 def test_tie_kept_when_the_winning_prefix_relaxes_second():
     # Two equal-cost routes reach nb; the lexicographically smaller one
     # arrives later in heap order, so it must not be pruned when it ties.
-    g = graph_of({"s": (0, 0), "a": (1, 0), "b": (2, 0), "nb": (3, 0),
-                  "t": (4, 0)},
-                 {"s": [("a", 9.0), ("b", 1.0)],
-                  "a": [("s", 9.0), ("nb", 1.0)],
-                  "b": [("s", 1.0), ("nb", 9.0)],
-                  "nb": [("a", 1.0), ("b", 9.0), ("t", 5.0)],
-                  "t": [("nb", 5.0)]})
+    g = {"s": [("a", 9.0), ("b", 1.0)],
+         "a": [("s", 9.0), ("nb", 1.0)],
+         "b": [("s", 1.0), ("nb", 9.0)],
+         "nb": [("a", 1.0), ("b", 9.0), ("t", 5.0)],
+         "t": [("nb", 5.0)]}
     res = dijkstra(g, "s", "t")
     assert res.nodes == ["s", "a", "nb", "t"]
     assert res == brute_force_shortest(g, "s", "t")
 
 
 def test_brute_force_size_cap():
-    coords = {str(i): (float(i), 0.0) for i in range(13)}
-    adjacency = {str(i): [] for i in range(13)}
+    g = {str(i): [] for i in range(13)}
     for i in range(12):
-        adjacency[str(i)].append((str(i + 1), 1.0))
-        adjacency[str(i + 1)].append((str(i), 1.0))
-    g = graph_of(coords, adjacency)
+        g[str(i)].append((str(i + 1), 1.0))
+        g[str(i + 1)].append((str(i), 1.0))
     with pytest.raises(GraphQueryError, match="limited to 12 vertices"):
         brute_force_shortest(g, "0", "12")
 
@@ -250,7 +261,7 @@ def test_length_symmetry_and_triangle_inequality():
         maze = random_maze(rng, max_nodes=12, loops=rng.randint(0, 3),
                            leaf_ends=False)
         g = graph_from_maze(maze)
-        names = sorted(g.coordinates)
+        names = sorted(g)
         s, t = maze.start, maze.end
         if s == t:
             continue
@@ -262,23 +273,82 @@ def test_length_symmetry_and_triangle_inequality():
             assert dijkstra(g, s, t).length <= via + 1e-9
 
 
+def _shuffled(adjacency, rng):
+    """A copy of ``adjacency`` with every neighbor list in a random order."""
+    out = {}
+    for name, nbrs in adjacency.items():
+        out[name] = list(nbrs)
+        rng.shuffle(out[name])
+    return out
+
+
+def _arrival_state(state, k):
+    """The explorer's routing inputs as they stood on arrival ``k``: the
+    visit log up to it, and the edges walked so far in first-walk order."""
+    part = ExplorationState()
+    part.point = state.point[:k + 1]
+    weight = {(a, b): w for a, nbrs in state.neighbors.items()
+              for b, w in nbrs}
+    for name in part.point:
+        part.type_of[name] = state.type_of[name]
+        part.neighbors[name] = []
+    for a, b in zip(part.point, part.point[1:]):
+        if (b, weight[a, b]) not in part.neighbors[a]:
+            part.neighbors[a].append((b, weight[a, b]))
+            part.neighbors[b].append((a, weight[a, b]))
+    return part
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), order=st.integers(0, 2 ** 32))
+def test_routing_ignores_neighbor_order(seed, order):
+    # build_graph and graph_from_maze keep no sorted order, so every
+    # answer drawn from a graph must be the same under any neighbor order.
+    rng = random.Random(seed)
+    maze = random_maze(rng, max_nodes=30, loops=rng.randint(0, 6),
+                       leaf_ends=False)
+    shuffle = random.Random(order)
+    graphs = [(graph_from_maze(maze), None)]
+    for mode in ODOMETRY_MODES:
+        try:
+            state = explore_map(maze, src=mode, seed=seed)
+        except ExplorationError:
+            continue  # too noisy for this maze: no walked graph to query
+        graphs.append((build_graph(state), state))
+    for adjacency, state in graphs:
+        mixed = _shuffled(adjacency, shuffle)
+        names = sorted(adjacency)
+        for s in shuffle.sample(names, 3):
+            assert list(shortest_paths(mixed, s)) == \
+                list(shortest_paths(adjacency, s))
+            t = shuffle.choice(names)
+            assert dijkstra(mixed, s, t) == dijkstra(adjacency, s, t)
+        if state is None:
+            continue
+        for k in range(0, len(state.point), 3):
+            part = _arrival_state(state, k)
+            route = next_target(part)
+            part.neighbors = _shuffled(part.neighbors, shuffle)
+            assert next_target(part) == route
+
+
 # ------------------------------------------- isomorphism oracle (oracles.py)
 
 def test_isomorphic_to_itself_and_to_discovery(fig2):
-    truth = graph_from_maze(fig2)
+    truth = maze_graph(fig2)
     assert graphs_isomorphic(truth, truth)
 
 
 def test_isomorphism_rejects_size_mismatch(fig2, fig1):
-    assert not graphs_isomorphic(graph_from_maze(fig2), graph_from_maze(fig1))
+    assert not graphs_isomorphic(maze_graph(fig2), maze_graph(fig1))
 
 
 def test_isomorphism_rejects_moved_vertex(fig2):
-    truth = graph_from_maze(fig2)
+    coords, adjacency = truth = maze_graph(fig2)
     moved = graph_of(
         {k: ((c.x + 0.1) if k == "G" else c.x, c.y)
-         for k, c in truth.coordinates.items()},
-        truth.adjacency)
+         for k, c in coords.items()},
+        adjacency)
     assert not graphs_isomorphic(truth, moved)
 
 

@@ -56,6 +56,9 @@ def test_bundled_name_with_and_without_suffix():
 def test_unknown_bundled_maze():
     with pytest.raises(MazeValidationError, match="no bundled maze named"):
         bundled_maze_text("nosuch")
+    with pytest.raises(MazeValidationError) as err:
+        bundled_maze_text(("fig2",))
+    assert str(err.value) == "no bundled maze named ('fig2',)"
 
 
 def test_comments_and_blank_lines_ignored():
@@ -320,6 +323,38 @@ def test_unknown_start_and_end():
         with pytest.raises(MazeValidationError) as err:
             build_maze(nodes, edges, start, end)
         assert str(err.value) == message
+
+
+_S, _F = MazeNode("S", Point2D(0.0, 0.0)), MazeNode("F", Point2D(0.0, 10.0))
+
+
+@pytest.mark.parametrize("nodes, edges, start, end, message", [
+    ([MazeNode(1, Point2D(0.0, 0.0)), _F], [("S", "F")], "S", "F",
+     "node id 1 is not a string"),
+    ([MazeNode(("S",), Point2D(0.0, 0.0)), _F], [("S", "F")], "S", "F",
+     "node id ('S',) is not a string"),
+    ([MazeNode("S", Point2D("0", 0.0)), _F], [("S", "F")], "S", "F",
+     "node 'S' position Point2D(x='0', y=0.0) is not a Point2D of numbers"),
+    ([MazeNode("S", "0 0"), _F], [("S", "F")], "S", "F",
+     "node 'S' position '0 0' is not a Point2D of numbers"),
+    ([MazeNode("S", (0.0, 0.0)), _F], [("S", "F")], "S", "F",
+     "node 'S' position (0.0, 0.0) is not a Point2D of numbers"),
+    ([_S, _F], [(["S"], "F")], "S", "F",
+     "edge ['S']-F references an unknown node"),
+    ([_S, _F], [("S", ["F"])], "S", "F",
+     "edge S-['F'] references an unknown node"),
+    ([_S, _F], [("S", "F")], ["S"], "F",
+     "start refers to unknown node ['S']"),
+    ([_S, _F], [("S", "F")], "S", ["F"], "end refers to unknown node ['F']"),
+], ids=["int-id", "tuple-id", "str-coordinate", "str-position",
+        "tuple-position", "unhashable-a", "unhashable-b", "unhashable-start", "unhashable-end"])
+def test_values_of_the_wrong_type_are_validation_errors(nodes, edges, start,
+                                                        end, message):
+    # Built directly, not parsed: the parser only ever makes str ids and
+    # float coordinates.
+    with pytest.raises(MazeValidationError) as err:
+        make_maze(nodes, [MazeEdge(a, b) for a, b in edges], start, end)
+    assert str(err.value) == message
 
 
 def test_isolated_node():
@@ -731,7 +766,8 @@ def test_unknown_node_query(fig1):
         fig1.position("nope")
     # A one-item tuple is not the id it holds, and a pair is one bad id.
     for node_id, message in [(("A",), "unknown node id ('A',)"),
-                             (("A", "B"), "unknown node id ('A', 'B')")]:
+                             (("A", "B"), "unknown node id ('A', 'B')"),
+                             (["A"], "unknown node id ['A']")]:
         with pytest.raises(MazeValidationError) as err:
             fig1.node(node_id)
         assert str(err.value) == message

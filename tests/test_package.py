@@ -2,6 +2,7 @@
 names stay retired. Its records stay immutable and checked, and importing
 the CLI stays cheap."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import linemaze
 from linemaze import (CalibConstants, CalibrationError, EncoderLog,
-                      JunctionTape, MazeEdge, MazeGraph, MazeNode,
+                      JunctionTape, MazeEdge, MazeNode,
                       MotionParams, PathResult, Point2D, bundled_maze_text,
                       calibration_from_motion, parse_maze)
 
@@ -32,6 +33,7 @@ RETIRED = [
     ("_directions", "direction_between"),
     ("graph_path", "export_graph"),
     ("mapping_explorer", "trace_lines"),
+    ("graph_path", "MazeGraph"),
 ]
 
 
@@ -59,7 +61,6 @@ def test_retired_names_are_gone():
             (linemaze.MazeSpec, ("incident_edges", "exits", "edge_length",
                                  "edge_other", "edge_direction", "_incident",
                                  "degree")),
-            (linemaze.MazeGraph, ("vertices", "neighbors", "edge_count")),
             (linemaze.EncoderLog, ("turn_count",)),
             (linemaze.ExplorationState(), ("trace",))):
         for name in names:
@@ -71,6 +72,46 @@ def test_retired_names_are_gone():
     assert seed.default is inspect.Parameter.empty
     chord = inspect.signature(linemaze.chord_from_arc).parameters
     assert list(chord) == ["s", "radius"]
+
+
+def _unused_imports(source):
+    """Names a module imports but neither reads nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("name", ["linemaze"] + SUBMODULES)
+def test_every_import_is_used(name):
+    # No linter runs on this code, so a name left behind by a removal
+    # would stay unnoticed; this is pyflakes' unused-import rule.
+    source = inspect.getsource(importlib.import_module(name))
+    assert _unused_imports(source) == []
+
+
+def test_the_unused_import_check_sees_what_it_should():
+    assert _unused_imports(
+        "from __future__ import annotations\n"
+        "import os.path\nimport sys as system\n"
+        "from typing import Dict, List\nfrom .x import y\n"
+        "__all__ = ['y']\n"
+        "def f(a: Dict) -> None:\n    return os.path.join(a)\n"
+    ) == [(3, "system"), (4, "List")]
 
 
 def test_importing_the_cli_loads_no_heavy_standard_modules():
@@ -123,7 +164,7 @@ RECORDS = [
     parse_maze(bundled_maze_text("fig2")), MotionParams(),
     EncoderLog(1.0, 1.0, 0, 0, 1.0),
     calibration_from_motion(MotionParams()),
-    MazeGraph({"A": Point2D(0.0, 0.0)}, {"A": ()}), PathResult(["A"], 0.0),
+    PathResult(["A"], 0.0),
     JunctionTape([3, 1]),
 ]
 CACHED = ("branches", "_by_id", "_half_stretch")

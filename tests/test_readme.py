@@ -1,19 +1,23 @@
-"""The README's library quickstart runs and prints what it documents."""
+"""The README's quickstarts run and print what they document."""
 
 import contextlib
 import io
 import pathlib
 import re
+import shlex
+
+from linemaze import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-def quickstart_blocks():
-    """The ``python`` blocks of the "Library quickstart" section, in order."""
+def quickstart_blocks(heading="Library quickstart", lang="python"):
+    """The ``lang`` blocks of a README section, in order."""
     text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library quickstart\n", 1)[1]
+    section = text.split("\n## %s\n" % heading, 1)[1]
     section = re.split(r"^#{2,3} ", section, maxsplit=1, flags=re.M)[0]
-    return re.findall(r"^```python\n(.*?)^```$", section, flags=re.M | re.S)
+    return re.findall(r"^```%s\n(.*?)^```$" % lang, section,
+                      flags=re.M | re.S)
 
 
 def test_library_quickstart_prints_its_comments():
@@ -30,3 +34,28 @@ def test_library_quickstart_prints_its_comments():
             # The line is a whole comment, or one that another comment ends.
             comment = r"# " + re.escape(line) + r"(\s+#.*)?$"
             assert re.search(comment, block, flags=re.M), line
+
+
+def test_cli_quickstart_prints_what_it_shows(tmp_path):
+    # Each console block is one command and its stdout, byte for byte.
+    # The plot block prints nothing and writes its SVG into tmp_path.
+    blocks = quickstart_blocks("CLI quickstart", "console")
+    assert len(blocks) == 5
+    for block in blocks:
+        command, _, shown = block.partition("\n")
+        assert command.startswith("$ linemaze "), command
+        argv = shlex.split(command)[2:]
+        svg = None
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            svg = tmp_path / argv[at]
+            argv[at] = str(svg)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.run(argv) == 0, command
+        assert out.getvalue() == shown, command
+        if svg is not None:
+            text = svg.read_text(encoding="utf-8")
+            assert text.startswith("<svg ") and text.rstrip().endswith(
+                "</svg>"), command
