@@ -104,7 +104,12 @@ def shortest_paths(adjacency: Adjacency,
             continue
         seen.add(node)
         yield d, path
-        for nb, w in adjacency[node]:
+        try:
+            arcs = adjacency[node]
+        except KeyError:
+            raise GraphQueryError("vertex %r is a neighbor but has no entry "
+                                  "of its own" % (node,)) from None
+        for nb, w in arcs:
             if nb in seen:
                 continue
             nd = d + w

@@ -92,7 +92,10 @@ def _index_edges(maze):
     ends = {n.id: [] for n in maze.nodes}
     seen = set()
     rows, vertical = {}, []
-    for k, (a, b) in enumerate(maze.edges):
+    for k, edge in enumerate(maze.edges):
+        if not isinstance(edge, MazeEdge):
+            raise MazeValidationError("edge %r is not a MazeEdge" % (edge,))
+        a, b = edge
         try:
             known = a in by_id and b in by_id
         except TypeError:  # an unhashable endpoint
@@ -144,6 +147,8 @@ def _validate(maze):
     nodes, start, end = maze.nodes, maze.start, maze.end
     seen = set()
     for n in nodes:
+        if not isinstance(n, MazeNode):
+            raise MazeValidationError("node %r is not a MazeNode" % (n,))
         if not isinstance(n.id, str):
             raise MazeValidationError("node id %r is not a string" % (n.id,))
         # str.split() splits at exactly the characters str.isspace() accepts.
@@ -275,6 +280,10 @@ def _check_crossings(maze, coords, rows, vertical):
 
 def make_maze(nodes, edges, start, end):
     """Build and validate a MazeSpec from node/edge sequences."""
+    for name, records in (("nodes", nodes), ("edges", edges)):
+        if not hasattr(records, "__iter__"):
+            raise MazeValidationError("%s must be a sequence, got %r"
+                                      % (name, records))
     maze = MazeSpec(tuple(nodes), tuple(edges), start, end)
     _validate(maze)
     return maze

@@ -37,7 +37,6 @@ __all__ = [
     "MotionParams",
     "EncoderLog",
     "simulate_segment",
-    "radius_from_ratio",
 ]
 
 # Start-of-segment heading jitter: |alpha0| is uniform on
@@ -155,17 +154,6 @@ class EncoderLog(NamedTuple):
     n_left: int
     true_length: float
     trajectory: Optional[Tuple[Tuple[float, float], ...]] = None
-
-
-def radius_from_ratio(speed_ratio: float, wheel_base: float) -> float:
-    """Turning radius of the *left wheel* path implied by the speed ratio.
-
-    Positive for a right-faster robot (counter-clockwise drift), negative for
-    a left-faster one, ``math.inf`` when the ratio is exactly 1.
-    """
-    if speed_ratio == 1.0:
-        return math.inf
-    return wheel_base / (speed_ratio - 1.0)
 
 
 def _mix64(z: int) -> int:

@@ -8,12 +8,13 @@ functions here undo both effects at two levels of fidelity:
 * piecewise-linear (``linearize_basic``): strip the per-pivot wheel charges,
   then project the remaining roll distance onto the track with a constant
   mean-cosine factor.
-* arc-aware (``linearize_arc``): additionally decompose the stripped roll
-  distance into the stretches the controller geometry implies, and replace
-  each stretch (an arc of the drift circle) by its along-track chord. N
-  pivots give 2N-1 tangent-start half stretches, each rising by ``h``: the
-  first one, then two for each of the N-1 full oscillations between pivots.
-  What is left is the residual stretch before the segment end.
+* arc-aware (``linearize_arc``): convert the stripped roll distance to the
+  midpoint's path length, decompose it into the stretches the controller
+  geometry implies, replace each stretch (an arc of the midpoint's drift
+  circle) by its along-track chord, and project with the one cosine ``c``.
+  N pivots give 2N-1 tangent-start half stretches, each rising by ``h``:
+  the first one, then two for each of the N-1 full oscillations between
+  pivots. What is left is the residual stretch before the segment end.
 
 ``predict_without_encoder`` estimates length from pivot counts alone — no
 encoder readings at all — which works because the controller makes the robot
@@ -27,8 +28,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ArcDomainError, CalibrationError
-from .motion_sim import (JITTER_HI, JITTER_LO, EncoderLog, MotionParams,
-                         radius_from_ratio)
+from .motion_sim import JITTER_HI, JITTER_LO, EncoderLog, MotionParams
 
 __all__ = [
     "CalibConstants",
@@ -42,12 +42,6 @@ __all__ = [
     "estimate_length",
     "ODOMETRY_MODES",
 ]
-
-# Fraction of the nominal inter-turn gap the arc model allocates per stretch.
-# Slightly under 1 so the residual stretch stays non-negative for any jitter
-# draw: allocating a hair less than the mean leaves the slack to the residual
-# term instead of driving it negative.
-_H_SCALE = 0.98
 
 ODOMETRY_MODES = ("ideal", "raw", "basic", "arc")
 
@@ -71,13 +65,10 @@ class CalibConstants(_CalibFields):
         circle rolls farther per cm of track, the inner one less).
     f_lc/f_rc: left/right wheel distance charged per pivot turn (cm).
     k: extra distance charged to the inner wheel of each pivot (cm).
-    h: straight-equivalent half-gap of the lateral oscillation (cm) — the
-        model's period parameter, not necessarily the sensor threshold.
-    radius: magnitude of the left wheel's path radius (cm),
-        ``radius_from_ratio`` = wheel_base/(speed_ratio-1): 500 cm for the
-        default robot, whose midpoint path radius 1/kappa is 505 cm. The arc
-        model uses it for both wheels. ``math.inf`` for a perfectly matched
-        drive.
+    h: midpoint path length of a half stretch, the leg that rises from the
+        line to the lateral trigger distance (cm).
+    radius: the midpoint's drift-circle radius 1/|kappa| (cm): 505 cm for the
+        default robot, ``math.inf`` for a perfectly matched drive.
     """
 
     # No __slots__: the cached property below lives in the instance dict,
@@ -141,12 +132,12 @@ def calibration_from_motion(params: MotionParams) -> CalibConstants:
       so its constant can exceed 1.
     * ``h`` converts the lateral trigger threshold into the straight-running
       distance between corrective turns (divide by the sine of the exit
-      angle), scaled by a safety factor so the residual term stays
-      non-negative under jitter.
+      angle), and ``radius`` is the midpoint's drift radius 1/|kappa|.
     """
     jitter_mean = (JITTER_LO + JITTER_HI) / 2.0
     c = (math.cos(jitter_mean * params.alpha) + math.cos(params.theta)) / 2.0
     fl, fr = params.wheel_factors()
+    kappa = params.kappa
     return CalibConstants(
         c=c,
         c_left=c / fl,
@@ -154,8 +145,8 @@ def calibration_from_motion(params: MotionParams) -> CalibConstants:
         f_lc=params.pivot_left,
         f_rc=params.pivot_right,
         k=params.inner_rot_const,
-        h=_H_SCALE * params.h / math.sin(params.theta),
-        radius=abs(radius_from_ratio(params.speed_ratio, params.wheel_base)),
+        h=params.h / math.sin(params.theta),
+        radius=1.0 / abs(kappa) if kappa else math.inf,
     )
 
 
@@ -197,22 +188,22 @@ def chord_from_arc(s: float, radius: float) -> float:
     return radius * math.sin(ratio)
 
 
-def _wheel_view(log: EncoderLog, cal: CalibConstants, wheel: str):
-    """Per-wheel constants: (total, per-turn charge, inner count, c).
+def linearize_basic(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
+    """Piecewise-linear length estimate from one wheel's encoder total.
 
-    The inner-wheel charge ``k`` pairs with the same-side turn count (the
-    left wheel is the inner wheel of a left turn).
+    Strips the per-pivot wheel charges and projects the rest onto the track
+    with the wheel's mean-cosine constant. The inner-wheel charge ``k`` pairs
+    with the same-side turn count (the left wheel is the inner wheel of a
+    left turn).
     """
     if wheel == "left":
-        return log.wl_total, cal.f_lc, log.n_left, cal.c_left
-    if wheel == "right":
-        return log.wr_total, cal.f_rc, log.n_right, cal.c_right
-    raise ValueError("wheel must be 'left' or 'right', got %r" % (wheel,))
-
-
-def _bracket(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
-    """Wheel roll distance with all pivot charges stripped."""
-    total, f_c, n_inner, _ = _wheel_view(log, cal, wheel)
+        total, f_c, n_inner, c_wheel = (log.wl_total, cal.f_lc, log.n_left,
+                                        cal.c_left)
+    elif wheel == "right":
+        total, f_c, n_inner, c_wheel = (log.wr_total, cal.f_rc, log.n_right,
+                                        cal.c_right)
+    else:
+        raise ValueError("wheel must be 'left' or 'right', got %r" % (wheel,))
     n = log.n_right + log.n_left
     bracket = total - f_c * n - cal.k * n_inner
     if not bracket >= 0.0:
@@ -224,17 +215,7 @@ def _bracket(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
             "pivot charges exceed the %s wheel's roll distance "
             "(%g for %d turns); calibration inconsistent with the log"
             % (wheel, total, n))
-    return bracket
-
-
-def linearize_basic(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
-    """Piecewise-linear length estimate from one wheel's encoder total.
-
-    Strips the per-pivot wheel charges and projects the rest onto the track
-    with the wheel's mean-cosine constant.
-    """
-    _, _, _, c_wheel = _wheel_view(log, cal, wheel)
-    return _bracket(log, cal, wheel) * c_wheel
+    return bracket * c_wheel
 
 
 def _stretch_chords(n: int, x_h: float) -> float:
@@ -246,8 +227,10 @@ def residual_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     """Arc length of the final partial stretch before the segment end.
 
     Subtracts the modeled stretches — (N-1) full oscillation arcs of two
-    half stretches each, plus the initial half stretch — from the stripped
-    roll distance; what is left is the last, incomplete stretch.
+    half stretches each, plus the initial half stretch — from the midpoint
+    roll the wheel reads, which is its basic estimate before the cosine (for
+    a derived calibration, the stripped roll over the wheel's path factor);
+    what is left is the last, incomplete stretch.
     """
     n = log.n_right + log.n_left
     if n < 1:
@@ -255,10 +238,11 @@ def residual_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
             "residual_arc needs at least one pivot turn; "
             "pivot-free logs take the single-arc fallback")
     s_h, _ = cal._half_stretch
-    s_d = _bracket(log, cal, wheel) - (n - 1) * (2.0 * s_h) - s_h
+    roll = linearize_basic(log, cal, wheel) / cal.c
+    s_d = roll - (n - 1) * (2.0 * s_h) - s_h
     if s_d < -1e-9:
         raise CalibrationError(
-            "modeled stretches exceed the %s wheel's roll distance by %g; "
+            "modeled stretches exceed the %s wheel's midpoint roll by %g; "
             "calibration inconsistent with the log" % (wheel, -s_d))
     return max(0.0, s_d)
 
@@ -266,19 +250,19 @@ def residual_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
 def linearize_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     """Arc-aware length estimate from one wheel's encoder total.
 
-    Decomposes the stripped roll distance into (N-1) full oscillation arcs,
-    the initial half stretch, and a residual arc; replaces every arc by its
-    along-track chord and projects with the wheel's cosine constant. With no
-    pivots at all the whole stripped distance is treated as a single
+    Decomposes the midpoint roll the wheel reads into (N-1) full oscillation
+    arcs, the initial half stretch, and a residual arc; replaces every arc by
+    its along-track chord and projects with the cosine constant ``c``. With
+    no pivots at all the whole midpoint roll is treated as a single
     tangent-start arc.
     """
-    _, _, _, c_wheel = _wheel_view(log, cal, wheel)
     n = log.n_right + log.n_left
     if n == 0:
-        return chord_from_arc(_bracket(log, cal, wheel), cal.radius) * c_wheel
+        roll = linearize_basic(log, cal, wheel) / cal.c
+        return chord_from_arc(roll, cal.radius) * cal.c
     _, x_h = cal._half_stretch
     d_d = chord_from_arc(residual_arc(log, cal, wheel), cal.radius)
-    return (_stretch_chords(n, x_h) + d_d) * c_wheel
+    return (_stretch_chords(n, x_h) + d_d) * cal.c
 
 
 def predict_without_encoder(n_right: int, n_left: int,

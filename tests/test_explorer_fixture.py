@@ -5,7 +5,12 @@ Each run is reduced to a SHA-256 digest and compared with
 
 - Noisy modes (raw, basic, arc) pin the visit log, the trace rows rebuilt
   from it by ``oracles.trace_rows``, and the coordinates: measured lengths
-  never tie exactly, so every route is forced.
+  never tie exactly, so every route is forced. Each noisy run has a second
+  digest, under ``decisions/<mode>/<seed>``, of what the robot decided
+  without the floats it measured: the visit log, ``node_of``, ``type_of``
+  and the order in which edges are first walked. A change to an estimator
+  that is meant to move the floats re-records the first digest only; a
+  moved decision shows up as a moved ``decisions/`` key.
 - Ideal mode pins the map: names, types, coordinates, the graph in
   ``oracles.export_graph``'s text form and the order in which edges are
   first walked. Its visit log is left out, because integer spacings make
@@ -79,16 +84,23 @@ def _coords(state):
     return sorted((n, c.x, c.y) for n, c in state.coordinate.items())
 
 
-def _run(maze, mode):
+def _run(key, maze, mode):
+    """The run's digests, by key: one for an ideal run, two for a noisy one."""
     try:
         state = explore_map(maze, src=mode)
     except ExplorationError as exc:
-        return _digest("error: %s" % exc)
+        error = {key: _digest("error: %s" % exc)}
+        if mode != "ideal":
+            error["decisions/" + key] = _digest(type(exc).__name__)
+        return error
     if mode == "ideal":
         graph = (state.coordinate, build_graph(state))
-        return _digest((sorted(state.type_of.items()), _coords(state),
-                        export_graph(graph), _first_walks(state)))
-    return _digest((state.point, trace_rows(state), _coords(state)))
+        return {key: _digest((sorted(state.type_of.items()), _coords(state),
+                              export_graph(graph), _first_walks(state)))}
+    return {key: _digest((state.point, trace_rows(state), _coords(state))),
+            "decisions/" + key: _digest((
+                state.point, sorted(state.node_of.items()),
+                sorted(state.type_of.items()), _first_walks(state)))}
 
 
 def _runs():
@@ -107,7 +119,10 @@ def _runs():
 
 
 def record():
-    return {key: _run(maze, mode) for key, maze, mode in _runs()}
+    digests = {}
+    for key, maze, mode in _runs():
+        digests.update(_run(key, maze, mode))
+    return digests
 
 
 def test_explorations_match_recorded_digests():

@@ -202,6 +202,13 @@ def test_unhashable_endpoints_are_unknown_vertices(fig2):
         assert str(err.value) == message
 
 
+def test_a_neighbor_without_an_entry_is_a_query_error():
+    with pytest.raises(GraphQueryError) as err:
+        dijkstra({"S": [("F", 1.0)], "G": []}, "S", "G")
+    assert str(err.value) == \
+        "vertex 'F' is a neighbor but has no entry of its own"
+
+
 def test_unreachable_target():
     g = {"a": [("b", 10.0)], "b": [("a", 10.0)],
          "c": [("d", 10.0)], "d": [("c", 10.0)]}

@@ -357,6 +357,23 @@ def test_values_of_the_wrong_type_are_validation_errors(nodes, edges, start,
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("nodes, edges, message", [
+    ([_S, _F], [("S",)], "edge ('S',) is not a MazeEdge"),
+    ([_S, _F], [("S", "F", "X")], "edge ('S', 'F', 'X') is not a MazeEdge"),
+    ([_S, _F], [("S", "F")], "edge ('S', 'F') is not a MazeEdge"),
+    (["S", _F], [MazeEdge("S", "F")], "node 'S' is not a MazeNode"),
+    (None, [MazeEdge("S", "F")], "nodes must be a sequence, got None"),
+    ([_S, _F], None, "edges must be a sequence, got None"),
+], ids=["one-item-edge", "three-item-edge", "plain-tuple-edge", "str-node",
+        "no-nodes", "no-edges"])
+def test_malformed_records_are_validation_errors(nodes, edges, message):
+    # Serializing, plotting and validating read an edge's .a and .b and a
+    # node's .id and .position, so records of any other type are rejected.
+    with pytest.raises(MazeValidationError) as err:
+        make_maze(nodes, edges, "S", "F")
+    assert str(err.value) == message
+
+
 def test_isolated_node():
     with pytest.raises(MazeValidationError, match="is isolated"):
         build_maze([("S", 0, 0), ("F", 0, 10), ("L", 5, 5)], [("S", "F")],

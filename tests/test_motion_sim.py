@@ -11,8 +11,7 @@ from scipy import stats
 
 from linemaze import motion_sim
 from linemaze.errors import MotionDivergenceError
-from linemaze.motion_sim import (EncoderLog, MotionParams, radius_from_ratio,
-                                 simulate_segment)
+from linemaze.motion_sim import EncoderLog, MotionParams, simulate_segment
 from oracles import fresh_heading, step_loop_integrate
 
 
@@ -42,14 +41,6 @@ def test_kernel_wheel_accounting_without_pivot_charges():
     log = simulate_segment(10.0, p, seed=0)
     assert log.n_right + log.n_left > 0
     assert log.wr_total / log.wl_total == pytest.approx(fr / fl, rel=1e-12)
-
-
-def test_radius_from_ratio():
-    assert radius_from_ratio(1.1, 10.0) == pytest.approx(100.0, rel=1e-12)
-    assert radius_from_ratio(1.2, 12.0) == pytest.approx(60.0, rel=1e-12)
-    assert radius_from_ratio(1.0, 10.0) == math.inf
-    # Left-faster robots curve the other way: signed, negative radius.
-    assert radius_from_ratio(0.9, 10.0) == pytest.approx(-100.0, rel=1e-12)
 
 
 def test_kappa_and_wheel_factors():

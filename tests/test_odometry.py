@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import statistics
+from itertools import chain
 
 import pytest
 from scipy.integrate import quad
@@ -39,8 +40,8 @@ def test_default_calibration_values(default_params, default_cal):
     assert cal.c_right == pytest.approx(0.975884454948497, rel=1e-12)
     assert cal.f_lc == 0.008 and cal.f_rc == 0.008
     assert cal.k == 0.002
-    assert cal.h == pytest.approx(0.5643595073480762, rel=1e-12)
-    assert cal.radius == pytest.approx(500.0, rel=1e-12)
+    assert cal.h == pytest.approx(0.5758770483143635, rel=1e-12)
+    assert cal.radius == pytest.approx(505.0, rel=1e-12)
 
 
 def test_calibration_matched_wheels_infinite_radius():
@@ -412,11 +413,16 @@ ESTIMATOR_LENGTHS = (2.0, 7.0, 14.0, 60.0)
 ESTIMATOR_SEEDS = range(8)
 HAND_BUILT_SEEDS = range(2000)
 # Any change to an estimate, a residual, a prediction or the type of error
-# one of them raises moves the digest, which pins the estimators' output
-# bit for bit. Re-record only for a change meant to alter that output:
-# ``PYTHONPATH=src python tests/test_odometry.py``
-ESTIMATOR_DIGEST = (
-    "c03a9bf88612d05b81cb6552cbf70ea897cae4bee78be017caef416f942c3692")
+# one of them raises moves a digest, which pins the estimators' output bit
+# for bit. One digest covers the raw and basic estimates, the other arc,
+# residual_arc and predict_without_encoder, so a change to the arc model
+# shows that it left raw and basic alone. Re-record only for a change meant
+# to alter that output: ``PYTHONPATH=src python tests/test_odometry.py``
+ESTIMATOR_DIGESTS = {
+    "raw+basic":
+        "466a347cbb5e526a0658c436ea8ca177894ad28a79ee8106107a4eb8b4f6d651",
+    "arc": "4b8626d27671401d863bb1fc80d7b68fdf9030205e12904625a45232877c4685",
+}
 
 
 def _outcome(fn, *args):
@@ -427,13 +433,14 @@ def _outcome(fn, *args):
 
 
 def _estimator_lines(log, cal):
-    lines = [_outcome(estimate_length, log, cal, mode)
-             for mode in ("raw", "basic", "arc")]
-    lines.append(_outcome(predict_without_encoder, log.n_right, log.n_left,
-                          cal))
-    lines += [_outcome(residual_arc, log, cal, wheel)
-              for wheel in ("left", "right")]
-    return lines
+    """The case's outcomes: (raw and basic lines, arc lines)."""
+    linear = [_outcome(estimate_length, log, cal, mode)
+              for mode in ("raw", "basic")]
+    arc = [_outcome(estimate_length, log, cal, "arc"),
+           _outcome(predict_without_encoder, log.n_right, log.n_left, cal)]
+    arc += [_outcome(residual_arc, log, cal, wheel)
+            for wheel in ("left", "right")]
+    return linear, arc
 
 
 def _hand_built_case(seed):
@@ -453,9 +460,9 @@ def _hand_built_case(seed):
     return log, cal
 
 
-def estimator_digest():
-    lines = []
-    # Fixed start headings, so that only the estimators move the digest.
+def estimator_digests():
+    cases = []
+    # Fixed start headings, so that only the estimators move the digests.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(motion_sim, "_initial_heading", fresh_heading)
         for overrides in ESTIMATOR_ROBOTS:
@@ -463,15 +470,18 @@ def estimator_digest():
             cal = calibration_from_motion(params)
             for length in ESTIMATOR_LENGTHS:
                 for seed in ESTIMATOR_SEEDS:
-                    lines += _estimator_lines(
-                        simulate_segment(length, params, seed=seed), cal)
-    for seed in HAND_BUILT_SEEDS:
-        lines += _estimator_lines(*_hand_built_case(seed))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+                    cases.append(_estimator_lines(
+                        simulate_segment(length, params, seed=seed), cal))
+    cases += [_estimator_lines(*_hand_built_case(seed))
+              for seed in HAND_BUILT_SEEDS]
+    linear, arc = zip(*cases)
+    return {name: hashlib.sha256(
+                "\n".join(chain.from_iterable(lines)).encode()).hexdigest()
+            for name, lines in (("raw+basic", linear), ("arc", arc))}
 
 
 def test_estimators_are_bit_identical_to_the_recorded_digest():
-    assert estimator_digest() == ESTIMATOR_DIGEST
+    assert estimator_digests() == ESTIMATOR_DIGESTS
 
 
 # ------------------------------------------------------- statistical bands
@@ -517,20 +527,17 @@ def test_arc_beats_basic_clearly_on_small_error_angles():
 
 ENVELOPE_SEEDS = range(20)
 ENVELOPE_LENGTHS = (14.0, 100.0)
-# Arc mode subtracts modelled midpoint stretches from a wheel's stripped
-# roll, but the inner wheel of the drift circle rolls less than the
-# midpoint travels; from a speed ratio of about 1.08 on 100 cm the
-# subtraction goes negative and arc raises CalibrationError.
-ARC_INNER_WHEEL_DEFECT = pytest.mark.xfail(
-    strict=True, raises=CalibrationError,
-    reason="arc's stretches are in midpoint units, its bracket in wheel units")
+# Left-faster robots (below 1) drift the other way. At 2.0 the drift
+# circle's radius is 15 cm and arc reads 2.8% off on 100 cm, so the
+# envelope stops at 1.5.
+SPEED_RATIOS = [0.8, 0.9, 1.0, 1.02, 1.05, 1.1, 1.2, 1.3, 1.5]
 
 
-@pytest.mark.parametrize("speed_ratio", [1.0, 1.02, 1.05, 1.1, 1.2])
+@pytest.mark.parametrize("speed_ratio", SPEED_RATIOS)
 def test_basic_holds_across_the_speed_ratio_envelope(speed_ratio):
     # Each wheel's constant divides out that wheel's share of the drift
     # circle, so basic stays within 0.1% wherever the wheels are matched
-    # or 20% apart, and no run reads further off than the raw mean.
+    # or 50% apart, and no run reads further off than the raw mean.
     params = MotionParams(speed_ratio=speed_ratio)
     cal = calibration_from_motion(params)
     for length in ENVELOPE_LENGTHS:
@@ -543,20 +550,22 @@ def test_basic_holds_across_the_speed_ratio_envelope(speed_ratio):
         assert all(b <= r for b, r in zip(basic, raw)), length
 
 
-@pytest.mark.parametrize("speed_ratio", [
-    1.0, 1.02, 1.05,
-    pytest.param(1.1, marks=ARC_INNER_WHEEL_DEFECT),
-    pytest.param(1.2, marks=ARC_INNER_WHEEL_DEFECT),
-])
+@pytest.mark.parametrize("speed_ratio", SPEED_RATIOS)
 def test_arc_across_the_speed_ratio_envelope(speed_ratio):
+    # Arc reads each wheel's roll in midpoint units, so the inner wheel of
+    # the drift circle, which rolls less than the midpoint travels, leaves
+    # as much for the modelled stretches as the outer one.
     params = MotionParams(speed_ratio=speed_ratio)
     cal = calibration_from_motion(params)
     for length in ENVELOPE_LENGTHS:
-        arc = [abs(estimate_length(simulate_segment(length, params, seed=s),
-                                   cal, "arc") - length)
-               for s in ENVELOPE_SEEDS]
+        arc, raw = [], []
+        for seed in ENVELOPE_SEEDS:
+            log = simulate_segment(length, params, seed=seed)
+            arc.append(abs(estimate_length(log, cal, "arc") - length))
+            raw.append(abs(estimate_length(log, cal, "raw") - length))
         assert statistics.median(arc) <= 1e-3 * length, length
+        assert all(a <= r for a, r in zip(arc, raw)), length
 
 
 if __name__ == "__main__":
-    print(estimator_digest())
+    print(estimator_digests())

@@ -34,6 +34,7 @@ RETIRED = [
     ("graph_path", "export_graph"),
     ("mapping_explorer", "trace_lines"),
     ("graph_path", "MazeGraph"),
+    ("motion_sim", "radius_from_ratio"),
 ]
 
 

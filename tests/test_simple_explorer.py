@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from linemaze._directions import BACK, FRONT, LEFT, RIGHT
 from linemaze.errors import ExplorationError, InconsistencyError
 from linemaze.graph_path import dijkstra, graph_from_maze
 from linemaze.mazegen import random_tree
@@ -30,6 +31,14 @@ def test_fig1_left_first_reduces_to_the_same_run(fig1):
     reduced = reduce_tape(tape)
     assert reduced == [3, 1, 1]
     assert replay(fig1, reduced) == ["S", "A", "B", "C", "F"]
+
+
+def test_a_preference_may_rank_back_before_the_other_exits(fig1):
+    # At a junction BACK is skipped wherever it stands in the preference,
+    # so BACK first explores as RFLD does.
+    tape = explore_simple(fig1, (BACK, RIGHT, FRONT, LEFT))
+    assert tape.sums == [3, 1, 1]
+    assert replay(fig1, tape.sums) == ["S", "A", "B", "C", "F"]
 
 
 def test_corridor_needs_no_tape(corridor):
