@@ -197,6 +197,8 @@ def cmd_tableone(args: argparse.Namespace) -> str:
     mode = args.odometry or "arc"
     if args.seeds < 1:
         raise ValueError("--seeds must be at least 1")
+    if args.seed + args.seeds > 2 ** 64:
+        raise ValueError("--seed + --seeds must be at most 2**64")
     if any(not 0 < length < math.inf for length in args.lengths):
         raise ValueError("--lengths must all be positive and finite")
     params = MotionParams()

@@ -12,7 +12,7 @@ functions here undo both effects at two levels of fidelity:
   midpoint's path length, decompose it into the stretches the controller
   geometry implies, replace each stretch (an arc of the midpoint's drift
   circle) by its along-track chord, and project with the one cosine ``c``.
-  N pivots give 2N-1 tangent-start half stretches, each rising by ``h``:
+  N pivots give 2N-1 tangent-start half stretches, each advancing ``h``:
   the first one, then two for each of the N-1 full oscillations between
   pivots. What is left is the residual stretch before the segment end.
 
@@ -65,8 +65,8 @@ class CalibConstants(_CalibFields):
         circle rolls farther per cm of track, the inner one less).
     f_lc/f_rc: left/right wheel distance charged per pivot turn (cm).
     k: extra distance charged to the inner wheel of each pivot (cm).
-    h: midpoint path length of a half stretch, the leg that rises from the
-        line to the lateral trigger distance (cm).
+    h: along-track advance (chord) of a half stretch, the leg that rises
+        from the line to the lateral trigger distance (cm).
     radius: the midpoint's drift-circle radius 1/|kappa| (cm): 505 cm for the
         default robot, ``math.inf`` for a perfectly matched drive.
     """
@@ -106,14 +106,14 @@ class CalibConstants(_CalibFields):
 
     @cached_property
     def _half_stretch(self):
-        """Model arc length S_h of a tangent-start half stretch, and its chord.
+        """Model arc length S_h of a tangent-start half stretch.
 
-        A full oscillation stretch is two half stretches, so its arc is 2*S_h
-        and its chord twice the half chord; doubling is exact in floating
-        point. Computed once per calibration, on first use.
+        Its chord is ``h`` itself, which ``arc_len_from_height`` inverts. A
+        full oscillation stretch is two half stretches, so its arc is 2*S_h
+        and its chord 2*h; doubling is exact in floating point. Computed once
+        per calibration, on first use.
         """
-        s_h = arc_len_from_height(self.h, self.radius)
-        return s_h, chord_from_arc(s_h, self.radius)
+        return arc_len_from_height(self.h, self.radius)
 
 
 def calibration_from_motion(params: MotionParams) -> CalibConstants:
@@ -218,26 +218,27 @@ def linearize_basic(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     return bracket * c_wheel
 
 
-def _stretch_chords(n: int, x_h: float) -> float:
+def _stretch_chords(n: int, h: float) -> float:
     """Chord sum of the (N-1) full stretches and the first half stretch."""
-    return (n - 1) * (2.0 * x_h) + x_h
+    return (n - 1) * (2.0 * h) + h
 
 
 def residual_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
-    """Arc length of the final partial stretch before the segment end.
+    """Arc length of the midpoint roll that the modeled stretches leave.
 
     Subtracts the modeled stretches — (N-1) full oscillation arcs of two
     half stretches each, plus the initial half stretch — from the midpoint
     roll the wheel reads, which is its basic estimate before the cosine (for
-    a derived calibration, the stripped roll over the wheel's path factor);
-    what is left is the last, incomplete stretch.
+    a derived calibration, the stripped roll over the wheel's path factor).
+    The model reads what is left as the last, incomplete stretch; on the
+    simulated robot it grows with the segment's length instead.
     """
     n = log.n_right + log.n_left
     if n < 1:
         raise ValueError(
             "residual_arc needs at least one pivot turn; "
             "pivot-free logs take the single-arc fallback")
-    s_h, _ = cal._half_stretch
+    s_h = cal._half_stretch
     roll = linearize_basic(log, cal, wheel) / cal.c
     s_d = roll - (n - 1) * (2.0 * s_h) - s_h
     if s_d < -1e-9:
@@ -260,9 +261,8 @@ def linearize_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     if n == 0:
         roll = linearize_basic(log, cal, wheel) / cal.c
         return chord_from_arc(roll, cal.radius) * cal.c
-    _, x_h = cal._half_stretch
     d_d = chord_from_arc(residual_arc(log, cal, wheel), cal.radius)
-    return (_stretch_chords(n, x_h) + d_d) * cal.c
+    return (_stretch_chords(n, cal.h) + d_d) * cal.c
 
 
 def predict_without_encoder(n_right: int, n_left: int,
@@ -276,8 +276,7 @@ def predict_without_encoder(n_right: int, n_left: int,
     n = n_right + n_left
     if n < 1:
         raise ValueError("need at least one pivot turn to predict a length")
-    _, x_h = cal._half_stretch
-    return _stretch_chords(n, x_h) * cal.c
+    return _stretch_chords(n, cal.h) * cal.c
 
 
 def estimate_length(log: EncoderLog, cal: CalibConstants, mode: str) -> float:

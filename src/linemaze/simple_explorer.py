@@ -20,12 +20,13 @@ both into a clean error instead of an endless walk.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from ._directions import (BACK, FRONT, LEFT, NORTH, REL_NAMES, RIGHT,
                           absolute_of, reverse)
 from .errors import ExplorationError, InconsistencyError
-from .maze_model import MazeSpec
+from .maze_model import MazeSpec, Slot
 
 __all__ = [
     "PREF_RFLD",
@@ -56,75 +57,60 @@ class JunctionTape(NamedTuple):
     sums: List[int]
 
 
+def _integers(entries: Sequence[int], what: str) -> List[int]:
+    """``entries`` as ints; ValueError at the first that is not an integer."""
+    ints: List[int] = []
+    for i, entry in enumerate(entries, 1):
+        try:
+            ints.append(operator.index(entry))
+        except TypeError:
+            raise ValueError("%s %d must be an integer, got %r"
+                             % (what, i, entry)) from None
+    return ints
+
+
 def _check_pref(pref: Sequence[int]) -> None:
-    if sorted(pref) != [RIGHT, FRONT, LEFT, BACK]:
+    codes = _integers(pref, "preference entry")
+    if sorted(codes) != [RIGHT, FRONT, LEFT, BACK]:
         raise ValueError(
             "preference must be a permutation of (1, 2, 3, 4), got %r"
             % (tuple(pref),))
 
 
-def _unique_exits(maze: MazeSpec, node: str) -> Dict[int, str]:
-    """Map each exit direction of ``node`` to its neighbor.
-
-    The tape scheme identifies a branch purely by its direction, so a node
-    with two exits in the same compass direction is outside its class.
-    """
-    by_dir: Dict[int, str] = {}
-    for (direction, lane), (other, _l, _b) in maze.branches[node].items():
-        if lane:
-            raise ExplorationError(
-                "node %r has two exits in the same direction; side-by-side "
-                "lanes are outside the tape explorer's maze class" % (node,))
-        by_dir[direction] = other
-    return by_dir
-
-
-def _pick(by_dir: Dict[int, str], heading: int, pref: Sequence[int],
-          exclude_back: bool) -> int:
-    """First preferred relative code with a line present; back optionally barred."""
-    for rel in pref:
-        cand = absolute_of(rel, heading)
-        if exclude_back and cand == reverse(heading):
-            continue
-        if cand in by_dir:
-            return rel
-    raise ExplorationError("no exit available; maze validation should have "
-                           "prevented this node configuration")
-
-
 def _walk(maze: MazeSpec,
-          choose: Callable[[str, Dict[int, str], int, bool], int],
+          choose: Callable[[str, Dict[Slot, tuple], int], int],
           dead_end: Callable[[str], None]) -> Iterator[str]:
     """Walk the maze from its start, yielding each node as it is reached.
 
     The walk goes straight through corridors and turns back at dead ends,
-    calling ``dead_end(node)`` first. At a junction ``choose(node, by_dir,
-    heading, exclude_back)`` returns the new heading; a start with a choice
-    has no incoming heading, so it is asked against a nominal north heading
-    with every incident line a candidate. The walk stops after yielding the
-    end node, and reads a node's exits only when resumed past it, so the
-    caller's budget check comes first. The start must not be the end.
+    calling ``dead_end(node)`` first. At a junction ``choose(node, exits,
+    heading)`` returns the new heading, where ``exits`` is the node's
+    ``maze.branches`` entry; a start with a choice has no incoming heading,
+    so it is asked against a nominal north heading. The walk stops after
+    yielding the end node, before reading any exit if the start is the
+    end, and reads a node's exits only when resumed past it, so the
+    caller's budget check comes first.
     """
-    node = maze.start
-    by_dir = _unique_exits(maze, node)
-    if len(by_dir) == 1:
-        heading = next(iter(by_dir))
-    else:
-        heading = choose(node, by_dir, NORTH, False)
-    while True:
-        node = by_dir[heading]
-        yield node
-        if node == maze.end:
-            return
-        by_dir = _unique_exits(maze, node)
-        degree = len(by_dir)
-        if degree == 1:
+    node, heading = maze.start, None
+    while node != maze.end:
+        exits = maze.branches[node]
+        if any(lane for _direction, lane in exits):
+            # The tape names a branch by its direction alone.
+            raise ExplorationError(
+                "node %r has two exits in the same direction; side-by-side "
+                "lanes are outside the tape explorer's maze class" % (node,))
+        if heading is None:
+            heading = (next(iter(exits))[0] if len(exits) == 1
+                       else choose(node, exits, NORTH))
+        elif len(exits) == 1:
             dead_end(node)
             heading = reverse(heading)
-        elif degree == 2:
-            heading = next(d for d in by_dir if d != reverse(heading))
+        elif len(exits) == 2:
+            heading = next(d for d, _lane in exits if d != reverse(heading))
         else:
-            heading = choose(node, by_dir, heading, True)
+            heading = choose(node, exits, heading)
+        node = exits[heading, 0][0]
+        yield node
 
 
 def explore_simple(maze: MazeSpec, pref: Sequence[int] = PREF_RFLD) -> JunctionTape:
@@ -139,17 +125,18 @@ def explore_simple(maze: MazeSpec, pref: Sequence[int] = PREF_RFLD) -> JunctionT
     sums: List[int] = []
     j = 0
 
-    if maze.start == maze.end:
-        return JunctionTape([])
-
-    def tape_choice(_node: str, by_dir: Dict[int, str], heading: int,
-                    exclude_back: bool) -> int:
+    def tape_choice(node: str, exits: Dict[Slot, tuple], heading: int) -> int:
         """Pick a branch, record its code, and return the new heading."""
         nonlocal j
+        # BACK would retrace the line just walked. Only the start's own
+        # choice, always the first one asked, has no such line; a later
+        # choice at the start node is a junction's.
+        any_code = not sums and node == maze.start
+        rel = next(r for r in pref if (r != BACK or any_code)
+                   and (absolute_of(r, heading), 0) in exits)
         j += 1
-        rel = _pick(by_dir, heading, pref, exclude_back)
         if j >= 1:
-            while len(sums) < j:
+            if j > len(sums):
                 sums.append(0)
             sums[j - 1] += rel
             if sums[j - 1] % 4 == 0:
@@ -179,12 +166,12 @@ def reduce_tape(tape: JunctionTape) -> List[int]:
     tape of a solvable maze never contains.
     """
     reduced: List[int] = []
-    for i, s in enumerate(tape.sums):
+    for i, s in enumerate(_integers(tape.sums, "tape sum at junction"), 1):
         code = ((s - 1) % 4) + 1
         if code == BACK:
             raise InconsistencyError(
                 "junction %d sum %d reduces to a turn-back; the tape does "
-                "not describe a forward run" % (i + 1, s))
+                "not describe a forward run" % (i, s))
         reduced.append(code)
     return reduced
 
@@ -192,24 +179,29 @@ def reduce_tape(tape: JunctionTape) -> List[int]:
 def replay(maze: MazeSpec, reduced: Sequence[int]) -> List[str]:
     """Drive the maze start→end taking ``reduced[i]`` at the i-th junction.
 
-    Returns every node passed, turns included. Raises InconsistencyError
-    when the tape and the maze disagree (missing line, dead end, wrong
-    length) — a finished tape from the same maze never does.
+    Returns every node passed, turns included. Raises ValueError for an
+    entry that is not a turn code 1–3 (a reduced tape holds no BACK), and
+    InconsistencyError when the tape and the maze disagree (missing line,
+    dead end, wrong length) — a finished tape from the same maze never does.
     """
+    codes = _integers(reduced, "replay code at junction")
+    for i, code in enumerate(codes, 1):
+        if code not in (RIGHT, FRONT, LEFT):
+            raise ValueError("replay code at junction %d must be 1, 2 or 3, "
+                             "got %r" % (i, code))
     path = [maze.start]
     budget = 10 * len(maze.edges)
     idx = 0
 
-    def consume(node: str, by_dir: Dict[int, str], heading: int,
-                _exclude_back: bool) -> int:
+    def consume(node: str, exits: Dict[Slot, tuple], heading: int) -> int:
         nonlocal idx
-        if idx >= len(reduced):
+        if idx >= len(codes):
             raise InconsistencyError(
                 "tape exhausted at junction %r; run and tape disagree" % node)
-        code = reduced[idx]
+        code = codes[idx]
         idx += 1
         new_heading = absolute_of(code, heading)
-        if new_heading not in by_dir:
+        if (new_heading, 0) not in exits:
             raise InconsistencyError(
                 "tape directs %s at %r but no line leaves that way"
                 % (REL_NAMES[code], node))
@@ -220,15 +212,14 @@ def replay(maze: MazeSpec, reduced: Sequence[int]) -> List[str]:
             "replay hit a dead end at %r; the tape is not a reduced "
             "forward run" % (node,))
 
-    walk = _walk(maze, consume, dead_end) if maze.start != maze.end else ()
-    for traversals, node in enumerate(walk, 1):
+    for traversals, node in enumerate(_walk(maze, consume, dead_end), 1):
         path.append(node)
         if node != maze.end and traversals >= budget:
             raise InconsistencyError(
                 "tape did not reach the end within %d traversals" % budget)
 
-    if idx != len(reduced):
+    if idx != len(codes):
         raise InconsistencyError(
             "tape has %d unused junction entries; run and tape disagree"
-            % (len(reduced) - idx))
+            % (len(codes) - idx))
     return path

@@ -399,16 +399,19 @@ def test_seed_beyond_64_bits_is_usage_error(capsys, argv):
 
 
 def test_tableone_seed_window_beyond_64_bits_is_usage_error(capsys):
+    # tableone draws seeds --seed to --seed + --seeds - 1; the window is
+    # refused as typed, also in ideal mode, which draws nothing.
     top = 2 ** 64 - 1
-    code, out, _ = run_cli(capsys, "tableone", "--seeds", "1", "--lengths",
-                           "10", "--seed", str(top))
-    assert code == 0 and out
-    code, out, err = run_cli(capsys, "tableone", "--seeds", "2", "--lengths",
-                             "10", "--seed", str(top))
-    assert code == 1
-    assert out == ""
-    assert err == ("error: seed and index must lie in [0, 2**64), got %d, 0\n"
-                   % (top + 1))
+    for mode in ("arc", "ideal"):
+        code, out, _ = run_cli(capsys, "tableone", "--seeds", "1", "--lengths",
+                               "10", "--seed", str(top), "--odometry", mode)
+        assert code == 0 and out
+        code, out, err = run_cli(capsys, "tableone", "--seeds", "2",
+                                 "--lengths", "10", "--seed", str(top),
+                                 "--odometry", mode)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --seed + --seeds must be at most 2**64\n"
 
 
 def test_exhausted_traversal_budget_exits_two(capsys, monkeypatch):

@@ -421,7 +421,7 @@ HAND_BUILT_SEEDS = range(2000)
 ESTIMATOR_DIGESTS = {
     "raw+basic":
         "466a347cbb5e526a0658c436ea8ca177894ad28a79ee8106107a4eb8b4f6d651",
-    "arc": "4b8626d27671401d863bb1fc80d7b68fdf9030205e12904625a45232877c4685",
+    "arc": "fa722f28f2129f61f06f0ad101b7a11684ccff977665b973aa4df09d0a99b61d",
 }
 
 
@@ -565,6 +565,54 @@ def test_arc_across_the_speed_ratio_envelope(speed_ratio):
             raw.append(abs(estimate_length(log, cal, "raw") - length))
         assert statistics.median(arc) <= 1e-3 * length, length
         assert all(a <= r for a, r in zip(arc, raw)), length
+
+
+@pytest.mark.parametrize("speed_ratio", SPEED_RATIOS)
+def test_arc_reads_no_longer_than_basic(speed_ratio):
+    # Arc swaps each stretch of the midpoint roll for its chord, and a chord
+    # is no longer than its arc. Per wheel, with S_h the half stretch's arc
+    # and r the residual, basic - arc = c*[(2N-1)(S_h - h) + r - R*sin(r/R)];
+    # with no pivot (the 0.5 cm runs) it is c*(roll - R*sin(roll/R)).
+    params = MotionParams(speed_ratio=speed_ratio)
+    cal = calibration_from_motion(params)
+    s_h = arc_len_from_height(cal.h, cal.radius)
+    for length in (0.5,) + ENVELOPE_LENGTHS:
+        for seed in ENVELOPE_SEEDS:
+            log = simulate_segment(length, params, seed=seed)
+            n = log.n_right + log.n_left
+            for wheel in ("left", "right"):
+                basic = linearize_basic(log, cal, wheel)
+                if n:
+                    half_stretches = (2 * n - 1) * (s_h - cal.h)
+                    r = residual_arc(log, cal, wheel)
+                else:
+                    half_stretches, r = 0.0, basic / cal.c
+                chord = chord_from_arc(r, cal.radius)
+                gap = cal.c * (half_stretches + r - chord)
+                assert gap >= 0.0
+                arc = linearize_arc(log, cal, wheel)
+                assert basic - arc == pytest.approx(gap, abs=1e-12 * length), (
+                    length, seed, wheel)
+
+
+# The residual is the roll left after the modelled stretches, so it should
+# stay under one full stretch; it grows with length instead. At a speed
+# ratio of 1.5 (R = 25 cm) it reaches 33 full stretches at 800 cm, where
+# arc reads 1.6% short, and past R*pi/2 at 850 cm, where the chord of every
+# seed's residual raises ArcDomainError. Basic stays within 0.002%.
+ARC_RESIDUAL_GROWTH_DEFECT = pytest.mark.xfail(
+    strict=True, raises=(ArcDomainError, AssertionError),
+    reason="arc's residual grows with length; no leg model bounds it yet")
+
+
+@ARC_RESIDUAL_GROWTH_DEFECT
+def test_arc_holds_on_long_segments_at_a_tight_drift_circle():
+    params = MotionParams(speed_ratio=1.5)
+    cal = calibration_from_motion(params)
+    errors = [estimate_length(simulate_segment(1000.0, params, seed=seed),
+                              cal, "arc") / 1000.0 - 1.0
+              for seed in ENVELOPE_SEEDS]
+    assert abs(statistics.median(errors)) <= 5e-3
 
 
 if __name__ == "__main__":

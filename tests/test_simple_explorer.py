@@ -73,6 +73,9 @@ def test_start_with_choices_is_taped_against_north():
     assert left.sums == [9]
     assert reduce_tape(left) == [1]
     assert replay(maze, [1]) == ["J", "E"]
+    # Back at the start after each dead end, the robot is at a junction,
+    # where BACK is skipped wherever the preference ranks it.
+    assert explore_simple(maze, (BACK, LEFT, FRONT, RIGHT)) == left
 
 
 def test_start_equals_end():
@@ -102,6 +105,17 @@ def test_invalid_preference_rejected(fig1, pref):
         explore_simple(fig1, pref)
 
 
+@pytest.mark.parametrize("pref,message", [
+    (("1", 2, 3, 4), "preference entry 1 must be an integer, got '1'"),
+    ((1, 2, 3, 4.0), "preference entry 4 must be an integer, got 4.0"),
+    ((1, None, 3, 4), "preference entry 2 must be an integer, got None"),
+])
+def test_non_integer_preference_entry_rejected(fig1, pref, message):
+    with pytest.raises(ValueError) as err:
+        explore_simple(fig1, pref)
+    assert str(err.value) == message
+
+
 def test_preference_presets():
     assert PREFERENCES == {"RFLD": PREF_RFLD, "LFRD": PREF_LFRD}
     assert sorted(PREF_RFLD) == sorted(PREF_LFRD) == [1, 2, 3, 4]
@@ -121,7 +135,43 @@ def test_reduce_rejects_turn_back(sums):
         reduce_tape(JunctionTape(sums))
 
 
+@pytest.mark.parametrize("sums,message", [
+    ([1.5], "tape sum at junction 1 must be an integer, got 1.5"),
+    ([3, None], "tape sum at junction 2 must be an integer, got None"),
+    ([3, 1, "5"], "tape sum at junction 3 must be an integer, got '5'"),
+])
+def test_reduce_rejects_non_integer_sums(sums, message):
+    with pytest.raises(ValueError) as err:
+        reduce_tape(JunctionTape(sums))
+    assert str(err.value) == message
+
+
 # ----------------------------------------------------------------- replay
+
+@pytest.mark.parametrize("reduced,message", [
+    # Codes once wrapped mod 4, so each of the first three replayed fig1.
+    ([7, 1, 1], "replay code at junction 1 must be 1, 2 or 3, got 7"),
+    ([-1, 1, 1], "replay code at junction 1 must be 1, 2 or 3, got -1"),
+    ([3, 5, 5], "replay code at junction 2 must be 1, 2 or 3, got 5"),
+    ([3, 1, 4], "replay code at junction 3 must be 1, 2 or 3, got 4"),
+    ([0], "replay code at junction 1 must be 1, 2 or 3, got 0"),
+    ([3.5, 1, 1], "replay code at junction 1 must be an integer, got 3.5"),
+    (["3", 1, 1], "replay code at junction 1 must be an integer, got '3'"),
+    ([3, 1, None], "replay code at junction 3 must be an integer, got None"),
+])
+def test_replay_rejects_codes_outside_1_to_3(fig1, reduced, message):
+    with pytest.raises(ValueError) as err:
+        replay(fig1, reduced)
+    assert str(err.value) == message
+
+
+def test_replay_checks_every_code_before_walking(fig1):
+    # The walk would stop at the first junction's missing line; the bad
+    # code after it is reported first.
+    with pytest.raises(ValueError, match="junction 2 must be 1, 2 or 3"):
+        replay(fig1, [2, 4])
+
+
 
 def test_replay_into_dead_end(fig1):
     with pytest.raises(InconsistencyError, match="dead end"):
