@@ -135,6 +135,8 @@ def _drive_path(maze: MazeSpec, path: Sequence[str], mode: str,
 
 
 def cmd_solve(args: argparse.Namespace) -> str:
+    if args.tol is not None and not args.tol > 0.0:
+        raise ValueError("tol must be positive, got %r" % (args.tol,))
     maze, stem = _load_maze(args.maze)
     seed = args.seed
     mode = args.odometry or "ideal"

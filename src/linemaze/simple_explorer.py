@@ -1,21 +1,21 @@
-"""Tape explorer: solve a (loop-free) line maze with one integer per junction.
+"""Tape explorer: solve a loop-free line maze with one integer per junction.
 
-The robot walks the maze with a fixed preference order over relative turns
-(right/front/left/back). It keeps a single 1-based junction index and a list
-of running sums — one per junction along the path it currently considers
-live. Every time it picks a branch at a junction it adds that turn's relative
-code to the junction's sum; dead ends walk back and drop the index so a
-re-arrival lands on the same slot. Because the codes are relative to the
-heading at each visit, the wrapped sum of all attempts at a junction equals
-the net turn that skips the dead branches — so the finished tape replays a
-direct, dead-end-free run from start to end.
+The robot follows one wall: at a junction it takes the first exit in the
+order right, front, left (RFLD) or left, front, right (LFRD), never back.
+It keeps a 1-based junction index and one running sum per junction along
+the path it currently considers live. Every time it picks a branch at a
+junction it adds that turn's relative code to the junction's sum; dead
+ends walk back and drop the index so a re-arrival lands on the same slot.
+Because the codes are relative to the heading at each visit, the wrapped
+sum of all attempts at a junction equals the net turn that skips the dead
+branches — so the finished tape replays a direct, dead-end-free run.
 
 Wrapped sums work modulo 4 in {1..4}; a sum that wraps to 4 ("back") means
 every branch of that junction failed, so the explorer retreats one junction
-further back. The scheme cannot represent mazes where two exits of a node
-leave in the same compass direction (side-by-side lanes), and it loses the
-shortest-path guarantee on mazes with large loops; a traversal budget turns
-both into a clean error instead of an endless walk.
+further back. The scheme cannot name two exits that leave a node in the
+same compass direction (side-by-side lanes), nor a route that leaves a
+four-way start by its last exit; on large loops it loses the shortest-path
+guarantee, and a traversal budget ends an endless walk with a clean error.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from __future__ import annotations
 import operator
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from ._directions import (BACK, FRONT, LEFT, NORTH, REL_NAMES, RIGHT,
-                          absolute_of, reverse)
+from ._directions import (BACK, EAST, FRONT, LEFT, NORTH, REL_NAMES, RIGHT,
+                          SOUTH, WEST, absolute_of, reverse)
 from .errors import ExplorationError, InconsistencyError
 from .maze_model import MazeSpec, Slot
 
@@ -70,11 +70,9 @@ def _integers(entries: Sequence[int], what: str) -> List[int]:
 
 
 def _check_pref(pref: Sequence[int]) -> None:
-    codes = _integers(pref, "preference entry")
-    if sorted(codes) != [RIGHT, FRONT, LEFT, BACK]:
-        raise ValueError(
-            "preference must be a permutation of (1, 2, 3, 4), got %r"
-            % (tuple(pref),))
+    if tuple(_integers(pref, "preference entry")) not in (PREF_RFLD, PREF_LFRD):
+        raise ValueError("preference must be PREF_RFLD %r or PREF_LFRD %r, "
+                         "got %r" % (PREF_RFLD, PREF_LFRD, tuple(pref)))
 
 
 def _walk(maze: MazeSpec,
@@ -85,11 +83,12 @@ def _walk(maze: MazeSpec,
     The walk goes straight through corridors and turns back at dead ends,
     calling ``dead_end(node)`` first. At a junction ``choose(node, exits,
     heading)`` returns the new heading, where ``exits`` is the node's
-    ``maze.branches`` entry; a start with a choice has no incoming heading,
-    so it is asked against a nominal north heading. The walk stops after
-    yielding the end node, before reading any exit if the start is the
-    end, and reads a node's exits only when resumed past it, so the
-    caller's budget check comes first.
+    ``maze.branches`` entry. A start with two or more exits is a junction on
+    every visit. The first time, it is entered from the first of its south,
+    west, east and north sides with no line, so BACK names no exit; a four-way
+    start is entered heading north. The walk stops after yielding the end node
+    (at once if the start is the end) and reads a node's exits only when
+    resumed past it, so the caller's budget check comes first.
     """
     node, heading = maze.start, None
     while node != maze.end:
@@ -99,13 +98,16 @@ def _walk(maze: MazeSpec,
             raise ExplorationError(
                 "node %r has two exits in the same direction; side-by-side "
                 "lanes are outside the tape explorer's maze class" % (node,))
-        if heading is None:
-            heading = (next(iter(exits))[0] if len(exits) == 1
-                       else choose(node, exits, NORTH))
+        if heading is None and len(exits) == 1:
+            heading = next(iter(exits))[0]
+        elif heading is None:
+            heading = choose(node, exits, next(
+                (reverse(side) for side in (SOUTH, WEST, EAST, NORTH)
+                 if (side, 0) not in exits), NORTH))
         elif len(exits) == 1:
             dead_end(node)
             heading = reverse(heading)
-        elif len(exits) == 2:
+        elif len(exits) == 2 and node != maze.start:
             heading = next(d for d, _lane in exits if d != reverse(heading))
         else:
             heading = choose(node, exits, heading)
@@ -114,11 +116,11 @@ def _walk(maze: MazeSpec,
 
 
 def explore_simple(maze: MazeSpec, pref: Sequence[int] = PREF_RFLD) -> JunctionTape:
-    """Walk the maze start→end, returning the junction tape of the run.
+    """Follow one wall start→end, returning the junction tape of the run.
 
-    Raises ExplorationError when the traversal budget (10 per maze edge) is
-    exhausted — the signature of a maze outside the tape explorer's class
-    (large loops, unreachable end, lanes).
+    ``pref`` is ``PREF_RFLD`` or ``PREF_LFRD``. Raises ExplorationError for
+    a maze outside the class: lanes, a route that leaves a four-way start by
+    its last exit, or an exhausted traversal budget (10 per maze edge).
     """
     _check_pref(pref)
     budget = 10 * len(maze.edges)
@@ -128,18 +130,19 @@ def explore_simple(maze: MazeSpec, pref: Sequence[int] = PREF_RFLD) -> JunctionT
     def tape_choice(node: str, exits: Dict[Slot, tuple], heading: int) -> int:
         """Pick a branch, record its code, and return the new heading."""
         nonlocal j
-        # BACK would retrace the line just walked. Only the start's own
-        # choice, always the first one asked, has no such line; a later
-        # choice at the start node is a junction's.
-        any_code = not sums and node == maze.start
-        rel = next(r for r in pref if (r != BACK or any_code)
-                   and (absolute_of(r, heading), 0) in exits)
+        # BACK, last in each preset, would retrace the line just walked.
+        rel = next(r for r in pref[:3] if (absolute_of(r, heading), 0) in exits)
         j += 1
         if j >= 1:
             if j > len(sums):
                 sums.append(0)
             sums[j - 1] += rel
             if sums[j - 1] % 4 == 0:
+                if node == maze.start:
+                    raise ExplorationError(
+                        "the route leaves start %r by its last exit, which no "
+                        "turn code 1-3 names; outside the tape explorer's "
+                        "maze class" % (node,))
                 # Every branch tried here led nowhere: the whole junction is
                 # dead, so the retreat continues past the previous junction.
                 j -= 2

@@ -359,6 +359,76 @@ def test_negative_tolerance_is_usage_error(capsys):
     assert err.startswith("error: tol must be positive")
 
 
+@pytest.mark.parametrize("tol,shown", [("-1", "-1.0"), ("nan", "nan")])
+def test_tolerance_is_checked_for_the_tape_explorer_too(capsys, tol, shown):
+    # The tape explorer matches no points, but a bad --tol is still bad.
+    code, out, err = run_cli(capsys, "solve", "--maze", "fig1",
+                             "--algo", "simple", "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert err == "error: tol must be positive, got %s\n" % shown
+
+
+# Mapping from p3 walks round by p6, p8, p7 and p4 (points 1-4) before it
+# first reaches p5, which sits 4 cm from both p6 and p4: at a tolerance of
+# 4 cm its measured (8, -4) matches two known points.
+AMBIGUOUS_MAZE = """\
+node p0 0 0
+node p1 12 0
+node p2 12 4
+node p3 12 8
+node p4 20 0
+node p5 20 4
+node p6 20 8
+node p7 26 0
+node p8 26 8
+edge p0 p1
+edge p1 p2
+edge p1 p4
+edge p2 p3
+edge p2 p5
+edge p3 p6
+edge p4 p5
+edge p4 p7
+edge p5 p6
+edge p6 p8
+edge p7 p8
+start p3
+end p0
+"""
+
+
+def test_ambiguous_point_match_is_exploration_failure(tmp_path, capsys):
+    path = tmp_path / "ambiguous.maze"
+    path.write_text(AMBIGUOUS_MAZE)
+    code, out, err = run_cli(capsys, "solve", "--maze", str(path),
+                             "--tol", "4")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: measured coordinate (8, -4) matches points 1, 4 "
+                   "within tolerance 4; tolerance too large for this maze's "
+                   "point spacing\n")
+    code, out, _ = run_cli(capsys, "solve", "--maze", str(path),
+                           "--tol", "3.9", "--format", "tsv")
+    assert code == 0
+    assert "path\tp3 p2 p1 p0\nlength\t20.00\n" in out
+
+
+def test_four_way_start_left_by_its_last_exit_is_exploration_failure(
+        tmp_path, capsys):
+    path = tmp_path / "four.maze"
+    path.write_text("node C 0 0\nnode N 0 5\nnode E 5 0\nnode W -5 0\n"
+                    "node S 0 -5\nedge C N\nedge C E\nedge C W\nedge C S\n"
+                    "start C\nend S\n")
+    code, out, err = run_cli(capsys, "solve", "--maze", str(path),
+                             "--algo", "simple")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: the route leaves start 'C' by its last exit, which "
+                   "no turn code 1-3 names; outside the tape explorer's maze "
+                   "class\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("tableone", "--seeds", "0"),
     ("tableone", "--lengths", "-5"),

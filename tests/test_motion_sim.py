@@ -12,6 +12,7 @@ from scipy import stats
 from linemaze import motion_sim
 from linemaze.errors import MotionDivergenceError
 from linemaze.motion_sim import EncoderLog, MotionParams, simulate_segment
+from conftest import float_pin_note
 from oracles import fresh_heading, step_loop_integrate
 
 
@@ -159,6 +160,7 @@ KERNEL_SEEDS = range(20)
 # ``PYTHONPATH=src python tests/test_motion_sim.py``
 KERNEL_DIGEST = (
     "6236c8ca5ca81a327d68431dab8f8f7c569801c37d15825233541d7e1d83dd92")
+KERNEL_DIGEST_PLATFORM = "CPython 3.11.7, glibc 2.36, x86_64"
 
 
 def kernel_digest():
@@ -178,7 +180,8 @@ def kernel_digest():
 
 
 def test_kernel_output_is_bit_identical_to_the_recorded_digest():
-    assert kernel_digest() == KERNEL_DIGEST
+    assert kernel_digest() == KERNEL_DIGEST, \
+        float_pin_note(KERNEL_DIGEST_PLATFORM)
 
 
 def test_kernel_backend_is_pure_python():

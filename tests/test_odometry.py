@@ -17,6 +17,7 @@ from linemaze.odometry import (CalibConstants, arc_len_from_height,
                                calibration_from_motion, chord_from_arc,
                                estimate_length, linearize_arc, linearize_basic,
                                predict_without_encoder, residual_arc)
+from conftest import float_pin_note
 from oracles import fresh_heading
 
 
@@ -423,6 +424,7 @@ ESTIMATOR_DIGESTS = {
         "466a347cbb5e526a0658c436ea8ca177894ad28a79ee8106107a4eb8b4f6d651",
     "arc": "fa722f28f2129f61f06f0ad101b7a11684ccff977665b973aa4df09d0a99b61d",
 }
+ESTIMATOR_DIGESTS_PLATFORM = "CPython 3.11.7, glibc 2.36, x86_64"
 
 
 def _outcome(fn, *args):
@@ -481,7 +483,8 @@ def estimator_digests():
 
 
 def test_estimators_are_bit_identical_to_the_recorded_digest():
-    assert estimator_digests() == ESTIMATOR_DIGESTS
+    assert estimator_digests() == ESTIMATOR_DIGESTS, \
+        float_pin_note(ESTIMATOR_DIGESTS_PLATFORM)
 
 
 # ------------------------------------------------------- statistical bands

@@ -1,13 +1,13 @@
 """Tape explorer: one running sum per junction solves loop-free mazes."""
 
+import itertools
 import random
 
 import pytest
 
-from linemaze._directions import BACK, FRONT, LEFT, RIGHT
 from linemaze.errors import ExplorationError, InconsistencyError
 from linemaze.graph_path import dijkstra, graph_from_maze
-from linemaze.mazegen import random_tree
+from linemaze.mazegen import random_maze
 from linemaze.simple_explorer import (PREF_LFRD, PREF_RFLD, PREFERENCES,
                                       JunctionTape, explore_simple,
                                       reduce_tape, replay)
@@ -31,14 +31,6 @@ def test_fig1_left_first_reduces_to_the_same_run(fig1):
     reduced = reduce_tape(tape)
     assert reduced == [3, 1, 1]
     assert replay(fig1, reduced) == ["S", "A", "B", "C", "F"]
-
-
-def test_a_preference_may_rank_back_before_the_other_exits(fig1):
-    # At a junction BACK is skipped wherever it stands in the preference,
-    # so BACK first explores as RFLD does.
-    tape = explore_simple(fig1, (BACK, RIGHT, FRONT, LEFT))
-    assert tape.sums == [3, 1, 1]
-    assert replay(fig1, tape.sums) == ["S", "A", "B", "C", "F"]
 
 
 def test_corridor_needs_no_tape(corridor):
@@ -73,9 +65,37 @@ def test_start_with_choices_is_taped_against_north():
     assert left.sums == [9]
     assert reduce_tape(left) == [1]
     assert replay(maze, [1]) == ["J", "E"]
-    # Back at the start after each dead end, the robot is at a junction,
-    # where BACK is skipped wherever the preference ranks it.
-    assert explore_simple(maze, (BACK, LEFT, FRONT, RIGHT)) == left
+
+
+@pytest.mark.parametrize("pref_name,sums", [("RFLD", [1]), ("LFRD", [5])])
+def test_two_exit_start_keeps_its_slot_after_a_dead_end(pref_name, sums):
+    # p1's south side has a line and its west side has none, so the robot
+    # starts heading east. LFRD tries p2 first (front, 2); back at p1 the
+    # start is a junction again, and its slot adds the left turn: 2 + 3.
+    maze = build_maze([("p0", 0, 0), ("p1", 0, 4), ("p2", 4, 4)],
+                      [("p0", "p1"), ("p1", "p2")], "p1", "p0")
+    tape = explore_simple(maze, PREFERENCES[pref_name])
+    assert tape.sums == sums
+    assert reduce_tape(tape) == [1]
+    assert replay(maze, [1]) == ["p1", "p0"]
+
+
+@pytest.mark.parametrize("pref_name", ["RFLD", "LFRD"])
+def test_four_way_start_is_taped_against_north(pref_name):
+    nodes = [("C", 0, 0), ("N", 0, 5), ("E", 5, 0), ("W", -5, 0),
+             ("S", 0, -5)]
+    edges = [("C", "N"), ("C", "E"), ("C", "W"), ("C", "S")]
+    west = build_maze(nodes, edges, "C", "W")
+    assert reduce_tape(explore_simple(west, PREFERENCES[pref_name])) == [3]
+    assert replay(west, [3]) == ["C", "W"]
+    # South is BACK against north, which no turn code 1-3 names: the
+    # start's sum wraps to 4 once the other three exits are dead.
+    south = build_maze(nodes, edges, "C", "S")
+    with pytest.raises(ExplorationError) as err:
+        explore_simple(south, PREFERENCES[pref_name])
+    assert str(err.value) == (
+        "the route leaves start 'C' by its last exit, which no turn code "
+        "1-3 names; outside the tape explorer's maze class")
 
 
 def test_start_equals_end():
@@ -99,10 +119,20 @@ def test_loop_exhausts_the_budget(ring_maze):
         explore_simple(ring_maze, PREF_RFLD)
 
 
-@pytest.mark.parametrize("pref", [(1, 2, 3), (1, 1, 3, 4), (0, 1, 2, 3), ()])
+# The 22 orders of (1, 2, 3, 4) that are neither preset.
+NON_PRESET_ORDERS = [order for order in itertools.permutations((1, 2, 3, 4))
+                     if order not in (PREF_RFLD, PREF_LFRD)]
+
+
+@pytest.mark.parametrize(
+    "pref", [(1, 2, 3), (1, 1, 3, 4), (0, 1, 2, 3), ()] + NON_PRESET_ORDERS)
 def test_invalid_preference_rejected(fig1, pref):
-    with pytest.raises(ValueError, match="permutation"):
+    # Only the two wall-following presets solve every tree.
+    with pytest.raises(ValueError) as err:
         explore_simple(fig1, pref)
+    assert str(err.value) == (
+        "preference must be PREF_RFLD (1, 2, 3, 4) or PREF_LFRD (3, 2, 1, 4), "
+        "got %r" % (pref,))
 
 
 @pytest.mark.parametrize("pref,message", [
@@ -215,8 +245,9 @@ def test_replay_rejects_leftover_codes_whether_or_not_start_is_end(end):
 @pytest.mark.parametrize("pref_name", ["RFLD", "LFRD"])
 def test_random_trees_replay_to_the_shortest_path(pref_name):
     pref = PREFERENCES[pref_name]
-    for seed in range(50):
-        maze = random_tree(random.Random(seed), max_nodes=40)
+    for leaf_ends, seed in itertools.product((True, False), range(50)):
+        maze = random_maze(random.Random(seed), max_nodes=40, loops=0,
+                           leaf_ends=leaf_ends)
         tape = explore_simple(maze, pref)
         reduced = reduce_tape(tape)
         path = replay(maze, reduced)
