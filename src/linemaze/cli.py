@@ -135,8 +135,8 @@ def _drive_path(maze: MazeSpec, path: Sequence[str], mode: str,
 
 
 def cmd_solve(args: argparse.Namespace) -> str:
-    if args.tol is not None and not args.tol > 0.0:
-        raise ValueError("tol must be positive, got %r" % (args.tol,))
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        raise ValueError("tol must be positive and finite, got %r" % args.tol)
     maze, stem = _load_maze(args.maze)
     seed = args.seed
     mode = args.odometry or "ideal"
@@ -289,3 +289,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

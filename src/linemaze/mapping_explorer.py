@@ -194,10 +194,11 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     ``node_of`` in the returned state names the maze node behind every
     discovered point.
 
-    Raises ValueError for a seed outside [0, 2**64), in every mode, and
-    ExplorationError when the odometry is too noisy for the maze (a
-    revisited point lands outside tolerance, a measured coordinate becomes
-    ambiguous, or the traversal budget of 4 per edge runs out).
+    Raises ValueError for a seed outside [0, 2**64) or a tol that is not
+    positive and finite, in every mode, and ExplorationError when the
+    odometry is too noisy for the maze (a revisited point lands outside
+    tolerance, a measured coordinate becomes ambiguous, or the traversal
+    budget of 4 per edge runs out).
     """
     _jitter_key(seed, 0)
     if params is None:
@@ -206,8 +207,8 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
         raise ValueError("odometry mode must be one of %r, got %r"
                          % (ODOMETRY_MODES, src))
     cal = calibration_from_motion(params) if src in ("basic", "arc") else None
-    if tol is not None and not tol > 0.0:
-        raise ValueError("tol must be positive, got %r" % (tol,))
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
 
     budget = 4 * len(maze.edges)
 

@@ -18,10 +18,15 @@ step budget. A jump stops 1e-9 cm short of the trigger and of the end, and
 zero. At the default robot each leg costs one jump and one step. The jump
 changes results only by rounding (about 1e-12 relative); ``tests/oracles.py``
 keeps the step loop to compare against.
+
+A leg after a pivot starts at exactly +-theta, so all it computes but its
+position bounds depends only on the robot, the side and J; ``_pivot_table``
+keeps those floats, computed once, and the result stays bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from math import atan2, cos, sin, sqrt
@@ -47,10 +52,10 @@ JITTER_HI = 1.0
 _MASK64 = (1 << 64) - 1
 
 # Longest segment simulate_segment drives, in cm. At the default robot a
-# call costs about 11 microseconds plus 1.3 us per simulated cm (1.3 us/cm
-# at 100 and 1,000 cm on a shared 2-core Xeon under Python 3.11; a 1e6 cm
-# call took 1.5 s), so this bound keeps one call to a few seconds; an
-# unbounded length could run for hours.
+# call costs about 7 microseconds plus 1.0 us per simulated cm (best of 25
+# runs at 1, 100 and 1,000 cm on a shared 2-core Xeon under Python 3.11; a
+# 1e6 cm call took 1.4-2.6 s), so this bound keeps one call to a few
+# seconds; an unbounded length could run for hours.
 MAX_SEGMENT_LENGTH = 1e6
 
 # The leg-jump kernel below is the only kernel, in pure Python; the name
@@ -276,6 +281,13 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
     the default robot each leg between pivots costs one jump and one
     step; a leg whose heading changes sign costs two of each.
 
+    A leg that starts at a pivot heading, exactly +-theta, reads from
+    ``_pivot_table`` the solve's constants and, for its J, every float the
+    jump and its deciding step compute. The table computed them the first
+    time it met that J, with the same expressions on the same operands in
+    the same order, so the leg is bit for bit the one computed afresh; it
+    solves only its position bounds, which depend on where it starts.
+
     The result equals the step loop's up to rounding: the jumped sums round
     differently, so coordinates and wheel totals differ by about 1e-12
     relative. A decision taken within that distance of its threshold can
@@ -299,6 +311,9 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
     steps = 0
     b = kappa * step
     sin_half_b = sin(0.5 * b)
+    step_fl = step * fl
+    step_fr = step * fr
+    table = _pivot_table(theta, b, step, fl, fr)
     x_stop = length - 1e-9
     y_stop = h - 1e-9
     while x < length:
@@ -308,6 +323,7 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
         p = sign * phi
         room = y_stop - sign * y
         jump = max_steps - steps
+        known = table[sign] if phi == sign * theta else None
         if room <= 0.0 or p >= _MAX_JUMP_HEADING:
             jump = 0
         elif b == 0.0:
@@ -319,14 +335,21 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
                 if cap < jump:
                     jump = cap
         else:
-            bm = sign * b
+            solve = known[0] if known else None
+            if solve is None:
+                bm = sign * b
+                a = p - 0.5 * bm
+                solve = (bm, sin(a), cos(a), 2.0 * sign * sin_half_b / step,
+                         (_MAX_JUMP_HEADING - p) / bm if bm > 0.0
+                         else p / -bm)
+                if known:
+                    known[0] = solve
+            bm, sa, ca, inv_g, cap = solve
+            if cap < jump:
+                jump = cap
             # g*(cos(a) - cos(a + t)) = room, with a = p - bm/2, t = J*bm
             # and tau = tan(t/2), is the quadratic
             # (2cos(a) - q)*tau^2 + 2sin(a)*tau - q = 0, q = room/g.
-            a = p - 0.5 * bm
-            sa = sin(a)
-            ca = cos(a)
-            inv_g = 2.0 * sign * sin_half_b / step
             q = room * inv_g
             disc = sa * sa + q * (2.0 * ca - q)
             if disc >= 0.0:
@@ -337,12 +360,6 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
                     cap = 2.0 * atan2(r - sa, 2.0 * ca - q) / bm
                 if cap < jump:
                     jump = cap
-            if bm > 0.0:
-                cap = (_MAX_JUMP_HEADING - p) / bm
-            else:
-                cap = p / -bm
-            if cap < jump:
-                jump = cap
             if jump * step >= x_stop - x:
                 # g*(sin(a + t) - sin(a)) = x_stop - x, in the same form.
                 q = (x_stop - x) * inv_g
@@ -351,49 +368,57 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
                     cap = 2.0 * atan2(q, ca + sqrt(disc)) / bm
                     if cap < jump:
                         jump = cap
-        jump = int(jump)
-        while jump > 0:
-            end = phi + jump * b
-            if b == 0.0:
-                chord = jump * step
-                mid = phi
-            else:
-                chord = step * sin(0.5 * jump * b) / sin_half_b
-                mid = phi + 0.5 * (jump - 1) * b
-            x_end = x + chord * cos(mid)
-            y_end = y + chord * sin(mid)
-            if (x_end < x_stop and sign * y_end < y_stop
-                    and 0.0 <= sign * end < _MAX_JUMP_HEADING):
+        jump = int(jump) if jump > 0 else 0
+        while True:
+            leg = known[1].get(jump) if known else None
+            if leg is None:
+                end = phi + jump * b
+                if b == 0.0 or not jump:  # J = 0 is the step alone
+                    chord = jump * step
+                    mid = phi
+                else:
+                    chord = step * sin(0.5 * jump * b) / sin_half_b
+                    mid = phi + 0.5 * (jump - 1) * b
+                c = cos(end)
+                s = sin(end)
+                span = jump * step
+                leg = (end, chord * cos(mid), chord * sin(mid),
+                       0.0 <= sign * end < _MAX_JUMP_HEADING, span * fl,
+                       span * fr, c, step * c, s, step * s, end + kappa * step)
+                if known:
+                    known[1][jump] = leg
+            end, dx, dy, fits, dwl, dwr, c, step_c, s, step_s, turned = leg
+            x_end = x + dx
+            y_end = y + dy
+            if not jump or (x_end < x_stop and sign * y_end < y_stop
+                            and fits):
                 break
             jump -= 1
-        if jump > 0:
-            span = jump * step
+        if jump:
             x = x_end
             y = y_end
-            wl += span * fl
-            wr += span * fr
+            wl += dwl
+            wr += dwr
             phi = end
             steps += jump
         if steps >= max_steps:
             return wl, wr, n_right, n_left, pivots, y, False
         steps += 1
-        c = cos(phi)
         if c <= 1e-12:
             return wl, wr, n_right, n_left, pivots, y, False
         remaining = length - x
-        if step * c >= remaining:
+        if step_c >= remaining:
             d = remaining / c
             x = length
-            y += d * sin(phi)
+            y += d * s
             wl += d * fl
             wr += d * fr
             break
-        d = step
-        x += d * c
-        y += d * sin(phi)
-        wl += d * fl
-        wr += d * fr
-        phi += kappa * d
+        x += step_c
+        y += step_s
+        wl += step_fl
+        wr += step_fr
+        phi = turned
         if y >= h and phi > 0.0:
             phi = -theta
             wl += rp_l
@@ -407,3 +432,11 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
             n_left += 1
             pivots.append((x, y))
     return wl, wr, n_right, n_left, pivots, y, True
+
+
+@functools.lru_cache(maxsize=1)
+def _pivot_table(theta, b, step, fl, fr):
+    """Per side, [jump solve constants, {J: leg}] of the robot these values
+    describe, filled in by ``_integrate`` as it meets them. Only the last
+    robot's table is kept."""
+    return {1.0: [None, {}], -1.0: [None, {}]}

@@ -359,14 +359,22 @@ def test_negative_tolerance_is_usage_error(capsys):
     assert err.startswith("error: tol must be positive")
 
 
-@pytest.mark.parametrize("tol,shown", [("-1", "-1.0"), ("nan", "nan")])
+@pytest.mark.parametrize("tol,shown", [("-1", "-1.0"), ("nan", "nan"),
+                                       ("inf", "inf")])
 def test_tolerance_is_checked_for_the_tape_explorer_too(capsys, tol, shown):
     # The tape explorer matches no points, but a bad --tol is still bad.
     code, out, err = run_cli(capsys, "solve", "--maze", "fig1",
                              "--algo", "simple", "--tol", tol)
     assert code == 1
     assert out == ""
-    assert err == "error: tol must be positive, got %s\n" % shown
+    assert err == "error: tol must be positive and finite, got %s\n" % shown
+
+
+def test_infinite_tolerance_is_usage_error_for_the_mapping_explorer(capsys):
+    # Without the finiteness check the map solve ran, matched its first
+    # arrival to the start and reported that as odometry drift (exit 2).
+    assert run_cli(capsys, "solve", "--maze", "fig1", "--tol", "inf") == (
+        1, "", "error: tol must be positive and finite, got inf\n")
 
 
 # Mapping from p3 walks round by p6, p8, p7 and p4 (points 1-4) before it

@@ -492,6 +492,12 @@ def test_explore_tolerance_must_be_positive(fig2, tol):
         explore_map(fig2, tol=tol)
 
 
+def test_explore_tolerance_must_be_finite(fig2):
+    with pytest.raises(ValueError) as info:
+        explore_map(fig2, tol=math.inf)
+    assert str(info.value) == "tol must be positive and finite, got inf"
+
+
 def test_invalid_mode_via_explore(fig2):
     with pytest.raises(ValueError, match="odometry mode must be"):
         explore_map(fig2, src="sonar")

@@ -188,6 +188,48 @@ def test_kernel_backend_is_pure_python():
     assert motion_sim.KERNEL_BACKEND == "pure"
 
 
+# ------------------------------------------------------- the pivot table
+
+def test_the_pivot_table_changes_no_log():
+    # A warm table, shared by consecutive calls and rebuilt when the robot
+    # changes, gives each log bit for bit as a call after a cleared one.
+    robots = (MotionParams(), MotionParams(speed_ratio=2.5))
+    lengths = sorted({length for length, _ in KERNEL_CASES}) + [100.0, 1000.0]
+    cases = [(length, p, s) for length in lengths for p in robots
+             for s in KERNEL_SEEDS]
+    fresh = []
+    for length, p, s in cases:
+        motion_sim._pivot_table.cache_clear()
+        fresh.append(repr(simulate_segment(length, p, seed=s)))
+    motion_sim._pivot_table.cache_clear()
+    warm = [repr(simulate_segment(length, p, seed=s))
+            for length, p, s in cases]
+    assert warm == fresh
+    info = motion_sim._pivot_table.cache_info()
+    assert (info.misses, info.hits) == (
+        2 * len(lengths), len(cases) - 2 * len(lengths))
+
+
+def test_the_pivot_table_is_bounded_by_the_longest_jump():
+    # A jump from a pivot heading ends inside the band it crosses, at most
+    # 2h plus one step wide, and each of its steps rises at least
+    # step*sin(theta - J*|b|): that bounds J, here to 122.
+    p = MotionParams()
+    motion_sim._pivot_table.cache_clear()
+    for s in KERNEL_SEEDS:
+        simulate_segment(1000.0, p, seed=s)
+    b = p.kappa * p.step
+    table = motion_sim._pivot_table(p.theta, b, p.step, *p.wheel_factors())
+    assert motion_sim._pivot_table.cache_info().misses == 1
+    j_max = max(j for j in range(1000) if j * p.step * math.sin(
+        p.theta - j * abs(b)) < 2.0 * p.h + p.step)
+    assert j_max == 122
+    for sign in (1.0, -1.0):
+        solve, legs = table[sign]
+        assert solve is not None
+        assert 0 < len(legs) and all(0 <= j <= j_max for j in legs)
+
+
 # ------------------------------------------------ against the step loop
 
 def simulate_both(length, p, seed):
@@ -239,6 +281,17 @@ def test_leg_jumps_match_the_step_loop(overrides):
     for length in PARITY_LENGTHS:
         for s in range(20):
             assert_same_run(*simulate_both(length, p, s), length)
+
+
+def test_a_step_below_the_end_margin_matches_the_step_loop():
+    # With a step shorter than a jump's 1e-9 cm end margin, a leg that
+    # starts inside the margin solves its end for minus several steps;
+    # the kernel jumps none of them and takes the end step.
+    for overrides in ({}, dict(speed_ratio=1.0), dict(speed_ratio=2.5)):
+        p = MotionParams(step=1e-10, h=1e-9, **overrides)
+        for length in (1e-8, 2.5e-8):
+            for s in range(5):
+                assert_same_run(*simulate_both(length, p, s), length)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,10 +2,16 @@
 
 import contextlib
 import io
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
+import pytest
+
+import linemaze
 from linemaze import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -59,3 +65,31 @@ def test_cli_quickstart_prints_what_it_shows(tmp_path):
             text = svg.read_text(encoding="utf-8")
             assert text.startswith("<svg ") and text.rstrip().endswith(
                 "</svg>"), command
+
+
+
+def fig1_block():
+    """The README's fig1 console block: (argv after ``linemaze``, stdout)."""
+    block, = (b for b in quickstart_blocks("CLI quickstart", "console")
+              if b.startswith("$ linemaze solve --maze fig1 "))
+    command, _, shown = block.partition("\n")
+    return shlex.split(command)[2:], shown
+
+
+@pytest.mark.parametrize("module,maze", [
+    ("linemaze", "fig1"), ("linemaze", "nosuch"), ("linemaze.cli", "nosuch")])
+def test_python_m_runs_the_cli(tmp_path, module, maze):
+    # ``python -m linemaze`` and ``python -m linemaze.cli`` run the console
+    # script's main(), here from outside the checkout.
+    argv, shown = (fig1_block() if maze == "fig1"
+                   else (["solve", "--maze", maze], ""))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(linemaze.__file__)))
+    done = subprocess.run([sys.executable, "-m", module, *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    if maze == "fig1":
+        assert (done.returncode, done.stdout) == (0, shown)
+        assert re.fullmatch(r"duration: \d+\.\d{3} s\n", done.stderr)
+    else:
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, "", "error: no bundled maze named 'nosuch.maze'\n")
