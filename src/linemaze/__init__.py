@@ -14,7 +14,7 @@ from .errors import (ArcDomainError, CalibrationError, ExplorationError,
                      MazeSyntaxError, MazeValidationError,
                      MotionDivergenceError)
 from .graph_path import (PathResult, build_graph, dijkstra, graph_from_maze,
-                         shortest_paths)
+                         nearest)
 from .mapping_explorer import (ExplorationState, explore_map, match_point,
                                next_target)
 from .maze_model import (MazeEdge, MazeNode, MazeSpec, Point2D,
@@ -34,8 +34,7 @@ __all__ = [
     "ArcDomainError", "CalibrationError", "ExplorationError",
     "GraphQueryError", "InconsistencyError", "LinemazeError",
     "MazeSyntaxError", "MazeValidationError", "MotionDivergenceError",
-    "PathResult", "build_graph", "dijkstra", "graph_from_maze",
-    "shortest_paths",
+    "PathResult", "build_graph", "dijkstra", "graph_from_maze", "nearest",
     "ExplorationState", "explore_map", "match_point", "next_target",
     "MazeEdge", "MazeNode", "MazeSpec", "Point2D", "bundled_maze_text",
     "make_maze", "parse_maze", "serialize_maze",

@@ -4,17 +4,18 @@ A graph maps each vertex name to its ``(neighbor, weight)`` pairs, in any
 order; coordinates stay in ``ExplorationState.coordinate`` and
 ``MazeSpec.position``. ``build_graph`` checks a mapping exploration's walked
 graph once per edge and returns it; ``graph_from_maze`` gives a maze's true
-edge lengths. ``shortest_paths`` is the package's one shortest-path routine:
-a Dijkstra search in which equal-length paths resolve to the
-lexicographically smallest node sequence. ``dijkstra`` answers s→t queries
-with it, and the mapping explorer routes to its next target with it, so
+edge lengths. ``nearest``, the package's one shortest-path routine, is a
+Dijkstra search that stops at the nearest vertex a test accepts; equal-length
+paths resolve to the lexicographically smallest node sequence. ``dijkstra``
+answers s→t queries with it and the mapping explorer routes with it, so
 both share one tie-break.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Sequence, Set, Tuple
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from .errors import GraphQueryError, InconsistencyError
 from .maze_model import MazeSpec
@@ -23,7 +24,7 @@ __all__ = [
     "PathResult",
     "build_graph",
     "graph_from_maze",
-    "shortest_paths",
+    "nearest",
     "dijkstra",
 ]
 
@@ -79,31 +80,37 @@ def graph_from_maze(maze: MazeSpec) -> Dict[str, List[Tuple[str, float]]]:
             for node, out in maze.branches.items()}
 
 
-def shortest_paths(adjacency: Adjacency,
-                   s: str) -> Iterator[Tuple[float, Tuple[str, ...]]]:
-    """Yield ``(length, path)`` once per vertex reachable from ``s``.
+def nearest(adjacency: Adjacency, s: str, is_target: Callable[[str], object]
+            ) -> Optional[Tuple[float, Tuple[str, ...]]]:
+    """``(length, path)`` from ``s`` to the nearest vertex that
+    ``is_target`` accepts, the smallest name on equal length; None if none.
 
-    Yields come in ``(length, path)`` order, starting with ``(0.0, (s,))``;
-    each path is the lexicographically smallest of the shortest paths to its
-    last vertex. ``adjacency`` maps a vertex to ``(neighbor, weight)`` pairs
-    with positive weights, in any order: the yields do not depend on it,
-    as the heap orders entries by ``(length, path)`` and pushes each path
-    at most once. Lengths are summed in path order.
+    The path is the lexicographically smallest shortest one, summed in path
+    order. ``adjacency`` maps a vertex to ``(neighbor, weight)`` pairs with
+    positive weights, in any order: the answer does not depend on it, as the
+    heap orders entries by ``(length, path)`` and pushes each path at most
+    once.
     """
     # Heap entries carry the whole path: ordering by (length, path) pops
     # equal-length candidates lexicographically, and any prefix of a
     # shortest path is itself shortest (positive weights), so the first
-    # arrival at a vertex is its answer.
+    # arrival at a vertex is its answer. Nothing is relaxed out of a target
+    # or after one: every entry as short as the first target was pushed
+    # before it popped, and the search only pops those to break the tie.
     heap: List[Tuple[float, Tuple[str, ...]]] = [(0.0, (s,))]
     best: Dict[str, float] = {s: 0.0}
     seen: Set[str] = set()
-    while heap:
+    found: Optional[Tuple[float, Tuple[str, ...]]] = None
+    while heap and (found is None or heap[0][0] <= found[0]):
         d, path = heapq.heappop(heap)
         node = path[-1]
         if node in seen:
             continue
         seen.add(node)
-        yield d, path
+        if is_target(node) and (found is None or node < found[1][-1]):
+            found = (d, path)
+        if found is not None:
+            continue
         try:
             arcs = adjacency[node]
         except KeyError:
@@ -119,6 +126,7 @@ def shortest_paths(adjacency: Adjacency,
             if known is None or nd <= known:
                 best[nb] = nd
                 heapq.heappush(heap, (nd, path + (nb,)))
+    return found
 
 
 def dijkstra(adjacency: Adjacency, s: str, t: str) -> PathResult:
@@ -133,7 +141,7 @@ def dijkstra(adjacency: Adjacency, s: str, t: str) -> PathResult:
             adjacency[v]
         except (KeyError, TypeError):
             raise GraphQueryError("unknown vertex %r" % (v,)) from None
-    for length, path in shortest_paths(adjacency, s):
-        if path[-1] == t:
-            return PathResult(nodes=list(path), length=length)
-    raise GraphQueryError("no path from %r to %r" % (s, t))
+    found = nearest(adjacency, s, lambda v: v == t)
+    if found is None:
+        raise GraphQueryError("no path from %r to %r" % (s, t))
+    return PathResult(nodes=list(found[1]), length=found[0])

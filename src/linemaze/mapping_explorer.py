@@ -15,10 +15,10 @@ are those that ``MazeSpec.branches`` lists for its maze node, with the
 node each one reaches, its true length and its slot at the far end. The
 simulator drives a branch by one lookup in that table. While it runs, the
 explorer also keeps its own branch table: for each point, every walked
-neighbor and the slot that reaches it. It tells the robot which branches
-are still pending, whether an edge is walked for the first time (and so
-must be weighed and added to the map), and which branch to take for each
-hop of a route.
+neighbor and the slot that reaches it. It tells the robot whether an edge
+is walked for the first time (and so must be weighed and added to the map),
+and which branch to take for each hop of a route. Each point's pending
+slots, in slot order, are a list that each first walk shortens.
 
 The simulator also records which maze node each name stands for
 (``ExplorationState.node_of``). That record is ground truth the robot never
@@ -31,11 +31,9 @@ never averaged), a miss mints a new name. Known points are bucketed in a
 uniform grid whose cells are at least twice the tolerance wide, so a match
 only looks at the cells its tolerance box overlaps. A point is fully
 explored once every one of its branches has been walked; whenever the
-current point is finished, the robot searches the walked graph with
-``graph_path``'s shortest-path routine, the same one (and the same
-lexicographic tie-break) that answers queries on the finished map, and
-drives the route to the nearest unfinished point, logging every
-intermediate arrival on the way.
+current point is finished, the robot drives the walked route that
+``graph_path.nearest``, which also answers queries on the finished map,
+finds to the nearest unfinished point, logging every arrival on the way.
 Exploration ends when no unfinished point remains.
 
 Two exits of a node may leave in the same compass direction (side-by-side
@@ -50,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ._directions import DELTA
 from .errors import ExplorationError, InconsistencyError
-from .graph_path import shortest_paths
+from .graph_path import nearest
 from .maze_model import MazeSpec, Point2D, Slot
 from .motion_sim import MotionParams, _jitter_key, simulate_segment
 from .odometry import ODOMETRY_MODES, calibration_from_motion, estimate_length
@@ -162,20 +160,15 @@ def next_target(state: ExplorationState) -> Optional[List[str]]:
     """Walked route from the current point to the nearest unfinished point.
 
     A point is unfinished while it has fewer walked neighbors than branches.
-    Distances run from the robot's current point (the last visit-log entry)
-    over the walked edges; ties pick the lexicographically smallest name,
-    and the route is the lexicographically smallest shortest one. The route
-    starts at the current point and ends at the target. None means
-    exploration is done.
+    One ``graph_path.nearest`` search runs from the robot's current point
+    (the last visit-log entry) over the walked edges; ties pick the
+    smallest name, and the route is the lexicographically smallest shortest
+    one, from the current point to the target. None means exploration is
+    done.
     """
-    found: Optional[Tuple[float, Tuple[str, ...]]] = None
-    for length, path in shortest_paths(state.neighbors, state.point[-1]):
-        if found is not None and length > found[0]:
-            break
-        name = path[-1]
-        if len(state.neighbors[name]) < state.type_of[name] + 1:
-            if found is None or name < found[1][-1]:
-                found = (length, path)
+    neighbors, type_of = state.neighbors, state.type_of
+    found = nearest(neighbors, state.point[-1],
+                    lambda name: len(neighbors[name]) < type_of[name] + 1)
     return None if found is None else list(found[1])
 
 
@@ -218,10 +211,11 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     # it. A maze has no duplicate edges and node_of is one to one, so a
     # point's walked slots and walked neighbors correspond one to one.
     table: Dict[str, Dict[str, Slot]] = {}
+    pending: Dict[str, List[Slot]] = {}  # per point, unwalked slots in order
     longest = 0.0
     eff_tol = 1.0 if tol is None else tol
     traversals = 0
-    unfinished = 0  # points with fewer walked neighbors than branches
+    unfinished = 0  # points with a pending slot
     branches = maze.branches
     point, coordinate, neighbors = state.point, state.coordinate, state.neighbors
     node_of = state.node_of
@@ -237,6 +231,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
         node_of[name] = node
         name_of_truth[node] = name
         table[name] = {}
+        pending[name] = list(branches[node])
 
     def walk(slot: Slot) -> None:
         """Traverse one branch of the current point and log the arrival."""
@@ -288,8 +283,9 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
             neighbors[name].append((cur, w))
             table[cur][name] = slot
             table[name][cur] = back
-            for end in (cur, name):
-                if len(neighbors[end]) == state.type_of[end] + 1:
+            for end, walked in ((cur, slot), (name, back)):
+                pending[end].remove(walked)
+                if not pending[end]:
                     unfinished -= 1
         point.append(name)
 
@@ -297,14 +293,11 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     add_point("0", maze.node(maze.start).id, Point2D(0.0, 0.0))
     point.append("0")
     while True:
-        cur = point[-1]
         # Branch preference: east, north, west, south; among lanes of one
         # direction, the nearest-reaching branch first. That is slot order.
-        walked = table[cur].values()
-        pending = next((slot for slot in branches[node_of[cur]]
-                        if slot not in walked), None)
-        if pending is not None:
-            walk(pending)
+        todo = pending[point[-1]]
+        if todo:
+            walk(todo[0])
             continue
         # Every point was reached over walked edges, so the route search
         # finds one whenever a point is unfinished.

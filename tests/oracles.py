@@ -2,6 +2,11 @@
 
 - ``brute_force_shortest``: exhaustive simple-path search, the oracle for
   ``dijkstra`` on small graphs.
+- ``reference_shortest_paths``: the package's shortest-path search as it
+  was when it yielded every reachable vertex in ``(length, path)`` order,
+  and ``reference_nearest``, the nearest target read off those yields the
+  way the mapping explorer once did. They are the oracle for
+  ``graph_path.nearest``.
 - ``maze_graph``: a maze's true graph paired with its node positions. The
   package's graphs are bare adjacency mappings; the oracles that compare
   or print them by coordinate take a (coordinates, adjacency) pair.
@@ -37,17 +42,18 @@
   table, the oracle for ``parse_maze``'s specs and messages.
 """
 
+import heapq
 import math
 import random
 from bisect import bisect_left, bisect_right
 from math import cos, sin
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from linemaze import motion_sim
 from linemaze._directions import EAST, NORTH, SOUTH, WEST, reverse
 from linemaze.errors import (GraphQueryError, InconsistencyError,
                              MazeSyntaxError, MazeValidationError)
-from linemaze.graph_path import PathResult, graph_from_maze
+from linemaze.graph_path import Adjacency, PathResult, graph_from_maze
 from linemaze.maze_model import (MAX_DEGREE, MazeEdge, MazeNode, Point2D,
                                  make_maze)
 
@@ -89,6 +95,63 @@ def brute_force_shortest(adjacency, s: str, t: str) -> PathResult:
     if best is None:
         raise GraphQueryError("no path from %r to %r" % (s, t))
     return PathResult(nodes=list(best[1]), length=best[0])
+
+
+def reference_shortest_paths(adjacency: Adjacency, s: str
+                             ) -> Iterator[Tuple[float, Tuple[str, ...]]]:
+    """Yield ``(length, path)`` once per vertex reachable from ``s``.
+
+    Yields come in ``(length, path)`` order, starting with ``(0.0, (s,))``;
+    each path is the lexicographically smallest of the shortest paths to its
+    last vertex. ``adjacency`` maps a vertex to ``(neighbor, weight)`` pairs
+    with positive weights, in any order: the yields do not depend on it,
+    as the heap orders entries by ``(length, path)`` and pushes each path
+    at most once. Lengths are summed in path order.
+    """
+    # Heap entries carry the whole path: ordering by (length, path) pops
+    # equal-length candidates lexicographically, and any prefix of a
+    # shortest path is itself shortest (positive weights), so the first
+    # arrival at a vertex is its answer.
+    heap: List[Tuple[float, Tuple[str, ...]]] = [(0.0, (s,))]
+    best: Dict[str, float] = {s: 0.0}
+    seen: Set[str] = set()
+    while heap:
+        d, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in seen:
+            continue
+        seen.add(node)
+        yield d, path
+        try:
+            arcs = adjacency[node]
+        except KeyError:
+            raise GraphQueryError("vertex %r is a neighbor but has no entry "
+                                  "of its own" % (node,)) from None
+        for nb, w in arcs:
+            if nb in seen:
+                continue
+            nd = d + w
+            # Keep equal-length alternatives: the lexicographic winner may
+            # run through a prefix that pops later.
+            known = best.get(nb)
+            if known is None or nd <= known:
+                best[nb] = nd
+                heapq.heappush(heap, (nd, path + (nb,)))
+
+
+def reference_nearest(adjacency: Adjacency, s: str,
+                      is_target: Callable[[str], object]
+                      ) -> Optional[Tuple[float, Tuple[str, ...]]]:
+    """The first target ``reference_shortest_paths`` yields, or among
+    targets of that length the one with the smallest name; None if none."""
+    found: Optional[Tuple[float, Tuple[str, ...]]] = None
+    for length, path in reference_shortest_paths(adjacency, s):
+        if found is not None and length > found[0]:
+            break
+        if is_target(path[-1]) and (found is None
+                                    or path[-1] < found[1][-1]):
+            found = (length, path)
+    return found
 
 
 def maze_graph(maze) -> Graph:

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from linemaze.errors import (ExplorationError, GraphQueryError,
                              InconsistencyError)
 from linemaze.graph_path import (PathResult, build_graph, dijkstra,
-                                 graph_from_maze, shortest_paths)
+                                 graph_from_maze, nearest)
 from linemaze.mapping_explorer import (ExplorationState, explore_map,
                                        next_target)
 from linemaze.maze_model import Point2D
 from linemaze.mazegen import random_maze
 from linemaze.odometry import ODOMETRY_MODES
 from oracles import (brute_force_shortest, export_graph, graphs_isomorphic,
-                     maze_graph, reference_too_diagonal, shifted,
-                     visit_log_graph)
+                     maze_graph, reference_nearest, reference_shortest_paths,
+                     reference_too_diagonal, shifted, visit_log_graph)
 from test_explorer_fixture import NOISY_EVERY, SEEDS, _maze
 
 FIG2_EXPORT = """\
@@ -326,10 +326,14 @@ def test_routing_ignores_neighbor_order(seed, order):
         mixed = _shuffled(adjacency, shuffle)
         names = sorted(adjacency)
         for s in shuffle.sample(names, 3):
-            assert list(shortest_paths(mixed, s)) == \
-                list(shortest_paths(adjacency, s))
             t = shuffle.choice(names)
             assert dijkstra(mixed, s, t) == dijkstra(adjacency, s, t)
+            # The reference's first-popped target, a lone one and the
+            # smallest-named of several at one length.
+            for targets in ({t}, set(shuffle.sample(names, 4))):
+                want = reference_nearest(adjacency, s, targets.__contains__)
+                assert nearest(mixed, s, targets.__contains__) == want
+                assert nearest(adjacency, s, targets.__contains__) == want
         if state is None:
             continue
         for k in range(0, len(state.point), 3):
@@ -337,6 +341,86 @@ def test_routing_ignores_neighbor_order(seed, order):
             route = next_target(part)
             part.neighbors = _shuffled(part.neighbors, shuffle)
             assert next_target(part) == route
+
+
+@st.composite
+def small_graphs(draw):
+    """An undirected graph on up to 16 vertices with weights 1 to 3, so
+    that many routes tie; each neighbor list in a drawn order."""
+    n = draw(st.integers(1, 16))
+    names = ["v%d" % i for i in range(n)]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    adjacency = {name: [] for name in names}
+    for a, b in draw(st.lists(st.sampled_from(pairs), unique=True,
+                              max_size=3 * n) if pairs else st.just([])):
+        w = float(draw(st.integers(1, 3)))
+        adjacency[a].append((b, w))
+        adjacency[b].append((a, w))
+    for name in names:
+        adjacency[name] = draw(st.permutations(adjacency[name]))
+    return adjacency
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjacency=small_graphs(), data=st.data())
+def test_nearest_matches_the_reference_and_brute_force(adjacency, data):
+    names = sorted(adjacency)
+    s = data.draw(st.sampled_from(names))
+    targets = data.draw(st.sets(st.sampled_from(names)))
+    got = nearest(adjacency, s, targets.__contains__)
+    assert got == reference_nearest(adjacency, s, targets.__contains__)
+    if len(names) > 12:
+        return
+    # The brute force pins every target; the nearest is the shortest of
+    # them, the smallest name on equal length.
+    best = None
+    for t in targets:
+        try:
+            res = brute_force_shortest(adjacency, s, t)
+        except GraphQueryError:
+            continue  # unreachable
+        if best is None or (res.length, t) < (best[0], best[1][-1]):
+            best = (res.length, tuple(res.nodes))
+    assert got == best
+
+
+def test_nearest_ties_go_to_the_smallest_name():
+    # "z" pops first at length 2, on the path s-a-z; "b" ties it with a
+    # smaller name, and "far" lies beyond both.
+    g = {"s": [("a", 1.0), ("b", 2.0)], "a": [("s", 1.0), ("z", 1.0)],
+         "z": [("a", 1.0), ("far", 1.0)], "b": [("s", 2.0)],
+         "far": [("z", 1.0)]}
+    assert [path for _d, path in reference_shortest_paths(g, "s")] == [
+        ("s",), ("s", "a"), ("s", "a", "z"), ("s", "b"),
+        ("s", "a", "z", "far")]
+    assert nearest(g, "s", {"z", "b", "far"}.__contains__) == (2.0, ("s", "b"))
+    assert nearest(g, "s", {"z", "far"}.__contains__) == \
+        (2.0, ("s", "a", "z"))
+    assert nearest(g, "s", {"s", "a"}.__contains__) == (0.0, ("s",))
+    assert nearest(g, "s", {"q"}.__contains__) is None
+
+
+class LoggedGraph(dict):
+    """An adjacency mapping that records each vertex whose arcs are read."""
+
+    def __getitem__(self, name):
+        self.read.append(name)
+        return dict.__getitem__(self, name)
+
+
+def test_nearest_reads_no_arcs_out_of_a_target_or_after_one():
+    # "t" is the target and "u" ties it: neither one's arcs are read.
+    g = LoggedGraph(s=[("t", 1.0), ("u", 1.0)], t=[("w", 1.0)],
+                    u=[("w", 1.0)], w=[("t", 1.0), ("u", 1.0)])
+    g.read = []
+    assert nearest(g, "s", {"t"}.__contains__) == (1.0, ("s", "t"))
+    assert g.read == ["s"]
+    # So a target without an entry of its own is no error, though the
+    # reference's next yield reads it.
+    g = {"s": [("t", 1.0)]}
+    assert nearest(g, "s", {"t"}.__contains__) == (1.0, ("s", "t"))
+    with pytest.raises(GraphQueryError, match="has no entry of its own"):
+        reference_nearest(g, "s", {"t"}.__contains__)
 
 
 # ------------------------------------------- isomorphism oracle (oracles.py)

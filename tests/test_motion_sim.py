@@ -327,6 +327,21 @@ def test_leg_jumps_match_the_step_loop_at_the_recorded_heading():
         assert_same_run(*simulate_both(191.0, p, 0), 191.0)
 
 
+# A second drawn case, without drift (speed_ratio 1, so b == 0), a branch
+# the case above does not reach: over 566 pivots the two end points lie
+# 1.52e-10 cm apart, outside the 1.38e-10 bound.
+RECORDED_DRIFT_FREE_ALPHA0 = -0.16544516889662317
+
+
+@STEP_LOOP_BOUND_DEFECT
+def test_leg_jumps_match_the_step_loop_at_the_recorded_drift_free_heading():
+    p = MotionParams(speed_ratio=1.0, h=0.25, theta=1.125)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(motion_sim, "_initial_heading",
+                   lambda alpha, seed, index: RECORDED_DRIFT_FREE_ALPHA0)
+        assert_same_run(*simulate_both(138.0, p, 1), 138.0)
+
+
 @pytest.mark.parametrize("speed_ratio", [0.5, 2.0])
 def test_leg_jumps_match_the_step_loop_when_the_heading_changes_sign(
         speed_ratio):

@@ -35,6 +35,7 @@ RETIRED = [
     ("mapping_explorer", "trace_lines"),
     ("graph_path", "MazeGraph"),
     ("motion_sim", "radius_from_ratio"),
+    ("graph_path", "shortest_paths"),
 ]
 
 
