@@ -207,11 +207,11 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
 
     state = ExplorationState()
     name_of_truth: Dict[str, str] = {}
-    # Branch table: per point, each walked neighbor -> the slot that reaches
-    # it. A maze has no duplicate edges and node_of is one to one, so a
-    # point's walked slots and walked neighbors correspond one to one.
+    # Per point: the branch table (walked neighbor -> the slot reaching it)
+    # and the unwalked slots in slot order. With no duplicate edges and a
+    # one-to-one node_of, a list empties as next_target's test turns false.
     table: Dict[str, Dict[str, Slot]] = {}
-    pending: Dict[str, List[Slot]] = {}  # per point, unwalked slots in order
+    pending: Dict[str, List[Slot]] = {}
     longest = 0.0
     eff_tol = 1.0 if tol is None else tol
     traversals = 0

@@ -22,9 +22,7 @@
   each neighbor list sorted. The ideal explorer digests and the fig2 export
   golden are written in it.
 - ``step_loop_integrate``: the motion kernel as one Euler step at a time,
-  the oracle for ``motion_sim._integrate``'s leg jumps, and
-  ``compensated_step_loop_integrate``, the same loop with x and y summed
-  with compensation, whose end point the jumps' is measured against.
+  the oracle for ``motion_sim._integrate``'s leg jumps.
 - ``fresh_heading``: the start-heading jitter as it was drawn before it was
   keyed by (seed, index), from a new ``random.Random(seed)``. The kernel
   and estimator digests run under it, so they pin only their own layer.
@@ -294,8 +292,7 @@ def fresh_heading(alpha, seed, index=0):
 
 
 def step_loop_integrate(length, h, alpha0, theta, kappa, fl, fr,
-                        rp_l, rp_r, lp_l, lp_r, step, max_steps,
-                        compensated=False):
+                        rp_l, rp_r, lp_l, lp_r, step, max_steps):
     """Integrate one segment one step at a time; same contract as
     ``motion_sim._integrate``: returns (wl, wr, n_right, n_left, pivots, y,
     ok).
@@ -307,14 +304,9 @@ def step_loop_integrate(length, h, alpha0, theta, kappa, fl, fr,
     kappa: curvature from the wheel-speed mismatch (rad/cm, +ccw).
     fl/fr: per-wheel path-length factors for midpoint travel.
     rp_*/lp_*: wheel-distance charges of a right/left pivot.
-    compensated: carry x and y as Neumaier sums, a running sum and its
-        rounding errors (x + xc, y + yc), instead of rounding each step
-        into them. See ``compensated_step_loop_integrate``.
     """
     x = 0.0
     y = 0.0
-    xc = 0.0
-    yc = 0.0
     phi = alpha0
     wl = 0.0
     wr = 0.0
@@ -322,64 +314,40 @@ def step_loop_integrate(length, h, alpha0, theta, kappa, fl, fr,
     n_left = 0
     pivots = []
     steps = 0
-    while x + xc < length:
+    while x < length:
         if steps >= max_steps:
-            return wl, wr, n_right, n_left, pivots, y + yc, False
+            return wl, wr, n_right, n_left, pivots, y, False
         steps += 1
         c = cos(phi)
         if c <= 1e-12:
-            return wl, wr, n_right, n_left, pivots, y + yc, False
-        remaining = (length - x) - xc
-        last = step * c >= remaining
-        d = remaining / c if last else step
-        dx = d * c
-        dy = d * sin(phi)
-        if not compensated:
-            x += dx
-            y += dy
-        else:
-            t = x + dx
-            xc += (x - t) + dx if x >= dx else (dx - t) + x
-            x = t
-            t = y + dy
-            yc += (y - t) + dy if abs(y) >= abs(dy) else (dy - t) + y
-            y = t
+            return wl, wr, n_right, n_left, pivots, y, False
+        remaining = length - x
+        if step * c >= remaining:
+            d = remaining / c
+            x = length
+            y += d * sin(phi)
+            wl += d * fl
+            wr += d * fr
+            break
+        d = step
+        x += d * c
+        y += d * sin(phi)
         wl += d * fl
         wr += d * fr
-        if last:
-            x = length
-            xc = 0.0
-            break
         phi += kappa * d
-        if y + yc >= h and phi > 0.0:
+        if y >= h and phi > 0.0:
             phi = -theta
             wl += rp_l
             wr += rp_r
             n_right += 1
-            pivots.append((x + xc, y + yc))
-        elif y + yc <= -h and phi < 0.0:
+            pivots.append((x, y))
+        elif y <= -h and phi < 0.0:
             phi = theta
             wl += lp_l
             wr += lp_r
             n_left += 1
-            pivots.append((x + xc, y + yc))
-    return wl, wr, n_right, n_left, pivots, y + yc, True
-
-
-def compensated_step_loop_integrate(*args):
-    """``step_loop_integrate`` with compensated sums: the exact step
-    recurrence up to rounding that does not build up with the step count.
-
-    The plain step loop rounds every step into x and y. On a long run of
-    short legs those roundings pile up: its end y has been seen 1.5e-10 cm
-    from a double-double evaluation of the same recurrence (138 cm, 566
-    pivots). Here x and y are Neumaier sums, so only each step's increment
-    and the heading are rounded as in the step loop; on 42 thin-band runs
-    of 150-200 cm with up to 17,000 pivots its end y lay within 6.3e-14 cm
-    of double-double. Each pivot coordinate and the end y are the rounded
-    sum.
-    """
-    return step_loop_integrate(*args, compensated=True)
+            pivots.append((x, y))
+    return wl, wr, n_right, n_left, pivots, y, True
 
 
 def reference_validate(maze):
