@@ -115,6 +115,11 @@ def _drive(length: float, mode: str, params: MotionParams, seed: int,
     return simulate_segment(length, params, seed, index)
 
 
+def _corrected_mode(mode: str) -> str:
+    """The estimator of a report's corrected column: raw runs use arc."""
+    return "arc" if mode == "raw" else mode
+
+
 def _drive_path(maze: MazeSpec, path: Sequence[str], mode: str,
                 params: MotionParams,
                 seed: int) -> List[Tuple[str, str, int, float, EncoderLog]]:
@@ -159,7 +164,7 @@ def cmd_solve(args: argparse.Namespace) -> str:
         discovered = len(state.type_of)
 
     cal = calibration_from_motion(params)
-    correct_mode = "arc" if mode == "raw" else mode
+    correct_mode = _corrected_mode(mode)
     rows = [("%s-%s" % (a, b), true_len, estimate_length(log, cal, "raw"),
              estimate_length(log, cal, correct_mode))
             for a, b, _direction, true_len, log
@@ -205,6 +210,7 @@ def cmd_tableone(args: argparse.Namespace) -> str:
         raise ValueError("--lengths must all be positive and finite")
     params = MotionParams()
     cal = calibration_from_motion(params)
+    correct_mode = _corrected_mode(mode)
 
     rows: List[Tuple[float, float, float, float, float]] = []
     for length in args.lengths:
@@ -212,7 +218,7 @@ def cmd_tableone(args: argparse.Namespace) -> str:
         for s in range(args.seed, args.seed + args.seeds):
             log = _drive(length, mode, params, s, 0)
             raw.append(estimate_length(log, cal, "raw"))
-            corr.append(estimate_length(log, cal, mode))
+            corr.append(estimate_length(log, cal, correct_mode))
         med_raw = _median(raw)
         med_corr = _median(corr)
         rows.append((length, med_raw, med_corr,

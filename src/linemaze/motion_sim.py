@@ -21,7 +21,9 @@ keeps the step loop to compare against.
 
 A leg after a pivot starts at exactly +-theta, so all it computes but its
 position bounds depends only on the robot, the side and J; ``_pivot_table``
-keeps those floats, computed once, and the result stays bit for bit.
+keeps those floats, computed once, and the result stays bit for bit. The
+kernel's other per-robot arguments (curvature, wheel factors, the four
+pivot charges) come from ``_robot``, kept for the last robot seen.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ JITTER_HI = 1.0
 _MASK64 = (1 << 64) - 1
 
 # Longest segment simulate_segment drives, in cm. At the default robot a
-# call costs about 7 microseconds plus 1.0 us per simulated cm (best of 25
-# runs at 1, 100 and 1,000 cm on a shared 2-core Xeon under Python 3.11; a
-# 1e6 cm call took 1.4-2.6 s), so this bound keeps one call to a few
+# call costs about 5.5 microseconds plus 0.95 us per simulated cm (best of
+# 25 runs at 1, 100 and 1,000 cm on a shared 2-core Xeon under Python 3.11;
+# a 1e6 cm call took 1.7-3.2 s), so this bound keeps one call to a few
 # seconds; an unbounded length could run for hours.
 MAX_SEGMENT_LENGTH = 1e6
 
@@ -125,14 +127,17 @@ class MotionParams(_MotionFields):
     @property
     def kappa(self) -> float:
         """Curvature (rad/cm) of the midpoint path from the wheel mismatch."""
-        rho = self.speed_ratio
-        if rho == 1.0:
-            return 0.0
-        return 2.0 * (rho - 1.0) / (self.wheel_base * (rho + 1.0))
+        return _kappa(self.speed_ratio, self.wheel_base)
 
     def wheel_factors(self) -> Tuple[float, float]:
         """Per-wheel path-length factors (fl, fr) relative to midpoint travel."""
         return _wheel_factors(self.kappa, self.wheel_base)
+
+
+def _kappa(rho: float, wheel_base: float) -> float:
+    if rho == 1.0:
+        return 0.0
+    return 2.0 * (rho - 1.0) / (wheel_base * (rho + 1.0))
 
 
 def _wheel_factors(kappa: float, wheel_base: float) -> Tuple[float, float]:
@@ -186,7 +191,9 @@ def _initial_heading(alpha: float, seed: int, index: int) -> float:
     z = mix(mix(seed) + G*index) mod 2**64, G odd, is one to one in each
     key with the other fixed; its top 53 bits set the size, bit 0 the sign.
     """
-    seed, index = _jitter_key(seed, index)
+    if not (type(seed) is int and type(index) is int
+            and 0 <= seed <= _MASK64 and 0 <= index <= _MASK64):
+        seed, index = _jitter_key(seed, index)
     if not alpha > 0.0:
         return 0.0
     z = _mix64(_mix64(seed) + index * 0x9E3779B97F4A7C15 & _MASK64)
@@ -211,7 +218,7 @@ def simulate_segment(length: float, params: MotionParams, seed: int,
         raise ValueError("length must be positive and at most %g cm, got %r"
                          % (MAX_SEGMENT_LENGTH, length))
     # One unpacking: a named field read costs about twice an attribute read.
-    (h, alpha, theta, _ratio, wheel_base, pivot_left, pivot_right, k,
+    (h, alpha, theta, ratio, wheel_base, pivot_left, pivot_right, k,
      step) = params
     budget = 40.0 * length / step
     if not math.isfinite(budget):
@@ -219,15 +226,11 @@ def simulate_segment(length: float, params: MotionParams, seed: int,
                          "its steps; %g cm at a %g cm step is not"
                          % (length, step))
     alpha0 = _initial_heading(alpha, seed, index)
-    kappa = params.kappa
-    fl, fr = _wheel_factors(kappa, wheel_base)
-    max_steps = int(budget) + 10000
-
-    # Pivot charges (rp_l, rp_r, lp_l, lp_r), with the extra rotation cost
-    # charged to the inner wheel of the turn.
+    kappa, fl, fr, rp_l, rp_r, lp_l, lp_r = _robot(
+        ratio, wheel_base, pivot_left, pivot_right, k)
     wl, wr, n_right, n_left, pivots, y_final, ok = _integrate(
-        length, h, alpha0, theta, kappa, fl, fr, pivot_left, pivot_right + k,
-        pivot_left + k, pivot_right, step, max_steps)
+        length, h, alpha0, theta, kappa, fl, fr, rp_l, rp_r, lp_l, lp_r,
+        step, int(budget) + 10000)
     if not ok:
         raise MotionDivergenceError(
             "line follower failed to traverse a %g cm segment "
@@ -432,6 +435,17 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
             n_left += 1
             pivots.append((x, y))
     return wl, wr, n_right, n_left, pivots, y, True
+
+
+@functools.lru_cache(maxsize=1)
+def _robot(speed_ratio, wheel_base, pivot_left, pivot_right, inner_rot_const):
+    """(kappa, fl, fr, rp_l, rp_r, lp_l, lp_r): curvature, wheel factors and
+    the charges of a right and a left pivot, whose inner wheel pays the
+    extra rotation cost. Only the last robot's record is kept."""
+    kappa = _kappa(speed_ratio, wheel_base)
+    return (kappa, *_wheel_factors(kappa, wheel_base), pivot_left,
+            pivot_right + inner_rot_const, pivot_left + inner_rot_const,
+            pivot_right)
 
 
 @functools.lru_cache(maxsize=1)

@@ -16,6 +16,10 @@ functions here undo both effects at two levels of fidelity:
   the first one, then two for each of the N-1 full oscillations between
   pivots. What is left is the residual stretch before the segment end.
 
+Both levels evaluate a wheel in one private function; ``estimate_length``
+calls it once per wheel, left first, and the public per-wheel functions
+call it too, so each check runs and raises alike from every entry point.
+
 ``predict_without_encoder`` estimates length from pivot counts alone — no
 encoder readings at all — which works because the controller makes the robot
 oscillate with a fixed lateral period.
@@ -188,14 +192,15 @@ def chord_from_arc(s: float, radius: float) -> float:
     return radius * math.sin(ratio)
 
 
-def linearize_basic(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
-    """Piecewise-linear length estimate from one wheel's encoder total.
-
-    Strips the per-pivot wheel charges and projects the rest onto the track
-    with the wheel's mean-cosine constant. The inner-wheel charge ``k`` pairs
-    with the same-side turn count (the left wheel is the inner wheel of a
-    left turn).
-    """
+def _wheel_estimate(log: EncoderLog, cal: CalibConstants, wheel: str,
+                    model: str) -> float:
+    """One wheel's ``model`` estimate: "basic", "arc" or "residual", the
+    arc length ``residual_arc`` returns."""
+    n = log.n_right + log.n_left
+    if n < 1 and model == "residual":
+        raise ValueError(
+            "residual_arc needs at least one pivot turn; "
+            "pivot-free logs take the single-arc fallback")
     if wheel == "left":
         total, f_c, n_inner, c_wheel = (log.wl_total, cal.f_lc, log.n_left,
                                         cal.c_left)
@@ -204,7 +209,6 @@ def linearize_basic(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
                                         cal.c_right)
     else:
         raise ValueError("wheel must be 'left' or 'right', got %r" % (wheel,))
-    n = log.n_right + log.n_left
     bracket = total - f_c * n - cal.k * n_inner
     if not bracket >= 0.0:
         if math.isnan(total):
@@ -215,7 +219,33 @@ def linearize_basic(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
             "pivot charges exceed the %s wheel's roll distance "
             "(%g for %d turns); calibration inconsistent with the log"
             % (wheel, total, n))
-    return bracket * c_wheel
+    if model == "basic":
+        return bracket * c_wheel
+    roll = bracket * c_wheel / cal.c
+    if n == 0:
+        return chord_from_arc(roll, cal.radius) * cal.c
+    s_h = cal._half_stretch
+    s_d = roll - (n - 1) * (2.0 * s_h) - s_h
+    if s_d < -1e-9:
+        raise CalibrationError(
+            "modeled stretches exceed the %s wheel's midpoint roll by %g; "
+            "calibration inconsistent with the log" % (wheel, -s_d))
+    s_d = max(0.0, s_d)
+    if model == "residual":
+        return s_d
+    d_d = chord_from_arc(s_d, cal.radius)
+    return (_stretch_chords(n, cal.h) + d_d) * cal.c
+
+
+def linearize_basic(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
+    """Piecewise-linear length estimate from one wheel's encoder total.
+
+    Strips the per-pivot wheel charges and projects the rest onto the track
+    with the wheel's mean-cosine constant. The inner-wheel charge ``k`` pairs
+    with the same-side turn count (the left wheel is the inner wheel of a
+    left turn).
+    """
+    return _wheel_estimate(log, cal, wheel, "basic")
 
 
 def _stretch_chords(n: int, h: float) -> float:
@@ -233,19 +263,7 @@ def residual_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     The model reads what is left as the last, incomplete stretch; on the
     simulated robot it grows with the segment's length instead.
     """
-    n = log.n_right + log.n_left
-    if n < 1:
-        raise ValueError(
-            "residual_arc needs at least one pivot turn; "
-            "pivot-free logs take the single-arc fallback")
-    s_h = cal._half_stretch
-    roll = linearize_basic(log, cal, wheel) / cal.c
-    s_d = roll - (n - 1) * (2.0 * s_h) - s_h
-    if s_d < -1e-9:
-        raise CalibrationError(
-            "modeled stretches exceed the %s wheel's midpoint roll by %g; "
-            "calibration inconsistent with the log" % (wheel, -s_d))
-    return max(0.0, s_d)
+    return _wheel_estimate(log, cal, wheel, "residual")
 
 
 def linearize_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
@@ -257,12 +275,7 @@ def linearize_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     no pivots at all the whole midpoint roll is treated as a single
     tangent-start arc.
     """
-    n = log.n_right + log.n_left
-    if n == 0:
-        roll = linearize_basic(log, cal, wheel) / cal.c
-        return chord_from_arc(roll, cal.radius) * cal.c
-    d_d = chord_from_arc(residual_arc(log, cal, wheel), cal.radius)
-    return (_stretch_chords(n, cal.h) + d_d) * cal.c
+    return _wheel_estimate(log, cal, wheel, "arc")
 
 
 def predict_without_encoder(n_right: int, n_left: int,
@@ -296,10 +309,7 @@ def estimate_length(log: EncoderLog, cal: CalibConstants, mode: str) -> float:
             # each first is exact for totals that large.
             mean = log.wl_total / 2.0 + log.wr_total / 2.0
         return mean
-    if mode == "basic":
-        return (linearize_basic(log, cal, "left")
-                + linearize_basic(log, cal, "right")) / 2.0
-    if mode == "arc":
-        return (linearize_arc(log, cal, "left")
-                + linearize_arc(log, cal, "right")) / 2.0
+    if mode == "basic" or mode == "arc":
+        return (_wheel_estimate(log, cal, "left", mode)
+                + _wheel_estimate(log, cal, "right", mode)) / 2.0
     raise ValueError("mode must be one of %r, got %r" % (ODOMETRY_MODES, mode))

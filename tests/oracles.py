@@ -23,6 +23,10 @@
   golden are written in it.
 - ``step_loop_integrate``: the motion kernel as one Euler step at a time,
   the oracle for ``motion_sim._integrate``'s leg jumps.
+- ``reference_estimate``: ``odometry.estimate_length`` as it was when it
+  composed the public per-wheel functions (``reference_linearize_basic``,
+  ``reference_residual_arc`` and ``reference_linearize_arc``), the oracle
+  for the estimators' one per-wheel evaluation, errors included.
 - ``fresh_heading``: the start-heading jitter as it was drawn before it was
   keyed by (seed, index), from a new ``random.Random(seed)``. The kernel
   and estimator digests run under it, so they pin only their own layer.
@@ -51,11 +55,13 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from linemaze import motion_sim
 from linemaze._directions import EAST, NORTH, SOUTH, WEST, reverse
-from linemaze.errors import (GraphQueryError, InconsistencyError,
-                             MazeSyntaxError, MazeValidationError)
+from linemaze.errors import (CalibrationError, GraphQueryError,
+                             InconsistencyError, MazeSyntaxError,
+                             MazeValidationError)
 from linemaze.graph_path import Adjacency, PathResult, graph_from_maze
 from linemaze.maze_model import (MAX_DEGREE, MazeEdge, MazeNode, Point2D,
                                  make_maze)
+from linemaze.odometry import ODOMETRY_MODES, chord_from_arc
 
 # A graph with coordinates: (name -> Point2D, name -> [(neighbor, weight)]).
 Graph = Tuple[Dict[str, Point2D], Dict[str, List[Tuple[str, float]]]]
@@ -348,6 +354,79 @@ def step_loop_integrate(length, h, alpha0, theta, kappa, fl, fr,
             n_left += 1
             pivots.append((x, y))
     return wl, wr, n_right, n_left, pivots, y, True
+
+
+
+def reference_linearize_basic(log, cal, wheel):
+    """``odometry.linearize_basic`` as it was before the estimators shared
+    one per-wheel evaluation."""
+    if wheel == "left":
+        total, f_c, n_inner, c_wheel = (log.wl_total, cal.f_lc, log.n_left,
+                                        cal.c_left)
+    elif wheel == "right":
+        total, f_c, n_inner, c_wheel = (log.wr_total, cal.f_rc, log.n_right,
+                                        cal.c_right)
+    else:
+        raise ValueError("wheel must be 'left' or 'right', got %r" % (wheel,))
+    n = log.n_right + log.n_left
+    bracket = total - f_c * n - cal.k * n_inner
+    if not bracket >= 0.0:
+        if math.isnan(total):
+            raise CalibrationError(
+                "the %s wheel's total is not a number (%r); the log cannot "
+                "be corrected" % (wheel, total))
+        raise CalibrationError(
+            "pivot charges exceed the %s wheel's roll distance "
+            "(%g for %d turns); calibration inconsistent with the log"
+            % (wheel, total, n))
+    return bracket * c_wheel
+
+
+def reference_residual_arc(log, cal, wheel):
+    """``odometry.residual_arc`` as it was, on the basic estimate above."""
+    n = log.n_right + log.n_left
+    if n < 1:
+        raise ValueError(
+            "residual_arc needs at least one pivot turn; "
+            "pivot-free logs take the single-arc fallback")
+    s_h = cal._half_stretch
+    roll = reference_linearize_basic(log, cal, wheel) / cal.c
+    s_d = roll - (n - 1) * (2.0 * s_h) - s_h
+    if s_d < -1e-9:
+        raise CalibrationError(
+            "modeled stretches exceed the %s wheel's midpoint roll by %g; "
+            "calibration inconsistent with the log" % (wheel, -s_d))
+    return max(0.0, s_d)
+
+
+def reference_linearize_arc(log, cal, wheel):
+    """``odometry.linearize_arc`` as it was, on the residual above."""
+    n = log.n_right + log.n_left
+    if n == 0:
+        roll = reference_linearize_basic(log, cal, wheel) / cal.c
+        return chord_from_arc(roll, cal.radius) * cal.c
+    d_d = chord_from_arc(reference_residual_arc(log, cal, wheel), cal.radius)
+    return ((n - 1) * (2.0 * cal.h) + cal.h + d_d) * cal.c
+
+
+def reference_estimate(log, cal, mode):
+    """``odometry.estimate_length`` as it was: each wheel estimated through
+    the per-wheel functions above, the left wheel first."""
+    if mode == "ideal":
+        return log.true_length
+    if mode == "raw":
+        mean = (log.wl_total + log.wr_total) / 2.0
+        if math.isinf(mean):
+            mean = log.wl_total / 2.0 + log.wr_total / 2.0
+        return mean
+    if mode == "basic":
+        return (reference_linearize_basic(log, cal, "left")
+                + reference_linearize_basic(log, cal, "right")) / 2.0
+    if mode == "arc":
+        return (reference_linearize_arc(log, cal, "left")
+                + reference_linearize_arc(log, cal, "right")) / 2.0
+    raise ValueError("mode must be one of %r, got %r"
+                     % (ODOMETRY_MODES, mode))
 
 
 def reference_validate(maze):

@@ -216,6 +216,23 @@ def test_tableone_tsv(capsys):
     assert out == TABLEONE_TSV_SEED5
 
 
+@pytest.mark.parametrize("fmt", ["text", "tsv"])
+def test_tableone_raw_corrects_its_logs_with_arc(capsys, fmt):
+    # As in solve, a raw run reports its reading uncorrected and corrects
+    # the same logs with arc: the table is the arc table, and its formula
+    # column is not the encoder column again.
+    argv = ("tableone", "--seeds", "5", "--seed", "2", "--lengths", "10",
+            "100", "--format", fmt)
+    code, raw, _ = run_cli(capsys, *argv, "--odometry", "raw")
+    assert code == 0
+    code, arc, _ = run_cli(capsys, *argv, "--odometry", "arc")
+    assert code == 0
+    assert raw == arc
+    rows = tableone_rows(capsys, *argv[1:-2], "--odometry", "raw")
+    assert all(abs(err_formula) < 0.5 < err_enc
+               for err_enc, err_formula in rows.values())
+
+
 def spy_segments(monkeypatch):
     """Record the (length, seed, index) of every segment the CLI and the
     mapping explorer simulate."""

@@ -210,6 +210,40 @@ def test_the_pivot_table_changes_no_log():
         2 * len(lengths), len(cases) - 2 * len(lengths))
 
 
+def test_the_robot_record_changes_no_log():
+    # The per-robot record of curvature, wheel factors and pivot charges,
+    # warm and alternating between robots, gives each log bit for bit as a
+    # call after a cleared one. Past the first four robots, each moves one
+    # more field of the record's key and sits between two robots equal to
+    # the default there, so a key that leaves a field out serves some
+    # robot its neighbour's record.
+    default = MotionParams()
+    robots = (default, MotionParams(speed_ratio=2.5), default._replace(h=0.3),
+              MotionParams(*default), MotionParams(wheel_base=12.0), default,
+              MotionParams(pivot_left=0.03), default,
+              MotionParams(pivot_right=0.03), default,
+              MotionParams(inner_rot_const=0.01))
+    assert robots[3] == default and robots[3] is not default
+    cases = [(length, p, s) for length in (1.0, 10.0, 100.0)
+             for s in range(5) for p in robots]
+
+    def cold(length, p, s):
+        motion_sim._robot.cache_clear()
+        motion_sim._pivot_table.cache_clear()
+        return repr(simulate_segment(length, p, seed=s))
+
+    fresh = [cold(*case) for case in cases]
+    motion_sim._robot.cache_clear()
+    warm = [repr(simulate_segment(length, p, seed=s))
+            for length, p, s in cases]
+    assert warm == fresh
+    # h is not in the key: the equal copy of the default reuses the record
+    # of the robot before it, which differs from the default only in h.
+    info = motion_sim._robot.cache_info()
+    assert (info.misses, info.hits) == (
+        len(cases) // len(robots) * 10, len(cases) // len(robots))
+
+
 def test_the_pivot_table_is_bounded_by_the_longest_jump():
     # A jump from a pivot heading ends inside the band it crosses, at most
     # 2h plus one step wide, and each of its steps rises at least
