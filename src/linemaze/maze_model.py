@@ -185,6 +185,12 @@ def _validate(maze):
         raise MazeValidationError("start refers to unknown node %r" % (start,))
     if not isinstance(end, str) or end not in by_id:
         raise MazeValidationError("end refers to unknown node %r" % (end,))
+    # The explorers walk coordinates as offsets from the start, so the span
+    # between any two nodes must be finite too. coords holds every (x, y).
+    for axis, values in zip("xy", zip(*coords)):
+        if not math.isfinite(max(values) - min(values)):
+            raise MazeValidationError(
+                "the maze's extent along %s is not finite" % axis)
 
     for n in nodes:
         degree = len(branches[n.id])

@@ -1,7 +1,5 @@
 """Shared fixtures: bundled mazes, hand-built mazes, and robot defaults."""
 
-import platform
-
 import pytest
 
 from linemaze.maze_model import (MazeEdge, MazeNode, Point2D, bundled_maze_text,
@@ -87,14 +85,3 @@ def ring_maze():
 def build_maze(nodes, edges, start, end):
     """Module-level helper for tests that construct throwaway mazes."""
     return _maze(nodes, edges, start, end)
-
-
-def float_pin_note(recorded):
-    """Failure message of a test that pins floats bit for bit: the platform
-    they were recorded on, and the one this run is on."""
-    libc = " ".join(platform.libc_ver()).strip() or "unknown libc"
-    here = "%s %s, %s, %s" % (platform.python_implementation(),
-                              platform.python_version(), libc,
-                              platform.machine())
-    return ("floats pinned on %s, this run is on %s; another libm may round "
-            "sin, cos, atan2 or asin differently" % (recorded, here))

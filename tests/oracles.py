@@ -473,6 +473,11 @@ def reference_validate(maze):
         raise MazeValidationError("start refers to unknown node %r" % (start,))
     if end not in by_id:
         raise MazeValidationError("end refers to unknown node %r" % (end,))
+    for axis in ("x", "y"):
+        values = [getattr(n.position, axis) for n in nodes]
+        if not math.isfinite(max(values) - min(values)):
+            raise MazeValidationError(
+                "the maze's extent along %s is not finite" % axis)
 
     branches = maze.branches
     for n in nodes:

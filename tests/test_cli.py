@@ -691,6 +691,11 @@ def test_error_output_is_a_single_line(capsys, tmp_path):
     overflow = tmp_path / "overflow.maze"
     overflow.write_text("node A -1e308 0\nnode B 1e308 0\nedge A B\n"
                         "start A\nend B\n")
+    # Every coordinate and edge length is finite, but A and C lie 3e308 apart.
+    wide = tmp_path / "wide.maze"
+    wide.write_text("node A -1.5e308 0\nnode B 0 0\nnode E 0 5\n"
+                    "node C 1.5e308 0\nnode D 1.5e308 5\nedge A B\nedge B E\n"
+                    "edge B C\nedge C D\nstart A\nend D\n")
     for expected, argv in (
             (1, ("solve", "--maze", "nosuch")),
             (2, ("solve", "--maze", "fig2", "--algo", "simple")),
@@ -700,7 +705,11 @@ def test_error_output_is_a_single_line(capsys, tmp_path):
             (1, ("tableone", "--lengths", "1e308", "--seeds", "1")),
             (1, ("tableone", "--lengths", "1e9", "--seeds", "1")),
             (1, ("solve", "--maze", str(overflow), "--odometry", "ideal")),
-            (1, ("solve", "--maze", str(overflow), "--algo", "simple"))):
+            (1, ("solve", "--maze", str(overflow), "--algo", "simple")),
+            (1, ("solve", "--maze", str(wide), "--algo", "map")),
+            (1, ("solve", "--maze", str(wide), "--algo", "simple")),
+            (1, ("plot", "--maze", str(wide), "--out",
+                 str(tmp_path / "wide.svg")))):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected
         assert err.startswith("error: ")

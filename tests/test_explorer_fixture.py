@@ -1,7 +1,7 @@
 """Regression fixture: mapping explorations of seeded random mazes, as digests.
 
-Each run is reduced to a SHA-256 digest and compared with
-``explorer_digests.json`` next to this file.
+Each run is reduced to a SHA-256 digest and compared with the
+``explorer/`` pins of ``pins.json``.
 
 - Noisy modes (raw, basic, arc) pin the visit log, the trace rows rebuilt
   from it by ``oracles.trace_rows``, and the coordinates: measured lengths
@@ -9,8 +9,8 @@ Each run is reduced to a SHA-256 digest and compared with
   digest, under ``decisions/<mode>/<seed>``, of what the robot decided
   without the floats it measured: the visit log, ``node_of``, ``type_of``
   and the order in which edges are first walked. A change to an estimator
-  that is meant to move the floats re-records the first digest only; a
-  moved decision shows up as a moved ``decisions/`` key.
+  that is meant to move the floats moves the first digest only; a moved
+  decision shows up as a moved ``decisions/`` key.
 - Ideal mode pins the map: names, types, coordinates, the graph in
   ``oracles.export_graph``'s text form and the order in which edges are
   first walked. Its visit log is left out, because integer spacings make
@@ -21,15 +21,10 @@ The noisy digests pin floats bit for bit, so they move with any rounding
 change in the motion kernel. What must not move with one is checked apart
 from them: every noisy exploration makes the same decisions under the
 leg-jump kernel as under the step loop it replaced.
-
-To re-record after a change that is meant to alter explorations:
-``PYTHONPATH=src python tests/test_explorer_fixture.py > tests/explorer_digests.json``
 """
 
 import hashlib
-import json
 import math
-import pathlib
 import random
 
 import pytest
@@ -39,13 +34,8 @@ from linemaze.errors import ExplorationError
 from linemaze.graph_path import build_graph
 from linemaze.mapping_explorer import explore_map
 from linemaze.mazegen import random_maze
-from conftest import float_pin_note
 from oracles import export_graph, step_loop_integrate, trace_rows
-
-DIGESTS = pathlib.Path(__file__).with_name("explorer_digests.json")
-# Where the noisy float digests (the raw/, basic/ and arc/ keys) were
-# recorded.
-NOISY_FLOATS_PLATFORM = "CPython 3.11.7, glibc 2.36, x86_64"
+from pins import check
 
 # 100 mazes of 20-164 grid cells; every fourth one dense with loops.
 # Noisy modes run on every eighth maze to keep the pure-Python kernel cheap.
@@ -130,11 +120,7 @@ def record():
 
 
 def test_explorations_match_recorded_digests():
-    expected = json.loads(DIGESTS.read_text())
-    got = record()
-    assert sorted(got) == sorted(expected)
-    changed = sorted(k for k in got if got[k] != expected[k])
-    assert changed == [], float_pin_note(NOISY_FLOATS_PLATFORM)
+    check("explorer", record())
 
 
 def _close(a, b):
@@ -164,7 +150,3 @@ def test_noisy_explorations_match_the_step_loop_kernel():
                 [b for b, _w in stepped.neighbors[n]], key
             assert all(_close(w, v) for (_b, w), (_c, v)
                        in zip(nbrs, stepped.neighbors[n])), key
-
-
-if __name__ == "__main__":
-    print(json.dumps(record(), indent=1, sort_keys=True))

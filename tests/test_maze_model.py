@@ -267,6 +267,20 @@ def test_edge_length_overflow():
                    "A", "B")
 
 
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_extent_overflow(axis):
+    # Each coordinate and edge length is finite, but A and C lie 3e308 apart.
+    spots = [("A", -1.5e308, 0.0), ("B", 0.0, 0.0), ("E", 0.0, 5.0),
+             ("C", 1.5e308, 0.0), ("D", 1.5e308, 5.0)]
+    nodes = [MazeNode(i, Point2D(*((x, y) if axis == "x" else (y, x))))
+             for i, x, y in spots]
+    edges = [MazeEdge(*pair) for pair in ("AB", "BE", "BC", "CD")]
+    for validate in (lambda m: make_maze(m.nodes, m.edges, m.start, m.end),
+                     reference_validate):
+        assert _validation_outcome(validate, nodes, edges, "A", "D") == \
+            "the maze's extent along %s is not finite" % axis
+
+
 # Edge lists over the nodes below, each with one bad edge: the message
 # names the first bad edge in list order.
 _BAD_EDGES = [

@@ -12,8 +12,8 @@ from scipy import stats
 from linemaze import motion_sim
 from linemaze.errors import MotionDivergenceError
 from linemaze.motion_sim import EncoderLog, MotionParams, simulate_segment
-from conftest import float_pin_note
 from oracles import fresh_heading, step_loop_integrate
+from pins import check
 
 
 def polyline_length(points):
@@ -155,12 +155,7 @@ KERNEL_SEEDS = range(20)
 # Any change to a float, a pivot or the divergence message moves the digest,
 # which pins the leg-jump kernel's output across processes bit for bit. It
 # runs under ``fresh_heading``'s fixed start headings, so a change to how a
-# jitter key becomes a heading moves JITTER_DIGEST instead.
-# Re-record only for a change meant to alter the kernel's output:
-# ``PYTHONPATH=src python tests/test_motion_sim.py``
-KERNEL_DIGEST = (
-    "6236c8ca5ca81a327d68431dab8f8f7c569801c37d15825233541d7e1d83dd92")
-KERNEL_DIGEST_PLATFORM = "CPython 3.11.7, glibc 2.36, x86_64"
+# jitter key becomes a heading moves the ``jitter`` pin instead.
 
 
 def kernel_digest():
@@ -180,8 +175,7 @@ def kernel_digest():
 
 
 def test_kernel_output_is_bit_identical_to_the_recorded_digest():
-    assert kernel_digest() == KERNEL_DIGEST, \
-        float_pin_note(KERNEL_DIGEST_PLATFORM)
+    check("kernel", kernel_digest())
 
 
 def test_kernel_backend_is_pure_python():
@@ -621,10 +615,6 @@ JITTER_ALPHAS = (MotionParams().alpha, math.radians(6.0), 0.0)
 JITTER_KEYS = [0, 1, 2, 3, 7, 10, 1000, 2 ** 31 - 1, 2 ** 32, 2 ** 63,
                2 ** 64 - 1]
 # Pins how a jitter key (seed, index) becomes a start heading, bit for bit.
-# Re-record only for a change meant to alter every noisy output:
-# ``PYTHONPATH=src python tests/test_motion_sim.py``
-JITTER_DIGEST = (
-    "e23fa1f30155926496d4a8e6cdd7631b7b662c55de95a64095b1d20f109d6b5f")
 
 
 def jitter_digest():
@@ -635,7 +625,7 @@ def jitter_digest():
 
 
 def test_jitter_is_bit_identical_to_the_recorded_digest():
-    assert jitter_digest() == JITTER_DIGEST
+    check("jitter", jitter_digest())
 
 
 def test_jitter_is_uniform_with_an_independent_sign():
@@ -707,8 +697,3 @@ def test_any_interleaving_of_keys_gives_the_same_logs(calls, order):
     order.shuffle(shuffled)
     again = {k: one(calls[k]) for k in shuffled}
     assert got == [again[k] for k in range(len(calls))]
-
-
-if __name__ == "__main__":
-    print(kernel_digest())
-    print(jitter_digest())

@@ -19,10 +19,10 @@ from linemaze.odometry import (CalibConstants, arc_len_from_height,
                                calibration_from_motion, chord_from_arc,
                                estimate_length, linearize_arc, linearize_basic,
                                predict_without_encoder, residual_arc)
-from conftest import float_pin_note
 from oracles import (fresh_heading, reference_estimate,
                      reference_linearize_arc, reference_linearize_basic,
                      reference_residual_arc)
+from pins import check
 
 
 def unit_cal(radius=math.inf, h=0.5):
@@ -421,14 +421,7 @@ HAND_BUILT_SEEDS = range(2000)
 # one of them raises moves a digest, which pins the estimators' output bit
 # for bit. One digest covers the raw and basic estimates, the other arc,
 # residual_arc and predict_without_encoder, so a change to the arc model
-# shows that it left raw and basic alone. Re-record only for a change meant
-# to alter that output: ``PYTHONPATH=src python tests/test_odometry.py``
-ESTIMATOR_DIGESTS = {
-    "raw+basic":
-        "466a347cbb5e526a0658c436ea8ca177894ad28a79ee8106107a4eb8b4f6d651",
-    "arc": "fa722f28f2129f61f06f0ad101b7a11684ccff977665b973aa4df09d0a99b61d",
-}
-ESTIMATOR_DIGESTS_PLATFORM = "CPython 3.11.7, glibc 2.36, x86_64"
+# shows that it left raw and basic alone.
 
 
 def _outcome(fn, *args):
@@ -487,8 +480,7 @@ def estimator_digests():
 
 
 def test_estimators_are_bit_identical_to_the_recorded_digest():
-    assert estimator_digests() == ESTIMATOR_DIGESTS, \
-        float_pin_note(ESTIMATOR_DIGESTS_PLATFORM)
+    check("estimator", estimator_digests())
 
 
 # --------------------------------------------- against the per-wheel calls
@@ -696,7 +688,3 @@ def test_arc_holds_on_long_segments_at_a_tight_drift_circle():
                               cal, "arc") / 1000.0 - 1.0
               for seed in ENVELOPE_SEEDS]
     assert abs(statistics.median(errors)) <= 5e-3
-
-
-if __name__ == "__main__":
-    print(estimator_digests())

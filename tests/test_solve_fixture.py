@@ -2,8 +2,8 @@
 
 Each ``solve`` run is made in both report formats and reduced to a SHA-256
 digest of its exit code and stdout; each ``plot`` run to a digest of its
-exit code and the SVG it writes. The digests are compared with
-``solve_digests.json`` next to this file. TSV runs are keyed by case, text
+exit code and the SVG it writes. The digests are compared with the
+``solve/`` pins of ``pins.json``. TSV runs are keyed by case, text
 runs by ``text/`` and the case, plot runs by ``plot/`` and the case. The
 runs cover:
 
@@ -17,15 +17,11 @@ runs cover:
 Raw odometry is left out of the ``solve`` runs: their reports changed when
 path labels and the end point stopped being searched for by coordinates,
 and ``tests/test_cli.py`` checks them directly.
-
-To re-record after a change that is meant to alter reports:
-``PYTHONPATH=src python tests/test_solve_fixture.py > tests/solve_digests.json``
 """
 
 import contextlib
 import hashlib
 import io
-import json
 import pathlib
 import random
 import tempfile
@@ -34,8 +30,7 @@ from linemaze.cli import run
 from linemaze.maze_model import serialize_maze
 from linemaze.mazegen import random_maze, random_tree
 from linemaze.odometry import ODOMETRY_MODES
-
-DIGESTS = pathlib.Path(__file__).with_name("solve_digests.json")
+from pins import check
 
 BUNDLED = ("fig1", "fig2", "corridor", "plus")
 MODES = ("ideal", "basic", "arc")
@@ -123,12 +118,4 @@ def record():
 
 
 def test_solve_reports_match_recorded_digests():
-    expected = json.loads(DIGESTS.read_text())
-    got = record()
-    assert sorted(got) == sorted(expected)
-    changed = sorted(k for k in got if got[k] != expected[k])
-    assert changed == []
-
-
-if __name__ == "__main__":
-    print(json.dumps(record(), indent=1, sort_keys=True))
+    check("solve", record())
