@@ -19,15 +19,16 @@ zero. At the default robot each leg costs one jump and one step. The jump
 changes results only by rounding (about 1e-12 relative); ``tests/oracles.py``
 keeps the step loop to compare against.
 
-A leg after a pivot starts at exactly +-theta, so all it computes but its
-position bounds depends only on the robot, the side and J; ``_pivot_table``
-keeps those floats, computed once, and the result stays bit for bit. The
-kernel's other per-robot arguments (curvature, wheel factors, the four
-pivot charges) come from ``_robot``, kept for the last robot seen.
+The kernel reads a robot from one record, ``_robot(params)``, kept for the
+last robot seen. A leg after a pivot starts at exactly +-theta, so all it
+computes but its position bounds depends only on the robot, the side and
+J; the record's table keeps those floats, computed once, and the result
+stays bit for bit.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
@@ -130,22 +131,15 @@ class MotionParams(_MotionFields):
     @property
     def kappa(self) -> float:
         """Curvature (rad/cm) of the midpoint path from the wheel mismatch."""
-        return _kappa(self.speed_ratio, self.wheel_base)
+        rho = self.speed_ratio
+        if rho == 1.0:
+            return 0.0
+        return 2.0 * (rho - 1.0) / (self.wheel_base * (rho + 1.0))
 
     def wheel_factors(self) -> Tuple[float, float]:
         """Per-wheel path-length factors (fl, fr) relative to midpoint travel."""
-        return _wheel_factors(self.kappa, self.wheel_base)
-
-
-def _kappa(rho: float, wheel_base: float) -> float:
-    if rho == 1.0:
-        return 0.0
-    return 2.0 * (rho - 1.0) / (wheel_base * (rho + 1.0))
-
-
-def _wheel_factors(kappa: float, wheel_base: float) -> Tuple[float, float]:
-    half = kappa * wheel_base / 2.0
-    return 1.0 - half, 1.0 + half
+        half = self.kappa * self.wheel_base / 2.0
+        return 1.0 - half, 1.0 + half
 
 
 class EncoderLog(NamedTuple):
@@ -212,28 +206,29 @@ def simulate_segment(length: float, params: MotionParams, seed: int,
     The start heading's jitter is keyed by ``seed`` and ``index``, so
     segment ``index`` of a run seeded ``seed`` replays alone in one call.
 
-    Raises ValueError for a length that is not positive or exceeds
-    ``MAX_SEGMENT_LENGTH`` or a seed or index outside [0, 2**64), and
+    Raises ValueError for ``params`` that are not a ``MotionParams``, a
+    length that is not positive or exceeds ``MAX_SEGMENT_LENGTH`` or a seed
+    or index outside [0, 2**64), and
     MotionDivergenceError if the controller fails to make progress (the
     heading collapses onto +-90 degrees or the step budget runs out).
     """
+    # Before the cache: it compares keys by value, so a plain tuple equal
+    # to the last robot would get that robot's record.
+    if not isinstance(params, MotionParams):
+        raise ValueError("params must be a MotionParams, got %s"
+                         % type(params).__name__)
     if not 0.0 < length <= MAX_SEGMENT_LENGTH:
         raise ValueError("length must be positive and at most %g cm, got %r"
                          % (MAX_SEGMENT_LENGTH, length))
-    # One unpacking: a named field read costs about twice an attribute read.
-    (h, alpha, theta, ratio, wheel_base, pivot_left, pivot_right, k,
-     step) = params
-    budget = 40.0 * length / step
+    robot = _robot(params)
+    budget = 40.0 * length / robot.step
     if not math.isfinite(budget):
         raise ValueError("length must be positive and small enough to count "
                          "its steps; %g cm at a %g cm step is not"
-                         % (length, step))
-    alpha0 = _initial_heading(alpha, seed, index)
-    kappa, fl, fr, rp_l, rp_r, lp_l, lp_r = _robot(
-        ratio, wheel_base, pivot_left, pivot_right, k)
+                         % (length, robot.step))
+    alpha0 = _initial_heading(params.alpha, seed, index)
     wl, wr, n_right, n_left, pivots, y_final, ok = _integrate(
-        length, h, alpha0, theta, kappa, fl, fr, rp_l, rp_r, lp_l, lp_r,
-        step, int(budget) + 10000)
+        length, alpha0, robot, int(budget) + 10000)
     if not ok:
         raise MotionDivergenceError(
             "line follower failed to traverse a %g cm segment "
@@ -244,17 +239,13 @@ def simulate_segment(length: float, params: MotionParams, seed: int,
         (0.0, 0.0), *pivots, (length, y_final))))
 
 
-def _integrate(length, h, alpha0, theta, kappa, fl, fr,
-               rp_l, rp_r, lp_l, lp_r, step, max_steps):
+def _integrate(length, alpha0, robot, max_steps):
     """Integrate one segment; returns (wl, wr, n_right, n_left, pivots, y, ok).
 
     length: along-track distance to cover.
-    h: lateral deviation that triggers a corrective pivot.
     alpha0: signed initial heading (rad) relative to the line.
-    theta: heading magnitude set by a pivot, pointing back at the line.
-    kappa: curvature from the wheel-speed mismatch (rad/cm, +ccw).
-    fl/fr: per-wheel path-length factors for midpoint travel.
-    rp_*/lp_*: wheel-distance charges of a right/left pivot.
+    robot: the robot's record, ``_robot(params)`` (see ``_Robot``).
+    max_steps: the step budget.
 
     The model is an Euler step loop: each step of ``step`` cm moves the
     robot along its heading, then turns the heading by b = kappa*step and
@@ -287,8 +278,8 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
     the default robot each leg between pivots costs one jump and one
     step; a leg whose heading changes sign costs two of each.
 
-    A leg that starts at a pivot heading, exactly +-theta, reads from
-    ``_pivot_table`` the solve's constants and, for its J, every float the
+    A leg that starts at a pivot heading, exactly +-theta, reads from the
+    record's table the solve's constants and, for its J, every float the
     jump and its deciding step compute. The table computed them the first
     time it met that J, with the same expressions on the same operands in
     the same order, so the leg is bit for bit the one computed afresh; it
@@ -306,6 +297,8 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
     keeps the step loop, and the tests compare the two on pivot counts,
     pivot coordinates, wheel totals and the step budget.
     """
+    (h, theta, kappa, fl, fr, rp_l, rp_r, lp_l, lp_r, step, b, sin_half_b,
+     step_fl, step_fr, y_stop, table) = robot
     x = 0.0
     y = 0.0
     phi = alpha0
@@ -315,13 +308,7 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
     n_left = 0
     pivots = []
     steps = 0
-    b = kappa * step
-    sin_half_b = sin(0.5 * b)
-    step_fl = step * fl
-    step_fr = step * fr
-    table = _pivot_table(theta, b, step, fl, fr)
     x_stop = length - 1e-9
-    y_stop = h - 1e-9
     while x < length:
         # Solve the jump in a frame mirrored so that the heading is
         # non-negative: y rises, and only the trigger at +h can fire.
@@ -440,20 +427,30 @@ def _integrate(length, h, alpha0, theta, kappa, fl, fr,
     return wl, wr, n_right, n_left, pivots, y, True
 
 
-@functools.lru_cache(maxsize=1)
-def _robot(speed_ratio, wheel_base, pivot_left, pivot_right, inner_rot_const):
-    """(kappa, fl, fr, rp_l, rp_r, lp_l, lp_r): curvature, wheel factors and
-    the charges of a right and a left pivot, whose inner wheel pays the
-    extra rotation cost. Only the last robot's record is kept."""
-    kappa = _kappa(speed_ratio, wheel_base)
-    return (kappa, *_wheel_factors(kappa, wheel_base), pivot_left,
-            pivot_right + inner_rot_const, pivot_left + inner_rot_const,
-            pivot_right)
+# Everything the kernel reads of one robot, in the order in which
+# _integrate and the step-loop oracle unpack it. h, theta, step: as in
+# MotionParams; kappa, fl, fr: its curvature and wheel factors; rp_*, lp_*:
+# the wheel charges of a right and a left pivot, whose inner wheel pays the
+# extra rotation cost; b, sin_half_b: one step's heading turn and the sine
+# of half of it; step_fl, step_fr: each wheel's roll per step; y_stop: the
+# margin a jump keeps inside the trigger; table: per side, [jump solve
+# constants, {J: leg}], filled in by _integrate as it meets them.
+_Robot = collections.namedtuple("_Robot", (
+    "h theta kappa fl fr rp_l rp_r lp_l lp_r step b sin_half_b step_fl "
+    "step_fr y_stop table"))
 
 
 @functools.lru_cache(maxsize=1)
-def _pivot_table(theta, b, step, fl, fr):
-    """Per side, [jump solve constants, {J: leg}] of the robot these values
-    describe, filled in by ``_integrate`` as it meets them. Only the last
-    robot's table is kept."""
-    return {1.0: [None, {}], -1.0: [None, {}]}
+def _robot(params: MotionParams) -> _Robot:
+    """The kernel's record of ``params``. Only the last robot's is kept."""
+    kappa = params.kappa
+    fl, fr = params.wheel_factors()
+    step = params.step
+    b = kappa * step
+    k = params.inner_rot_const
+    return _Robot(
+        h=params.h, theta=params.theta, kappa=kappa, fl=fl, fr=fr,
+        rp_l=params.pivot_left, rp_r=params.pivot_right + k,
+        lp_l=params.pivot_left + k, lp_r=params.pivot_right, step=step,
+        b=b, sin_half_b=sin(0.5 * b), step_fl=step * fl, step_fr=step * fr,
+        y_stop=params.h - 1e-9, table={1.0: [None, {}], -1.0: [None, {}]})

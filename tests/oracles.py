@@ -13,6 +13,9 @@
 - ``graphs_isomorphic``: coordinate-matching graph comparison.
 - ``shifted``: a graph moved so that one vertex sits at (0, 0), the frame of
   an exploration started there.
+- ``state_with``: an ``ExplorationState`` built by hand from a visit log,
+  coordinates and types, its walked graph read off the log. It checks
+  nothing, so a test can build a corrupt state on purpose.
 - ``visit_log_graph``: the adjacency of an exploration rebuilt from its
   visit log, the oracle for the walked graph that ``build_graph`` returns.
 - ``trace_rows`` and ``trace_lines``: an exploration's per-arrival trace,
@@ -59,6 +62,7 @@ from linemaze.errors import (CalibrationError, GraphQueryError,
                              InconsistencyError, MazeSyntaxError,
                              MazeValidationError)
 from linemaze.graph_path import Adjacency, PathResult, graph_from_maze
+from linemaze.mapping_explorer import ExplorationState
 from linemaze.maze_model import (MAX_DEGREE, MazeEdge, MazeNode, Point2D,
                                  make_maze)
 from linemaze.odometry import ODOMETRY_MODES, chord_from_arc
@@ -206,6 +210,26 @@ def shifted(g: Graph, origin: str) -> Graph:
             adjacency)
 
 
+def state_with(visits, coords, type_of=None):
+    """A hand-built state: the visit log, each name's (x, y), each name's
+    type (0 for every name of ``coords`` when None), and the walked graph
+    read off the log. Unlike ``visit_log_graph`` it checks nothing."""
+    st = ExplorationState()
+    st.point = list(visits)
+    st.coordinate = {k: Point2D(float(x), float(y))
+                     for k, (x, y) in coords.items()}
+    st.type_of = dict(type_of) if type_of is not None else dict.fromkeys(
+        coords, 0)
+    st.neighbors = {k: [] for k in st.type_of}
+    for a, b in zip(st.point, st.point[1:]):
+        if b not in dict(st.neighbors[a]):
+            ca, cb = st.coordinate[a], st.coordinate[b]
+            w = math.hypot(cb.x - ca.x, cb.y - ca.y)
+            st.neighbors[a].append((b, w))
+            st.neighbors[b].append((a, w))
+    return st
+
+
 def visit_log_graph(state) -> Dict[str, List[Tuple[str, float]]]:
     """Adjacency of an exploration rebuilt from its visit log.
 
@@ -297,20 +321,20 @@ def fresh_heading(alpha, seed, index=0):
     return magnitude if rng.random() < 0.5 else -magnitude
 
 
-def step_loop_integrate(length, h, alpha0, theta, kappa, fl, fr,
-                        rp_l, rp_r, lp_l, lp_r, step, max_steps):
+def step_loop_integrate(length, alpha0, robot, max_steps):
     """Integrate one segment one step at a time; same contract as
     ``motion_sim._integrate``: returns (wl, wr, n_right, n_left, pivots, y,
     ok).
 
     length: along-track distance to cover.
-    h: lateral deviation that triggers a corrective pivot.
     alpha0: signed initial heading (rad) relative to the line.
-    theta: heading magnitude set by a pivot, pointing back at the line.
-    kappa: curvature from the wheel-speed mismatch (rad/cm, +ccw).
-    fl/fr: per-wheel path-length factors for midpoint travel.
-    rp_*/lp_*: wheel-distance charges of a right/left pivot.
+    robot: the robot's record, ``motion_sim._robot(params)``; the step loop
+        reads its parameters and charges, not the values the leg jumps
+        derive from them.
+    max_steps: the step budget.
     """
+    (h, theta, kappa, fl, fr, rp_l, rp_r, lp_l, lp_r, step, _b, _sin_half_b,
+     _step_fl, _step_fr, _y_stop, _table) = robot
     x = 0.0
     y = 0.0
     phi = alpha0

@@ -2,7 +2,8 @@
 names its recording platform once and files each pin under a class (the
 README's determinism paragraph states their contracts).
 ``PYTHONPATH=src python tests/pins.py record`` rewrites it, and ``diff``
-prints ``pin  class  old  new`` per moved pin, "-" for one new or gone.
+prints ``pin  class  old  new`` per moved pin, "-" for one new or gone, and
+exits 1 if any pin moved, 0 if none did.
 """
 
 import json
@@ -88,19 +89,22 @@ def check(group, made):
 
 
 def main(argv):
+    """The command's exit status."""
     if argv not in (["record"], ["diff"]):
         sys.exit("usage: python tests/pins.py {record,diff}")
     produced = {group: make() for group, make in producers().items()}
     if argv == ["diff"]:
-        for row in moved(produced):
+        rows = moved(produced)
+        for row in rows:
             print("  ".join(row))
-        return
+        return 1 if rows else 0
     pins = {cls: {} for cls in CLASSES}
     for name, digest in flat(produced).items():
         pins[pin_class(name)][name] = digest
     MANIFEST.write_text(json.dumps({"platform": this_platform(), "pins": pins},
                                    indent=1, sort_keys=True) + "\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -18,7 +18,8 @@ from linemaze.mazegen import random_maze
 from linemaze.odometry import ODOMETRY_MODES
 from oracles import (brute_force_shortest, export_graph, graphs_isomorphic,
                      maze_graph, reference_nearest, reference_shortest_paths,
-                     reference_too_diagonal, shifted, visit_log_graph)
+                     reference_too_diagonal, shifted, state_with,
+                     visit_log_graph)
 from test_explorer_fixture import NOISY_EVERY, SEEDS, _maze
 
 FIG2_EXPORT = """\
@@ -37,23 +38,6 @@ def graph_of(coords, adjacency):
     """A (coordinates, adjacency) pair, as the isomorphism oracle takes."""
     return ({k: Point2D(float(x), float(y)) for k, (x, y) in coords.items()},
             adjacency)
-
-
-def state_of(visits, coords):
-    """A hand-built state whose walked graph is read off the visit log."""
-    st = ExplorationState()
-    st.point = list(visits)
-    st.coordinate = {k: Point2D(float(x), float(y))
-                     for k, (x, y) in coords.items()}
-    st.type_of = {k: 0 for k in coords}
-    st.neighbors = {k: [] for k in coords}
-    for a, b in zip(st.point, st.point[1:]):
-        if b not in dict(st.neighbors[a]):
-            ca, cb = st.coordinate[a], st.coordinate[b]
-            w = math.hypot(cb.x - ca.x, cb.y - ca.y)
-            st.neighbors[a].append((b, w))
-            st.neighbors[b].append((a, w))
-    return st
 
 
 # ----------------------------------------------------------- construction
@@ -101,21 +85,21 @@ def test_build_graph_equals_visit_log_graph_on_noisy_explorations():
 def test_build_graph_rejects_consecutive_repeat():
     # A repeat in the visit log walks a self-edge: build_graph names the
     # walked graph it reads, the oracle the visit log it reads.
-    st = state_of(["0", "0"], {"0": (0, 0)})
+    st = state_with(["0", "0"], {"0": (0, 0)})
     assert "walked graph links '0' to itself" in rejection(build_graph, st)
     assert "visit log repeats '0' consecutively" in \
         rejection(visit_log_graph, st)
 
 
 def test_build_graph_rejects_diagonal_delta():
-    st = state_of(["0", "1"], {"0": (0, 0), "1": (3, 4)})
+    st = state_with(["0", "1"], {"0": (0, 0), "1": (3, 4)})
     msg = rejection(build_graph, st)
     assert "too diagonal" in msg
     assert msg == rejection(visit_log_graph, st)
 
 
 def test_build_graph_tolerates_snapping_skew():
-    st = state_of(["0", "1"], {"0": (0, 0), "1": (0.4, 10)})
+    st = state_with(["0", "1"], {"0": (0, 0), "1": (0.4, 10)})
     g = build_graph(st)
     assert sum(map(len, g.values())) == 2 * 1
     assert dict(g["0"])["1"] == pytest.approx(math.hypot(0.4, 10))
@@ -139,7 +123,7 @@ _COORD = st.one_of(st.floats(-20.0, 20.0),
 @example(ca=(-1e308, -1e308), cb=(1e308, 1e308))  # both overflow
 @given(ca=st.tuples(_COORD, _COORD), cb=st.tuples(_COORD, _COORD))
 def test_build_graph_diagonal_check_matches_reference(ca, cb):
-    state = state_of(["0", "1"], {"0": ca, "1": cb})
+    state = state_with(["0", "1"], {"0": ca, "1": cb})
     try:
         got = build_graph(state)
     except InconsistencyError as exc:
@@ -155,7 +139,7 @@ def test_build_graph_diagonal_check_matches_reference(ca, cb):
 
 
 def test_build_graph_rejects_coincident_vertices():
-    st = state_of(["0", "1"], {"0": (0, 0), "1": (0, 0)})
+    st = state_with(["0", "1"], {"0": (0, 0), "1": (0, 0)})
     msg = rejection(build_graph, st)
     assert "coincide" in msg
     assert msg == rejection(visit_log_graph, st)

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from linemaze import mapping_explorer
 from linemaze.errors import ExplorationError
-from linemaze.mapping_explorer import (ExplorationState, explore_map,
-                                       match_point, next_target)
+from linemaze.mapping_explorer import explore_map, match_point, next_target
 from linemaze.maze_model import Point2D
 from linemaze.mazegen import random_maze
-from linemaze.motion_sim import simulate_segment
+from linemaze.motion_sim import MotionParams, simulate_segment
 from linemaze.odometry import ODOMETRY_MODES
-from oracles import trace_lines, trace_rows
+from oracles import state_with, trace_lines, trace_rows
 
 FIG2_TRACE = [
     "0 0 1 0 0",
@@ -31,23 +30,6 @@ FIG2_TRACE = [
     "2 2 2 14 10",
     "7 0 1 14 18",
 ]
-
-
-def state_with(points, type_of, coords, visit=None):
-    """A hand-built state whose walked graph is read off the visit log."""
-    st = ExplorationState()
-    st.point = list(visit if visit is not None else points)
-    st.type_of = dict(type_of)
-    st.coordinate = {k: Point2D(float(x), float(y))
-                     for k, (x, y) in coords.items()}
-    st.neighbors = {k: [] for k in type_of}
-    for a, b in zip(st.point, st.point[1:]):
-        if b not in dict(st.neighbors[a]):
-            ca, cb = st.coordinate[a], st.coordinate[b]
-            w = math.hypot(cb.x - ca.x, cb.y - ca.y)
-            st.neighbors[a].append((b, w))
-            st.neighbors[b].append((a, w))
-    return st
 
 
 def lines(state):
@@ -149,15 +131,14 @@ def test_trace_rows_match_state(fig2):
 # ---------------------------------------------------------- point matching
 
 def test_match_point_within_tolerance():
-    st = state_with(["0"], {"0": 0, "E": 2},
-                    {"0": (0, 0), "E": (14, 10)})
+    st = state_with(["0"], {"0": (0, 0), "E": (14, 10)}, {"0": 0, "E": 2})
     assert match_point(Point2D(14.1, 10.05), st, 0.5) == "E"
     assert match_point(Point2D(0.0, 0.0), st, 0.5) == "0"
     assert match_point(Point2D(7.0, 5.0), st, 0.5) is None
 
 
 def test_match_point_chebyshev_metric():
-    st = state_with(["0"], {"0": 0}, {"0": (0, 0)})
+    st = state_with(["0"], {"0": (0, 0)})
     # Both axes off by tol: Chebyshev distance is exactly tol -> a hit,
     # while the Euclidean distance would exceed it.
     assert match_point(Point2D(0.5, 0.5), st, 0.5) == "0"
@@ -165,8 +146,7 @@ def test_match_point_chebyshev_metric():
 
 
 def test_match_point_ambiguity_is_an_error():
-    st = state_with(["0"], {"0": 1, "1": 1},
-                    {"0": (0, 10), "1": (14, 10)})
+    st = state_with(["0"], {"0": (0, 10), "1": (14, 10)}, {"0": 1, "1": 1})
     with pytest.raises(ExplorationError, match="tolerance too large"):
         match_point(Point2D(7.0, 10.0), st, 8.0)
 
@@ -210,7 +190,7 @@ def test_match_point_agrees_with_linear_scan(batches, tols, extra):
     # Points are written straight into state.coordinate between calls, as
     # state_with does, and the tolerance never shrinks (as in explore_map),
     # so the index is rebuilt for new points and for a wider tolerance.
-    st_ = state_with(["0"], {"0": 0}, {"0": (0, 0)})
+    st_ = state_with(["0"], {"0": (0, 0)})
     for batch, tol in zip(batches, tols):
         for x, y in batch:
             st_.coordinate[str(len(st_.coordinate))] = Point2D(x, y)
@@ -228,8 +208,8 @@ def test_match_point_agrees_with_linear_scan(batches, tols, extra):
 
 @pytest.mark.parametrize("tol", [1e308, math.inf])
 def test_match_point_huge_tolerance_sees_every_point(tol):
-    st_ = state_with(["0"], {"0": 0, "1": 0},
-                     {"0": (0, 0), "1": (-1e300, 5e299)})
+    st_ = state_with(["0"], {"0": (0, 0), "1": (-1e300, 5e299)},
+                     {"0": 0, "1": 0})
     with pytest.raises(ExplorationError, match="matches points 0, 1 "):
         match_point(Point2D(-3.0, 2.0), st_, tol)
     del st_.coordinate["1"]
@@ -238,7 +218,7 @@ def test_match_point_huge_tolerance_sees_every_point(tol):
 
 @pytest.mark.parametrize("tol", [0.0, -1.0])
 def test_match_point_tolerance_must_be_positive(tol):
-    st = state_with(["0"], {"0": 0}, {"0": (0, 0)})
+    st = state_with(["0"], {"0": (0, 0)})
     with pytest.raises(ValueError, match="tol must be positive"):
         match_point(Point2D(0.0, 0.0), st, tol)
 
@@ -249,35 +229,34 @@ def test_next_target_prefers_nearest_unfinished():
     # Mid-run snapshot: the robot sits at a dead end two hops from the
     # nearest point that still has unwalked branches.
     st = state_with(
-        None,
-        {"0": 0, "1": 3, "2": 2, "3": 2, "4": 0},
+        ["0", "1", "2", "3", "4"],
         {"0": (0, 0), "1": (0, 10), "2": (14, 10), "3": (14, 13),
          "4": (14, 16)},
-        visit=["0", "1", "2", "3", "4"])
+        {"0": 0, "1": 3, "2": 2, "3": 2, "4": 0})
     assert next_target(st) == ["4", "3"]
 
 
 def test_next_target_current_point_shortcut():
-    st = state_with(None, {"0": 0, "1": 3}, {"0": (0, 0), "1": (0, 10)},
-                    visit=["0", "1"])
+    st = state_with(["0", "1"], {"0": (0, 0), "1": (0, 10)},
+                    {"0": 0, "1": 3})
     assert next_target(st) == ["1"]
 
 
 def test_next_target_none_when_done():
-    st = state_with(None, {"0": 0, "1": 0}, {"0": (0, 0), "1": (0, 10)},
-                    visit=["0", "1"])
+    st = state_with(["0", "1"], {"0": (0, 0), "1": (0, 10)},
+                    {"0": 0, "1": 0})
     assert next_target(st) is None
 
 
 def test_next_target_tie_breaks_to_smallest_name():
-    st = state_with(None, {"0": 1, "1": 1, "2": 1},
+    st = state_with(["1", "0", "2", "0"],
                     {"0": (0, 0), "1": (-7, 0), "2": (7, 0)},
-                    visit=["1", "0", "2", "0"])
+                    {"0": 1, "1": 1, "2": 1})
     assert next_target(st) == ["0", "1"]
     # Name order is string order, not numeric.
-    st2 = state_with(None, {"0": 1, "10": 1, "2": 1},
+    st2 = state_with(["10", "0", "2", "0"],
                      {"0": (0, 0), "10": (-7, 0), "2": (7, 0)},
-                     visit=["10", "0", "2", "0"])
+                     {"0": 1, "10": 1, "2": 1})
     assert next_target(st2) == ["0", "10"]
 
 
@@ -285,9 +264,9 @@ def test_next_target_route_ties_break_lexicographically():
     # Two walked routes of exactly 10 cm reach the unfinished point 3. The
     # one via 2 is found first (its first hop is shorter), but the route
     # taken is the lexicographically smaller one via 1, as in dijkstra.
-    st = state_with(None, {"0": 1, "1": 1, "2": 1, "3": 2},
+    st = state_with(["0", "2", "3", "1", "0"],
                     {"0": (0, 0), "1": (0, 9), "2": (1, 0), "3": (1, 9)},
-                    visit=["0", "2", "3", "1", "0"])
+                    {"0": 1, "1": 1, "2": 1, "3": 2})
     assert next_target(st) == ["0", "1", "3"]
 
 
@@ -523,6 +502,14 @@ def test_explore_refuses_a_bad_seed_in_every_mode(fig2, mode, seed):
         explore_map(fig2, src=mode, seed=seed)
     assert str(err.value) == (
         "seed and index must lie in [0, 2**64), got %r, 0" % (seed,))
+
+
+def test_explore_refuses_params_that_are_not_motion_params(fig2):
+    # Raw odometry reads the robot only through simulate_segment, which
+    # refuses a plain tuple, even one equal to the stock robot.
+    with pytest.raises(ValueError) as err:
+        explore_map(fig2, params=tuple(MotionParams()), src="raw")
+    assert str(err.value) == "params must be a MotionParams, got tuple"
 
 
 def test_odometry_source_invalid(fig2):

@@ -1,6 +1,8 @@
 """Forward motion model: line following, encoder totals, pivots, free arcs."""
 
+import ast
 import hashlib
+import inspect
 import math
 import statistics
 
@@ -182,48 +184,31 @@ def test_kernel_backend_is_pure_python():
     assert motion_sim.KERNEL_BACKEND == "pure"
 
 
-# ------------------------------------------------------- the pivot table
-
-def test_the_pivot_table_changes_no_log():
-    # A warm table, shared by consecutive calls and rebuilt when the robot
-    # changes, gives each log bit for bit as a call after a cleared one.
-    robots = (MotionParams(), MotionParams(speed_ratio=2.5))
-    lengths = sorted({length for length, _ in KERNEL_CASES}) + [100.0, 1000.0]
-    cases = [(length, p, s) for length in lengths for p in robots
-             for s in KERNEL_SEEDS]
-    fresh = []
-    for length, p, s in cases:
-        motion_sim._pivot_table.cache_clear()
-        fresh.append(repr(simulate_segment(length, p, seed=s)))
-    motion_sim._pivot_table.cache_clear()
-    warm = [repr(simulate_segment(length, p, seed=s))
-            for length, p, s in cases]
-    assert warm == fresh
-    info = motion_sim._pivot_table.cache_info()
-    assert (info.misses, info.hits) == (
-        2 * len(lengths), len(cases) - 2 * len(lengths))
-
+# ------------------------------------------------------ the robot record
 
 def test_the_robot_record_changes_no_log():
-    # The per-robot record of curvature, wheel factors and pivot charges,
-    # warm and alternating between robots, gives each log bit for bit as a
-    # call after a cleared one. Past the first four robots, each moves one
-    # more field of the record's key and sits between two robots equal to
-    # the default there, so a key that leaves a field out serves some
-    # robot its neighbour's record.
+    # The one per-robot record, warm, shared by consecutive calls and
+    # rebuilt when the robot changes, gives each log bit for bit as a call
+    # after a cleared cache. Past an equal copy of the default, each robot
+    # moves one field and sits between two defaults, so a record that some
+    # field does not key serves that robot, or the next, a stale record.
     default = MotionParams()
-    robots = (default, MotionParams(speed_ratio=2.5), default._replace(h=0.3),
-              MotionParams(*default), MotionParams(wheel_base=12.0), default,
-              MotionParams(pivot_left=0.03), default,
-              MotionParams(pivot_right=0.03), default,
-              MotionParams(inner_rot_const=0.01))
-    assert robots[3] == default and robots[3] is not default
-    cases = [(length, p, s) for length in (1.0, 10.0, 100.0)
-             for s in range(5) for p in robots]
+    robots = [default, MotionParams(*default)]
+    for name, value in (("h", 0.3), ("alpha", 0.1), ("theta", 0.3),
+                        ("speed_ratio", 2.5), ("wheel_base", 12.0),
+                        ("pivot_left", 0.03), ("pivot_right", 0.03),
+                        ("inner_rot_const", 0.01), ("step", 0.02)):
+        robots += [default._replace(**{name: value}), default]
+    assert robots[1] == default and robots[1] is not default
+    assert [f for p in robots[2::2] for f in MotionParams._fields
+            if getattr(p, f) != getattr(default, f)] == \
+        list(MotionParams._fields)
+    lengths = sorted({length for length, _ in KERNEL_CASES}) + [100.0, 1000.0]
+    cases = [(length, p, s) for length in lengths for p in robots
+             for s in range(5)]
 
     def cold(length, p, s):
         motion_sim._robot.cache_clear()
-        motion_sim._pivot_table.cache_clear()
         return repr(simulate_segment(length, p, seed=s))
 
     fresh = [cold(*case) for case in cases]
@@ -231,11 +216,30 @@ def test_the_robot_record_changes_no_log():
     warm = [repr(simulate_segment(length, p, seed=s))
             for length, p, s in cases]
     assert warm == fresh
-    # h is not in the key: the equal copy of the default reuses the record
-    # of the robot before it, which differs from the default only in h.
+    # One miss per change of robot. Neither the equal copy nor the next
+    # length's first robot, the default again, is a change.
+    sequence = [p for _, p, _ in cases]
+    changes = 1 + sum(a != b for a, b in zip(sequence, sequence[1:]))
+    assert changes == 1 + len(lengths) * (len(robots) - 2)
     info = motion_sim._robot.cache_info()
-    assert (info.misses, info.hits) == (
-        len(cases) // len(robots) * 10, len(cases) // len(robots))
+    assert (info.misses, info.hits) == (changes, len(cases) - changes)
+
+
+def test_both_kernels_unpack_the_robot_record_by_its_field_names():
+    # Each kernel reads the record by position, in one statement and
+    # never by index. A name out of place there reads another field, which
+    # the default robot can hide: its pivot_left + inner_rot_const equals
+    # its step.
+    for kernel in (motion_sim._integrate, step_loop_integrate):
+        tree = ast.parse(inspect.getsource(kernel))
+        reads = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and node.id == "robot"
+                 and isinstance(node.ctx, ast.Load)]
+        unpacks = [node.targets[0] for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign) and node.value in reads]
+        assert len(reads) == len(unpacks) == 1, kernel.__name__
+        assert [name.id.lstrip("_") for name in unpacks[0].elts] == \
+            list(motion_sim._Robot._fields), kernel.__name__
 
 
 def test_the_pivot_table_is_bounded_by_the_longest_jump():
@@ -243,17 +247,16 @@ def test_the_pivot_table_is_bounded_by_the_longest_jump():
     # 2h plus one step wide, and each of its steps rises at least
     # step*sin(theta - J*|b|): that bounds J, here to 122.
     p = MotionParams()
-    motion_sim._pivot_table.cache_clear()
+    motion_sim._robot.cache_clear()
     for s in KERNEL_SEEDS:
         simulate_segment(1000.0, p, seed=s)
-    b = p.kappa * p.step
-    table = motion_sim._pivot_table(p.theta, b, p.step, *p.wheel_factors())
-    assert motion_sim._pivot_table.cache_info().misses == 1
+    robot = motion_sim._robot(p)
+    assert motion_sim._robot.cache_info().misses == 1
     j_max = max(j for j in range(1000) if j * p.step * math.sin(
-        p.theta - j * abs(b)) < 2.0 * p.h + p.step)
+        p.theta - j * abs(robot.b)) < 2.0 * p.h + p.step)
     assert j_max == 122
     for sign in (1.0, -1.0):
-        solve, legs = table[sign]
+        solve, legs = robot.table[sign]
         assert solve is not None
         assert 0 < len(legs) and all(0 <= j <= j_max for j in legs)
 
@@ -431,7 +434,7 @@ def kernel_args(length, p, seed=0):
 def least_budget(kernel, args, reached=lambda out: out[-1]):
     """The smallest step budget with which ``kernel``'s output is
     ``reached``; by default, with which it finishes the segment."""
-    lo, hi = 0, 10 * int(args[0] / args[-1])
+    lo, hi = 0, 10 * int(args[0] / args[-1].step)
     assert reached(kernel(*args, hi))
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -480,17 +483,16 @@ def test_a_jump_solved_within_rounding_of_its_trigger(alpha0, n):
     # solved jump then lands within rounding of the trigger, and rounding
     # decides whether it ends after step n or n - 1. Either way both
     # kernels pivot on the same steps.
-    args = list(kernel_args(10.0, MotionParams()))
-    b = args[4] * args[-1]
-    chord = args[-1] * math.sin(0.5 * n * b) / math.sin(0.5 * b)
+    p = MotionParams()
+    b = motion_sim._robot(p).b
+    chord = p.step * math.sin(0.5 * n * b) / math.sin(0.5 * b)
     edge = abs(chord * math.sin(alpha0 + 0.5 * (n - 1) * b)) + 1e-9
-    args[2] = alpha0
     budget = 40 * 1000
     for ulps in range(-4, 5):
         h = edge
         for _ in range(abs(ulps)):
             h = math.nextafter(h, math.copysign(math.inf, ulps))
-        args[1] = h
+        args = (10.0, alpha0, motion_sim._robot(p._replace(h=h)))
         jumped = motion_sim._integrate(*args, budget)
         stepped = step_loop_integrate(*args, budget)
         assert jumped[2:4] == stepped[2:4] and jumped[-1] is stepped[-1], ulps
@@ -555,6 +557,19 @@ def test_divergence_when_band_is_wider_than_the_drift_radius():
 def test_bad_length_rejected(bad):
     with pytest.raises(ValueError, match="length must be positive"):
         simulate_segment(bad, MotionParams(), seed=0)
+
+
+@pytest.mark.parametrize("params", [
+    tuple(MotionParams())[:8] + (0.0,), (-1.0,) + tuple(MotionParams())[1:],
+    tuple(MotionParams())], ids=["zero-step", "negative-h", "last-robot"])
+def test_params_that_are_not_motion_params_rejected(params):
+    # A plain tuple skips MotionParams' checks: a zero step divided by
+    # zero, and h = -1 drove 10 cm through 1,015 pivots. The cache compares
+    # keys by value, so a tuple equal to the last robot is refused too.
+    simulate_segment(10.0, MotionParams(), seed=0)
+    with pytest.raises(ValueError) as err:
+        simulate_segment(10.0, params, seed=0)
+    assert str(err.value) == "params must be a MotionParams, got tuple"
 
 
 def test_uncountable_step_budget_rejected():

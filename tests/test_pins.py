@@ -35,12 +35,12 @@ def test_diff_prints_each_moved_pin_with_its_class(monkeypatch, capsys):
                 if name.startswith("explorer/")}
     monkeypatch.setattr(pins, "producers", lambda: {
         "explorer": lambda: explorer, "jitter": lambda: recorded["jitter"][1]})
-    pins.main(["diff"])
+    assert pins.main(["diff"]) == 0
     assert capsys.readouterr().out == ""
     for key, cls in (("decisions/arc/9000", "decisions"),
                      ("arc/9000", "floats")):
         old, explorer[key] = explorer[key], "0" * 16
-        pins.main(["diff"])
+        assert pins.main(["diff"]) == 1
         assert capsys.readouterr().out == "explorer/%s  %s  %s  %s\n" % (
             key, cls, old, "0" * 16)
         # Only a moved float names the platforms in the failing test.
