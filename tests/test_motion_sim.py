@@ -186,6 +186,29 @@ def test_kernel_backend_is_pure_python():
 
 # ------------------------------------------------------ the robot record
 
+def test_the_pivot_table_changes_no_log():
+    # A warm pivot table, filled by consecutive calls and rebuilt with the
+    # record when the robot changes, gives each log bit for bit as a call
+    # after a cleared one.
+    robots = (MotionParams(), MotionParams(speed_ratio=2.5))
+    lengths = sorted({length for length, _ in KERNEL_CASES}) + [100.0, 1000.0]
+    cases = [(length, p, s) for length in lengths for p in robots
+             for s in KERNEL_SEEDS]
+    fresh = []
+    for length, p, s in cases:
+        motion_sim._robot.cache_clear()
+        fresh.append(repr(simulate_segment(length, p, seed=s)))
+    motion_sim._robot.cache_clear()
+    warm = [repr(simulate_segment(length, p, seed=s))
+            for length, p, s in cases]
+    assert warm == fresh
+    assert any(motion_sim._robot(robots[-1]).table[sign][1]
+               for sign in (1.0, -1.0))
+    info = motion_sim._robot.cache_info()
+    assert (info.misses, info.hits) == (
+        2 * len(lengths), len(cases) - 2 * len(lengths) + 1)
+
+
 def test_the_robot_record_changes_no_log():
     # The one per-robot record, warm, shared by consecutive calls and
     # rebuilt when the robot changes, gives each log bit for bit as a call
