@@ -20,7 +20,8 @@ from .mapping_explorer import (ExplorationState, explore_map, match_point,
 from .maze_model import (MazeEdge, MazeNode, MazeSpec, Point2D,
                          bundled_maze_text, make_maze, parse_maze,
                          serialize_maze)
-from .motion_sim import EncoderLog, MotionParams, simulate_segment
+from .motion_sim import (EncoderLog, MotionParams, segment_trajectory,
+                         simulate_segment)
 from .odometry import (CalibConstants, arc_len_from_height,
                        calibration_from_motion, chord_from_arc,
                        estimate_length, linearize_arc, linearize_basic,
@@ -38,7 +39,7 @@ __all__ = [
     "ExplorationState", "explore_map", "match_point", "next_target",
     "MazeEdge", "MazeNode", "MazeSpec", "Point2D", "bundled_maze_text",
     "make_maze", "parse_maze", "serialize_maze",
-    "EncoderLog", "MotionParams", "simulate_segment",
+    "EncoderLog", "MotionParams", "segment_trajectory", "simulate_segment",
     "CalibConstants", "arc_len_from_height", "calibration_from_motion",
     "chord_from_arc", "estimate_length", "linearize_arc", "linearize_basic",
     "predict_without_encoder", "residual_arc",

@@ -32,7 +32,8 @@ from .errors import (ExplorationError, GraphQueryError, InconsistencyError,
 from .graph_path import build_graph, dijkstra, graph_from_maze
 from .mapping_explorer import explore_map
 from .maze_model import MazeSpec, bundled_maze_text, parse_maze
-from .motion_sim import EncoderLog, MotionParams, simulate_segment
+from .motion_sim import (EncoderLog, MotionParams, segment_trajectory,
+                         simulate_segment)
 from .odometry import (ODOMETRY_MODES, calibration_from_motion,
                        estimate_length)
 from .simple_explorer import PREFERENCES, explore_simple, reduce_tape, replay
@@ -110,8 +111,7 @@ def _drive(length: float, mode: str, params: MotionParams, seed: int,
     """
     if mode == "ideal":
         return EncoderLog(wl_total=length, wr_total=length, n_right=0,
-                          n_left=0, true_length=length,
-                          trajectory=((0.0, 0.0), (length, 0.0)))
+                          n_left=0, true_length=length)
     return simulate_segment(length, params, seed, index)
 
 
@@ -120,23 +120,14 @@ def _corrected_mode(mode: str) -> str:
     return "arc" if mode == "raw" else mode
 
 
-def _drive_path(maze: MazeSpec, path: Sequence[str], mode: str,
-                params: MotionParams,
-                seed: int) -> List[Tuple[str, str, int, float, EncoderLog]]:
-    """Drive each hop of ``path``: (from, to, direction, length, log).
-
-    A hop's direction and length come from the maze's branch table; hop i
-    is driven with jitter key (seed, i).
-    """
-    hops = []
-    for i, (a, b) in enumerate(zip(path, path[1:])):
-        direction, length = next(
-            (slot[0], length)
-            for slot, (other, length, _back) in maze.branches[a].items()
-            if other == b)
-        hops.append((a, b, direction, length,
-                     _drive(length, mode, params, seed, i)))
-    return hops
+def _hops(maze: MazeSpec,
+          path: Sequence[str]) -> List[Tuple[str, str, int, float]]:
+    """Each hop of ``path`` as (from, to, direction, length), read from the
+    maze's branch table. A run drives hop i with jitter key (seed, i)."""
+    return [next((a, b, slot[0], length)
+                 for slot, (other, length, _back) in maze.branches[a].items()
+                 if other == b)
+            for a, b in zip(path, path[1:])]
 
 
 def cmd_solve(args: argparse.Namespace) -> str:
@@ -165,10 +156,12 @@ def cmd_solve(args: argparse.Namespace) -> str:
 
     cal = calibration_from_motion(params)
     correct_mode = _corrected_mode(mode)
-    rows = [("%s-%s" % (a, b), true_len, estimate_length(log, cal, "raw"),
-             estimate_length(log, cal, correct_mode))
-            for a, b, _direction, true_len, log
-            in _drive_path(maze, path, mode, params, seed)]
+    rows = []
+    for i, (a, b, _direction, true_len) in enumerate(_hops(maze, path)):
+        log = _drive(true_len, mode, params, seed, i)
+        rows.append(("%s-%s" % (a, b), true_len,
+                     estimate_length(log, cal, "raw"),
+                     estimate_length(log, cal, correct_mode)))
     # The tape explorer reports the true length of its path; the mapping
     # explorer reports the shortest path through its measured graph.
     length = (sum(row[1] for row in rows) if args.algo == "simple"
@@ -242,11 +235,12 @@ def cmd_plot(args: argparse.Namespace) -> str:
     result = dijkstra(graph_from_maze(maze), maze.start, maze.end)
 
     world: List[Tuple[float, float]] = []
-    for a, _b, direction, _length, log in _drive_path(
-            maze, result.nodes, mode, params, args.seed):
+    for i, (a, _b, direction, length) in enumerate(_hops(maze, result.nodes)):
+        trajectory = (((0.0, 0.0), (length, 0.0)) if mode == "ideal"
+                      else segment_trajectory(length, params, args.seed, i))
         pa = maze.position(a)
-        pts = world_points((pa.x, pa.y), direction, log.trajectory)
-        if world and pts and pts[0] == world[-1]:
+        pts = world_points((pa.x, pa.y), direction, trajectory)
+        if world and pts[0] == world[-1]:
             world.extend(pts[1:])
         else:
             world.extend(pts)

@@ -50,7 +50,8 @@ from ._directions import DELTA
 from .errors import ExplorationError, InconsistencyError
 from .graph_path import nearest
 from .maze_model import MazeSpec, Point2D, Slot
-from .motion_sim import MotionParams, _jitter_key, simulate_segment
+from .motion_sim import (MotionParams, _check_params, _jitter_key,
+                         simulate_segment)
 from .odometry import ODOMETRY_MODES, calibration_from_motion, estimate_length
 
 __all__ = [
@@ -187,15 +188,15 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     ``node_of`` in the returned state names the maze node behind every
     discovered point.
 
-    Raises ValueError for a seed outside [0, 2**64) or a tol that is not
-    positive and finite, in every mode, and ExplorationError when the
-    odometry is too noisy for the maze (a revisited point lands outside
-    tolerance, a measured coordinate becomes ambiguous, or the traversal
-    budget of 4 per edge runs out).
+    Raises ValueError, in every mode, for a seed outside [0, 2**64),
+    ``params`` that are not a ``MotionParams`` or a tol that is not
+    positive and finite, and ExplorationError when the odometry is too
+    noisy for the maze (a revisited point lands outside tolerance, a
+    measured coordinate becomes ambiguous, or the traversal budget of 4
+    per edge runs out).
     """
     _jitter_key(seed, 0)
-    if params is None:
-        params = MotionParams()
+    params = MotionParams() if params is None else _check_params(params)
     if src not in ODOMETRY_MODES:
         raise ValueError("odometry mode must be one of %r, got %r"
                          % (ODOMETRY_MODES, src))

@@ -17,7 +17,8 @@ step budget. A jump stops 1e-9 cm short of the trigger and of the end, and
 1e-6 rad short of a right-angle heading; it never turns the heading through
 zero. At the default robot each leg costs one jump and one step. The jump
 changes results only by rounding (about 1e-12 relative); ``tests/oracles.py``
-keeps the step loop to compare against.
+keeps the step loop to compare against. The kernel keeps each pivot's
+position only in a ``pivots`` list it is given (``segment_trajectory``'s).
 
 The kernel reads a robot from one record, ``_robot(params)``, kept for the
 last robot seen. A leg after a pivot starts at exactly +-theta, so all it
@@ -33,7 +34,7 @@ import functools
 import math
 import operator
 from math import atan2, cos, sin, sqrt
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import MotionDivergenceError
 
@@ -45,6 +46,7 @@ __all__ = [
     "MotionParams",
     "EncoderLog",
     "simulate_segment",
+    "segment_trajectory",
 ]
 
 # Start-of-segment heading jitter: |alpha0| is uniform on
@@ -54,14 +56,11 @@ JITTER_LO = 0.9
 JITTER_HI = 1.0
 _MASK64 = (1 << 64) - 1
 
-# Longest segment simulate_segment drives, in cm. At the default robot a
-# call costs about 5.5 microseconds plus 0.95 us per simulated cm (best of
-# 25 runs at 1, 100 and 1,000 cm on a shared 2-core Xeon under Python 3.11;
-# a 1e6 cm call took 1.7-3.2 s), so this bound keeps one call to a few
-# seconds; an unbounded length could run for hours. Memory grows with the
-# length too: the log's trajectory holds each pivot and both ends as (x, y)
-# tuples, and one call at the bound (default robot, seed 1) returns 874,846
-# of them and raised a fresh process's peak RSS from about 14 MB to 141 MB.
+# Longest segment simulate_segment drives, in cm: a bound on time, as a
+# log's size does not grow with the length. At the default robot a call
+# costs about 5.5 us plus 0.95 us per simulated cm (best of 25 runs at 1,
+# 100 and 1,000 cm on a shared 2-core Xeon, Python 3.11; 1e6 cm took
+# 1.7-3.2 s). Only segment_trajectory builds a polyline, ~145 B a pivot.
 MAX_SEGMENT_LENGTH = 1e6
 
 # The leg-jump kernel below is the only kernel, in pure Python; the name
@@ -148,11 +147,6 @@ class EncoderLog(NamedTuple):
     wl_total/wr_total: accumulated left/right wheel distances.
     n_right/n_left: number of right/left pivot turns executed.
     true_length: actual segment length (ground truth, not robot knowledge).
-    trajectory: polyline of the robot midpoint in segment-local coordinates
-        (x along the line from the start node, y lateral); vertices are the
-        start point, every pivot location, and the end point.
-        ``simulate_segment`` always fills it; a log built by hand may leave
-        it None.
     """
 
     wl_total: float
@@ -160,7 +154,6 @@ class EncoderLog(NamedTuple):
     n_right: int
     n_left: int
     true_length: float
-    trajectory: Optional[Tuple[Tuple[float, float], ...]] = None
 
 
 def _mix64(z: int) -> int:
@@ -212,40 +205,61 @@ def simulate_segment(length: float, params: MotionParams, seed: int,
     MotionDivergenceError if the controller fails to make progress (the
     heading collapses onto +-90 degrees or the step budget runs out).
     """
-    # Before the cache: it compares keys by value, so a plain tuple equal
-    # to the last robot would get that robot's record.
+    wl, wr, n_right, n_left, _y = _simulate(length, params, seed, index, None)
+    # tuple.__new__ skips the record's Python-level __new__, as _make does.
+    return tuple.__new__(EncoderLog, (wl, wr, n_right, n_left, length))
+
+
+def segment_trajectory(length: float, params: MotionParams, seed: int,
+                       index: int = 0) -> Tuple[Tuple[float, float], ...]:
+    """The midpoint's polyline on the run ``simulate_segment`` logs with the
+    same arguments, and raising as it does: the start, each pivot and the
+    end, in segment-local (x along the line, y lateral) coordinates."""
+    pivots = []
+    y = _simulate(length, params, seed, index, pivots)[4]
+    return ((0.0, 0.0), *pivots, (length, y))
+
+
+def _check_params(params: MotionParams) -> MotionParams:
+    """``params``, or ValueError unless it is a MotionParams: a plain tuple
+    of its fields skips the constructor's checks, and one equal to the last
+    robot would get that robot's cached record."""
     if not isinstance(params, MotionParams):
         raise ValueError("params must be a MotionParams, got %s"
                          % type(params).__name__)
+    return params
+
+
+def _simulate(length, params, seed, index, pivots):
+    """Both entry points' checks and run: (wl, wr, n_right, n_left, end y),
+    or their errors. ``pivots`` is as in ``_integrate``."""
+    robot = _robot(_check_params(params))
     if not 0.0 < length <= MAX_SEGMENT_LENGTH:
         raise ValueError("length must be positive and at most %g cm, got %r"
                          % (MAX_SEGMENT_LENGTH, length))
-    robot = _robot(params)
     budget = 40.0 * length / robot.step
     if not math.isfinite(budget):
         raise ValueError("length must be positive and small enough to count "
                          "its steps; %g cm at a %g cm step is not"
                          % (length, robot.step))
     alpha0 = _initial_heading(params.alpha, seed, index)
-    wl, wr, n_right, n_left, pivots, y_final, ok = _integrate(
-        length, alpha0, robot, int(budget) + 10000)
+    wl, wr, n_right, n_left, y, ok = _integrate(
+        length, alpha0, robot, int(budget) + 10000, pivots)
     if not ok:
         raise MotionDivergenceError(
             "line follower failed to traverse a %g cm segment "
             "(heading diverged or step budget exhausted)" % length)
-
-    # tuple.__new__ skips the record's Python-level __new__, as _make does.
-    return tuple.__new__(EncoderLog, (wl, wr, n_right, n_left, length, (
-        (0.0, 0.0), *pivots, (length, y_final))))
+    return wl, wr, n_right, n_left, y
 
 
-def _integrate(length, alpha0, robot, max_steps):
-    """Integrate one segment; returns (wl, wr, n_right, n_left, pivots, y, ok).
+def _integrate(length, alpha0, robot, max_steps, pivots):
+    """Integrate one segment; returns (wl, wr, n_right, n_left, y, ok).
 
     length: along-track distance to cover.
     alpha0: signed initial heading (rad) relative to the line.
     robot: the robot's record, ``_robot(params)`` (see ``_Robot``).
     max_steps: the step budget.
+    pivots: a list to append each pivot's (x, y) to, or None.
 
     The model is an Euler step loop: each step of ``step`` cm moves the
     robot along its heading, then turns the heading by b = kappa*step and
@@ -306,7 +320,6 @@ def _integrate(length, alpha0, robot, max_steps):
     wr = 0.0
     n_right = 0
     n_left = 0
-    pivots = []
     steps = 0
     x_stop = length - 1e-9
     while x < length:
@@ -395,10 +408,10 @@ def _integrate(length, alpha0, robot, max_steps):
             phi = end
             steps += jump
         if steps >= max_steps:
-            return wl, wr, n_right, n_left, pivots, y, False
+            return wl, wr, n_right, n_left, y, False
         steps += 1
         if c <= 1e-12:
-            return wl, wr, n_right, n_left, pivots, y, False
+            return wl, wr, n_right, n_left, y, False
         remaining = length - x
         if step_c >= remaining:
             d = remaining / c
@@ -417,14 +430,16 @@ def _integrate(length, alpha0, robot, max_steps):
             wl += rp_l
             wr += rp_r
             n_right += 1
-            pivots.append((x, y))
+            if pivots is not None:
+                pivots.append((x, y))
         elif y <= -h and phi < 0.0:
             phi = theta
             wl += lp_l
             wr += lp_r
             n_left += 1
-            pivots.append((x, y))
-    return wl, wr, n_right, n_left, pivots, y, True
+            if pivots is not None:
+                pivots.append((x, y))
+    return wl, wr, n_right, n_left, y, True
 
 
 # Everything the kernel reads of one robot, in the order in which

@@ -32,7 +32,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ArcDomainError, CalibrationError
-from .motion_sim import JITTER_HI, JITTER_LO, EncoderLog, MotionParams
+from .motion_sim import (JITTER_HI, JITTER_LO, EncoderLog, MotionParams,
+                         _check_params)
 
 __all__ = [
     "CalibConstants",
@@ -138,6 +139,7 @@ def calibration_from_motion(params: MotionParams) -> CalibConstants:
       distance between corrective turns (divide by the sine of the exit
       angle), and ``radius`` is the midpoint's drift radius 1/|kappa|.
     """
+    _check_params(params)
     jitter_mean = (JITTER_LO + JITTER_HI) / 2.0
     c = (math.cos(jitter_mean * params.alpha) + math.cos(params.theta)) / 2.0
     fl, fr = params.wheel_factors()

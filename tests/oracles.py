@@ -321,10 +321,9 @@ def fresh_heading(alpha, seed, index=0):
     return magnitude if rng.random() < 0.5 else -magnitude
 
 
-def step_loop_integrate(length, alpha0, robot, max_steps):
+def step_loop_integrate(length, alpha0, robot, max_steps, pivots):
     """Integrate one segment one step at a time; same contract as
-    ``motion_sim._integrate``: returns (wl, wr, n_right, n_left, pivots, y,
-    ok).
+    ``motion_sim._integrate``: returns (wl, wr, n_right, n_left, y, ok).
 
     length: along-track distance to cover.
     alpha0: signed initial heading (rad) relative to the line.
@@ -332,6 +331,7 @@ def step_loop_integrate(length, alpha0, robot, max_steps):
         reads its parameters and charges, not the values the leg jumps
         derive from them.
     max_steps: the step budget.
+    pivots: a list that each pivot's (x, y) is appended to, or None.
     """
     (h, theta, kappa, fl, fr, rp_l, rp_r, lp_l, lp_r, step, _b, _sin_half_b,
      _step_fl, _step_fr, _y_stop, _table) = robot
@@ -342,15 +342,14 @@ def step_loop_integrate(length, alpha0, robot, max_steps):
     wr = 0.0
     n_right = 0
     n_left = 0
-    pivots = []
     steps = 0
     while x < length:
         if steps >= max_steps:
-            return wl, wr, n_right, n_left, pivots, y, False
+            return wl, wr, n_right, n_left, y, False
         steps += 1
         c = cos(phi)
         if c <= 1e-12:
-            return wl, wr, n_right, n_left, pivots, y, False
+            return wl, wr, n_right, n_left, y, False
         remaining = length - x
         if step * c >= remaining:
             d = remaining / c
@@ -370,14 +369,16 @@ def step_loop_integrate(length, alpha0, robot, max_steps):
             wl += rp_l
             wr += rp_r
             n_right += 1
-            pivots.append((x, y))
+            if pivots is not None:
+                pivots.append((x, y))
         elif y <= -h and phi < 0.0:
             phi = theta
             wl += lp_l
             wr += lp_r
             n_left += 1
-            pivots.append((x, y))
-    return wl, wr, n_right, n_left, pivots, y, True
+            if pivots is not None:
+                pivots.append((x, y))
+    return wl, wr, n_right, n_left, y, True
 
 
 

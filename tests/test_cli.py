@@ -644,8 +644,7 @@ def test_a_warm_command_leaves_no_cycles(capsys, collector):
 def test_ideal_drive_builds_a_plain_encoder_log():
     log = cli._drive(14.0, "ideal", MotionParams(), 0, 0)
     assert type(log) is EncoderLog
-    assert type(log.trajectory) is tuple
-    assert log == (14.0, 14.0, 0, 0, 14.0, ((0.0, 0.0), (14.0, 0.0)))
+    assert log == (14.0, 14.0, 0, 0, 14.0)
 
 
 def test_internal_contradictions_exit_three(capsys, monkeypatch):

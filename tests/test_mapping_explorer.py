@@ -504,11 +504,19 @@ def test_explore_refuses_a_bad_seed_in_every_mode(fig2, mode, seed):
         "seed and index must lie in [0, 2**64), got %r, 0" % (seed,))
 
 
-def test_explore_refuses_params_that_are_not_motion_params(fig2):
-    # Raw odometry reads the robot only through simulate_segment, which
-    # refuses a plain tuple, even one equal to the stock robot.
+@pytest.mark.parametrize("mode", ODOMETRY_MODES)
+def test_explore_refuses_params_that_are_not_motion_params(fig2, mode,
+                                                           monkeypatch):
+    # A plain tuple, even one equal to the stock robot, is refused before
+    # any walk, in every mode, with simulate_segment's message: ideal
+    # odometry reads no robot, and the corrected modes read it first in
+    # calibration_from_motion.
+    def walk(*args):
+        raise AssertionError("walked a segment")
+
+    monkeypatch.setattr(mapping_explorer, "simulate_segment", walk)
     with pytest.raises(ValueError) as err:
-        explore_map(fig2, params=tuple(MotionParams()), src="raw")
+        explore_map(fig2, params=tuple(MotionParams()), src=mode)
     assert str(err.value) == "params must be a MotionParams, got tuple"
 
 

@@ -1,10 +1,12 @@
 """Forward motion model: line following, encoder totals, pivots, free arcs."""
 
 import ast
+import collections
 import hashlib
 import inspect
 import math
 import statistics
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from scipy import stats
 
 from linemaze import motion_sim
 from linemaze.errors import MotionDivergenceError
-from linemaze.motion_sim import EncoderLog, MotionParams, simulate_segment
+from linemaze.motion_sim import (EncoderLog, MotionParams, segment_trajectory,
+                                 simulate_segment)
 from oracles import fresh_heading, step_loop_integrate
 from pins import check
 
@@ -31,7 +34,7 @@ def test_perfect_robot_rolls_exactly_the_segment():
     assert log.wl_total == 10.0
     assert log.wr_total == 10.0
     assert log.n_right + log.n_left == 0
-    assert log.trajectory == ((0.0, 0.0), (10.0, 0.0))
+    assert segment_trajectory(10.0, p, seed=0) == ((0.0, 0.0), (10.0, 0.0))
     assert log.true_length == 10.0
 
 
@@ -87,15 +90,15 @@ def test_zigzag_path_length_matches_sawtooth_model():
                      speed_ratio=1.0)
     log = simulate_segment(10.0, p, seed=0)
     expected = 10.0 / math.cos(math.radians(10.0))
-    assert polyline_length(log.trajectory) == pytest.approx(expected, rel=1e-2)
+    assert polyline_length(segment_trajectory(10.0, p, seed=0)) == \
+        pytest.approx(expected, rel=1e-2)
     assert log.n_right + log.n_left > 30
 
 
 def test_endpoint_lands_on_the_stop_marker():
     p = MotionParams()
     for s in range(50):
-        log = simulate_segment(14.0, p, seed=s)
-        x_end, y_end = log.trajectory[-1]
+        x_end, y_end = segment_trajectory(14.0, p, seed=s)[-1]
         assert x_end == 14.0
         assert abs(y_end) <= p.h + p.step
 
@@ -103,21 +106,43 @@ def test_endpoint_lands_on_the_stop_marker():
 def test_trajectory_shape():
     p = MotionParams()
     log = simulate_segment(10.0, p, seed=3)
-    assert log.trajectory[0] == (0.0, 0.0)
-    assert log.trajectory[-1][0] == 10.0
-    assert len(log.trajectory) == log.n_right + log.n_left + 2
+    trajectory = segment_trajectory(10.0, p, seed=3)
+    assert trajectory[0] == (0.0, 0.0)
+    assert trajectory[-1][0] == 10.0
+    assert len(trajectory) == log.n_right + log.n_left + 2
     # Pivot points sit on the band edges.
-    for x, y in log.trajectory[1:-1]:
+    for x, y in trajectory[1:-1]:
         assert 0.0 < x < 10.0
         assert abs(y) == pytest.approx(p.h, abs=p.step)
 
 
 def test_the_log_is_an_encoder_log_with_a_tuple_trajectory():
+    # The log is the encoder readout and the true length; the polyline is
+    # segment_trajectory's, a tuple of (x, y) tuples.
     log = simulate_segment(30.0, MotionParams(), seed=4)
     assert type(log) is EncoderLog
-    assert type(log.trajectory) is tuple and len(log.trajectory) > 2
-    assert all(type(v) is tuple and len(v) == 2 for v in log.trajectory)
+    assert EncoderLog._fields == (
+        "wl_total", "wr_total", "n_right", "n_left", "true_length")
     assert log == EncoderLog(*log)
+    trajectory = segment_trajectory(30.0, MotionParams(), seed=4)
+    assert type(trajectory) is tuple and len(trajectory) > 2
+    assert all(type(v) is tuple and len(v) == 2 for v in trajectory)
+
+
+def test_a_log_allocates_nothing_per_pivot():
+    # The log is five numbers and the kernel keeps no pivot position it is
+    # not asked for, so a warm call's peak does not grow with its pivots.
+    # A polyline of this run's 875 pivots would take about 63 KB.
+    p = MotionParams()
+    log = simulate_segment(1000.0, p, seed=0)  # warms the robot's record
+    assert log.n_right + log.n_left == 875
+    tracemalloc.start()
+    try:
+        simulate_segment(1000.0, p, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
 
 
 def test_all_turns_on_one_side_when_only_drift_bends_the_path():
@@ -157,7 +182,9 @@ KERNEL_SEEDS = range(20)
 # Any change to a float, a pivot or the divergence message moves the digest,
 # which pins the leg-jump kernel's output across processes bit for bit. It
 # runs under ``fresh_heading``'s fixed start headings, so a change to how a
-# jitter key becomes a heading moves the ``jitter`` pin instead.
+# jitter key becomes a heading moves the ``jitter`` pin instead. Each line
+# is a log's repr with the run's polyline as a last ``trajectory`` field,
+# so that the pin covers every pivot position as well.
 
 
 def kernel_digest():
@@ -167,7 +194,9 @@ def kernel_digest():
         for length, overrides in KERNEL_CASES:
             p = MotionParams(**overrides)
             for s in KERNEL_SEEDS:
-                lines.append(repr(simulate_segment(length, p, seed=s)))
+                lines.append("%s, trajectory=%r)" % (
+                    repr(simulate_segment(length, p, seed=s))[:-1],
+                    segment_trajectory(length, p, seed=s)))
         try:
             simulate_segment(200.0, MotionParams(h=200.0, alpha=0.0,
                                                  speed_ratio=1.1), seed=0)
@@ -186,10 +215,16 @@ def test_kernel_backend_is_pure_python():
 
 # ------------------------------------------------------ the robot record
 
+def run_of(length, p, s):
+    """The log's repr and the polyline of one run: two reads of the record."""
+    return (repr(simulate_segment(length, p, seed=s)),
+            segment_trajectory(length, p, seed=s))
+
+
 def test_the_pivot_table_changes_no_log():
     # A warm pivot table, filled by consecutive calls and rebuilt with the
-    # record when the robot changes, gives each log bit for bit as a call
-    # after a cleared one.
+    # record when the robot changes, gives each log and polyline bit for
+    # bit as a call after a cleared one.
     robots = (MotionParams(), MotionParams(speed_ratio=2.5))
     lengths = sorted({length for length, _ in KERNEL_CASES}) + [100.0, 1000.0]
     cases = [(length, p, s) for length in lengths for p in robots
@@ -197,16 +232,15 @@ def test_the_pivot_table_changes_no_log():
     fresh = []
     for length, p, s in cases:
         motion_sim._robot.cache_clear()
-        fresh.append(repr(simulate_segment(length, p, seed=s)))
+        fresh.append(run_of(length, p, s))
     motion_sim._robot.cache_clear()
-    warm = [repr(simulate_segment(length, p, seed=s))
-            for length, p, s in cases]
+    warm = [run_of(length, p, s) for length, p, s in cases]
     assert warm == fresh
     assert any(motion_sim._robot(robots[-1]).table[sign][1]
                for sign in (1.0, -1.0))
     info = motion_sim._robot.cache_info()
     assert (info.misses, info.hits) == (
-        2 * len(lengths), len(cases) - 2 * len(lengths) + 1)
+        2 * len(lengths), 2 * len(cases) - 2 * len(lengths) + 1)
 
 
 def test_the_robot_record_changes_no_log():
@@ -232,12 +266,11 @@ def test_the_robot_record_changes_no_log():
 
     def cold(length, p, s):
         motion_sim._robot.cache_clear()
-        return repr(simulate_segment(length, p, seed=s))
+        return run_of(length, p, s)
 
     fresh = [cold(*case) for case in cases]
     motion_sim._robot.cache_clear()
-    warm = [repr(simulate_segment(length, p, seed=s))
-            for length, p, s in cases]
+    warm = [run_of(*case) for case in cases]
     assert warm == fresh
     # One miss per change of robot. Neither the equal copy nor the next
     # length's first robot, the default again, is a change.
@@ -245,7 +278,7 @@ def test_the_robot_record_changes_no_log():
     changes = 1 + sum(a != b for a, b in zip(sequence, sequence[1:]))
     assert changes == 1 + len(lengths) * (len(robots) - 2)
     info = motion_sim._robot.cache_info()
-    assert (info.misses, info.hits) == (changes, len(cases) - changes)
+    assert (info.misses, info.hits) == (changes, 2 * len(cases) - changes)
 
 
 def test_both_kernels_unpack_the_robot_record_by_its_field_names():
@@ -286,17 +319,25 @@ def test_the_pivot_table_is_bounded_by_the_longest_jump():
 
 # ------------------------------------------------ against the step loop
 
-def simulate_both(length, p, seed):
-    """``simulate_segment`` with the leg-jump kernel and with the step loop.
+# One run as simulate_both reports it: what ``_simulate``, the run both
+# entry points share, returns, and the pivots the kernel appended.
+Run = collections.namedtuple(
+    "Run", "wl_total wr_total n_right n_left y pivots")
 
-    Each side is the EncoderLog, or the divergence message if it raised.
+
+def simulate_both(length, p, seed):
+    """One run with the leg-jump kernel and one with the step loop.
+
+    Each side is a ``Run``, or the divergence message if it raised.
     """
     out = []
     for kernel in (motion_sim._integrate, step_loop_integrate):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(motion_sim, "_integrate", kernel)
+            pivots = []
             try:
-                out.append(simulate_segment(length, p, seed=seed))
+                out.append(Run(*motion_sim._simulate(length, p, seed, 0,
+                                                     pivots), pivots))
             except MotionDivergenceError as exc:
                 out.append(str(exc))
     return out
@@ -310,16 +351,14 @@ def assert_same_run(jumped, stepped, length):
     if isinstance(stepped, str):
         assert jumped == stepped
         return
-    assert (jumped.n_right, jumped.n_left, len(jumped.trajectory)) == \
-        (stepped.n_right, stepped.n_left, len(stepped.trajectory))
+    assert (jumped.n_right, jumped.n_left, len(jumped.pivots)) == \
+        (stepped.n_right, stepped.n_left, len(stepped.pivots))
     assert jumped.wl_total == pytest.approx(stepped.wl_total, rel=1e-9)
     assert jumped.wr_total == pytest.approx(stepped.wr_total, rel=1e-9)
-    for a, b in zip(jumped.trajectory[:-1], stepped.trajectory[:-1]):
+    for a, b in zip(jumped.pivots, stepped.pivots):
         assert (math.isclose(a[0], b[0], rel_tol=1e-9)
                 and math.isclose(a[1], b[1], rel_tol=1e-9)), (a, b)
-    assert jumped.trajectory[-1][0] == stepped.trajectory[-1][0] == length
-    assert jumped.trajectory[-1][1] == pytest.approx(
-        stepped.trajectory[-1][1], rel=1e-9, abs=1e-12 * length)
+    assert jumped.y == pytest.approx(stepped.y, rel=1e-9, abs=1e-12 * length)
 
 
 PARITY_PARAMS = [
@@ -437,12 +476,12 @@ def test_leg_jumps_match_the_step_loop_when_the_heading_changes_sign(
 
 def kernel_args(length, p, seed=0):
     """``_integrate``'s arguments as ``simulate_segment`` passes them, with
-    the step budget left off."""
+    the step budget and the pivot list left off."""
     calls = []
     kernel = motion_sim._integrate
 
     def spy(*args):
-        calls.append(args[:-1])
+        calls.append(args[:-2])
         return kernel(*args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -458,10 +497,10 @@ def least_budget(kernel, args, reached=lambda out: out[-1]):
     """The smallest step budget with which ``kernel``'s output is
     ``reached``; by default, with which it finishes the segment."""
     lo, hi = 0, 10 * int(args[0] / args[-1].step)
-    assert reached(kernel(*args, hi))
+    assert reached(kernel(*args, hi, []))
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if reached(kernel(*args, mid)):
+        if reached(kernel(*args, mid, [])):
             hi = mid
         else:
             lo = mid
@@ -491,8 +530,8 @@ def test_no_jump_skips_the_step_budget(length, overrides, seed):
     jump_ends = [k - 1 for k in pivot_steps(args, 3)]
     budgets = [0, 1, 7, 8, 9, need // 2, need - 1, need, need + 1]
     for budget in budgets + [k + d for k in jump_ends for d in (-1, 0, 1)]:
-        jumped = motion_sim._integrate(*args, budget)
-        stepped = step_loop_integrate(*args, budget)
+        jumped = motion_sim._integrate(*args, budget, [])
+        stepped = step_loop_integrate(*args, budget, [])
         assert jumped[-1] == stepped[-1] == (budget >= need), budget
         assert jumped[2:4] == stepped[2:4], budget
         assert jumped[0] == pytest.approx(stepped[0], rel=1e-9), budget
@@ -516,11 +555,13 @@ def test_a_jump_solved_within_rounding_of_its_trigger(alpha0, n):
         for _ in range(abs(ulps)):
             h = math.nextafter(h, math.copysign(math.inf, ulps))
         args = (10.0, alpha0, motion_sim._robot(p._replace(h=h)))
-        jumped = motion_sim._integrate(*args, budget)
-        stepped = step_loop_integrate(*args, budget)
+        jumped_pivots, stepped_pivots = [], []
+        jumped = motion_sim._integrate(*args, budget, jumped_pivots)
+        stepped = step_loop_integrate(*args, budget, stepped_pivots)
         assert jumped[2:4] == stepped[2:4] and jumped[-1] is stepped[-1], ulps
         assert jumped[0] == pytest.approx(stepped[0], rel=1e-9), ulps
-        for a, c in zip(jumped[4], stepped[4]):
+        assert len(jumped_pivots) == len(stepped_pivots) > 0, ulps
+        for a, c in zip(jumped_pivots, stepped_pivots):
             assert a == pytest.approx(c, rel=1e-9), ulps
 
 
@@ -533,8 +574,8 @@ def test_a_whole_number_of_steps_can_end_one_step_sooner():
     args = kernel_args(10.0, MotionParams(alpha=0.0, speed_ratio=1.0))
     assert least_budget(motion_sim._integrate, args) == 1000
     assert least_budget(step_loop_integrate, args) == 1001
-    jumped = motion_sim._integrate(*args, 1001)
-    stepped = step_loop_integrate(*args, 1001)
+    jumped = motion_sim._integrate(*args, 1001, [])
+    stepped = step_loop_integrate(*args, 1001, [])
     assert jumped[:2] == stepped[:2] == (10.0, 10.0)
 
 
@@ -545,8 +586,8 @@ def test_no_jump_crosses_a_right_angle_heading(speed_ratio):
     p = MotionParams(h=200.0, alpha=0.0, speed_ratio=speed_ratio)
     args = kernel_args(200.0, p)
     budget = int(40.0 * 200.0 / p.step) + 10000
-    jumped = motion_sim._integrate(*args, budget)
-    stepped = step_loop_integrate(*args, budget)
+    jumped = motion_sim._integrate(*args, budget, [])
+    stepped = step_loop_integrate(*args, budget, [])
     assert jumped[-1] is stepped[-1] is False
     assert jumped[2:4] == stepped[2:4] == (0, 0)
     assert jumped[0] == pytest.approx(stepped[0], rel=1e-9)
@@ -568,18 +609,30 @@ def test_free_arc_matched_wheels():
 
 # ------------------------------------------------------------------ errors
 
+def refusal(error, *args):
+    """The message with which both entry points, ``simulate_segment`` and
+    ``segment_trajectory``, refuse ``args``: each raises ``error``, and
+    both raise the same class with the same message."""
+    seen = set()
+    for entry in (simulate_segment, segment_trajectory):
+        with pytest.raises(error) as err:
+            entry(*args)
+        seen.add((type(err.value), str(err.value)))
+    assert len(seen) == 1, seen
+    return seen.pop()[1]
+
+
 def test_divergence_when_band_is_wider_than_the_drift_radius():
     # The band never recaptures the robot: the wheel mismatch curls the
     # heading past 90 degrees long before any pivot can fire.
     p = MotionParams(h=200.0, alpha=0.0, speed_ratio=1.1)
-    with pytest.raises(MotionDivergenceError, match="failed to traverse"):
-        simulate_segment(200.0, p, seed=0)
+    assert "failed to traverse" in refusal(MotionDivergenceError, 200.0, p, 0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e308, 1e9])
 def test_bad_length_rejected(bad):
-    with pytest.raises(ValueError, match="length must be positive"):
-        simulate_segment(bad, MotionParams(), seed=0)
+    assert refusal(ValueError, bad, MotionParams(), 0).startswith(
+        "length must be positive")
 
 
 @pytest.mark.parametrize("params", [
@@ -590,16 +643,13 @@ def test_params_that_are_not_motion_params_rejected(params):
     # zero, and h = -1 drove 10 cm through 1,015 pivots. The cache compares
     # keys by value, so a tuple equal to the last robot is refused too.
     simulate_segment(10.0, MotionParams(), seed=0)
-    with pytest.raises(ValueError) as err:
-        simulate_segment(10.0, params, seed=0)
-    assert str(err.value) == "params must be a MotionParams, got tuple"
+    assert refusal(ValueError, 10.0, params, 0) == \
+        "params must be a MotionParams, got tuple"
 
 
 def test_uncountable_step_budget_rejected():
     # 40 * 1e4 cm / 1e-305 cm overflows to inf: no step count fits.
-    with pytest.raises(ValueError) as err:
-        simulate_segment(1e4, MotionParams(step=1e-305), seed=0)
-    assert str(err.value) == (
+    assert refusal(ValueError, 1e4, MotionParams(step=1e-305), 0) == (
         "length must be positive and small enough to count its steps; "
         "10000 cm at a 1e-305 cm step is not")
 
@@ -641,9 +691,10 @@ def test_segment_simulation_invariants(length, seed):
     assert isinstance(log, EncoderLog)
     assert log.wl_total > 0.0 and log.wr_total > 0.0
     assert log.n_right >= 0 and log.n_left >= 0
-    assert log.trajectory[0] == (0.0, 0.0)
-    assert log.trajectory[-1][0] == length
-    assert abs(log.trajectory[-1][1]) <= p.h + p.step
+    trajectory = segment_trajectory(length, p, seed=seed)
+    assert trajectory[0] == (0.0, 0.0)
+    assert trajectory[-1][0] == length
+    assert abs(trajectory[-1][1]) <= p.h + p.step
     assert log == simulate_segment(length, p, seed=seed)
 
 
@@ -700,9 +751,8 @@ def test_jitter_keys_outside_64_bits_are_rejected(seed, index, alpha):
     # Masking would fold seed s + 2**64 onto s; the key is refused instead,
     # whether or not the robot draws any jitter. A key that is not an
     # integer is refused the same way.
-    with pytest.raises(ValueError) as err:
-        simulate_segment(3.0, MotionParams(alpha=alpha), seed, index)
-    assert str(err.value) == (
+    assert refusal(ValueError, 3.0, MotionParams(alpha=alpha), seed,
+                   index) == (
         "seed and index must lie in [0, 2**64), got %r, %r" % (seed, index))
 
 

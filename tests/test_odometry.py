@@ -107,6 +107,14 @@ def test_calibration_rejects_band_wider_than_radius():
         unit_cal(radius=0.8, h=0.5)
 
 
+def test_calibration_refuses_params_that_are_not_motion_params():
+    # A plain tuple equal to the stock robot would skip MotionParams'
+    # checks; it gets simulate_segment's message, not an AttributeError.
+    with pytest.raises(ValueError) as err:
+        calibration_from_motion(tuple(MotionParams()))
+    assert str(err.value) == "params must be a MotionParams, got tuple"
+
+
 # ---------------------------------------------------------- arc and chord
 
 def test_arc_len_direct_oracle():
