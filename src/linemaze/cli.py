@@ -123,7 +123,7 @@ def _corrected_mode(mode: str) -> str:
 def _hops(maze: MazeSpec,
           path: Sequence[str]) -> List[Tuple[str, str, int, float]]:
     """Each hop of ``path`` as (from, to, direction, length), read from the
-    maze's branch table. A run drives hop i with jitter key (seed, i)."""
+    maze's branch table. Hop i, when driven, has jitter key (seed, i)."""
     return [next((a, b, slot[0], length)
                  for slot, (other, length, _back) in maze.branches[a].items()
                  if other == b)
@@ -145,6 +145,7 @@ def cmd_solve(args: argparse.Namespace) -> str:
         discovered = len(dict.fromkeys(path))
         if args.show_tape:
             tape_text = " ".join(str(s) for s in tape.sums)
+        logs = {}
     else:
         state = explore_map(maze, params=params, src=mode, tol=args.tol,
                             seed=seed)
@@ -153,12 +154,15 @@ def cmd_solve(args: argparse.Namespace) -> str:
         result = dijkstra(build_graph(state), state.point[0], end_name)
         path = [state.node_of[n] for n in result.nodes]
         discovered = len(state.type_of)
+        logs, names = state.logs, result.nodes
 
     cal = calibration_from_motion(params)
     correct_mode = _corrected_mode(mode)
     rows = []
     for i, (a, b, _direction, true_len) in enumerate(_hops(maze, path)):
-        log = _drive(true_len, mode, params, seed, i)
+        # A noisy map row reads the log that weighed its edge; others drive.
+        log = (logs[tuple(sorted(names[i:i + 2]))] if logs else
+               _drive(true_len, mode, params, seed, i))
         rows.append(("%s-%s" % (a, b), true_len,
                      estimate_length(log, cal, "raw"),
                      estimate_length(log, cal, correct_mode)))

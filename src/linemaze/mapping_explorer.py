@@ -1,14 +1,15 @@
 """Mapping explorer: discover a whole line maze and its coordinates.
 
 The robot starts at an arbitrary node it calls point "0" at coordinate
-(0, 0), heading north. Its map is the walked graph: each point's type
-(number of branches minus one), its coordinate, and its walked neighbors
-with the coordinate distance to each. That graph is the result;
-``graph_path.build_graph`` checks it and returns it. The visit log (every point name
-in arrival order) records how it was walked.
-Distances come from an odometry mode (ground truth, raw encoders, or one of
-two encoder corrections), so a coordinate is the previous point's coordinate
-advanced along the heading axis by the measured distance.
+(0, 0), heading north. Its map is the walked graph: each point's type (number
+of branches minus one), its coordinate, and its walked neighbors with the
+coordinate distance to each. That graph is the result;
+``graph_path.build_graph`` checks it and returns it. The visit log (every
+point name in arrival order) records how it was walked. Distances come from
+an odometry mode (ground truth, raw encoders, or one of two encoder
+corrections), so a coordinate is the previous point's coordinate advanced
+along the heading axis by the measured distance. Noisy modes keep the
+encoder log that weighed each edge, for reports.
 
 A branch is named by its slot, (direction, lane), and the slots of a point
 are those that ``MazeSpec.branches`` lists for its maze node, with the
@@ -50,8 +51,8 @@ from ._directions import DELTA
 from .errors import ExplorationError, InconsistencyError
 from .graph_path import nearest
 from .maze_model import MazeSpec, Point2D, Slot
-from .motion_sim import (MotionParams, _check_params, _jitter_key,
-                         simulate_segment)
+from .motion_sim import (EncoderLog, MotionParams, _check_params,
+                         _jitter_key, simulate_segment)
 from .odometry import ODOMETRY_MODES, calibration_from_motion, estimate_length
 
 __all__ = [
@@ -72,6 +73,8 @@ class ExplorationState:
     node_of: per-name maze node id, the simulator's ground truth. The robot
         never steers by it; the explorer checks arrivals against it to
         detect drift, and reports use it as labels.
+    logs: per walked edge, keyed by its two names in sorted order, the log
+        of the walk that weighed it, in first-walk order; ideal: none.
     """
 
     def __init__(self) -> None:
@@ -80,6 +83,7 @@ class ExplorationState:
         self.coordinate: Dict[str, Point2D] = {}
         self.neighbors: Dict[str, List[Tuple[str, float]]] = {}
         self.node_of: Dict[str, str] = {}
+        self.logs: Dict[Tuple[str, str], EncoderLog] = {}
         # Grid index over ``coordinate`` for match_point: cell key -> (x, y,
         # name) per point. The cell width is a power of two, so x / cell is
         # exact, and at least 1 cm, so it is finite for every finite x.
@@ -181,10 +185,10 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     params defaults to the stock robot; the corrected odometry modes use
     the calibration derived from it. src is the odometry mode, one of
     ``ODOMETRY_MODES``; tol is the coordinate-match tolerance in cm
-    (default: 3% of the longest segment measured so far, floored at 1 cm).
+    (default: 3% of the traversal's own measured length, at least 1 cm).
     Noisy modes drive traversal k, the walk that arrives at ``point[k]``,
-    with jitter key (seed, k); ideal odometry walks the true lengths and
-    draws nothing.
+    with jitter key (seed, k), and keep each edge's first log in
+    ``logs``; ideal odometry walks the true lengths and draws nothing.
     ``node_of`` in the returned state names the maze node behind every
     discovered point.
 
@@ -213,13 +217,13 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     # one-to-one node_of, a list empties as next_target's test turns false.
     table: Dict[str, Dict[str, Slot]] = {}
     pending: Dict[str, List[Slot]] = {}
-    longest = 0.0
-    eff_tol = 1.0 if tol is None else tol
+    eff_tol = tol
+    noisy = src != "ideal"
     traversals = 0
     unfinished = 0  # points with a pending slot
     branches = maze.branches
     point, coordinate, neighbors = state.point, state.coordinate, state.neighbors
-    node_of = state.node_of
+    node_of, logs = state.node_of, state.logs
 
     def add_point(name: str, node: str, coord: Point2D) -> None:
         """Enter a new point, maze node ``node`` at ``coord``, everywhere."""
@@ -236,7 +240,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
 
     def walk(slot: Slot) -> None:
         """Traverse one branch of the current point and log the arrival."""
-        nonlocal longest, eff_tol, traversals, unfinished
+        nonlocal eff_tol, traversals, unfinished
         traversals += 1
         if traversals > budget:
             raise ExplorationError(
@@ -248,13 +252,13 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
         except KeyError:
             raise InconsistencyError(
                 "no branch %r at point %r" % (slot, cur)) from None
-        measured = length if src == "ideal" else estimate_length(
-            simulate_segment(length, params, seed, traversals), cal, src)
-        if measured > longest:
-            longest = measured
-            # The default tolerance, max(1, 3% of longest), only grows.
-            if tol is None and 0.03 * longest > 1.0:
-                eff_tol = 0.03 * longest
+        if noisy:
+            log = simulate_segment(length, params, seed, traversals)
+            measured = estimate_length(log, cal, src)
+        else:
+            measured = length
+        if tol is None:
+            eff_tol = 0.03 * measured if measured > 100 / 3 else 1.0
         dx, dy = DELTA[slot[0]]
         px, py = coordinate[cur]
         guess = (px + dx * measured, py + dy * measured)
@@ -284,6 +288,8 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
             neighbors[name].append((cur, w))
             table[cur][name] = slot
             table[name][cur] = back
+            if noisy:
+                logs[(cur, name) if cur < name else (name, cur)] = log
             for end, walked in ((cur, slot), (name, back)):
                 pending[end].remove(walked)
                 if not pending[end]:

@@ -7,10 +7,11 @@ Each run is reduced to a SHA-256 digest and compared with the
   from it by ``oracles.trace_rows``, and the coordinates: measured lengths
   never tie exactly, so every route is forced. Each noisy run has a second
   digest, under ``decisions/<mode>/<seed>``, of what the robot decided
-  without the floats it measured: the visit log, ``node_of``, ``type_of``
-  and the order in which edges are first walked. A change to an estimator
-  that is meant to move the floats moves the first digest only; a moved
-  decision shows up as a moved ``decisions/`` key.
+  without the floats it measured: the visit log, ``node_of``, ``type_of``,
+  the order in which edges are first walked, and the pivot counts of each
+  first walk's encoder log. A change to an estimator that is meant to move
+  the floats moves the first digest only; a moved decision shows up as a
+  moved ``decisions/`` key.
 - Ideal mode pins the map: names, types, coordinates, the graph in
   ``oracles.export_graph``'s text form and the order in which edges are
   first walked. Its visit log is left out, because integer spacings make
@@ -74,6 +75,11 @@ def _first_walks(state):
     return [tuple(sorted(pair)) for pair in order]
 
 
+def _pivots(state):
+    """Each first walk's (n_right, n_left), in first-walk order."""
+    return [(log.n_right, log.n_left) for log in state.logs.values()]
+
+
 def _coords(state):
     return sorted((n, c.x, c.y) for n, c in state.coordinate.items())
 
@@ -94,7 +100,8 @@ def _run(key, maze, mode):
     return {key: _digest((state.point, trace_rows(state), _coords(state))),
             "decisions/" + key: _digest((
                 state.point, sorted(state.node_of.items()),
-                sorted(state.type_of.items()), _first_walks(state)))}
+                sorted(state.type_of.items()), _first_walks(state),
+                _pivots(state)))}
 
 
 def _runs():
@@ -128,9 +135,9 @@ def _close(a, b):
 
 
 def test_noisy_explorations_match_the_step_loop_kernel():
-    # Same visit log, node_of and types under both kernels, with
-    # coordinates and edge weights within 1e-9 cm. A trace row is read off
-    # the visit log, the types and the coordinates, so it agrees too.
+    # Same visit log, node_of, types and pivot counts under both kernels,
+    # with coordinates and edge weights within 1e-9 cm. A trace row is read
+    # off the visit log, the types and the coordinates, so it agrees too.
     noisy = [(key, maze, mode) for key, maze, mode in _runs()
              if mode != "ideal"]
     assert len(noisy) == 41
@@ -142,6 +149,7 @@ def test_noisy_explorations_match_the_step_loop_kernel():
         assert jumped.point == stepped.point, key
         assert jumped.node_of == stepped.node_of, key
         assert jumped.type_of == stepped.type_of, key
+        assert _pivots(jumped) == _pivots(stepped), key
         assert all(_close(c.x, stepped.coordinate[n].x)
                    and _close(c.y, stepped.coordinate[n].y)
                    for n, c in jumped.coordinate.items()), key

@@ -370,7 +370,7 @@ def test_ideal_mode_draws_nothing(fig2, monkeypatch):
     calls = recording_segments(monkeypatch)
     state = explore_map(fig2, src="ideal", seed=5)
     assert lines(state) == FIG2_TRACE
-    assert calls == []
+    assert calls == [] and state.logs == {}
     explore_map(fig2, src="raw", seed=5)
     assert calls and all(args[2] == 5 for args, _log in calls)
 
@@ -380,7 +380,7 @@ def test_ideal_mode_draws_nothing(fig2, monkeypatch):
 def test_each_traversal_replays_alone(fig2, monkeypatch, mode, maze_seed):
     # Traversal k is keyed (seed, k) and arrives at point[k]: each recorded
     # call, replayed by itself in a shuffled order, gives the same log bit
-    # for bit.
+    # for bit. state.logs holds each edge's first log, in first-walk order.
     maze = fig2 if maze_seed is None else random_maze(
         random.Random(maze_seed), max_nodes=40, loops=4)
     calls = recording_segments(monkeypatch)
@@ -396,6 +396,10 @@ def test_each_traversal_replays_alone(fig2, monkeypatch, mode, maze_seed):
         assert length == math.hypot(b.x - a.x, b.y - a.y)
         replayed = simulate_segment(length, params, seed, index)
         assert repr(replayed) == repr(log)
+    first = {}
+    for k, (_args, log) in enumerate(calls):
+        first.setdefault(tuple(sorted(state.point[k:k + 2])), log)
+    assert list(state.logs.items()) == list(first.items())
 
 
 def test_exhausted_traversal_budget(fig2, monkeypatch):

@@ -7,16 +7,13 @@ exit code and the SVG it writes. The digests are compared with the
 runs by ``text/`` and the case, plot runs by ``plot/`` and the case. The
 runs cover:
 
-- the bundled mazes with the mapping explorer, in ideal, basic and arc
-  odometry at three seeds, and fig2 and plus at explicit tolerances;
+- the bundled mazes with the mapping explorer, in every odometry mode at
+  three seeds, and fig2 and plus at explicit tolerances;
 - the tape explorer on the bundled mazes and on seeded random trees;
-- seeded loopy random mazes with the mapping explorer;
+- seeded loopy random mazes with the mapping explorer, every third one in
+  every odometry mode and the rest in ideal;
 - plots of the bundled mazes in every odometry mode at three seeds, and of
   every third loopy maze in every mode.
-
-Raw odometry is left out of the ``solve`` runs: their reports changed when
-path labels and the end point stopped being searched for by coordinates,
-and ``tests/test_cli.py`` checks them directly.
 """
 
 import contextlib
@@ -33,7 +30,6 @@ from linemaze.odometry import ODOMETRY_MODES
 from pins import check
 
 BUNDLED = ("fig1", "fig2", "corridor", "plus")
-MODES = ("ideal", "basic", "arc")
 # 30 loopy mazes of 15-102 grid cells; noisy modes on every third one.
 LOOPY_SEEDS = range(7000, 7030)
 TREE_SEEDS = range(7100, 7110)
@@ -64,7 +60,7 @@ def _cases(tmp):
         return str(path)
 
     for name in BUNDLED:
-        for mode in MODES:
+        for mode in ODOMETRY_MODES:
             for seed in ("0", "1", "2"):
                 yield ("map/%s/%s/%s" % (name, mode, seed),
                        ["--maze", name, "--odometry", mode, "--seed", seed])
@@ -91,7 +87,7 @@ def _cases(tmp):
                      random_maze(random.Random(seed), max_nodes=max_nodes,
                                  loops=max(1, max_nodes // 8),
                                  leaf_ends=i % 2 == 0))
-        for mode in (MODES if i % 3 == 0 else ("ideal",)):
+        for mode in (ODOMETRY_MODES if i % 3 == 0 else ("ideal",)):
             yield ("map/loopy%d/%s" % (seed, mode),
                    ["--maze", path, "--odometry", mode, "--seed", str(i)])
         if i % 3 == 0:
