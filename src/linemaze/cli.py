@@ -28,12 +28,12 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (ExplorationError, GraphQueryError, InconsistencyError,
-                     MazeSyntaxError, MazeValidationError)
+                     LinemazeError, MazeSyntaxError, MazeValidationError)
 from .graph_path import build_graph, dijkstra, graph_from_maze
 from .mapping_explorer import explore_map
 from .maze_model import MazeSpec, bundled_maze_text, parse_maze
-from .motion_sim import (EncoderLog, MotionParams, segment_trajectory,
-                         simulate_segment)
+from .motion_sim import (EncoderLog, MotionParams, _simulate_lengths,
+                         segment_trajectory, simulate_segment)
 from .odometry import (ODOMETRY_MODES, calibration_from_motion,
                        estimate_length)
 from .simple_explorer import PREFERENCES, explore_simple, reduce_tape, replay
@@ -209,15 +209,30 @@ def cmd_tableone(args: argparse.Namespace) -> str:
     cal = calibration_from_motion(params)
     correct_mode = _corrected_mode(mode)
 
+    # Seed by seed, one _simulate_lengths call each. A failure at length i
+    # is raised unless one before i fails at a later seed: only those go on.
+    lengths = args.lengths
+    raw, corr = [[] for _ in lengths], [[] for _ in lengths]
+    n, error = len(lengths), None
+    for s in range(args.seed, args.seed + args.seeds):
+        logs = (_simulate_lengths(lengths[:n], params, s, 0) if mode != "ideal"
+                else [_drive(x, mode, params, s, 0) for x in lengths[:n]])
+        i = 0
+        try:
+            for log in logs:
+                raw[i].append(estimate_length(log, cal, "raw"))
+                corr[i].append(estimate_length(log, cal, correct_mode))
+                i += 1
+        except (ValueError, LinemazeError) as exc:
+            n, error = i, exc
+            if not n:
+                break
+    if error is not None:
+        raise error
+
     rows: List[Tuple[float, float, float, float, float]] = []
-    for length in args.lengths:
-        raw, corr = [], []
-        for s in range(args.seed, args.seed + args.seeds):
-            log = _drive(length, mode, params, s, 0)
-            raw.append(estimate_length(log, cal, "raw"))
-            corr.append(estimate_length(log, cal, correct_mode))
-        med_raw = _median(raw)
-        med_corr = _median(corr)
+    for length, raw_i, corr_i in zip(lengths, raw, corr):
+        med_raw, med_corr = _median(raw_i), _median(corr_i)
         rows.append((length, med_raw, med_corr,
                      (med_raw - length) / length * 100.0,
                      (med_corr - length) / length * 100.0))

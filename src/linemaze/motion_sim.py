@@ -25,6 +25,11 @@ last robot seen. A leg after a pivot starts at exactly +-theta, so all it
 computes but its position bounds depends only on the robot, the side and
 J; the record's table keeps those floats, computed once, and the result
 stays bit for bit.
+
+A run can start from a saved leg-start state and hands back the state at
+the start of its first leg that reads the length, a valid start for any
+longer length: ``_simulate_lengths`` drives ``tableone``'s lengths of one
+seed so, shortest first.
 """
 
 from __future__ import annotations
@@ -230,10 +235,8 @@ def _check_params(params: MotionParams) -> MotionParams:
     return params
 
 
-def _simulate(length, params, seed, index, pivots):
-    """Both entry points' checks and run: (wl, wr, n_right, n_left, end y),
-    or their errors. ``pivots`` is as in ``_integrate``."""
-    robot = _robot(_check_params(params))
+def _max_steps(length, robot):
+    """A ``length`` cm segment's step budget; ValueError if refused."""
     if not 0.0 < length <= MAX_SEGMENT_LENGTH:
         raise ValueError("length must be positive and at most %g cm, got %r"
                          % (MAX_SEGMENT_LENGTH, length))
@@ -242,9 +245,17 @@ def _simulate(length, params, seed, index, pivots):
         raise ValueError("length must be positive and small enough to count "
                          "its steps; %g cm at a %g cm step is not"
                          % (length, robot.step))
+    return int(budget) + 10000
+
+
+def _simulate(length, params, seed, index, pivots):
+    """Both entry points' checks and run: (wl, wr, n_right, n_left, end y),
+    or their errors. ``pivots`` is as in ``_integrate``."""
+    robot = _robot(_check_params(params))
+    max_steps = _max_steps(length, robot)
     alpha0 = _initial_heading(params.alpha, seed, index)
     wl, wr, n_right, n_left, y, ok = _integrate(
-        length, alpha0, robot, int(budget) + 10000, pivots)
+        length, alpha0, robot, max_steps, pivots)
     if not ok:
         raise MotionDivergenceError(
             "line follower failed to traverse a %g cm segment "
@@ -252,7 +263,33 @@ def _simulate(length, params, seed, index, pivots):
     return wl, wr, n_right, n_left, y
 
 
-def _integrate(length, alpha0, robot, max_steps, pivots):
+def _simulate_lengths(lengths, params, seed, index):
+    """``simulate_segment(length, params, seed, index)`` for each of
+    ``lengths`` in turn: yields its log, or raises what it raises.
+
+    The kernel runs each distinct length once, shortest first, each from
+    the state the last finished run handed back. A failed run's length,
+    or every length if a check fails, runs alone to raise its own error.
+    """
+    robot = _robot(_check_params(params))
+    try:
+        alpha0 = _initial_heading(params.alpha, seed, index)
+        runs = {length: _max_steps(length, robot) for length in lengths}
+    except ValueError:  # then each length runs alone
+        alpha0, runs = 0.0, {}
+    state = [0.0, 0.0, alpha0, 0.0, 0.0, 0, 0, 0]
+    for length in sorted(runs):
+        resume = state[:]
+        out = _integrate(length, alpha0, robot, runs[length], None, resume)
+        runs[length] = out if out[5] else None
+        if out[5]:
+            state = resume
+    for length in lengths:
+        run = runs.get(length) or _simulate(length, params, seed, index, None)
+        yield tuple.__new__(EncoderLog, (*run[:4], length))
+
+
+def _integrate(length, alpha0, robot, max_steps, pivots, resume=None):
     """Integrate one segment; returns (wl, wr, n_right, n_left, y, ok).
 
     length: along-track distance to cover.
@@ -260,6 +297,9 @@ def _integrate(length, alpha0, robot, max_steps, pivots):
     robot: the robot's record, ``_robot(params)`` (see ``_Robot``).
     max_steps: the step budget.
     pivots: a list to append each pivot's (x, y) to, or None.
+    resume: None, or a list of a leg-start state (x, y, phi, wl, wr,
+        n_right, n_left, steps) to start from, overwritten with the state
+        at the start of the first leg that reads the length.
 
     The model is an Euler step loop: each step of ``step`` cm moves the
     robot along its heading, then turns the heading by b = kappa*step and
@@ -292,6 +332,13 @@ def _integrate(length, alpha0, robot, max_steps, pivots):
     the default robot each leg between pivots costs one jump and one
     step; a leg whose heading changes sign costs two of each.
 
+    A leg reads the length, through x_stop, only in the x cap and the end
+    step, and only if its J before the x cap reaches within two steps of
+    x_stop. The legs before the first such one run alike for any longer
+    length, whose x_stop and budget are larger, unless the budget binds;
+    then too few steps remain to cover the two and the run fails. So a
+    finished run hands back a valid start for any longer length.
+
     A leg that starts at a pivot heading, exactly +-theta, reads from the
     record's table the solve's constants and, for its J, every float the
     jump and its deciding step compute. The table computed them the first
@@ -313,15 +360,10 @@ def _integrate(length, alpha0, robot, max_steps, pivots):
     """
     (h, theta, kappa, fl, fr, rp_l, rp_r, lp_l, lp_r, step, b, sin_half_b,
      step_fl, step_fr, y_stop, table) = robot
-    x = 0.0
-    y = 0.0
-    phi = alpha0
-    wl = 0.0
-    wr = 0.0
-    n_right = 0
-    n_left = 0
-    steps = 0
+    x, y, phi, wl, wr, n_right, n_left, steps = (
+        resume or (0.0, 0.0, alpha0, 0.0, 0.0, 0, 0, 0))
     x_stop = length - 1e-9
+    x_near = x_stop - 2.0 * step if resume else x_stop
     while x < length:
         # Solve the jump in a frame mirrored so that the heading is
         # non-negative: y rises, and only the trigger at +h can fire.
@@ -333,9 +375,6 @@ def _integrate(length, alpha0, robot, max_steps, pivots):
         if room <= 0.0 or p >= _MAX_JUMP_HEADING:
             jump = 0
         elif b == 0.0:
-            cap = (x_stop - x) / (step * cos(p))
-            if cap < jump:
-                jump = cap
             if p > 0.0:
                 cap = room / (step * sin(p))
                 if cap < jump:
@@ -366,14 +405,20 @@ def _integrate(length, alpha0, robot, max_steps, pivots):
                     cap = 2.0 * atan2(r - sa, 2.0 * ca - q) / bm
                 if cap < jump:
                     jump = cap
-            if jump * step >= x_stop - x:
-                # g*(sin(a + t) - sin(a)) = x_stop - x, in the same form.
-                q = (x_stop - x) * inv_g
-                disc = ca * ca - q * (q + 2.0 * sa)
-                if disc >= 0.0:
-                    cap = 2.0 * atan2(q, ca + sqrt(disc)) / bm
-                    if cap < jump:
-                        jump = cap
+        if jump * step >= x_near - x:  # a leg that reads the length
+            if x_near != x_stop:
+                resume[:] = x, y, phi, wl, wr, n_right, n_left, steps
+                x_near = x_stop
+            if jump > 0 and jump * step >= x_stop - x:
+                if b == 0.0:
+                    cap = (x_stop - x) / (step * cos(p))
+                else:  # g*(sin(a + t) - sin(a)) = x_stop - x, as for y
+                    q = (x_stop - x) * inv_g
+                    disc = ca * ca - q * (q + 2.0 * sa)
+                    cap = (2.0 * atan2(q, ca + sqrt(disc)) / bm
+                           if disc >= 0.0 else jump)
+                if cap < jump:
+                    jump = cap
         jump = int(jump) if jump > 0 else 0
         while True:
             leg = known[1].get(jump) if known else None

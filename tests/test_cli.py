@@ -13,7 +13,8 @@ import pytest
 
 from linemaze import cli, mapping_explorer
 from linemaze.cli import run
-from linemaze.errors import GraphQueryError, InconsistencyError
+from linemaze.errors import (GraphQueryError, InconsistencyError,
+                             MotionDivergenceError)
 from linemaze.mapping_explorer import explore_map
 from linemaze.maze_model import bundled_maze_text, parse_maze, serialize_maze
 from linemaze.mazegen import random_maze
@@ -249,15 +250,24 @@ def spy_segments(monkeypatch):
 
 
 def test_tableone_keys_each_seed_at_index_zero(capsys, monkeypatch):
-    # Seed s drives every length with jitter key (s, 0), so all lengths of
-    # one seed share a start heading, and each row is the median over the
-    # seeds of one call each.
-    calls = spy_segments(monkeypatch)
+    # Seed s drives every length with jitter key (s, 0), in one
+    # _simulate_lengths call, so all lengths of one seed share a start
+    # heading, and each row is the median over the seeds of one
+    # simulate_segment call each.
+    calls = []
+    drive = cli._simulate_lengths
+
+    def spy(lengths, params, seed, index):
+        calls.append((list(lengths), seed, index))
+        return drive(lengths, params, seed, index)
+
+    monkeypatch.setattr(cli, "_simulate_lengths", spy)
+    segments = spy_segments(monkeypatch)
     code, out, _ = run_cli(capsys, "tableone", "--seeds", "4", "--seed", "3",
                            "--lengths", "10", "14", "8", "--format", "tsv")
     assert code == 0
-    assert sorted(calls) == sorted((length, s, 0) for s in range(3, 7)
-                                   for length in (10.0, 14.0, 8.0))
+    assert calls == [([10.0, 14.0, 8.0], s, 0) for s in range(3, 7)]
+    assert segments == []
     p = MotionParams()
     cal = calibration_from_motion(p)
     for line, length in zip(out.splitlines()[1:], (10.0, 14.0, 8.0)):
@@ -266,6 +276,68 @@ def test_tableone_keys_each_seed_at_index_zero(capsys, monkeypatch):
             "%.4f" % statistics.median(estimate_length(log, cal, mode)
                                        for log in logs)
             for mode in ("raw", "arc")]
+
+
+TABLEONE_REPEATS = """\
+  actual    encoder    formula    err_enc  err_formula
+    3.00       3.07       3.00      2.41%        0.04%
+    1.00       1.02       1.00      2.34%       -0.02%
+    3.00       3.07       3.00      2.41%        0.04%
+   10.00      10.23      10.01      2.34%        0.06%
+"""
+
+
+def test_tableone_rows_keep_the_given_order_and_repeats(capsys):
+    # The kernel runs the lengths shortest first, once each; the rows stay
+    # in the order given, each the median of one simulate_segment per seed.
+    argv = ("tableone", "--lengths", "3", "1", "3", "10", "--seeds", "5")
+    assert run_cli(capsys, *argv)[:2] == (0, TABLEONE_REPEATS)
+    code, out, _ = run_cli(capsys, *argv, "--format", "tsv")
+    assert code == 0
+    p = MotionParams()
+    cal = calibration_from_motion(p)
+    lines = out.splitlines()[1:]
+    assert len(lines) == 4
+    for line, length in zip(lines, (3.0, 1.0, 3.0, 10.0)):
+        logs = [simulate_segment(length, p, s, 0) for s in range(5)]
+        assert line.split("\t")[:3] == ["%.2f" % length] + [
+            "%.4f" % statistics.median(estimate_length(log, cal, mode)
+                                       for log in logs)
+            for mode in ("raw", "arc")]
+
+
+@pytest.mark.parametrize("lengths", [("10", "1e9"), ("1e9", "10")])
+def test_tableone_refuses_a_long_length_wherever_it_stands(capsys, lengths):
+    code, out, err = run_cli(capsys, "tableone", "--lengths", *lengths)
+    assert (code, out) == (1, "")
+    assert err == ("error: length must be positive and at most 1e+06 cm, "
+                   "got 1000000000.0\n")
+
+
+@pytest.mark.parametrize("failures,first", [
+    ({(14.0, 4), (10.0, 6), (8.0, 3)}, (10.0, 6)),
+    ({(14.0, 4), (8.0, 3)}, (14.0, 4)),
+    ({(8.0, 3), (8.0, 5)}, (8.0, 3)),
+    ({(10.0, 7), (10.0, 5)}, (10.0, 5)),
+])
+def test_tableone_raises_the_length_major_first_failure(
+        capsys, monkeypatch, failures, first):
+    # Seeds are driven one after another, but the error is the one that a
+    # loop over lengths, then seeds, meets first.
+    drive = cli._simulate_lengths
+
+    def failing(lengths, params, seed, index):
+        for length, log in zip(lengths, drive(lengths, params, seed, index)):
+            if (length, seed) in failures:
+                raise MotionDivergenceError("%g cm at seed %d" % (length,
+                                                                  seed))
+            yield log
+
+    monkeypatch.setattr(cli, "_simulate_lengths", failing)
+    code, out, err = run_cli(capsys, "tableone", "--lengths", "10", "14",
+                             "8", "--seeds", "5", "--seed", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: %g cm at seed %d\n" % first
 
 
 def test_ideal_solve_builds_no_generator(capsys, monkeypatch):

@@ -9,7 +9,7 @@ import statistics
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -696,6 +696,55 @@ def test_segment_simulation_invariants(length, seed):
     assert trajectory[-1][0] == length
     assert abs(trajectory[-1][1]) <= p.h + p.step
     assert log == simulate_segment(length, p, seed=seed)
+
+
+# The last robot is the recorded thin-band one above, whose legs run a
+# few steps each.
+SHARED_LEG_ROBOTS = (
+    MotionParams(), MotionParams(speed_ratio=1.0),
+    MotionParams(speed_ratio=0.8), MotionParams(speed_ratio=1.5),
+    MotionParams(step=0.05),
+    MotionParams(speed_ratio=1.0, h=0.01317889522671795,
+                 theta=1.1845018901697055))
+
+
+@st.composite
+def length_lists(draw):
+    """1-6 lengths in any order, some repeated, some below one step."""
+    lengths = draw(st.lists(st.one_of(
+        st.floats(min_value=1e-4, max_value=0.06),
+        st.floats(min_value=0.06, max_value=40.0),
+        st.integers(min_value=1, max_value=40).map(float)),
+        min_size=1, max_size=6))
+    lengths += draw(st.lists(st.sampled_from(lengths),
+                             max_size=6 - len(lengths)))
+    return draw(st.permutations(lengths))
+
+
+def outcome(run):
+    """``run()``'s repr, or the class and message of what it raised."""
+    try:
+        return repr(run())
+    except (ValueError, MotionDivergenceError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lengths=length_lists(), p=st.sampled_from(SHARED_LEG_ROBOTS),
+       seed=st.integers(min_value=0, max_value=2**64 - 1),
+       index=st.integers(min_value=0, max_value=3))
+@example(lengths=[1.0, 3.0, 10.0], p=MotionParams(), seed=3, index=0)
+@example(lengths=[100.0, 1000.0], p=MotionParams(), seed=7, index=0)
+@example(lengths=[5.0, 300.0, 50.0, 200.0],
+         p=MotionParams(h=200.0, alpha=0.0, speed_ratio=1.1), seed=0,
+         index=0)
+def test_simulate_lengths_is_one_call_per_length(lengths, p, seed, index):
+    # _simulate_lengths runs each length once, shortest first, continuing
+    # the legs of the one before; it yields or raises, length by length,
+    # what simulate_segment does.
+    assert outcome(lambda: list(motion_sim._simulate_lengths(
+        lengths, p, seed, index))) == outcome(
+        lambda: [simulate_segment(x, p, seed, index) for x in lengths])
 
 
 # ------------------------------------------------------------------ jitter
