@@ -9,9 +9,9 @@ encoder readings back to true segment lengths, graph extraction with
 deterministic Dijkstra queries, and a CLI (``linemaze``) tying it together.
 """
 
-from .errors import (ArcDomainError, CalibrationError, ExplorationError,
-                     GraphQueryError, InconsistencyError, LinemazeError,
-                     MazeSyntaxError, MazeValidationError,
+from .errors import (ArcDomainError, ArgumentError, CalibrationError,
+                     ExplorationError, GraphQueryError, InconsistencyError,
+                     LinemazeError, MazeSyntaxError, MazeValidationError,
                      MotionDivergenceError)
 from .graph_path import (PathResult, build_graph, dijkstra, graph_from_maze,
                          nearest)
@@ -32,7 +32,7 @@ from .simple_explorer import (PREF_LFRD, PREF_RFLD, PREFERENCES, JunctionTape,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcDomainError", "CalibrationError", "ExplorationError",
+    "ArcDomainError", "ArgumentError", "CalibrationError", "ExplorationError",
     "GraphQueryError", "InconsistencyError", "LinemazeError",
     "MazeSyntaxError", "MazeValidationError", "MotionDivergenceError",
     "PathResult", "build_graph", "dijkstra", "graph_from_maze", "nearest",

@@ -9,11 +9,9 @@ Three subcommands:
 * ``plot`` — drive the shortest path and write a deterministic SVG of the
   maze plus the robot's trajectory.
 
-Exit codes: 0 success; 1 bad arguments, unreadable/invalid maze files;
-2 exploration failures (budget, divergence, drift); 3 internal
-inconsistencies (calibration, arc domain, graph queries). Errors print one
-line on standard error; stdout stays byte-deterministic for fixed inputs
-(the wall-clock duration line goes to standard error).
+Exit codes are tabled in ``linemaze.errors``. Errors print one line on
+standard error, a defect its traceback; stdout stays byte-deterministic for
+fixed inputs (the wall-clock duration line goes to standard error).
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ from functools import cache
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import (ExplorationError, GraphQueryError, InconsistencyError,
-                     LinemazeError, MazeSyntaxError, MazeValidationError)
+from .errors import ArgumentError, LinemazeError
 from .graph_path import build_graph, dijkstra, graph_from_maze
 from .mapping_explorer import explore_map
 from .maze_model import MazeSpec, bundled_maze_text, parse_maze
@@ -132,7 +129,7 @@ def _hops(maze: MazeSpec,
 
 def cmd_solve(args: argparse.Namespace) -> str:
     if args.tol is not None and not 0.0 < args.tol < math.inf:
-        raise ValueError("tol must be positive and finite, got %r" % args.tol)
+        raise ArgumentError("tol must be positive and finite, got %r" % args.tol)
     maze, stem = _load_maze(args.maze)
     seed = args.seed
     mode = args.odometry or "ideal"
@@ -200,11 +197,11 @@ def _median(values: List[float]) -> float:
 def cmd_tableone(args: argparse.Namespace) -> str:
     mode = args.odometry or "arc"
     if args.seeds < 1:
-        raise ValueError("--seeds must be at least 1")
+        raise ArgumentError("--seeds must be at least 1")
     if args.seed + args.seeds > 2 ** 64:
-        raise ValueError("--seed + --seeds must be at most 2**64")
+        raise ArgumentError("--seed + --seeds must be at most 2**64")
     if any(not 0 < length < math.inf for length in args.lengths):
-        raise ValueError("--lengths must all be positive and finite")
+        raise ArgumentError("--lengths must all be positive and finite")
     params = MotionParams()
     cal = calibration_from_motion(params)
     correct_mode = _corrected_mode(mode)
@@ -223,7 +220,7 @@ def cmd_tableone(args: argparse.Namespace) -> str:
                 raw[i].append(estimate_length(log, cal, "raw"))
                 corr[i].append(estimate_length(log, cal, correct_mode))
                 i += 1
-        except (ValueError, LinemazeError) as exc:
+        except LinemazeError as exc:
             n, error = i, exc
             if not n:
                 break
@@ -280,23 +277,24 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     gc.disable()
     try:
         if args.seed < 0:
-            raise ValueError("--seed must be at least 0")
+            raise ArgumentError("--seed must be at least 0")
         if args.seed >= 2 ** 64:
-            raise ValueError("--seed must be below 2**64")
+            raise ArgumentError("--seed must be below 2**64")
         if args.command == "solve":
             out = cmd_solve(args)
         elif args.command == "tableone":
             out = cmd_tableone(args)
         else:
             out = cmd_plot(args)
-    except (MazeSyntaxError, MazeValidationError, OSError, ValueError) as exc:
+    except LinemazeError as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return exc.exit_code
+    except (OSError, UnicodeDecodeError) as exc:  # a file it cannot read
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    except ExplorationError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except (InconsistencyError, GraphQueryError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
+    except Exception:  # anything else is a defect in the package
+        import traceback  # not at the top: it adds a third to import time
+        traceback.print_exc()
         return 3
     finally:
         if enabled:

@@ -1,14 +1,21 @@
-"""Exception hierarchy for the linemaze package.
+"""Exception hierarchy for the linemaze package, and the one table of the
+CLI's exit codes. Each class carries its code as ``exit_code``:
 
-The CLI maps these onto exit codes: maze syntax/validation problems are
-user-input errors (exit 1), exploration failures are runtime errors of the
-robot model (exit 2), and inconsistency errors flag internal contradictions
-such as miscalibrated constants or an impossible replay (exit 3).
+1  bad input: a refused argument (``ArgumentError``), an unreadable file,
+   an invalid maze (``MazeSyntaxError``, ``MazeValidationError``)
+2  the robot model failed (``ExplorationError``): budget, divergence, drift
+3  internal contradictions (``InconsistencyError``, ``GraphQueryError``),
+   and, with a traceback, any other exception: a defect in the package
 """
 
 
 class LinemazeError(Exception):
     """Base class for all package errors."""
+    exit_code = 1
+
+
+class ArgumentError(LinemazeError, ValueError):
+    """A refused argument; still a ``ValueError`` to code that catches one."""
 
 
 class MazeSyntaxError(LinemazeError):
@@ -25,6 +32,7 @@ class MazeValidationError(LinemazeError):
 
 class ExplorationError(LinemazeError):
     """The robot could not finish: budget exceeded, drift too large, etc."""
+    exit_code = 2
 
 
 class MotionDivergenceError(ExplorationError):
@@ -33,6 +41,7 @@ class MotionDivergenceError(ExplorationError):
 
 class InconsistencyError(LinemazeError):
     """Internal contradiction: a state that valid inputs cannot produce."""
+    exit_code = 3
 
 
 class CalibrationError(InconsistencyError):
@@ -45,3 +54,4 @@ class ArcDomainError(InconsistencyError):
 
 class GraphQueryError(LinemazeError):
     """Unknown vertex or unreachable target in a graph query."""
+    exit_code = 3

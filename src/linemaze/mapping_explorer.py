@@ -48,7 +48,7 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from ._directions import DELTA
-from .errors import ExplorationError, InconsistencyError
+from .errors import ArgumentError, ExplorationError, InconsistencyError
 from .graph_path import nearest
 from .maze_model import MazeSpec, Point2D, Slot
 from .motion_sim import (EncoderLog, MotionParams, _check_params,
@@ -130,7 +130,7 @@ def match_point(coord: Tuple[float, float], state: ExplorationState,
     Coordinates must be finite.
     """
     if not tol > 0.0:
-        raise ValueError("tol must be positive, got %r" % (tol,))
+        raise ArgumentError("tol must be positive, got %r" % (tol,))
     if state._indexed != len(state.coordinate) or not state._cell >= 2.0 * tol:
         _reindex(state, tol)
     cell = state._cell
@@ -192,7 +192,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     ``node_of`` in the returned state names the maze node behind every
     discovered point.
 
-    Raises ValueError, in every mode, for a seed outside [0, 2**64),
+    Raises ArgumentError, in every mode, for a seed outside [0, 2**64),
     ``params`` that are not a ``MotionParams`` or a tol that is not
     positive and finite, and ExplorationError when the odometry is too
     noisy for the maze (a revisited point lands outside tolerance, a
@@ -202,11 +202,11 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     _jitter_key(seed, 0)
     params = MotionParams() if params is None else _check_params(params)
     if src not in ODOMETRY_MODES:
-        raise ValueError("odometry mode must be one of %r, got %r"
-                         % (ODOMETRY_MODES, src))
+        raise ArgumentError("odometry mode must be one of %r, got %r"
+                            % (ODOMETRY_MODES, src))
     cal = calibration_from_motion(params) if src in ("basic", "arc") else None
     if tol is not None and not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite, got %r" % (tol,))
+        raise ArgumentError("tol must be positive and finite, got %r" % (tol,))
 
     budget = 4 * len(maze.edges)
 

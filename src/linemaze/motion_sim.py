@@ -41,7 +41,7 @@ import operator
 from math import atan2, cos, sin, sqrt
 from typing import NamedTuple, Tuple
 
-from .errors import MotionDivergenceError
+from .errors import ArgumentError, MotionDivergenceError
 
 __all__ = [
     "JITTER_LO",
@@ -111,20 +111,20 @@ class MotionParams(_MotionFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise ValueError("h must be positive and finite")
+            raise ArgumentError("h must be positive and finite")
         if not (0.0 <= self.alpha < math.pi / 2):
-            raise ValueError("alpha must lie in [0, pi/2)")
+            raise ArgumentError("alpha must lie in [0, pi/2)")
         if not (0.0 < self.theta < math.pi / 2):
-            raise ValueError("theta must lie in (0, pi/2)")
+            raise ArgumentError("theta must lie in (0, pi/2)")
         if not (self.speed_ratio > 0.0 and math.isfinite(self.speed_ratio)):
-            raise ValueError("speed_ratio must be positive and finite")
+            raise ArgumentError("speed_ratio must be positive and finite")
         if not (self.wheel_base > 0.0 and math.isfinite(self.wheel_base)):
-            raise ValueError("wheel_base must be positive and finite")
+            raise ArgumentError("wheel_base must be positive and finite")
         for name in ("pivot_left", "pivot_right", "inner_rot_const"):
             if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError("%s must be non-negative and finite" % name)
+                raise ArgumentError("%s must be non-negative and finite" % name)
         if not (self.step > 0.0 and math.isfinite(self.step)):
-            raise ValueError("step must be positive and finite")
+            raise ArgumentError("step must be positive and finite")
         return self
 
     # _replace builds through _make, so both must run the checks above;
@@ -169,15 +169,15 @@ def _mix64(z: int) -> int:
 
 
 def _jitter_key(seed: int, index: int) -> Tuple[int, int]:
-    """The key as ints; ValueError unless both are integers in [0, 2**64)."""
+    """The key as ints; ArgumentError unless both are integers in [0, 2**64)."""
     try:
         seed, index = operator.index(seed), operator.index(index)
         if 0 <= seed <= _MASK64 and 0 <= index <= _MASK64:
             return seed, index
     except TypeError:
         pass
-    raise ValueError("seed and index must lie in [0, 2**64), got %r, %r"
-                     % (seed, index))
+    raise ArgumentError("seed and index must lie in [0, 2**64), got %r, %r"
+                        % (seed, index))
 
 
 def _initial_heading(alpha: float, seed: int, index: int) -> float:
@@ -204,7 +204,7 @@ def simulate_segment(length: float, params: MotionParams, seed: int,
     The start heading's jitter is keyed by ``seed`` and ``index``, so
     segment ``index`` of a run seeded ``seed`` replays alone in one call.
 
-    Raises ValueError for ``params`` that are not a ``MotionParams``, a
+    Raises ArgumentError for ``params`` that are not a ``MotionParams``, a
     length that is not positive or exceeds ``MAX_SEGMENT_LENGTH`` or a seed
     or index outside [0, 2**64), and
     MotionDivergenceError if the controller fails to make progress (the
@@ -226,25 +226,25 @@ def segment_trajectory(length: float, params: MotionParams, seed: int,
 
 
 def _check_params(params: MotionParams) -> MotionParams:
-    """``params``, or ValueError unless it is a MotionParams: a plain tuple
+    """``params``, or ArgumentError unless it is a MotionParams: a plain tuple
     of its fields skips the constructor's checks, and one equal to the last
     robot would get that robot's cached record."""
     if not isinstance(params, MotionParams):
-        raise ValueError("params must be a MotionParams, got %s"
-                         % type(params).__name__)
+        raise ArgumentError("params must be a MotionParams, got %s"
+                            % type(params).__name__)
     return params
 
 
 def _max_steps(length, robot):
-    """A ``length`` cm segment's step budget; ValueError if refused."""
+    """A ``length`` cm segment's step budget; ArgumentError if refused."""
     if not 0.0 < length <= MAX_SEGMENT_LENGTH:
-        raise ValueError("length must be positive and at most %g cm, got %r"
-                         % (MAX_SEGMENT_LENGTH, length))
+        raise ArgumentError("length must be positive and at most %g cm, got %r"
+                            % (MAX_SEGMENT_LENGTH, length))
     budget = 40.0 * length / robot.step
     if not math.isfinite(budget):
-        raise ValueError("length must be positive and small enough to count "
-                         "its steps; %g cm at a %g cm step is not"
-                         % (length, robot.step))
+        raise ArgumentError("length must be positive and small enough to count "
+                            "its steps; %g cm at a %g cm step is not"
+                            % (length, robot.step))
     return int(budget) + 10000
 
 
@@ -275,7 +275,7 @@ def _simulate_lengths(lengths, params, seed, index):
     try:
         alpha0 = _initial_heading(params.alpha, seed, index)
         runs = {length: _max_steps(length, robot) for length in lengths}
-    except ValueError:  # then each length runs alone
+    except ArgumentError:  # then each length runs alone
         alpha0, runs = 0.0, {}
     state = [0.0, 0.0, alpha0, 0.0, 0.0, 0, 0, 0]
     for length in sorted(runs):

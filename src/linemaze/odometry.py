@@ -31,7 +31,7 @@ import math
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import ArcDomainError, CalibrationError
+from .errors import ArcDomainError, ArgumentError, CalibrationError
 from .motion_sim import (JITTER_HI, JITTER_LO, EncoderLog, MotionParams,
                          _check_params)
 
@@ -200,7 +200,7 @@ def _wheel_estimate(log: EncoderLog, cal: CalibConstants, wheel: str,
     arc length ``residual_arc`` returns."""
     n = log.n_right + log.n_left
     if n < 1 and model == "residual":
-        raise ValueError(
+        raise ArgumentError(
             "residual_arc needs at least one pivot turn; "
             "pivot-free logs take the single-arc fallback")
     if wheel == "left":
@@ -210,7 +210,7 @@ def _wheel_estimate(log: EncoderLog, cal: CalibConstants, wheel: str,
         total, f_c, n_inner, c_wheel = (log.wr_total, cal.f_rc, log.n_right,
                                         cal.c_right)
     else:
-        raise ValueError("wheel must be 'left' or 'right', got %r" % (wheel,))
+        raise ArgumentError("wheel must be 'left' or 'right', got %r" % (wheel,))
     bracket = total - f_c * n - cal.k * n_inner
     if not bracket >= 0.0:
         if math.isnan(total):
@@ -290,7 +290,7 @@ def predict_without_encoder(n_right: int, n_left: int,
     """
     n = n_right + n_left
     if n < 1:
-        raise ValueError("need at least one pivot turn to predict a length")
+        raise ArgumentError("need at least one pivot turn to predict a length")
     return _stretch_chords(n, cal.h) * cal.c
 
 
@@ -314,4 +314,4 @@ def estimate_length(log: EncoderLog, cal: CalibConstants, mode: str) -> float:
     if mode == "basic" or mode == "arc":
         return (_wheel_estimate(log, cal, "left", mode)
                 + _wheel_estimate(log, cal, "right", mode)) / 2.0
-    raise ValueError("mode must be one of %r, got %r" % (ODOMETRY_MODES, mode))
+    raise ArgumentError("mode must be one of %r, got %r" % (ODOMETRY_MODES, mode))

@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from ._directions import (BACK, EAST, FRONT, LEFT, NORTH, REL_NAMES, RIGHT,
                           SOUTH, WEST, absolute_of, reverse)
-from .errors import ExplorationError, InconsistencyError
+from .errors import ArgumentError, ExplorationError, InconsistencyError
 from .maze_model import MazeSpec, Slot
 
 __all__ = [
@@ -58,21 +58,21 @@ class JunctionTape(NamedTuple):
 
 
 def _integers(entries: Sequence[int], what: str) -> List[int]:
-    """``entries`` as ints; ValueError at the first that is not an integer."""
+    """``entries`` as ints; ArgumentError at the first that is not an integer."""
     ints: List[int] = []
     for i, entry in enumerate(entries, 1):
         try:
             ints.append(operator.index(entry))
         except TypeError:
-            raise ValueError("%s %d must be an integer, got %r"
-                             % (what, i, entry)) from None
+            raise ArgumentError("%s %d must be an integer, got %r"
+                                % (what, i, entry)) from None
     return ints
 
 
 def _check_pref(pref: Sequence[int]) -> None:
     if tuple(_integers(pref, "preference entry")) not in (PREF_RFLD, PREF_LFRD):
-        raise ValueError("preference must be PREF_RFLD %r or PREF_LFRD %r, "
-                         "got %r" % (PREF_RFLD, PREF_LFRD, tuple(pref)))
+        raise ArgumentError("preference must be PREF_RFLD %r or PREF_LFRD %r, "
+                            "got %r" % (PREF_RFLD, PREF_LFRD, tuple(pref)))
 
 
 def _walk(maze: MazeSpec,
@@ -182,7 +182,7 @@ def reduce_tape(tape: JunctionTape) -> List[int]:
 def replay(maze: MazeSpec, reduced: Sequence[int]) -> List[str]:
     """Drive the maze start→end taking ``reduced[i]`` at the i-th junction.
 
-    Returns every node passed, turns included. Raises ValueError for an
+    Returns every node passed, turns included. Raises ArgumentError for an
     entry that is not a turn code 1–3 (a reduced tape holds no BACK), and
     InconsistencyError when the tape and the maze disagree (missing line,
     dead end, wrong length) — a finished tape from the same maze never does.
@@ -190,8 +190,8 @@ def replay(maze: MazeSpec, reduced: Sequence[int]) -> List[str]:
     codes = _integers(reduced, "replay code at junction")
     for i, code in enumerate(codes, 1):
         if code not in (RIGHT, FRONT, LEFT):
-            raise ValueError("replay code at junction %d must be 1, 2 or 3, "
-                             "got %r" % (i, code))
+            raise ArgumentError("replay code at junction %d must be 1, 2 or 3, "
+                                "got %r" % (i, code))
     path = [maze.start]
     budget = 10 * len(maze.edges)
     idx = 0

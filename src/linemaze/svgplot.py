@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from ._directions import EAST, NORTH, SOUTH, WEST
+from .errors import ArgumentError
 from .maze_model import MazeSpec
 
 __all__ = ["world_points", "render_svg"]
@@ -36,7 +37,7 @@ def world_points(start: Tuple[float, float], direction: int,
         return [(wx - x, wy - y) for x, y in local]
     if direction == SOUTH:
         return [(wx + y, wy - x) for x, y in local]
-    raise ValueError("invalid direction code %r" % (direction,))
+    raise ArgumentError("invalid direction code %r" % (direction,))
 
 
 def _turn_indices(points: Sequence[Tuple[float, float]]) -> List[int]:

@@ -58,9 +58,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from linemaze import motion_sim
 from linemaze._directions import EAST, NORTH, SOUTH, WEST, reverse
-from linemaze.errors import (CalibrationError, GraphQueryError,
-                             InconsistencyError, MazeSyntaxError,
-                             MazeValidationError)
+from linemaze.errors import (ArgumentError, CalibrationError,
+                             GraphQueryError, InconsistencyError,
+                             MazeSyntaxError, MazeValidationError)
 from linemaze.graph_path import Adjacency, PathResult, graph_from_maze
 from linemaze.mapping_explorer import ExplorationState
 from linemaze.maze_model import (MAX_DEGREE, MazeEdge, MazeNode, Point2D,
@@ -392,7 +392,7 @@ def reference_linearize_basic(log, cal, wheel):
         total, f_c, n_inner, c_wheel = (log.wr_total, cal.f_rc, log.n_right,
                                         cal.c_right)
     else:
-        raise ValueError("wheel must be 'left' or 'right', got %r" % (wheel,))
+        raise ArgumentError("wheel must be 'left' or 'right', got %r" % (wheel,))
     n = log.n_right + log.n_left
     bracket = total - f_c * n - cal.k * n_inner
     if not bracket >= 0.0:
@@ -411,7 +411,7 @@ def reference_residual_arc(log, cal, wheel):
     """``odometry.residual_arc`` as it was, on the basic estimate above."""
     n = log.n_right + log.n_left
     if n < 1:
-        raise ValueError(
+        raise ArgumentError(
             "residual_arc needs at least one pivot turn; "
             "pivot-free logs take the single-arc fallback")
     s_h = cal._half_stretch
@@ -450,8 +450,8 @@ def reference_estimate(log, cal, mode):
     if mode == "arc":
         return (reference_linearize_arc(log, cal, "left")
                 + reference_linearize_arc(log, cal, "right")) / 2.0
-    raise ValueError("mode must be one of %r, got %r"
-                     % (ODOMETRY_MODES, mode))
+    raise ArgumentError("mode must be one of %r, got %r"
+                        % (ODOMETRY_MODES, mode))
 
 
 def reference_validate(maze):

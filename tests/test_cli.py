@@ -13,8 +13,11 @@ import pytest
 
 from linemaze import cli, mapping_explorer
 from linemaze.cli import run
-from linemaze.errors import (GraphQueryError, InconsistencyError,
-                             MotionDivergenceError)
+from linemaze.errors import (ArcDomainError, ArgumentError,
+                             CalibrationError, ExplorationError,
+                             GraphQueryError, InconsistencyError,
+                             LinemazeError, MazeSyntaxError,
+                             MazeValidationError, MotionDivergenceError)
 from linemaze.mapping_explorer import explore_map
 from linemaze.maze_model import bundled_maze_text, parse_maze, serialize_maze
 from linemaze.mazegen import random_maze
@@ -758,22 +761,70 @@ def test_ideal_drive_builds_a_plain_encoder_log():
     assert log == (14.0, 14.0, 0, 0, 14.0)
 
 
-def test_internal_contradictions_exit_three(capsys, monkeypatch):
-    def boom_inconsistency(args):
-        raise InconsistencyError("impossible state")
+# The exit code of each error class, as the README's exit-code paragraph
+# and the table in linemaze.errors give them: bad input 1, a failed
+# exploration 2, a contradiction 3. A class missing here fails its case.
+EXIT_CODES = {
+    LinemazeError: 1, ArgumentError: 1, MazeSyntaxError: 1,
+    MazeValidationError: 1, ExplorationError: 2, MotionDivergenceError: 2,
+    InconsistencyError: 3, CalibrationError: 3, ArcDomainError: 3,
+    GraphQueryError: 3,
+}
 
-    def boom_graph(args):
-        raise GraphQueryError("no such vertex")
 
-    monkeypatch.setattr("linemaze.cli.cmd_solve", boom_inconsistency)
-    code, _, err = run_cli(capsys, "solve", "--maze", "fig2")
-    assert code == 3
-    assert err == "error: impossible state\n"
+def _error_classes(cls=LinemazeError):
+    """``cls`` and every class below it."""
+    return [cls] + [sub for direct in cls.__subclasses__()
+                    for sub in _error_classes(direct)]
 
-    monkeypatch.setattr("linemaze.cli.cmd_solve", boom_graph)
-    code, _, err = run_cli(capsys, "solve", "--maze", "fig2")
-    assert code == 3
-    assert err == "error: no such vertex\n"
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+def test_every_package_error_exits_with_its_code(capsys, monkeypatch, cls):
+    exc = cls(4, "bad record") if cls is MazeSyntaxError else cls("refused")
+
+    def boom(args):
+        raise exc
+
+    monkeypatch.setattr("linemaze.cli.cmd_solve", boom)
+    assert run_cli(capsys, "solve", "--maze", "fig2") == (
+        EXIT_CODES[cls], "", "error: %s\n" % exc)
+
+
+def _defect(*args):
+    raise ValueError("math domain error")
+
+
+def test_a_defect_exits_three_with_its_traceback(capsys, monkeypatch):
+    # A bare ValueError from inside the package is a defect, not bad input:
+    # it exits 3 with its traceback, where a refused --tol exits 1.
+    monkeypatch.setattr(cli, "estimate_length", _defect)
+    code, out, err = run_cli(capsys, "solve", "--maze", "fig2",
+                             "--odometry", "arc")
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("\nValueError: math domain error\n")
+    assert run_cli(capsys, "solve", "--maze", "fig2", "--tol", "-1") == (
+        1, "", "error: tol must be positive and finite, got -1.0\n")
+
+
+def test_tableone_does_not_fold_a_defect_into_its_error_order(
+        capsys, monkeypatch):
+    # A refusal at one length lets the later seeds run the shorter lengths
+    # before it is raised; a defect stops the table at the call it hits.
+    calls = []
+    estimate = cli.estimate_length
+
+    def third_call_fails(log, cal, mode):
+        calls.append(mode)
+        if len(calls) == 3:
+            _defect()
+        return estimate(log, cal, mode)
+
+    monkeypatch.setattr(cli, "estimate_length", third_call_fails)
+    code, out, err = run_cli(capsys, "tableone", "--lengths", "10", "14",
+                             "--seeds", "5")
+    assert (code, out, len(calls)) == (3, "", 3)
+    assert err.endswith("\nValueError: math domain error\n")
 
 
 # -------------------------------------------------------------- collector
@@ -797,7 +848,8 @@ def _inconsistent(args):
     (("solve", "--maze", "fig2", "--bogus"), 1, None),
     (("solve", "--maze", "fig2", "--tol", "4.0"), 2, None),
     (("solve", "--maze", "fig2"), 3, _inconsistent),
-], ids=["exit0", "exit1", "exit1-usage", "exit2", "exit3"])
+    (("solve", "--maze", "fig2"), 3, _defect),
+], ids=["exit0", "exit1", "exit1-usage", "exit2", "exit3", "exit3-defect"])
 def test_run_leaves_the_collector_as_it_found_it(capsys, monkeypatch,
                                                  collector, enabled, argv,
                                                  code, solve):
@@ -850,6 +902,9 @@ def test_error_output_is_a_single_line(capsys, tmp_path):
     wide.write_text("node A -1.5e308 0\nnode B 0 0\nnode E 0 5\n"
                     "node C 1.5e308 0\nnode D 1.5e308 5\nedge A B\nedge B E\n"
                     "edge B C\nedge C D\nstart A\nend D\n")
+    # Not UTF-8, so it cannot be read as text.
+    latin = tmp_path / "latin.maze"
+    latin.write_bytes(b"node A 0 0\xff\n")
     for expected, argv in (
             (1, ("solve", "--maze", "nosuch")),
             (2, ("solve", "--maze", "fig2", "--algo", "simple")),
@@ -863,7 +918,8 @@ def test_error_output_is_a_single_line(capsys, tmp_path):
             (1, ("solve", "--maze", str(wide), "--algo", "map")),
             (1, ("solve", "--maze", str(wide), "--algo", "simple")),
             (1, ("plot", "--maze", str(wide), "--out",
-                 str(tmp_path / "wide.svg")))):
+                 str(tmp_path / "wide.svg"))),
+            (1, ("solve", "--maze", str(latin)))):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected
         assert err.startswith("error: ")
