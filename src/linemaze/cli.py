@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_maze(arg: str) -> Tuple[MazeSpec, str]:
     path = Path(arg)
-    if path.exists():
+    if arg and path.exists():  # "" would name the working directory
         text = path.read_text(encoding="utf-8")
     else:
         text = bundled_maze_text(arg)
@@ -206,26 +206,17 @@ def cmd_tableone(args: argparse.Namespace) -> str:
     cal = calibration_from_motion(params)
     correct_mode = _corrected_mode(mode)
 
-    # Seed by seed, one _simulate_lengths call each. A failure at length i
-    # is raised unless one before i fails at a later seed: only those go on.
+    # Seed by seed, one _simulate_lengths call each, which refuses a bad
+    # length before any run. The first run or correction that fails is
+    # raised as it is met: seeds ascending, lengths in the order given.
     lengths = args.lengths
     raw, corr = [[] for _ in lengths], [[] for _ in lengths]
-    n, error = len(lengths), None
     for s in range(args.seed, args.seed + args.seeds):
-        logs = (_simulate_lengths(lengths[:n], params, s, 0) if mode != "ideal"
-                else [_drive(x, mode, params, s, 0) for x in lengths[:n]])
-        i = 0
-        try:
-            for log in logs:
-                raw[i].append(estimate_length(log, cal, "raw"))
-                corr[i].append(estimate_length(log, cal, correct_mode))
-                i += 1
-        except LinemazeError as exc:
-            n, error = i, exc
-            if not n:
-                break
-    if error is not None:
-        raise error
+        logs = (_simulate_lengths(lengths, params, s, 0) if mode != "ideal"
+                else [_drive(x, mode, params, s, 0) for x in lengths])
+        for log, raw_i, corr_i in zip(logs, raw, corr):
+            raw_i.append(estimate_length(log, cal, "raw"))
+            corr_i.append(estimate_length(log, cal, correct_mode))
 
     rows: List[Tuple[float, float, float, float, float]] = []
     for length, raw_i, corr_i in zip(lengths, raw, corr):
@@ -245,6 +236,8 @@ def cmd_tableone(args: argparse.Namespace) -> str:
 
 
 def cmd_plot(args: argparse.Namespace) -> str:
+    if "\0" in args.out:
+        raise ArgumentError("--out must not contain a NUL byte")
     maze, _stem = _load_maze(args.maze)
     mode = args.odometry or "ideal"
     params = MotionParams()

@@ -265,18 +265,17 @@ def _simulate(length, params, seed, index, pivots):
 
 def _simulate_lengths(lengths, params, seed, index):
     """``simulate_segment(length, params, seed, index)`` for each of
-    ``lengths`` in turn: yields its log, or raises what it raises.
+    ``lengths`` in turn: yields its log, or raises what it raises. Every
+    length, then the jitter key, is checked before any run, so a refused
+    argument is raised before any run can fail.
 
     The kernel runs each distinct length once, shortest first, each from
-    the state the last finished run handed back. A failed run's length,
-    or every length if a check fails, runs alone to raise its own error.
+    the state the last finished run handed back. A failed run's length
+    runs alone to raise its own error.
     """
     robot = _robot(_check_params(params))
-    try:
-        alpha0 = _initial_heading(params.alpha, seed, index)
-        runs = {length: _max_steps(length, robot) for length in lengths}
-    except ArgumentError:  # then each length runs alone
-        alpha0, runs = 0.0, {}
+    runs = {length: _max_steps(length, robot) for length in lengths}
+    alpha0 = _initial_heading(params.alpha, seed, index)
     state = [0.0, 0.0, alpha0, 0.0, 0.0, 0, 0, 0]
     for length in sorted(runs):
         resume = state[:]
@@ -285,7 +284,7 @@ def _simulate_lengths(lengths, params, seed, index):
         if out[5]:
             state = resume
     for length in lengths:
-        run = runs.get(length) or _simulate(length, params, seed, index, None)
+        run = runs[length] or _simulate(length, params, seed, index, None)
         yield tuple.__new__(EncoderLog, (*run[:4], length))
 
 

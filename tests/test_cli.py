@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from linemaze import cli, mapping_explorer
+from linemaze import cli, mapping_explorer, motion_sim
 from linemaze.cli import run
 from linemaze.errors import (ArcDomainError, ArgumentError,
                              CalibrationError, ExplorationError,
@@ -309,24 +309,37 @@ def test_tableone_rows_keep_the_given_order_and_repeats(capsys):
             for mode in ("raw", "arc")]
 
 
-@pytest.mark.parametrize("lengths", [("10", "1e9"), ("1e9", "10")])
-def test_tableone_refuses_a_long_length_wherever_it_stands(capsys, lengths):
+@pytest.mark.parametrize("lengths", [
+    ("10", "1e9"), ("1e9", "10"),
+    # 5e5 cm is driven fine, but its arc correction fails; the refusal of
+    # 2e6 cm comes first, in either order, before any kernel run.
+    ("5e5", "2e6"), ("2e6", "5e5")])
+def test_tableone_refuses_a_long_length_wherever_it_stands(
+        capsys, monkeypatch, lengths):
+    calls = []
+    integrate = motion_sim._integrate
+
+    def spy(*args):
+        calls.append(args[0])
+        return integrate(*args)
+
+    monkeypatch.setattr(motion_sim, "_integrate", spy)
     code, out, err = run_cli(capsys, "tableone", "--lengths", *lengths)
-    assert (code, out) == (1, "")
+    assert (code, out, calls) == (1, "", [])
     assert err == ("error: length must be positive and at most 1e+06 cm, "
-                   "got 1000000000.0\n")
+                   "got %r\n" % max(map(float, lengths)))
 
 
 @pytest.mark.parametrize("failures,first", [
-    ({(14.0, 4), (10.0, 6), (8.0, 3)}, (10.0, 6)),
-    ({(14.0, 4), (8.0, 3)}, (14.0, 4)),
+    ({(14.0, 4), (10.0, 6), (8.0, 3)}, (8.0, 3)),
+    ({(14.0, 4), (8.0, 3)}, (8.0, 3)),
     ({(8.0, 3), (8.0, 5)}, (8.0, 3)),
     ({(10.0, 7), (10.0, 5)}, (10.0, 5)),
 ])
-def test_tableone_raises_the_length_major_first_failure(
+def test_tableone_raises_the_first_failure_it_meets(
         capsys, monkeypatch, failures, first):
-    # Seeds are driven one after another, but the error is the one that a
-    # loop over lengths, then seeds, meets first.
+    # Seeds are driven in ascending order and each seed's lengths in the
+    # order given; the first failure met is raised.
     drive = cli._simulate_lengths
 
     def failing(lengths, params, seed, index):
@@ -809,8 +822,8 @@ def test_a_defect_exits_three_with_its_traceback(capsys, monkeypatch):
 
 def test_tableone_does_not_fold_a_defect_into_its_error_order(
         capsys, monkeypatch):
-    # A refusal at one length lets the later seeds run the shorter lengths
-    # before it is raised; a defect stops the table at the call it hits.
+    # A defect is no refusal: it stops the table at the call it hits and
+    # exits 3 with its traceback.
     calls = []
     estimate = cli.estimate_length
 
@@ -919,7 +932,10 @@ def test_error_output_is_a_single_line(capsys, tmp_path):
             (1, ("solve", "--maze", str(wide), "--algo", "simple")),
             (1, ("plot", "--maze", str(wide), "--out",
                  str(tmp_path / "wide.svg"))),
-            (1, ("solve", "--maze", str(latin)))):
+            (1, ("solve", "--maze", str(latin))),
+            # An empty name is no file: "" would read the working directory.
+            (1, ("solve", "--maze", "")),
+            (1, ("plot", "--maze", "fig2", "--out", "a\x00b.svg"))):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected
         assert err.startswith("error: ")
