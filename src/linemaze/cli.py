@@ -29,8 +29,9 @@ from .errors import ArgumentError, LinemazeError
 from .graph_path import build_graph, dijkstra, graph_from_maze
 from .mapping_explorer import explore_map
 from .maze_model import MazeSpec, bundled_maze_text, parse_maze
-from .motion_sim import (EncoderLog, MotionParams, _simulate_lengths,
-                         segment_trajectory, simulate_segment)
+from .motion_sim import (EncoderLog, MotionParams, _max_steps,
+                         _simulate_lengths, segment_trajectory,
+                         simulate_segment)
 from .odometry import (ODOMETRY_MODES, calibration_from_motion,
                        estimate_length)
 from .simple_explorer import PREFERENCES, explore_simple, reduce_tape, replay
@@ -202,24 +203,26 @@ def cmd_tableone(args: argparse.Namespace) -> str:
         raise ArgumentError("--seed + --seeds must be at most 2**64")
     if any(not 0 < length < math.inf for length in args.lengths):
         raise ArgumentError("--lengths must all be positive and finite")
-    params = MotionParams()
+    lengths, params = args.lengths, MotionParams()
+    if mode == "ideal":  # runs nothing, but refuses what a run refuses
+        for length in lengths:
+            _max_steps(length, params)
     cal = calibration_from_motion(params)
     correct_mode = _corrected_mode(mode)
 
-    # Seed by seed, one _simulate_lengths call each, which refuses a bad
-    # length before any run. The first run or correction that fails is
-    # raised as it is met: seeds ascending, lengths in the order given.
-    lengths = args.lengths
-    raw, corr = [[] for _ in lengths], [[] for _ in lengths]
-    for s in range(args.seed, args.seed + args.seeds):
-        logs = (_simulate_lengths(lengths, params, s, 0) if mode != "ideal"
-                else [_drive(x, mode, params, s, 0) for x in lengths])
-        for log, raw_i, corr_i in zip(logs, raw, corr):
-            raw_i.append(estimate_length(log, cal, "raw"))
-            corr_i.append(estimate_length(log, cal, correct_mode))
+    # The first run or correction that fails is raised as it is met: seeds
+    # ascending, lengths in the order given.
+    seeds = range(args.seed, args.seed + args.seeds)
+    logs = (_simulate_lengths(lengths, params, seeds, 0) if mode != "ideal"
+            else (_drive(x, mode, params, s, 0)
+                  for s in seeds for x in lengths))
+    cells = [([], []) for _ in lengths]
+    for (raw_i, corr_i), log in zip(cells * args.seeds, logs):
+        raw_i.append(estimate_length(log, cal, "raw"))
+        corr_i.append(estimate_length(log, cal, correct_mode))
 
     rows: List[Tuple[float, float, float, float, float]] = []
-    for length, raw_i, corr_i in zip(lengths, raw, corr):
+    for length, (raw_i, corr_i) in zip(lengths, cells):
         med_raw, med_corr = _median(raw_i), _median(corr_i)
         rows.append((length, med_raw, med_corr,
                      (med_raw - length) / length * 100.0,

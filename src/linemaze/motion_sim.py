@@ -28,8 +28,8 @@ stays bit for bit.
 
 A run can start from a saved leg-start state and hands back the state at
 the start of its first leg that reads the length, a valid start for any
-longer length: ``_simulate_lengths`` drives ``tableone``'s lengths of one
-seed so, shortest first.
+longer length: ``_simulate_lengths`` checks a ``tableone`` table's lengths
+once, then drives each seed's lengths so, shortest first.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ _MASK64 = (1 << 64) - 1
 
 # Longest segment simulate_segment drives, in cm: a bound on time, as a
 # log's size does not grow with the length. At the default robot a call
-# costs about 5.5 us plus 0.95 us per simulated cm (best of 25 runs at 1,
-# 100 and 1,000 cm on a shared 2-core Xeon, Python 3.11; 1e6 cm took
-# 1.7-3.2 s). Only segment_trajectory builds a polyline, ~145 B a pivot.
+# costs about 4 us plus 0.75 us per simulated cm (best of 25 runs at 0.5
+# to 1,000 cm on a shared 2-core Xeon, Python 3.11; 1e6 cm took 1.3-1.5
+# s). Only segment_trajectory builds a polyline, ~145 B a pivot.
 MAX_SEGMENT_LENGTH = 1e6
 
 # The leg-jump kernel below is the only kernel, in pure Python; the name
@@ -263,29 +263,30 @@ def _simulate(length, params, seed, index, pivots):
     return wl, wr, n_right, n_left, y
 
 
-def _simulate_lengths(lengths, params, seed, index):
-    """``simulate_segment(length, params, seed, index)`` for each of
-    ``lengths`` in turn: yields its log, or raises what it raises. Every
-    length, then the jitter key, is checked before any run, so a refused
-    argument is raised before any run can fail.
-
-    The kernel runs each distinct length once, shortest first, each from
-    the state the last finished run handed back. A failed run's length
-    runs alone to raise its own error.
+def _simulate_lengths(lengths, params, seeds, index):
+    """``simulate_segment(length, params, seed, index)`` for each seed of
+    the range ``seeds``, then each of ``lengths``: yields its log, or raises
+    what it raises. The params, every length and the window's jitter keys
+    are checked once per table, before any run. For each seed the kernel
+    runs each distinct length once, shortest first, from the state the last
+    finished run handed back; a failed run's error is raised when its
+    length's turn comes, by running that length alone.
     """
     robot = _robot(_check_params(params))
-    runs = {length: _max_steps(length, robot) for length in lengths}
-    alpha0 = _initial_heading(params.alpha, seed, index)
-    state = [0.0, 0.0, alpha0, 0.0, 0.0, 0, 0, 0]
-    for length in sorted(runs):
-        resume = state[:]
-        out = _integrate(length, alpha0, robot, runs[length], None, resume)
-        runs[length] = out if out[5] else None
-        if out[5]:
-            state = resume
-    for length in lengths:
-        run = runs[length] or _simulate(length, params, seed, index, None)
-        yield tuple.__new__(EncoderLog, (*run[:4], length))
+    runs = sorted({x: _max_steps(x, robot) for x in lengths}.items())
+    if seeds:
+        _jitter_key(seeds[0], index), _jitter_key(seeds[-1], index)
+    for seed in seeds:
+        alpha0 = _initial_heading(params.alpha, seed, index)
+        state, outs = [0.0, 0.0, alpha0, 0.0, 0.0, 0, 0, 0], {}
+        for length, max_steps in runs:
+            resume = state[:]
+            out = _integrate(length, alpha0, robot, max_steps, None, resume)
+            outs[length] = out if out[5] else None
+            state = resume if out[5] else state
+        for length in lengths:
+            run = outs[length] or _simulate(length, params, seed, index, None)
+            yield tuple.__new__(EncoderLog, (*run[:4], length))
 
 
 def _integrate(length, alpha0, robot, max_steps, pivots, resume=None):

@@ -17,8 +17,8 @@ functions here undo both effects at two levels of fidelity:
   pivots. What is left is the residual stretch before the segment end.
 
 Both levels evaluate a wheel in one private function; ``estimate_length``
-calls it once per wheel, left first, and the public per-wheel functions
-call it too, so each check runs and raises alike from every entry point.
+calls it once per wheel, left first, and the per-wheel functions by the
+wheel's name, so each check runs and raises alike from every entry point.
 
 ``predict_without_encoder`` estimates length from pivot counts alone — no
 encoder readings at all — which works because the controller makes the robot
@@ -194,23 +194,9 @@ def chord_from_arc(s: float, radius: float) -> float:
     return radius * math.sin(ratio)
 
 
-def _wheel_estimate(log: EncoderLog, cal: CalibConstants, wheel: str,
-                    model: str) -> float:
-    """One wheel's ``model`` estimate: "basic", "arc" or "residual", the
-    arc length ``residual_arc`` returns."""
-    n = log.n_right + log.n_left
-    if n < 1 and model == "residual":
-        raise ArgumentError(
-            "residual_arc needs at least one pivot turn; "
-            "pivot-free logs take the single-arc fallback")
-    if wheel == "left":
-        total, f_c, n_inner, c_wheel = (log.wl_total, cal.f_lc, log.n_left,
-                                        cal.c_left)
-    elif wheel == "right":
-        total, f_c, n_inner, c_wheel = (log.wr_total, cal.f_rc, log.n_right,
-                                        cal.c_right)
-    else:
-        raise ArgumentError("wheel must be 'left' or 'right', got %r" % (wheel,))
+def _wheel_estimate(total, f_c, n_inner, c_wheel, n, cal, wheel, model):
+    """One wheel's ``model`` estimate, "basic", "arc" or "residual" (what
+    ``residual_arc`` returns), from the numbers ``_wheel`` reads for it."""
     bracket = total - f_c * n - cal.k * n_inner
     if not bracket >= 0.0:
         if math.isnan(total):
@@ -239,6 +225,22 @@ def _wheel_estimate(log: EncoderLog, cal: CalibConstants, wheel: str,
     return (_stretch_chords(n, cal.h) + d_d) * cal.c
 
 
+def _wheel(log, cal, wheel, model):
+    """``_wheel_estimate`` of the wheel named ``wheel``."""
+    n = log.n_right + log.n_left
+    if n < 1 and model == "residual":
+        raise ArgumentError(
+            "residual_arc needs at least one pivot turn; "
+            "pivot-free logs take the single-arc fallback")
+    if wheel == "left":
+        return _wheel_estimate(log.wl_total, cal.f_lc, log.n_left, cal.c_left,
+                               n, cal, wheel, model)
+    if wheel == "right":
+        return _wheel_estimate(log.wr_total, cal.f_rc, log.n_right,
+                               cal.c_right, n, cal, wheel, model)
+    raise ArgumentError("wheel must be 'left' or 'right', got %r" % (wheel,))
+
+
 def linearize_basic(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     """Piecewise-linear length estimate from one wheel's encoder total.
 
@@ -247,7 +249,7 @@ def linearize_basic(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     with the same-side turn count (the left wheel is the inner wheel of a
     left turn).
     """
-    return _wheel_estimate(log, cal, wheel, "basic")
+    return _wheel(log, cal, wheel, "basic")
 
 
 def _stretch_chords(n: int, h: float) -> float:
@@ -265,7 +267,7 @@ def residual_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     The model reads what is left as the last, incomplete stretch; on the
     simulated robot it grows with the segment's length instead.
     """
-    return _wheel_estimate(log, cal, wheel, "residual")
+    return _wheel(log, cal, wheel, "residual")
 
 
 def linearize_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
@@ -277,7 +279,7 @@ def linearize_arc(log: EncoderLog, cal: CalibConstants, wheel: str) -> float:
     no pivots at all the whole midpoint roll is treated as a single
     tangent-start arc.
     """
-    return _wheel_estimate(log, cal, wheel, "arc")
+    return _wheel(log, cal, wheel, "arc")
 
 
 def predict_without_encoder(n_right: int, n_left: int,
@@ -312,6 +314,9 @@ def estimate_length(log: EncoderLog, cal: CalibConstants, mode: str) -> float:
             mean = log.wl_total / 2.0 + log.wr_total / 2.0
         return mean
     if mode == "basic" or mode == "arc":
-        return (_wheel_estimate(log, cal, "left", mode)
-                + _wheel_estimate(log, cal, "right", mode)) / 2.0
+        n = log.n_right + log.n_left
+        return (_wheel_estimate(log.wl_total, cal.f_lc, log.n_left,
+                                cal.c_left, n, cal, "left", mode)
+                + _wheel_estimate(log.wr_total, cal.f_rc, log.n_right,
+                                  cal.c_right, n, cal, "right", mode)) / 2.0
     raise ArgumentError("mode must be one of %r, got %r" % (ODOMETRY_MODES, mode))

@@ -253,23 +253,23 @@ def spy_segments(monkeypatch):
 
 
 def test_tableone_keys_each_seed_at_index_zero(capsys, monkeypatch):
-    # Seed s drives every length with jitter key (s, 0), in one
-    # _simulate_lengths call, so all lengths of one seed share a start
-    # heading, and each row is the median over the seeds of one
-    # simulate_segment call each.
+    # One _simulate_lengths call drives every seed s's lengths with jitter
+    # key (s, 0), so all lengths of one seed share a start heading, and
+    # each row is the median over the seeds of one simulate_segment call
+    # each.
     calls = []
     drive = cli._simulate_lengths
 
-    def spy(lengths, params, seed, index):
-        calls.append((list(lengths), seed, index))
-        return drive(lengths, params, seed, index)
+    def spy(lengths, params, seeds, index):
+        calls.append((list(lengths), seeds, index))
+        return drive(lengths, params, seeds, index)
 
     monkeypatch.setattr(cli, "_simulate_lengths", spy)
     segments = spy_segments(monkeypatch)
     code, out, _ = run_cli(capsys, "tableone", "--seeds", "4", "--seed", "3",
                            "--lengths", "10", "14", "8", "--format", "tsv")
     assert code == 0
-    assert calls == [([10.0, 14.0, 8.0], s, 0) for s in range(3, 7)]
+    assert calls == [([10.0, 14.0, 8.0], range(3, 7), 0)]
     assert segments == []
     p = MotionParams()
     cal = calibration_from_motion(p)
@@ -324,10 +324,13 @@ def test_tableone_refuses_a_long_length_wherever_it_stands(
         return integrate(*args)
 
     monkeypatch.setattr(motion_sim, "_integrate", spy)
-    code, out, err = run_cli(capsys, "tableone", "--lengths", *lengths)
-    assert (code, out, calls) == (1, "", [])
-    assert err == ("error: length must be positive and at most 1e+06 cm, "
-                   "got %r\n" % max(map(float, lengths)))
+    # Ideal odometry runs nothing, yet refuses the same lengths.
+    for options in ((), ("--odometry", "ideal", "--seeds", "1")):
+        code, out, err = run_cli(capsys, "tableone", "--lengths", *lengths,
+                                 *options)
+        assert (code, out, calls) == (1, "", [])
+        assert err == ("error: length must be positive and at most 1e+06 "
+                       "cm, got %r\n" % max(map(float, lengths)))
 
 
 @pytest.mark.parametrize("failures,first", [
@@ -342,11 +345,11 @@ def test_tableone_raises_the_first_failure_it_meets(
     # order given; the first failure met is raised.
     drive = cli._simulate_lengths
 
-    def failing(lengths, params, seed, index):
-        for length, log in zip(lengths, drive(lengths, params, seed, index)):
-            if (length, seed) in failures:
-                raise MotionDivergenceError("%g cm at seed %d" % (length,
-                                                                  seed))
+    def failing(lengths, params, seeds, index):
+        keys = ((length, seed) for seed in seeds for length in lengths)
+        for key, log in zip(keys, drive(lengths, params, seeds, index)):
+            if key in failures:
+                raise MotionDivergenceError("%g cm at seed %d" % key)
             yield log
 
     monkeypatch.setattr(cli, "_simulate_lengths", failing)
@@ -448,11 +451,13 @@ def test_tableone_accuracy_does_not_degrade_with_length(capsys):
 
 
 def test_tableone_ideal_is_exact_at_extreme_lengths(capsys):
-    # A perfect robot reads its length exactly, also where the sum of its
-    # two wheel totals overflows (1e308) and where halving each total
-    # before adding them would round to zero (5e-324).
+    # A perfect robot reads its length exactly, also at the longest length
+    # every mode accepts (1e6) and where halving each total before adding
+    # them would round to zero (5e-324). Ideal odometry refuses 1e308 like
+    # every mode; the overflow of two such totals' sum is tested in
+    # test_odometry.py's test_raw_estimate_does_not_overflow.
     rows = tableone_rows(capsys, "--odometry", "ideal", "--seeds", "1",
-                         "--lengths", "1e308", "5e-324")
+                         "--lengths", "1e6", "5e-324")
     assert list(rows.values()) == [(0.0, 0.0), (0.0, 0.0)]
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from linemaze import motion_sim
-from linemaze.errors import MotionDivergenceError
+from linemaze.errors import ArgumentError, MotionDivergenceError
 from linemaze.motion_sim import (EncoderLog, MotionParams, segment_trajectory,
                                  simulate_segment)
 from oracles import fresh_heading, step_loop_integrate
@@ -732,19 +732,45 @@ def outcome(run):
 @settings(max_examples=80, deadline=None)
 @given(lengths=length_lists(), p=st.sampled_from(SHARED_LEG_ROBOTS),
        seed=st.integers(min_value=0, max_value=2**64 - 1),
+       count=st.integers(min_value=1, max_value=4),
        index=st.integers(min_value=0, max_value=3))
-@example(lengths=[1.0, 3.0, 10.0], p=MotionParams(), seed=3, index=0)
-@example(lengths=[100.0, 1000.0], p=MotionParams(), seed=7, index=0)
+@example(lengths=[1.0, 3.0, 10.0], p=MotionParams(), seed=3, count=4,
+         index=0)
+@example(lengths=[100.0, 1000.0], p=MotionParams(), seed=7, count=2,
+         index=0)
 @example(lengths=[5.0, 300.0, 50.0, 200.0],
          p=MotionParams(h=200.0, alpha=0.0, speed_ratio=1.1), seed=0,
-         index=0)
-def test_simulate_lengths_is_one_call_per_length(lengths, p, seed, index):
-    # _simulate_lengths runs each length once, shortest first, continuing
-    # the legs of the one before; it yields or raises, length by length,
-    # what simulate_segment does.
+         count=2, index=0)
+@example(lengths=[2.0, 0.5], p=MotionParams(), seed=2**64 - 1, count=4,
+         index=3)
+def test_simulate_lengths_is_one_call_per_length(lengths, p, seed, count,
+                                                 index):
+    # _simulate_lengths drives a window of seeds. For each seed it runs
+    # each length once, shortest first, continuing the legs of the one
+    # before; it yields or raises, seed by seed and length by length, what
+    # simulate_segment does.
+    start = min(seed, 2**64 - count)  # the window ends at 2**64 at most
+    seeds = range(start, start + count)
     assert outcome(lambda: list(motion_sim._simulate_lengths(
-        lengths, p, seed, index))) == outcome(
-        lambda: [simulate_segment(x, p, seed, index) for x in lengths])
+        lengths, p, seeds, index))) == outcome(
+        lambda: [simulate_segment(x, p, s, index)
+                 for s in seeds for x in lengths])
+
+
+def test_simulate_lengths_refuses_up_front_and_raises_a_failed_run_in_turn():
+    # Every length of a seed runs before its first log is yielded, but a
+    # failed run is raised only when the lengths given before it have been
+    # yielded, so a consumer meets the failures in the order given.
+    p = MotionParams(h=100.0, speed_ratio=3.0)
+    logs = motion_sim._simulate_lengths([1.0, 50.0, 5.0], p, range(3, 4), 0)
+    assert next(logs) == simulate_segment(1.0, p, 3)
+    with pytest.raises(MotionDivergenceError, match="a 50 cm segment"):
+        next(logs)
+    # A jitter key outside [0, 2**64), at either end of the window, is
+    # refused before the first seed's log.
+    for seeds in (range(-1, 1), range(2**64 - 1, 2**64 + 1)):
+        with pytest.raises(ArgumentError, match="seed and index must lie"):
+            next(motion_sim._simulate_lengths([1.0], p, seeds, 0))
 
 
 # ------------------------------------------------------------------ jitter
