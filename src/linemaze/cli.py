@@ -29,9 +29,7 @@ from .errors import ArgumentError, LinemazeError
 from .graph_path import build_graph, dijkstra, graph_from_maze
 from .mapping_explorer import explore_map
 from .maze_model import MazeSpec, bundled_maze_text, parse_maze
-from .motion_sim import (EncoderLog, MotionParams, _max_steps,
-                         _simulate_lengths, segment_trajectory,
-                         simulate_segment)
+from .motion_sim import EncoderLog, MotionParams, _driver, _simulate_lengths
 from .odometry import (ODOMETRY_MODES, calibration_from_motion,
                        estimate_length)
 from .simple_explorer import PREFERENCES, explore_simple, reduce_tape, replay
@@ -99,18 +97,20 @@ def _load_maze(arg: str) -> Tuple[MazeSpec, str]:
     return parse_maze(text), path.stem
 
 
-def _drive(length: float, mode: str, params: MotionParams, seed: int,
-           index: int) -> EncoderLog:
-    """Encoder log of one straight segment of ``length``, jitter key
-    (seed, index).
+def _drive(mode: str, params: MotionParams, seed: int,
+           hops: Sequence[Tuple[str, str, int, float]]):
+    """A command's ``motion_sim._driver``, which refuses the first refused
+    hop before any run. Ideal odometry drives a perfect straight run, both
+    wheels rolling exactly ``length`` with no pivots, and refuses none."""
+    if mode != "ideal":
+        return _driver(params, seed, [hop[3] for hop in hops])
 
-    Ideal odometry drives a perfect straight run: both wheels roll exactly
-    ``length``, with no pivots. Every other mode simulates the segment.
-    """
-    if mode == "ideal":
-        return EncoderLog(wl_total=length, wr_total=length, n_right=0,
-                          n_left=0, true_length=length)
-    return simulate_segment(length, params, seed, index)
+    def ideal(length, index, pivots=None):
+        if pivots is not None:
+            pivots.append((length, 0.0))
+        return EncoderLog(length, length, 0, 0, length)
+
+    return ideal
 
 
 def _corrected_mode(mode: str) -> str:
@@ -156,11 +156,11 @@ def cmd_solve(args: argparse.Namespace) -> str:
 
     cal = calibration_from_motion(params)
     correct_mode = _corrected_mode(mode)
-    rows = []
-    for i, (a, b, _direction, true_len) in enumerate(_hops(maze, path)):
-        # A noisy map row reads the log that weighed its edge; others drive.
-        log = (logs[tuple(sorted(names[i:i + 2]))] if logs else
-               _drive(true_len, mode, params, seed, i))
+    rows, hops = [], _hops(maze, path)
+    # A noisy map row reads the log that weighed its edge; others drive.
+    drive = None if logs else _drive(mode, params, seed, hops)
+    for i, (a, b, _direction, true_len) in enumerate(hops):
+        log = logs[tuple(sorted(names[i:i + 2]))] if logs else drive(true_len, i)
         rows.append(("%s-%s" % (a, b), true_len,
                      estimate_length(log, cal, "raw"),
                      estimate_length(log, cal, correct_mode)))
@@ -205,8 +205,7 @@ def cmd_tableone(args: argparse.Namespace) -> str:
         raise ArgumentError("--lengths must all be positive and finite")
     lengths, params = args.lengths, MotionParams()
     if mode == "ideal":  # runs nothing, but refuses what a run refuses
-        for length in lengths:
-            _max_steps(length, params)
+        _driver(params, args.seed, lengths)
     cal = calibration_from_motion(params)
     correct_mode = _corrected_mode(mode)
 
@@ -214,8 +213,7 @@ def cmd_tableone(args: argparse.Namespace) -> str:
     # ascending, lengths in the order given.
     seeds = range(args.seed, args.seed + args.seeds)
     logs = (_simulate_lengths(lengths, params, seeds, 0) if mode != "ideal"
-            else (_drive(x, mode, params, s, 0)
-                  for s in seeds for x in lengths))
+            else (EncoderLog(x, x, 0, 0, x) for _s in seeds for x in lengths))
     cells = [([], []) for _ in lengths]
     for (raw_i, corr_i), log in zip(cells * args.seeds, logs):
         raw_i.append(estimate_length(log, cal, "raw"))
@@ -246,10 +244,12 @@ def cmd_plot(args: argparse.Namespace) -> str:
     params = MotionParams()
     result = dijkstra(graph_from_maze(maze), maze.start, maze.end)
 
+    hops = _hops(maze, result.nodes)
+    drive = _drive(mode, params, args.seed, hops)
     world: List[Tuple[float, float]] = []
-    for i, (a, _b, direction, length) in enumerate(_hops(maze, result.nodes)):
-        trajectory = (((0.0, 0.0), (length, 0.0)) if mode == "ideal"
-                      else segment_trajectory(length, params, args.seed, i))
+    for i, (a, _b, direction, length) in enumerate(hops):
+        trajectory = [(0.0, 0.0)]  # the start, each pivot and the end
+        drive(length, i, trajectory)
         pa = maze.position(a)
         pts = world_points((pa.x, pa.y), direction, trajectory)
         if world and pts[0] == world[-1]:

@@ -51,8 +51,8 @@ from ._directions import DELTA
 from .errors import ArgumentError, ExplorationError, InconsistencyError
 from .graph_path import nearest
 from .maze_model import MazeSpec, Point2D, Slot
-from .motion_sim import (EncoderLog, MotionParams, _check_params,
-                         _jitter_key, simulate_segment)
+from .motion_sim import (EncoderLog, MotionParams, _check_params, _driver,
+                         _jitter_key)
 from .odometry import ODOMETRY_MODES, calibration_from_motion, estimate_length
 
 __all__ = [
@@ -194,12 +194,13 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
 
     Raises ArgumentError, in every mode, for a seed outside [0, 2**64),
     ``params`` that are not a ``MotionParams`` or a tol that is not
-    positive and finite, and ExplorationError when the odometry is too
+    positive and finite (noisy modes also for the first edge too long to
+    drive, before any walk), and ExplorationError when the odometry is too
     noisy for the maze (a revisited point lands outside tolerance, a
     measured coordinate becomes ambiguous, or the traversal budget of 4
     per edge runs out).
     """
-    _jitter_key(seed, 0)
+    seed = _jitter_key(seed, 0)[0]
     params = MotionParams() if params is None else _check_params(params)
     if src not in ODOMETRY_MODES:
         raise ArgumentError("odometry mode must be one of %r, got %r"
@@ -222,6 +223,10 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
     traversals = 0
     unfinished = 0  # points with a pending slot
     branches = maze.branches
+    if noisy:  # one driver; every edge is walked, so each is checked first
+        at = {node.id: node.position for node in maze.nodes}
+        drive = _driver(params, seed,
+                        [math.dist(at[a], at[b]) for a, b in maze.edges])
     point, coordinate, neighbors = state.point, state.coordinate, state.neighbors
     node_of, logs = state.node_of, state.logs
 
@@ -253,7 +258,7 @@ def explore_map(maze: MazeSpec, params: Optional[MotionParams] = None,
             raise InconsistencyError(
                 "no branch %r at point %r" % (slot, cur)) from None
         if noisy:
-            log = simulate_segment(length, params, seed, traversals)
+            log = drive(length, traversals)
             measured = estimate_length(log, cal, src)
         else:
             measured = length

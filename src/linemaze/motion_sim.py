@@ -26,10 +26,13 @@ computes but its position bounds depends only on the robot, the side and
 J; the record's table keeps those floats, computed once, and the result
 stays bit for bit.
 
-A run can start from a saved leg-start state and hands back the state at
-the start of its first leg that reads the length, a valid start for any
-longer length: ``_simulate_lengths`` checks a ``tableone`` table's lengths
-once, then drives each seed's lengths so, shortest first.
+One driver, ``_driver(params, seed)``, checks a run's robot and mixes its
+seed once; explorations, commands and ``simulate_segment`` drive their
+segments through one. A run can also start from a saved leg-start state and
+hands back the state at the start of its first leg that reads the length, a
+valid start for any longer length: ``_simulate_lengths`` checks a
+``tableone`` table's lengths once, then drives each seed's lengths so,
+shortest first.
 """
 
 from __future__ import annotations
@@ -63,9 +66,9 @@ _MASK64 = (1 << 64) - 1
 
 # Longest segment simulate_segment drives, in cm: a bound on time, as a
 # log's size does not grow with the length. At the default robot a call
-# costs about 4 us plus 0.75 us per simulated cm (best of 25 runs at 0.5
-# to 1,000 cm on a shared 2-core Xeon, Python 3.11; 1e6 cm took 1.3-1.5
-# s). Only segment_trajectory builds a polyline, ~145 B a pivot.
+# costs about 5 us, a segment inside a run 3.4 us, plus 0.8 us per cm
+# (best of 25 runs of 20 seeds at 0.5 to 1,000 cm, shared 2-core Xeon,
+# Python 3.11; 1e6 cm took 1.2 s). A polyline costs ~145 B a pivot.
 MAX_SEGMENT_LENGTH = 1e6
 
 # The leg-jump kernel below is the only kernel, in pure Python; the name
@@ -189,9 +192,14 @@ def _initial_heading(alpha: float, seed: int, index: int) -> float:
     if not (type(seed) is int and type(index) is int
             and 0 <= seed <= _MASK64 and 0 <= index <= _MASK64):
         seed, index = _jitter_key(seed, index)
+    return _heading(alpha, _mix64(seed), index)
+
+
+def _heading(alpha: float, mixed: int, index: int) -> float:
+    """``_initial_heading`` after its seed's mix, ``mixed = mix(seed)``."""
     if not alpha > 0.0:
         return 0.0
-    z = _mix64(_mix64(seed) + index * 0x9E3779B97F4A7C15 & _MASK64)
+    z = _mix64(mixed + index * 0x9E3779B97F4A7C15 & _MASK64)
     u = (z >> 11) * 2.0 ** -53
     magnitude = alpha * (JITTER_LO + (JITTER_HI - JITTER_LO) * u)
     return -magnitude if z & 1 else magnitude
@@ -210,9 +218,7 @@ def simulate_segment(length: float, params: MotionParams, seed: int,
     MotionDivergenceError if the controller fails to make progress (the
     heading collapses onto +-90 degrees or the step budget runs out).
     """
-    wl, wr, n_right, n_left, _y = _simulate(length, params, seed, index, None)
-    # tuple.__new__ skips the record's Python-level __new__, as _make does.
-    return tuple.__new__(EncoderLog, (wl, wr, n_right, n_left, length))
+    return _driver(params, seed)(length, index)
 
 
 def segment_trajectory(length: float, params: MotionParams, seed: int,
@@ -220,9 +226,9 @@ def segment_trajectory(length: float, params: MotionParams, seed: int,
     """The midpoint's polyline on the run ``simulate_segment`` logs with the
     same arguments, and raising as it does: the start, each pivot and the
     end, in segment-local (x along the line, y lateral) coordinates."""
-    pivots = []
-    y = _simulate(length, params, seed, index, pivots)[4]
-    return ((0.0, 0.0), *pivots, (length, y))
+    trajectory = [(0.0, 0.0)]
+    _driver(params, seed)(length, index, trajectory)
+    return tuple(trajectory)
 
 
 def _check_params(params: MotionParams) -> MotionParams:
@@ -248,19 +254,35 @@ def _max_steps(length, robot):
     return int(budget) + 10000
 
 
-def _simulate(length, params, seed, index, pivots):
-    """Both entry points' checks and run: (wl, wr, n_right, n_left, end y),
-    or their errors. ``pivots`` is as in ``_integrate``."""
+def _driver(params, seed, lengths=()):
+    """A run's driver: ``drive(length, index, pivots=None)`` logs or raises
+    as ``simulate_segment(length, params, seed, index)`` does. ``pivots``
+    is as in ``_integrate``, which each call reads afresh, and gets the end
+    point last. The params, then ``lengths``, are checked here; a call
+    checks its length, then its key."""
     robot = _robot(_check_params(params))
-    max_steps = _max_steps(length, robot)
-    alpha0 = _initial_heading(params.alpha, seed, index)
-    wl, wr, n_right, n_left, y, ok = _integrate(
-        length, alpha0, robot, max_steps, pivots)
-    if not ok:
-        raise MotionDivergenceError(
-            "line follower failed to traverse a %g cm segment "
-            "(heading diverged or step budget exhausted)" % length)
-    return wl, wr, n_right, n_left, y
+    alpha = params.alpha
+    budgets = {x: _max_steps(x, robot) for x in dict.fromkeys(lengths)}
+    mixed = _mix64(seed) if type(seed) is int and 0 <= seed <= _MASK64 else None
+
+    def drive(length, index, pivots=None):
+        max_steps = budgets.get(length) or budgets.setdefault(
+            length, _max_steps(length, robot))
+        alpha0 = (_heading(alpha, mixed, index) if mixed is not None
+                  and type(index) is int and 0 <= index <= _MASK64
+                  else _initial_heading(alpha, seed, index))  # or refuse
+        wl, wr, n_right, n_left, y, ok = _integrate(
+            length, alpha0, robot, max_steps, pivots)
+        if not ok:
+            raise MotionDivergenceError(
+                "line follower failed to traverse a %g cm segment "
+                "(heading diverged or step budget exhausted)" % length)
+        if pivots is not None:
+            pivots.append((length, y))
+        # tuple.__new__ skips the record's Python-level __new__, as _make does.
+        return tuple.__new__(EncoderLog, (wl, wr, n_right, n_left, length))
+
+    return drive
 
 
 def _simulate_lengths(lengths, params, seeds, index):
@@ -285,7 +307,7 @@ def _simulate_lengths(lengths, params, seeds, index):
             outs[length] = out if out[5] else None
             state = resume if out[5] else state
         for length in lengths:
-            run = outs[length] or _simulate(length, params, seed, index, None)
+            run = outs[length] or _driver(params, seed)(length, index)
             yield tuple.__new__(EncoderLog, (*run[:4], length))
 
 

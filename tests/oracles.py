@@ -32,7 +32,8 @@
   for the estimators' one per-wheel evaluation, errors included.
 - ``fresh_heading``: the start-heading jitter as it was drawn before it was
   keyed by (seed, index), from a new ``random.Random(seed)``. The kernel
-  and estimator digests run under it, so they pin only their own layer.
+  and estimator digests run under it, put in place by ``use_headings``,
+  so they pin only their own layer.
 - ``reference_validate``: the maze validator as it was before it reused
   its coordinate map and the branch table for the crossing check, the
   oracle for ``make_maze``'s first error. It accepts ``#`` in node ids,
@@ -319,6 +320,15 @@ def fresh_heading(alpha, seed, index=0):
     rng = random.Random(seed)
     magnitude = alpha * rng.uniform(motion_sim.JITTER_LO, motion_sim.JITTER_HI)
     return magnitude if rng.random() < 0.5 else -magnitude
+
+
+def use_headings(mp, heading):
+    """Through MonkeyPatch ``mp``, start every run at ``heading(alpha, seed,
+    index)``, a drop-in for ``motion_sim._initial_heading``. Runs mix their
+    seed once, then call ``_heading(alpha, mix(seed), index)``: the mix
+    becomes the identity, and ``heading`` takes ``_heading``'s place."""
+    mp.setattr(motion_sim, "_mix64", lambda z: z)
+    mp.setattr(motion_sim, "_heading", heading)
 
 
 def step_loop_integrate(length, alpha0, robot, max_steps, pivots):

@@ -240,15 +240,20 @@ def test_tableone_raw_corrects_its_logs_with_arc(capsys, fmt):
 
 def spy_segments(monkeypatch):
     """Record the (length, seed, index) of every segment the CLI and the
-    mapping explorer simulate."""
+    mapping explorer drive, through the run drivers they build."""
     calls = []
 
-    def spy(length, params, seed, index=0):
-        calls.append((length, seed, index))
-        return simulate_segment(length, params, seed, index)
+    def spy_driver(params, seed, lengths=()):
+        drive = motion_sim._driver(params, seed, lengths)
+
+        def spy(length, index, pivots=None):
+            calls.append((length, seed, index))
+            return drive(length, index, pivots)
+
+        return spy
 
     for module in (cli, mapping_explorer):
-        monkeypatch.setattr(module, "simulate_segment", spy)
+        monkeypatch.setattr(module, "_driver", spy_driver)
     return calls
 
 
@@ -333,6 +338,36 @@ def test_tableone_refuses_a_long_length_wherever_it_stands(
                        "cm, got %r\n" % max(map(float, lengths)))
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve",), ("solve", "--algo", "simple"), ("plot", "--out")],
+    ids=["map", "simple", "plot"])
+def test_noisy_commands_refuse_a_long_hop_before_any_run(
+        tmp_path, capsys, monkeypatch, argv):
+    # The third edge, 2e6 cm, is refused before the first two are driven:
+    # by the explorer, which walks every edge, and by the hop table and the
+    # plot, which drive the path. Ideal odometry drives nothing.
+    maze = tmp_path / "long.maze"
+    maze.write_text("node S 0 0\nnode A 0 10\nnode B 10 10\n"
+                    "node C 10 2000010\nedge S A\nedge A B\nedge B C\n"
+                    "start S\nend C\n")
+    argv += (str(tmp_path / "long.svg"),) if argv[0] == "plot" else ()
+    calls = []
+    integrate = motion_sim._integrate
+
+    def spy(*args):
+        calls.append(args[0])
+        return integrate(*args)
+
+    monkeypatch.setattr(motion_sim, "_integrate", spy)
+    code, out, err = run_cli(capsys, *argv, "--maze", str(maze),
+                             "--odometry", "arc")
+    assert (code, out, calls) == (1, "", [])
+    assert err == ("error: length must be positive and at most 1e+06 cm, "
+                   "got 2000000.0\n")
+    assert run_cli(capsys, *argv, "--maze", str(maze))[0] == 0
+    assert calls == []
+
+
 @pytest.mark.parametrize("failures,first", [
     ({(14.0, 4), (10.0, 6), (8.0, 3)}, (8.0, 3)),
     ({(14.0, 4), (8.0, 3)}, (8.0, 3)),
@@ -394,9 +429,9 @@ def test_map_report_rows_are_the_explorers_first_walks(
     state = explore_map(maze, src=mode, seed=seed)
 
     def no_drive(*args):
-        raise AssertionError("the report simulated a segment")
+        raise AssertionError("the report built a driver")
 
-    monkeypatch.setattr(cli, "simulate_segment", no_drive)
+    monkeypatch.setattr(cli, "_driver", no_drive)
     code, out, err = run_cli(capsys, "solve", "--maze", str(arg), "--odometry",
                              mode, "--seed", str(seed), "--format", "tsv")
     assert code == 0, err
@@ -774,7 +809,7 @@ def test_a_warm_command_leaves_no_cycles(capsys, collector):
 
 
 def test_ideal_drive_builds_a_plain_encoder_log():
-    log = cli._drive(14.0, "ideal", MotionParams(), 0, 0)
+    log = cli._drive("ideal", MotionParams(), 0, ())(14.0, 0)
     assert type(log) is EncoderLog
     assert log == (14.0, 14.0, 0, 0, 14.0)
 

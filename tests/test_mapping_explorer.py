@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linemaze import mapping_explorer
-from linemaze.errors import ExplorationError
+from linemaze import mapping_explorer, motion_sim
+from linemaze.errors import ArgumentError, ExplorationError
 from linemaze.mapping_explorer import explore_map, match_point, next_target
-from linemaze.maze_model import Point2D
+from linemaze.maze_model import Point2D, parse_maze
 from linemaze.mazegen import random_maze
 from linemaze.motion_sim import MotionParams, simulate_segment
 from linemaze.odometry import ODOMETRY_MODES
@@ -353,16 +353,22 @@ def test_seed_changes_the_noise(fig2):
 
 
 def recording_segments(monkeypatch):
-    """Record every ``simulate_segment`` call of the explorer as
-    ((length, params, seed, index), log)."""
+    """Record every traversal the explorer drives, through the run driver
+    it builds, as ((length, params, seed, index), log)."""
     calls = []
-    simulate = mapping_explorer.simulate_segment
+    driver = mapping_explorer._driver
 
-    def spy(*args):
-        calls.append((args, simulate(*args)))
-        return calls[-1][1]
+    def spy_driver(params, seed, lengths=()):
+        drive = driver(params, seed, lengths)
 
-    monkeypatch.setattr(mapping_explorer, "simulate_segment", spy)
+        def spy(length, index, pivots=None):
+            calls.append(((length, params, seed, index),
+                          drive(length, index, pivots)))
+            return calls[-1][1]
+
+        return spy
+
+    monkeypatch.setattr(mapping_explorer, "_driver", spy_driver)
     return calls
 
 
@@ -373,6 +379,66 @@ def test_ideal_mode_draws_nothing(fig2, monkeypatch):
     assert calls == [] and state.logs == {}
     explore_map(fig2, src="raw", seed=5)
     assert calls and all(args[2] == 5 for args, _log in calls)
+
+
+def test_a_noisy_exploration_mixes_its_seed_once(fig2, monkeypatch):
+    # One driver per exploration: the seed is mixed once, and each
+    # traversal mixes only its own key into it. Ideal mode mixes nothing.
+    mixed = []
+    mix = motion_sim._mix64
+
+    def spy(z):
+        mixed.append(z)
+        return mix(z)
+
+    monkeypatch.setattr(motion_sim, "_mix64", spy)
+    explore_map(fig2, src="ideal", seed=5)
+    assert mixed == []
+    state = explore_map(fig2, src="arc", seed=5)
+    assert len(state.point) - 1 > 1
+    assert len(mixed) == 1 + len(state.point) - 1 and mixed[0] == 5
+
+
+# From A the explorer walks east first, to E, but A-N comes first in the
+# edge list.
+LONG_EDGES = """\
+node S 0 0
+node A 0 10
+node N 0 3000010
+node E 2000000 10
+edge S A
+edge A N
+edge A E
+start S
+end N
+"""
+
+
+@pytest.mark.parametrize("mode", ODOMETRY_MODES)
+def test_a_noisy_exploration_refuses_a_long_edge_before_any_walk(
+        monkeypatch, mode):
+    # Every edge is walked, so every edge is checked before the first run,
+    # and the first refused one in the maze's edge list is named. Ideal
+    # odometry drives nothing and refuses nothing. A 1 cm tolerance keeps
+    # the walks back from the long edges unambiguous.
+    maze = parse_maze(LONG_EDGES)
+    lengths = []
+    kernel = motion_sim._integrate
+
+    def spy(*args):
+        lengths.append(args[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(motion_sim, "_integrate", spy)
+    if mode == "ideal":
+        state = explore_map(maze, src=mode, tol=1.0)
+        assert [state.node_of[n] for n in state.point] == list("SAEAN")
+    else:
+        with pytest.raises(ArgumentError) as err:
+            explore_map(maze, src=mode, tol=1.0)
+        assert str(err.value) == ("length must be positive and at most "
+                                  "1e+06 cm, got 3000000.0")
+    assert lengths == []
 
 
 @pytest.mark.parametrize("mode,maze_seed", [
@@ -516,9 +582,9 @@ def test_explore_refuses_params_that_are_not_motion_params(fig2, mode,
     # odometry reads no robot, and the corrected modes read it first in
     # calibration_from_motion.
     def walk(*args):
-        raise AssertionError("walked a segment")
+        raise AssertionError("built a driver")
 
-    monkeypatch.setattr(mapping_explorer, "simulate_segment", walk)
+    monkeypatch.setattr(mapping_explorer, "_driver", walk)
     with pytest.raises(ValueError) as err:
         explore_map(fig2, params=tuple(MotionParams()), src=mode)
     assert str(err.value) == "params must be a MotionParams, got tuple"

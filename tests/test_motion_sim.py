@@ -17,7 +17,7 @@ from linemaze import motion_sim
 from linemaze.errors import ArgumentError, MotionDivergenceError
 from linemaze.motion_sim import (EncoderLog, MotionParams, segment_trajectory,
                                  simulate_segment)
-from oracles import fresh_heading, step_loop_integrate
+from oracles import fresh_heading, step_loop_integrate, use_headings
 from pins import check
 
 
@@ -190,7 +190,7 @@ KERNEL_SEEDS = range(20)
 def kernel_digest():
     lines = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(motion_sim, "_initial_heading", fresh_heading)
+        use_headings(mp, fresh_heading)
         for length, overrides in KERNEL_CASES:
             p = MotionParams(**overrides)
             for s in KERNEL_SEEDS:
@@ -319,8 +319,8 @@ def test_the_pivot_table_is_bounded_by_the_longest_jump():
 
 # ------------------------------------------------ against the step loop
 
-# One run as simulate_both reports it: what ``_simulate``, the run both
-# entry points share, returns, and the pivots the kernel appended.
+# One run as simulate_both reports it: the log of the driver both entry
+# points share, the end point's y, and the pivots the kernel appended.
 Run = collections.namedtuple(
     "Run", "wl_total wr_total n_right n_left y pivots")
 
@@ -336,8 +336,8 @@ def simulate_both(length, p, seed):
             mp.setattr(motion_sim, "_integrate", kernel)
             pivots = []
             try:
-                out.append(Run(*motion_sim._simulate(length, p, seed, 0,
-                                                     pivots), pivots))
+                log = motion_sim._driver(p, seed)(length, 0, pivots)
+                out.append(Run(*log[:4], pivots.pop()[1], pivots))
             except MotionDivergenceError as exc:
                 out.append(str(exc))
     return out
@@ -415,8 +415,7 @@ def test_leg_jumps_match_the_step_loop_at_the_recorded_heading():
     p = MotionParams(speed_ratio=1.3883701437769478, h=0.01,
                      theta=1.19921875)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(motion_sim, "_initial_heading",
-                   lambda alpha, seed, index: RECORDED_ALPHA0)
+        use_headings(mp, lambda alpha, seed, index: RECORDED_ALPHA0)
         assert_same_run(*simulate_both(191.0, p, 0), 191.0)
 
 
@@ -430,8 +429,8 @@ RECORDED_DRIFT_FREE_ALPHA0 = -0.16544516889662317
 def test_leg_jumps_match_the_step_loop_at_the_recorded_drift_free_heading():
     p = MotionParams(speed_ratio=1.0, h=0.25, theta=1.125)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(motion_sim, "_initial_heading",
-                   lambda alpha, seed, index: RECORDED_DRIFT_FREE_ALPHA0)
+        use_headings(mp, lambda alpha, seed, index:
+                     RECORDED_DRIFT_FREE_ALPHA0)
         assert_same_run(*simulate_both(138.0, p, 1), 138.0)
 
 
@@ -449,8 +448,8 @@ def test_leg_jumps_match_the_step_loop_at_the_recorded_thin_band_heading():
     p = MotionParams(speed_ratio=1.0, h=0.01317889522671795,
                      theta=1.1845018901697055)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(motion_sim, "_initial_heading",
-                   lambda alpha, seed, index: RECORDED_THIN_BAND_ALPHA0)
+        use_headings(mp, lambda alpha, seed, index:
+                     RECORDED_THIN_BAND_ALPHA0)
         assert_same_run(*simulate_both(length, p, 0), length)
 
 
@@ -771,6 +770,26 @@ def test_simulate_lengths_refuses_up_front_and_raises_a_failed_run_in_turn():
     for seeds in (range(-1, 1), range(2**64 - 1, 2**64 + 1)):
         with pytest.raises(ArgumentError, match="seed and index must lie"):
             next(motion_sim._simulate_lengths([1.0], p, seeds, 0))
+
+
+def test_simulate_lengths_resumes_the_longer_length_from_the_shorter():
+    # The 10 cm run starts from the leg-start state that the 1 cm run
+    # handed back, 59 steps in at seed 3 on the default robot, not from
+    # the start of the segment.
+    calls = []
+    kernel = motion_sim._integrate
+
+    def spy(*args):
+        calls.append((args[0], list(args[5])))
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(motion_sim, "_integrate", spy)
+        logs = list(motion_sim._simulate_lengths((1.0, 10.0), MotionParams(),
+                                                 range(3, 4), 0))
+    assert [length for length, _resume in calls] == [1.0, 10.0]
+    assert calls[0][1][7] == 0 < calls[1][1][7]
+    assert logs == [simulate_segment(x, MotionParams(), 3) for x in (1, 10)]
 
 
 # ------------------------------------------------------------------ jitter

@@ -21,7 +21,7 @@ from linemaze.odometry import (CalibConstants, arc_len_from_height,
                                predict_without_encoder, residual_arc)
 from oracles import (fresh_heading, reference_estimate,
                      reference_linearize_arc, reference_linearize_basic,
-                     reference_residual_arc)
+                     reference_residual_arc, use_headings)
 from pins import check
 
 
@@ -471,7 +471,7 @@ def estimator_digests():
     cases = []
     # Fixed start headings, so that only the estimators move the digests.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(motion_sim, "_initial_heading", fresh_heading)
+        use_headings(mp, fresh_heading)
         for overrides in ESTIMATOR_ROBOTS:
             params = MotionParams(**overrides)
             cal = calibration_from_motion(params)
