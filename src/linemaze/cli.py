@@ -237,6 +237,8 @@ def cmd_tableone(args: argparse.Namespace) -> str:
 
 
 def cmd_plot(args: argparse.Namespace) -> str:
+    if not args.out:  # "" would name the working directory
+        raise ArgumentError("--out must name a file")
     if "\0" in args.out:
         raise ArgumentError("--out must not contain a NUL byte")
     maze, _stem = _load_maze(args.maze)

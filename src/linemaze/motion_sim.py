@@ -18,7 +18,7 @@ step budget. A jump stops 1e-9 cm short of the trigger and of the end, and
 zero. At the default robot each leg costs one jump and one step. The jump
 changes results only by rounding (about 1e-12 relative); ``tests/oracles.py``
 keeps the step loop to compare against. The kernel keeps each pivot's
-position only in a ``pivots`` list it is given (``segment_trajectory``'s).
+position only in a ``pivots`` list its caller gives it.
 
 The kernel reads a robot from one record, ``_robot(params)``, kept for the
 last robot seen. A leg after a pivot starts at exactly +-theta, so all it
@@ -74,6 +74,10 @@ MAX_SEGMENT_LENGTH = 1e6
 # The leg-jump kernel below is the only kernel, in pure Python; the name
 # stays because benchmark runs record it in their identity.
 KERNEL_BACKEND = "pure"
+
+# What a run that fails to traverse its segment raises.
+_DIVERGED = ("line follower failed to traverse a %g cm segment "
+             "(heading diverged or step budget exhausted)")
 
 # Headings a jump may span: cos stays near 1e-6 or above, far from the
 # 1e-12 at which a step reports divergence.
@@ -274,9 +278,7 @@ def _driver(params, seed, lengths=()):
         wl, wr, n_right, n_left, y, ok = _integrate(
             length, alpha0, robot, max_steps, pivots)
         if not ok:
-            raise MotionDivergenceError(
-                "line follower failed to traverse a %g cm segment "
-                "(heading diverged or step budget exhausted)" % length)
+            raise MotionDivergenceError(_DIVERGED % length)
         if pivots is not None:
             pivots.append((length, y))
         # tuple.__new__ skips the record's Python-level __new__, as _make does.
@@ -291,8 +293,7 @@ def _simulate_lengths(lengths, params, seeds, index):
     what it raises. The params, every length and the window's jitter keys
     are checked once per table, before any run. For each seed the kernel
     runs each distinct length once, shortest first, from the state the last
-    finished run handed back; a failed run's error is raised when its
-    length's turn comes, by running that length alone.
+    finished run handed back; a failed run's error is raised in its turn.
     """
     robot = _robot(_check_params(params))
     runs = sorted({x: _max_steps(x, robot) for x in lengths}.items())
@@ -303,12 +304,14 @@ def _simulate_lengths(lengths, params, seeds, index):
         state, outs = [0.0, 0.0, alpha0, 0.0, 0.0, 0, 0, 0], {}
         for length, max_steps in runs:
             resume = state[:]
-            out = _integrate(length, alpha0, robot, max_steps, None, resume)
-            outs[length] = out if out[5] else None
+            outs[length] = out = _integrate(length, alpha0, robot, max_steps,
+                                            None, resume)
             state = resume if out[5] else state
         for length in lengths:
-            run = outs[length] or _driver(params, seed)(length, index)
-            yield tuple.__new__(EncoderLog, (*run[:4], length))
+            out = outs[length]
+            if not out[5]:
+                raise MotionDivergenceError(_DIVERGED % length)
+            yield tuple.__new__(EncoderLog, (*out[:4], length))
 
 
 def _integrate(length, alpha0, robot, max_steps, pivots, resume=None):

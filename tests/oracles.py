@@ -34,6 +34,9 @@
   keyed by (seed, index), from a new ``random.Random(seed)``. The kernel
   and estimator digests run under it, put in place by ``use_headings``,
   so they pin only their own layer.
+- ``record`` and ``record_drives``: spies that forward every call.
+  ``record`` keeps what each call of one function was given, and
+  ``record_drives`` each segment a run driver drove, with its log.
 - ``reference_validate``: the maze validator as it was before it reused
   its coordinate map and the branch table for the crossing check, the
   oracle for ``make_maze``'s first error. It accepts ``#`` in node ids,
@@ -329,6 +332,41 @@ def use_headings(mp, heading):
     becomes the identity, and ``heading`` takes ``_heading``'s place."""
     mp.setattr(motion_sim, "_mix64", lambda z: z)
     mp.setattr(motion_sim, "_heading", heading)
+
+
+def record(mp, owner, name, keep):
+    """Through MonkeyPatch ``mp``, wrap ``owner.name``: each call appends
+    ``keep(*args)`` to the list returned, then runs as before."""
+    calls = []
+    wrapped = getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(keep(*args))
+        return wrapped(*args)
+
+    mp.setattr(owner, name, recorded)
+    return calls
+
+
+def record_drives(mp, *modules):
+    """Through MonkeyPatch ``mp``, wrap the run driver each of ``modules``
+    binds: each segment it drives appends (length, params, seed, index,
+    log) to the list returned."""
+    calls = []
+
+    def driver(params, seed, lengths=()):
+        drive = motion_sim._driver(params, seed, lengths)
+
+        def recorded(length, index, pivots=None):
+            log = drive(length, index, pivots)
+            calls.append((length, params, seed, index, log))
+            return log
+
+        return recorded
+
+    for module in modules:
+        mp.setattr(module, "_driver", driver)
+    return calls
 
 
 def step_loop_integrate(length, alpha0, robot, max_steps, pivots):

@@ -24,6 +24,7 @@ from linemaze.mazegen import random_maze
 from linemaze.motion_sim import EncoderLog, MotionParams, simulate_segment
 from linemaze.odometry import (ODOMETRY_MODES, calibration_from_motion,
                                estimate_length)
+from oracles import record, record_drives
 
 SOLVE_FIG2_IDEAL = """\
 maze: fig2
@@ -238,39 +239,15 @@ def test_tableone_raw_corrects_its_logs_with_arc(capsys, fmt):
                for err_enc, err_formula in rows.values())
 
 
-def spy_segments(monkeypatch):
-    """Record the (length, seed, index) of every segment the CLI and the
-    mapping explorer drive, through the run drivers they build."""
-    calls = []
-
-    def spy_driver(params, seed, lengths=()):
-        drive = motion_sim._driver(params, seed, lengths)
-
-        def spy(length, index, pivots=None):
-            calls.append((length, seed, index))
-            return drive(length, index, pivots)
-
-        return spy
-
-    for module in (cli, mapping_explorer):
-        monkeypatch.setattr(module, "_driver", spy_driver)
-    return calls
-
-
 def test_tableone_keys_each_seed_at_index_zero(capsys, monkeypatch):
     # One _simulate_lengths call drives every seed s's lengths with jitter
     # key (s, 0), so all lengths of one seed share a start heading, and
     # each row is the median over the seeds of one simulate_segment call
     # each.
-    calls = []
-    drive = cli._simulate_lengths
-
-    def spy(lengths, params, seeds, index):
-        calls.append((list(lengths), seeds, index))
-        return drive(lengths, params, seeds, index)
-
-    monkeypatch.setattr(cli, "_simulate_lengths", spy)
-    segments = spy_segments(monkeypatch)
+    calls = record(monkeypatch, cli, "_simulate_lengths",
+                   lambda lengths, params, seeds, index:
+                   (list(lengths), seeds, index))
+    segments = record_drives(monkeypatch, cli, mapping_explorer)
     code, out, _ = run_cli(capsys, "tableone", "--seeds", "4", "--seed", "3",
                            "--lengths", "10", "14", "8", "--format", "tsv")
     assert code == 0
@@ -321,14 +298,8 @@ def test_tableone_rows_keep_the_given_order_and_repeats(capsys):
     ("5e5", "2e6"), ("2e6", "5e5")])
 def test_tableone_refuses_a_long_length_wherever_it_stands(
         capsys, monkeypatch, lengths):
-    calls = []
-    integrate = motion_sim._integrate
-
-    def spy(*args):
-        calls.append(args[0])
-        return integrate(*args)
-
-    monkeypatch.setattr(motion_sim, "_integrate", spy)
+    calls = record(monkeypatch, motion_sim, "_integrate",
+                   lambda *args: args[0])
     # Ideal odometry runs nothing, yet refuses the same lengths.
     for options in ((), ("--odometry", "ideal", "--seeds", "1")):
         code, out, err = run_cli(capsys, "tableone", "--lengths", *lengths,
@@ -351,14 +322,8 @@ def test_noisy_commands_refuse_a_long_hop_before_any_run(
                     "node C 10 2000010\nedge S A\nedge A B\nedge B C\n"
                     "start S\nend C\n")
     argv += (str(tmp_path / "long.svg"),) if argv[0] == "plot" else ()
-    calls = []
-    integrate = motion_sim._integrate
-
-    def spy(*args):
-        calls.append(args[0])
-        return integrate(*args)
-
-    monkeypatch.setattr(motion_sim, "_integrate", spy)
+    calls = record(monkeypatch, motion_sim, "_integrate",
+                   lambda *args: args[0])
     code, out, err = run_cli(capsys, *argv, "--maze", str(maze),
                              "--odometry", "arc")
     assert (code, out, calls) == (1, "", [])
@@ -397,7 +362,7 @@ def test_tableone_raises_the_first_failure_it_meets(
 def test_ideal_solve_builds_no_generator(capsys, monkeypatch):
     # Ideal odometry walks and drives the true lengths: nothing is
     # simulated, in the explorer or in the hop table.
-    calls = spy_segments(monkeypatch)
+    calls = record_drives(monkeypatch, cli, mapping_explorer)
     code, out, _ = run_cli(capsys, "solve", "--maze", "fig2", "--seed", "3")
     assert code == 0
     assert out == SOLVE_FIG2_IDEAL
@@ -408,7 +373,8 @@ def test_ideal_solve_builds_no_generator(capsys, monkeypatch):
     # The explorer's walks are keyed (3, 1), (3, 2), ...; the report reads
     # their logs and drives nothing of its own.
     assert len(calls) >= 3
-    assert [c[1:] for c in calls] == [(3, k) for k in range(1, len(calls) + 1)]
+    assert [c[2:4] for c in calls] == [(3, k)
+                                       for k in range(1, len(calls) + 1)]
 
 
 @pytest.mark.parametrize("mode", ["raw", "basic", "arc"])
@@ -975,7 +941,8 @@ def test_error_output_is_a_single_line(capsys, tmp_path):
             (1, ("solve", "--maze", str(latin))),
             # An empty name is no file: "" would read the working directory.
             (1, ("solve", "--maze", "")),
-            (1, ("plot", "--maze", "fig2", "--out", "a\x00b.svg"))):
+            (1, ("plot", "--maze", "fig2", "--out", "a\x00b.svg")),
+            (1, ("plot", "--maze", "fig2", "--out", ""))):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected
         assert err.startswith("error: ")

@@ -14,7 +14,7 @@ from linemaze.maze_model import Point2D, parse_maze
 from linemaze.mazegen import random_maze
 from linemaze.motion_sim import MotionParams, simulate_segment
 from linemaze.odometry import ODOMETRY_MODES
-from oracles import state_with, trace_lines, trace_rows
+from oracles import record, record_drives, state_with, trace_lines, trace_rows
 
 FIG2_TRACE = [
     "0 0 1 0 0",
@@ -330,14 +330,8 @@ def test_measured_moves_are_axis_aligned(fig2):
 def test_revisits_snap_to_the_stored_coordinate(fig2, monkeypatch):
     # A revisit reuses the stored coordinate and never averages it: every
     # coordinate known at an arrival is the same when exploration ends.
-    known = []
-    match = mapping_explorer.match_point
-
-    def recording_match(coord, state, tol):
-        known.append(dict(state.coordinate))
-        return match(coord, state, tol)
-
-    monkeypatch.setattr(mapping_explorer, "match_point", recording_match)
+    known = record(monkeypatch, mapping_explorer, "match_point",
+                   lambda coord, state, tol: dict(state.coordinate))
     state = explore_map(fig2, src="raw")
     assert len(state.point) - 1 == len(known) > len(state.coordinate)
     for coords in known:
@@ -352,46 +346,19 @@ def test_seed_changes_the_noise(fig2):
     assert lines(a) == lines(again)
 
 
-def recording_segments(monkeypatch):
-    """Record every traversal the explorer drives, through the run driver
-    it builds, as ((length, params, seed, index), log)."""
-    calls = []
-    driver = mapping_explorer._driver
-
-    def spy_driver(params, seed, lengths=()):
-        drive = driver(params, seed, lengths)
-
-        def spy(length, index, pivots=None):
-            calls.append(((length, params, seed, index),
-                          drive(length, index, pivots)))
-            return calls[-1][1]
-
-        return spy
-
-    monkeypatch.setattr(mapping_explorer, "_driver", spy_driver)
-    return calls
-
-
 def test_ideal_mode_draws_nothing(fig2, monkeypatch):
-    calls = recording_segments(monkeypatch)
+    calls = record_drives(monkeypatch, mapping_explorer)
     state = explore_map(fig2, src="ideal", seed=5)
     assert lines(state) == FIG2_TRACE
     assert calls == [] and state.logs == {}
     explore_map(fig2, src="raw", seed=5)
-    assert calls and all(args[2] == 5 for args, _log in calls)
+    assert calls and all(call[2] == 5 for call in calls)
 
 
 def test_a_noisy_exploration_mixes_its_seed_once(fig2, monkeypatch):
     # One driver per exploration: the seed is mixed once, and each
     # traversal mixes only its own key into it. Ideal mode mixes nothing.
-    mixed = []
-    mix = motion_sim._mix64
-
-    def spy(z):
-        mixed.append(z)
-        return mix(z)
-
-    monkeypatch.setattr(motion_sim, "_mix64", spy)
+    mixed = record(monkeypatch, motion_sim, "_mix64", lambda z: z)
     explore_map(fig2, src="ideal", seed=5)
     assert mixed == []
     state = explore_map(fig2, src="arc", seed=5)
@@ -422,14 +389,8 @@ def test_a_noisy_exploration_refuses_a_long_edge_before_any_walk(
     # odometry drives nothing and refuses nothing. A 1 cm tolerance keeps
     # the walks back from the long edges unambiguous.
     maze = parse_maze(LONG_EDGES)
-    lengths = []
-    kernel = motion_sim._integrate
-
-    def spy(*args):
-        lengths.append(args[0])
-        return kernel(*args)
-
-    monkeypatch.setattr(motion_sim, "_integrate", spy)
+    lengths = record(monkeypatch, motion_sim, "_integrate",
+                     lambda *args: args[0])
     if mode == "ideal":
         state = explore_map(maze, src=mode, tol=1.0)
         assert [state.node_of[n] for n in state.point] == list("SAEAN")
@@ -449,13 +410,13 @@ def test_each_traversal_replays_alone(fig2, monkeypatch, mode, maze_seed):
     # for bit. state.logs holds each edge's first log, in first-walk order.
     maze = fig2 if maze_seed is None else random_maze(
         random.Random(maze_seed), max_nodes=40, loops=4)
-    calls = recording_segments(monkeypatch)
+    calls = record_drives(monkeypatch, mapping_explorer)
     state = explore_map(maze, src=mode, seed=17)
     assert len(calls) == len(state.point) - 1
     order = list(range(len(calls)))
     random.Random(maze_seed).shuffle(order)
     for k in order:
-        (length, params, seed, index), log = calls[k]
+        length, params, seed, index, log = calls[k]
         assert (seed, index) == (17, k + 1)
         a = maze.position(state.node_of[state.point[k]])
         b = maze.position(state.node_of[state.point[k + 1]])
@@ -463,7 +424,7 @@ def test_each_traversal_replays_alone(fig2, monkeypatch, mode, maze_seed):
         replayed = simulate_segment(length, params, seed, index)
         assert repr(replayed) == repr(log)
     first = {}
-    for k, (_args, log) in enumerate(calls):
+    for k, (*_args, log) in enumerate(calls):
         first.setdefault(tuple(sorted(state.point[k:k + 2])), log)
     assert list(state.logs.items()) == list(first.items())
 
@@ -489,13 +450,10 @@ def test_one_match_per_traversal_one_route_search_per_finished_stop(
     # them.
     maze = fig2 if maze_seed is None else random_maze(
         random.Random(maze_seed), max_nodes=60, loops=6)
-    matches = []
+    matches = record(monkeypatch, mapping_explorer, "match_point",
+                     lambda coord, state, tol: len(state.point))
     searches = []
-    match, search = mapping_explorer.match_point, mapping_explorer.next_target
-
-    def counting_match(coord, state, tol):
-        matches.append(len(state.point))
-        return match(coord, state, tol)
+    search = mapping_explorer.next_target
 
     def counting_search(state):
         cur = state.point[-1]
@@ -504,7 +462,6 @@ def test_one_match_per_traversal_one_route_search_per_finished_stop(
         searches.append((len(state.point), search(state)))
         return searches[-1][1]
 
-    monkeypatch.setattr(mapping_explorer, "match_point", counting_match)
     monkeypatch.setattr(mapping_explorer, "next_target", counting_search)
     # Under arc odometry fig2 takes 11 walks for its 8 edges, and the
     # seeded mazes 81 for 51, 53 for 34 and 81 for 52.

@@ -11,13 +11,12 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from linemaze import motion_sim
 from linemaze.errors import ArgumentError, MotionDivergenceError
 from linemaze.motion_sim import (EncoderLog, MotionParams, segment_trajectory,
                                  simulate_segment)
-from oracles import fresh_heading, step_loop_integrate, use_headings
+from oracles import fresh_heading, record, step_loop_integrate, use_headings
 from pins import check
 
 
@@ -453,6 +452,21 @@ def test_leg_jumps_match_the_step_loop_at_the_recorded_thin_band_heading():
         assert_same_run(*simulate_both(length, p, 0), length)
 
 
+# A fourth drawn case, drift-free like the second, at the smallest heading
+# the jitter draws (key (0, 0)): over 481 pivots the two end points lie
+# 1.081e-10 cm apart, outside the 1.080e-10 bound.
+RECORDED_LEAST_JITTER_ALPHA0 = 0.15707963267948966
+
+
+@STEP_LOOP_BOUND_DEFECT
+def test_leg_jumps_match_the_step_loop_at_the_recorded_least_jitter_heading():
+    p = MotionParams(speed_ratio=1.0, h=0.25, theta=1.15625)
+    with pytest.MonkeyPatch.context() as mp:
+        use_headings(mp, lambda alpha, seed, index:
+                     RECORDED_LEAST_JITTER_ALPHA0)
+        assert_same_run(*simulate_both(108.0, p, 0), 108.0)
+
+
 @pytest.mark.parametrize("speed_ratio", [0.5, 2.0])
 def test_leg_jumps_match_the_step_loop_when_the_heading_changes_sign(
         speed_ratio):
@@ -476,15 +490,8 @@ def test_leg_jumps_match_the_step_loop_when_the_heading_changes_sign(
 def kernel_args(length, p, seed=0):
     """``_integrate``'s arguments as ``simulate_segment`` passes them, with
     the step budget and the pivot list left off."""
-    calls = []
-    kernel = motion_sim._integrate
-
-    def spy(*args):
-        calls.append(args[:-2])
-        return kernel(*args)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(motion_sim, "_integrate", spy)
+        calls = record(mp, motion_sim, "_integrate", lambda *args: args[:-2])
         try:
             simulate_segment(length, p, seed=seed)
         except MotionDivergenceError:
@@ -757,14 +764,20 @@ def test_simulate_lengths_is_one_call_per_length(lengths, p, seed, count,
 
 
 def test_simulate_lengths_refuses_up_front_and_raises_a_failed_run_in_turn():
-    # Every length of a seed runs before its first log is yielded, but a
-    # failed run is raised only when the lengths given before it have been
-    # yielded, so a consumer meets the failures in the order given.
+    # Every length of a seed runs once, before its first log is yielded,
+    # but a failed run is raised, from its own result, only when the
+    # lengths given before it have been yielded, so a consumer meets the
+    # failures in the order given.
     p = MotionParams(h=100.0, speed_ratio=3.0)
-    logs = motion_sim._simulate_lengths([1.0, 50.0, 5.0], p, range(3, 4), 0)
-    assert next(logs) == simulate_segment(1.0, p, 3)
-    with pytest.raises(MotionDivergenceError, match="a 50 cm segment"):
-        next(logs)
+    first = simulate_segment(1.0, p, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        lengths = record(mp, motion_sim, "_integrate", lambda *args: args[0])
+        logs = motion_sim._simulate_lengths([1.0, 50.0, 5.0], p, range(3, 4),
+                                            0)
+        assert next(logs) == first
+        with pytest.raises(MotionDivergenceError, match="a 50 cm segment"):
+            next(logs)
+    assert lengths == [1.0, 5.0, 50.0]
     # A jitter key outside [0, 2**64), at either end of the window, is
     # refused before the first seed's log.
     for seeds in (range(-1, 1), range(2**64 - 1, 2**64 + 1)):
@@ -776,15 +789,9 @@ def test_simulate_lengths_resumes_the_longer_length_from_the_shorter():
     # The 10 cm run starts from the leg-start state that the 1 cm run
     # handed back, 59 steps in at seed 3 on the default robot, not from
     # the start of the segment.
-    calls = []
-    kernel = motion_sim._integrate
-
-    def spy(*args):
-        calls.append((args[0], list(args[5])))
-        return kernel(*args)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(motion_sim, "_integrate", spy)
+        calls = record(mp, motion_sim, "_integrate",
+                       lambda *args: (args[0], list(args[5])))
         logs = list(motion_sim._simulate_lengths((1.0, 10.0), MotionParams(),
                                                  range(3, 4), 0))
     assert [length for length, _resume in calls] == [1.0, 10.0]
@@ -812,6 +819,7 @@ def test_jitter_is_bit_identical_to_the_recorded_digest():
 
 
 def test_jitter_is_uniform_with_an_independent_sign():
+    from scipy import stats
     alpha = MotionParams().alpha
     headings = [motion_sim._initial_heading(alpha, seed, index)
                 for seed in range(100) for index in range(100)]

@@ -9,9 +9,7 @@ from itertools import chain
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
-from linemaze import motion_sim
 from linemaze.errors import (ArcDomainError, CalibrationError,
                              InconsistencyError)
 from linemaze.motion_sim import EncoderLog, MotionParams, simulate_segment
@@ -176,6 +174,7 @@ def test_chord_taylor_small_angle():
 def circle_arc_by_integration(height, radius):
     # Arc length of x -> sqrt(R^2 - x^2) risen by `height`, integrated
     # adaptively; library-independent check of the closed form.
+    from scipy.integrate import quad
     val, _ = quad(lambda x: math.sqrt(1.0 + x * x / (radius * radius - x * x)),
                   0.0, height, epsabs=0.0, epsrel=1e-12, limit=200)
     return val

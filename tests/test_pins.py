@@ -1,9 +1,13 @@
 """The pin manifest and its recorder, checked without recording a pin."""
 
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import linemaze
 import pins
 import test_explorer_fixture
 import test_solve_fixture
@@ -48,3 +52,15 @@ def test_diff_prints_each_moved_pin_with_its_class(monkeypatch, capsys):
             pins.check("explorer", explorer)
         assert ("floats pinned on" in str(failed.value)) == (cls == "floats")
         explorer[key] = old
+
+
+def test_the_producers_import_without_scipy():
+    # The pin diff can run where scipy is not installed: the test modules
+    # it imports for their producers import scipy only in the tests that
+    # use it.
+    paths = [str(pathlib.Path(__file__).parent),
+             str(pathlib.Path(linemaze.__file__).parents[1])]
+    code = ("import sys; sys.path[:0] = %r; sys.modules['scipy'] = None; "
+            "import pins; pins.producers()" % paths)
+    subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                   capture_output=True, timeout=60)
