@@ -127,7 +127,7 @@ def match_point(coord: Tuple[float, float], state: ExplorationState,
     2*tol wide, so that is one to four cells. The grid is rebuilt when
     ``tol`` outgrows its cells, or when points were added to
     ``state.coordinate`` without it (stored coordinates never move).
-    Coordinates must be finite.
+    A coordinate that is not finite raises ``ArgumentError``.
     """
     if not tol > 0.0:
         raise ArgumentError("tol must be positive, got %r" % (tol,))
@@ -141,7 +141,10 @@ def match_point(coord: Tuple[float, float], state: ExplorationState,
     # covers rounding in the offsets and in the test below.
     near = tol / cell + 1e-9
     far = 1.0 - near
-    kx, ky = math.floor(x / cell), math.floor(y / cell)
+    try:
+        kx, ky = math.floor(x / cell), math.floor(y / cell)
+    except (ValueError, OverflowError):  # floor of NaN or of an infinity
+        raise ArgumentError("coord must be finite, got %r" % (coord,)) from None
     fx, fy = x / cell - kx, y / cell - ky
     gys = range(ky - (fy <= near), ky + (fy >= far) + 1)
     grid = state._grid

@@ -97,18 +97,17 @@ def _index_edges(maze):
             raise MazeValidationError("edge %r is not a MazeEdge" % (edge,))
         a, b = edge
         try:
-            known = a in by_id and b in by_id
-        except TypeError:  # an unhashable endpoint
-            known = False
-        if not known:
-            raise MazeValidationError("edge %s-%s references an unknown node" % (a, b))
+            pa, pb = by_id[a].position, by_id[b].position
+        except (KeyError, TypeError):  # an unknown or unhashable endpoint
+            raise MazeValidationError(
+                "edge %s-%s references an unknown node" % (a, b)) from None
         if a == b:
             raise MazeValidationError("edge %s-%s is a self-loop" % (a, b))
         key = (a, b) if a < b else (b, a)
         if key in seen:
             raise MazeValidationError("duplicate edge %s-%s" % (a, b))
         seen.add(key)
-        (xa, ya), (xb, yb) = by_id[a].position, by_id[b].position
+        (xa, ya), (xb, yb) = pa, pb
         # Exactly one axis may differ: not a diagonal, not zero-length.
         if (xa != xb) == (ya != yb):
             raise MazeValidationError("edge %s-%s not axis-aligned" % (a, b))
@@ -145,7 +144,8 @@ def _index_edges(maze):
 
 def _validate(maze):
     nodes, start, end = maze.nodes, maze.start, maze.end
-    seen = set()
+    by_id, coords = {}, {}  # one pass fills both; by_id finds duplicate ids
+    shared = None  # the first two nodes at one point, raised after the pass
     for n in nodes:
         if not isinstance(n, MazeNode):
             raise MazeValidationError("node %r is not a MazeNode" % (n,))
@@ -158,26 +158,24 @@ def _validate(maze):
             raise MazeValidationError(
                 "node id %r contains '#', which starts a comment in the maze "
                 "format" % n.id)
-        if n.id in seen:
+        if n.id in by_id:
             raise MazeValidationError("duplicate node id %r" % n.id)
-        seen.add(n.id)
+        by_id[n.id] = n
         try:
-            finite = math.isfinite(n.position.x) and math.isfinite(n.position.y)
+            x, y = n.position.x, n.position.y
+            finite = math.isfinite(x) and math.isfinite(y)
         except (AttributeError, TypeError):
             raise MazeValidationError("node %r position %r is not a Point2D "
                                       "of numbers" % (n.id, n.position)) from None
         if not finite:
             raise MazeValidationError("node %r has non-finite coordinates" % n.id)
+        first = coords.setdefault((x, y), n.id)
+        if first != n.id and shared is None:
+            shared = "nodes %r and %r share coordinates %r" % (first, n.id, (x, y))
+    if shared is not None:
+        raise MazeValidationError(shared)
+    maze.__dict__["_by_id"] = by_id  # fills the property's cache
 
-    coords = {}
-    for n in nodes:
-        key = (n.position.x, n.position.y)
-        if key in coords:
-            raise MazeValidationError(
-                "nodes %r and %r share coordinates %r" % (coords[key], n.id, key))
-        coords[key] = n.id
-
-    by_id = maze._by_id  # safe now that node ids are unique
     branches, rows, vertical = _index_edges(maze)  # checks every edge
     maze.__dict__["branches"] = branches  # fills the property's cache
     # Node ids are strings, so a start or end of another type is unknown.
@@ -192,23 +190,23 @@ def _validate(maze):
             raise MazeValidationError(
                 "the maze's extent along %s is not finite" % axis)
 
-    for n in nodes:
-        degree = len(branches[n.id])
+    # Degree-2 nodes must be turns; codes of one axis share their parity.
+    # The first straight one is raised once every node's degree passes.
+    straight = None
+    for node_id, out in branches.items():
+        degree = len(out)
         if degree == 0:
-            raise MazeValidationError("node %r is isolated" % n.id)
+            raise MazeValidationError("node %r is isolated" % node_id)
         if degree > MAX_DEGREE:
             raise MazeValidationError(
-                "node %r has degree %d > %d" % (n.id, degree, MAX_DEGREE))
-
-    # Degree-2 nodes must be turns: their two edges perpendicular.
-    # Codes of one axis share their parity.
-    for n in nodes:
-        if len(branches[n.id]) != 2:
-            continue
-        (d1, _lane1), (d2, _lane2) = branches[n.id]
-        if (d1 - d2) % 2 == 0:
-            raise MazeValidationError(
-                "degree-2 node %r is collinear (not a turn)" % n.id)
+                "node %r has degree %d > %d" % (node_id, degree, MAX_DEGREE))
+        if degree == 2 and straight is None:
+            (d1, _lane1), (d2, _lane2) = out
+            if (d1 - d2) % 2 == 0:
+                straight = node_id
+    if straight is not None:
+        raise MazeValidationError(
+            "degree-2 node %r is collinear (not a turn)" % straight)
 
     _check_crossings(maze, coords, rows, vertical)
 

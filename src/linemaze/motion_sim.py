@@ -153,19 +153,48 @@ class MotionParams(_MotionFields):
         return 1.0 - half, 1.0 + half
 
 
-class EncoderLog(NamedTuple):
-    """Encoder readout and ground truth for one traversed segment.
-
-    wl_total/wr_total: accumulated left/right wheel distances.
-    n_right/n_left: number of right/left pivot turns executed.
-    true_length: actual segment length (ground truth, not robot knowledge).
-    """
-
+class _LogFields(NamedTuple):
     wl_total: float
     wr_total: float
     n_right: int
     n_left: int
     true_length: float
+
+
+def _check_count(name, value):
+    """ArgumentError unless ``value`` is a non-negative integer."""
+    try:
+        if operator.index(value) >= 0:
+            return
+    except TypeError:
+        pass
+    raise ArgumentError("%s must be a non-negative integer, got %r"
+                        % (name, value))
+
+
+class EncoderLog(_LogFields):
+    """Encoder readout and ground truth for one traversed segment.
+
+    wl_total/wr_total: accumulated left/right wheel distances.
+    n_right/n_left: number of right/left pivot turns executed.
+    true_length: actual segment length (ground truth, not robot knowledge).
+
+    The constructor, ``_make`` and ``_replace`` refuse a pivot count that
+    is not a non-negative integer with ``ArgumentError``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        _check_count("n_right", self.n_right)
+        _check_count("n_left", self.n_left)
+        return self
+
+    # _replace builds through _make, so both must run the checks above;
+    # the base's _make checks the length.
+    _make = classmethod(
+        lambda cls, iterable: cls(*_LogFields._make(iterable)))
 
 
 def _mix64(z: int) -> int:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .errors import ArcDomainError, ArgumentError, CalibrationError
 from .motion_sim import (JITTER_HI, JITTER_LO, EncoderLog, MotionParams,
-                         _check_params)
+                         _check_count, _check_params)
 
 __all__ = [
     "CalibConstants",
@@ -288,8 +288,11 @@ def predict_without_encoder(n_right: int, n_left: int,
 
     The oscillation period is fixed by the geometry, so N turns pin down
     (N-1) full stretches plus the initial one; the unknown residual stretch
-    is dropped.
+    is dropped. Each count must be a non-negative integer, and they must
+    sum to at least one; ``ArgumentError`` otherwise.
     """
+    _check_count("n_right", n_right)
+    _check_count("n_left", n_left)
     n = n_right + n_left
     if n < 1:
         raise ArgumentError("need at least one pivot turn to predict a length")

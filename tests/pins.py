@@ -3,7 +3,8 @@ names its recording platform once and files each pin under a class (the
 README's determinism paragraph states their contracts).
 ``PYTHONPATH=src python tests/pins.py record`` rewrites it, and ``diff``
 prints ``pin  class  old  new`` per moved pin, "-" for one new or gone, and
-exits 1 if any pin moved, 0 if none did.
+exits 1 if any pin moved, 0 if none did. Neither needs pytest, Hypothesis
+or scipy: the producers live in ``digests.py``, which imports none of them.
 """
 
 import json
@@ -11,22 +12,19 @@ import pathlib
 import platform
 import sys
 
+import digests
+
 MANIFEST = pathlib.Path(__file__).with_name("pins.json")
 CLASSES = ("bytes", "decisions", "floats")
 
 
 def producers():
-    """Each pin group's producer, which makes one digest or a dict of them.
-    The test modules import this one, so it imports them when called."""
-    import test_explorer_fixture
-    import test_motion_sim
-    import test_odometry
-    import test_solve_fixture
-    return {"explorer": test_explorer_fixture.record,
-            "solve": test_solve_fixture.record,
-            "kernel": test_motion_sim.kernel_digest,
-            "jitter": test_motion_sim.jitter_digest,
-            "estimator": test_odometry.estimator_digests}
+    """Each pin group's producer, which makes one digest or a dict of them."""
+    return {"explorer": digests.explorer_digests,
+            "solve": digests.solve_digests,
+            "kernel": digests.kernel_digest,
+            "jitter": digests.jitter_digest,
+            "estimator": digests.estimator_digests}
 
 
 def pin_class(name):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from digests import NOISY_EVERY, SEEDS, fixture_maze
 from linemaze.errors import (ExplorationError, GraphQueryError,
                              InconsistencyError)
 from linemaze.graph_path import (PathResult, build_graph, dijkstra,
@@ -20,7 +21,6 @@ from oracles import (brute_force_shortest, export_graph, graphs_isomorphic,
                      maze_graph, reference_nearest, reference_shortest_paths,
                      reference_too_diagonal, shifted, state_with,
                      visit_log_graph)
-from test_explorer_fixture import NOISY_EVERY, SEEDS, _maze
 
 FIG2_EXPORT = """\
 A 0 10 : B,5 C,3 E,14 S,10
@@ -73,7 +73,7 @@ def test_build_graph_equals_visit_log_graph_on_noisy_explorations():
     # The walked graph is the visit-log graph, weights bit for bit, under
     # every noisy odometry mode on the fixture's noisy seeds and on one
     # larger arc maze.
-    mazes = [_maze(seed) for seed in SEEDS[::NOISY_EVERY]]
+    mazes = [fixture_maze(seed) for seed in SEEDS[::NOISY_EVERY]]
     runs = [(maze, mode) for maze in mazes for mode in ("raw", "basic", "arc")]
     runs.append((random_maze(random.Random(9115), max_nodes=400, loops=40,
                              leaf_ends=False), "arc"))

@@ -223,6 +223,19 @@ def test_match_point_tolerance_must_be_positive(tol):
         match_point(Point2D(0.0, 0.0), st, tol)
 
 
+_NOT_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("coord", [(v, 0.0) for v in _NOT_FINITE]
+                         + [(0.0, v) for v in _NOT_FINITE], ids=repr)
+def test_match_point_refuses_a_coordinate_that_is_not_finite(coord):
+    st = state_with(["0"], {"0": (0, 0)})
+    with pytest.raises(ArgumentError) as err:
+        match_point(Point2D(*coord), st, 0.5)
+    assert str(err.value) == "coord must be finite, got %r" % (
+        Point2D(*coord),)
+
+
 # ---------------------------------------------------------- target picking
 
 def test_next_target_prefers_nearest_unfinished():

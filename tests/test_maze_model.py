@@ -408,6 +408,25 @@ def test_collinear_degree2_node_rejected():
                    [("S", "M"), ("M", "F")], "S", "F")
 
 
+@pytest.mark.parametrize("late_nodes, late_edges, message", [
+    ([("L", 20, 20)], [], "node 'L' is isolated"),
+    ([("C", 20, 0), ("N", 20, 5), ("D", 20, -5), ("E", 25, 0), ("W", 15, 0),
+      ("N2", 20, 10)],
+     [("C", "N"), ("C", "D"), ("C", "E"), ("C", "W"), ("C", "N2")],
+     "node 'C' has degree 5 > 4"),
+])
+def test_a_degree_error_comes_before_an_earlier_straight_node(
+        late_nodes, late_edges, message):
+    # M is straight and comes first, but every degree is checked before
+    # any degree-2 node's turn.
+    nodes = [MazeNode(i, Point2D(float(x), float(y))) for i, x, y
+             in [("S", 0, 0), ("M", 0, 5), ("F", 0, 10)] + late_nodes]
+    edges = [MazeEdge(a, b) for a, b in [("S", "M"), ("M", "F")] + late_edges]
+    for validate in (lambda m: make_maze(m.nodes, m.edges, m.start, m.end),
+                     reference_validate):
+        assert _validation_outcome(validate, nodes, edges, "S", "F") == message
+
+
 def test_degree2_turn_accepted():
     maze = build_maze([("S", 0, 0), ("M", 0, 5), ("F", 6, 5)],
                       [("S", "M"), ("M", "F")], "S", "F")

@@ -2,7 +2,6 @@
 
 import ast
 import collections
-import hashlib
 import inspect
 import math
 import statistics
@@ -16,7 +15,9 @@ from linemaze import motion_sim
 from linemaze.errors import ArgumentError, MotionDivergenceError
 from linemaze.motion_sim import (EncoderLog, MotionParams, segment_trajectory,
                                  simulate_segment)
-from oracles import fresh_heading, record, step_loop_integrate, use_headings
+from digests import (JITTER_ALPHAS, JITTER_KEYS, KERNEL_CASES, KERNEL_SEEDS,
+                     jitter_digest, kernel_digest)
+from oracles import record, step_loop_integrate, use_headings
 from pins import check
 
 
@@ -167,42 +168,6 @@ def test_ideal_mode_ignores_seed():
 
 
 # ------------------------------------------------------------ exact output
-
-# (length, MotionParams overrides): defaults over a range of lengths, plus
-# the edge cases matched wheels, strong drift, no tilt and a thin band.
-KERNEL_CASES = [
-    (0.7, {}), (3.0, {}), (8.0, {}), (10.0, {}), (14.0, {}), (25.0, {}),
-    (10.0, dict(speed_ratio=1.0)),
-    (10.0, dict(speed_ratio=2.5)),
-    (10.0, dict(alpha=0.0)),
-    (25.0, dict(h=0.02)),
-]
-KERNEL_SEEDS = range(20)
-# Any change to a float, a pivot or the divergence message moves the digest,
-# which pins the leg-jump kernel's output across processes bit for bit. It
-# runs under ``fresh_heading``'s fixed start headings, so a change to how a
-# jitter key becomes a heading moves the ``jitter`` pin instead. Each line
-# is a log's repr with the run's polyline as a last ``trajectory`` field,
-# so that the pin covers every pivot position as well.
-
-
-def kernel_digest():
-    lines = []
-    with pytest.MonkeyPatch.context() as mp:
-        use_headings(mp, fresh_heading)
-        for length, overrides in KERNEL_CASES:
-            p = MotionParams(**overrides)
-            for s in KERNEL_SEEDS:
-                lines.append("%s, trajectory=%r)" % (
-                    repr(simulate_segment(length, p, seed=s))[:-1],
-                    segment_trajectory(length, p, seed=s)))
-        try:
-            simulate_segment(200.0, MotionParams(h=200.0, alpha=0.0,
-                                                 speed_ratio=1.1), seed=0)
-        except MotionDivergenceError as exc:
-            lines.append(str(exc))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
 
 def test_kernel_output_is_bit_identical_to_the_recorded_digest():
     check("kernel", kernel_digest())
@@ -800,19 +765,6 @@ def test_simulate_lengths_resumes_the_longer_length_from_the_shorter():
 
 
 # ------------------------------------------------------------------ jitter
-
-JITTER_ALPHAS = (MotionParams().alpha, math.radians(6.0), 0.0)
-JITTER_KEYS = [0, 1, 2, 3, 7, 10, 1000, 2 ** 31 - 1, 2 ** 32, 2 ** 63,
-               2 ** 64 - 1]
-# Pins how a jitter key (seed, index) becomes a start heading, bit for bit.
-
-
-def jitter_digest():
-    lines = [repr(motion_sim._initial_heading(alpha, seed, index))
-             for alpha in JITTER_ALPHAS
-             for seed in JITTER_KEYS for index in JITTER_KEYS]
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
 
 def test_jitter_is_bit_identical_to_the_recorded_digest():
     check("jitter", jitter_digest())

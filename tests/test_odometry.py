@@ -1,25 +1,23 @@
 """Inverse odometry: calibration, arc/chord geometry, length correction."""
 
-import hashlib
 import math
 import random
 import statistics
-from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linemaze.errors import (ArcDomainError, CalibrationError,
-                             InconsistencyError)
+from linemaze.errors import (ArcDomainError, ArgumentError,
+                             CalibrationError, InconsistencyError)
 from linemaze.motion_sim import EncoderLog, MotionParams, simulate_segment
 from linemaze.odometry import (CalibConstants, arc_len_from_height,
                                calibration_from_motion, chord_from_arc,
                                estimate_length, linearize_arc, linearize_basic,
                                predict_without_encoder, residual_arc)
-from oracles import (fresh_heading, reference_estimate,
-                     reference_linearize_arc, reference_linearize_basic,
-                     reference_residual_arc, use_headings)
+from digests import estimator_digests
+from oracles import (reference_estimate, reference_linearize_arc,
+                     reference_linearize_basic, reference_residual_arc)
 from pins import check
 
 
@@ -391,6 +389,19 @@ def test_predict_requires_a_turn(default_cal):
         predict_without_encoder(0, 0, default_cal)
 
 
+@pytest.mark.parametrize("counts, message", [
+    ((1.5, 0), "n_right must be a non-negative integer, got 1.5"),
+    ((0, 2.5), "n_left must be a non-negative integer, got 2.5"),
+    ((-1, 3), "n_right must be a non-negative integer, got -1"),
+    ((3, -1), "n_left must be a non-negative integer, got -1"),
+])
+def test_predict_refuses_a_count_that_is_not_a_non_negative_integer(
+        default_cal, counts, message):
+    with pytest.raises(ArgumentError) as err:
+        predict_without_encoder(*counts, default_cal)
+    assert str(err.value) == message
+
+
 # ------------------------------------------------------------ mode dispatch
 
 def test_estimate_length_modes(default_params, default_cal):
@@ -419,73 +430,6 @@ def test_estimate_length_unknown_mode(default_cal):
 
 # ------------------------------------------------------- bit-for-bit pin
 
-ESTIMATOR_ROBOTS = (dict(), dict(speed_ratio=1.0), dict(speed_ratio=0.98),
-                    dict(speed_ratio=1.05), dict(h=0.3))
-ESTIMATOR_LENGTHS = (2.0, 7.0, 14.0, 60.0)
-ESTIMATOR_SEEDS = range(8)
-HAND_BUILT_SEEDS = range(2000)
-# Any change to an estimate, a residual, a prediction or the type of error
-# one of them raises moves a digest, which pins the estimators' output bit
-# for bit. One digest covers the raw and basic estimates, the other arc,
-# residual_arc and predict_without_encoder, so a change to the arc model
-# shows that it left raw and basic alone.
-
-
-def _outcome(fn, *args):
-    try:
-        return repr(fn(*args))
-    except (ValueError, InconsistencyError) as exc:
-        return type(exc).__name__
-
-
-def _estimator_lines(log, cal):
-    """The case's outcomes: (raw and basic lines, arc lines)."""
-    linear = [_outcome(estimate_length, log, cal, mode)
-              for mode in ("raw", "basic")]
-    arc = [_outcome(estimate_length, log, cal, "arc"),
-           _outcome(predict_without_encoder, log.n_right, log.n_left, cal)]
-    arc += [_outcome(residual_arc, log, cal, wheel)
-            for wheel in ("left", "right")]
-    return linear, arc
-
-
-def _hand_built_case(seed):
-    """A random log and calibration; the arc model rejects about half."""
-    rng = random.Random(seed)
-    h = rng.uniform(0.05, 2.0)
-    radius = rng.choice((math.inf, 2.0 * h * math.exp(rng.uniform(0.0, 12.0))))
-    f_lc, f_rc, k = (rng.choice((0.0, rng.uniform(0.0, 0.5)))
-                     for _ in range(3))
-    cal = CalibConstants(c=rng.uniform(0.5, 1.0),
-                         c_left=rng.uniform(0.5, 1.5),
-                         c_right=rng.uniform(0.5, 1.5),
-                         f_lc=f_lc, f_rc=f_rc, k=k, h=h, radius=radius)
-    wl = rng.uniform(0.0, 80.0)
-    wr = rng.choice((wl, rng.uniform(0.0, 80.0)))
-    log = log_of(wl, wr, n_right=rng.randint(0, 12), n_left=rng.randint(0, 12))
-    return log, cal
-
-
-def estimator_digests():
-    cases = []
-    # Fixed start headings, so that only the estimators move the digests.
-    with pytest.MonkeyPatch.context() as mp:
-        use_headings(mp, fresh_heading)
-        for overrides in ESTIMATOR_ROBOTS:
-            params = MotionParams(**overrides)
-            cal = calibration_from_motion(params)
-            for length in ESTIMATOR_LENGTHS:
-                for seed in ESTIMATOR_SEEDS:
-                    cases.append(_estimator_lines(
-                        simulate_segment(length, params, seed=seed), cal))
-    cases += [_estimator_lines(*_hand_built_case(seed))
-              for seed in HAND_BUILT_SEEDS]
-    linear, arc = zip(*cases)
-    return {name: hashlib.sha256(
-                "\n".join(chain.from_iterable(lines)).encode()).hexdigest()
-            for name, lines in (("raw+basic", linear), ("arc", arc))}
-
-
 def test_estimators_are_bit_identical_to_the_recorded_digest():
     check("estimator", estimator_digests())
 
@@ -513,7 +457,7 @@ def _same_as_the_reference(log, cal):
                 _result(ref, log, cal, wheel), (fn.__name__, wheel)
 
 
-# Wheel totals as _hand_built_case draws them, and the ones no simulated
+# Wheel totals as digests._hand_built_case draws them, and the ones no simulated
 # log has: negative, zero, not a number, infinite, near the float maximum.
 wheel_totals = st.one_of(
     st.floats(min_value=0.0, max_value=80.0),
@@ -523,7 +467,7 @@ charges = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5))
 
 @st.composite
 def hand_built_cases(draw):
-    """A log and calibration drawn like ``_hand_built_case``'s."""
+    """A log and calibration drawn like ``digests._hand_built_case``'s."""
     h = draw(st.floats(min_value=0.05, max_value=2.0))
     radius = draw(st.one_of(
         st.just(math.inf),

@@ -13,8 +13,8 @@ import sys
 import pytest
 
 import linemaze
-from linemaze import (CalibConstants, CalibrationError, EncoderLog,
-                      JunctionTape, MazeEdge, MazeNode,
+from linemaze import (ArgumentError, CalibConstants, CalibrationError,
+                      EncoderLog, JunctionTape, MazeEdge, MazeNode,
                       MotionParams, PathResult, Point2D, bundled_maze_text,
                       calibration_from_motion, parse_maze)
 
@@ -208,10 +208,30 @@ def test_every_way_of_building_calib_constants_is_checked():
     assert CalibConstants._make(list(good)) == good
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("n_right", -5), ("n_right", 1.5), ("n_left", -5), ("n_left", 1.5)])
+def test_every_way_of_building_an_encoder_log_is_checked(field, bad):
+    # A hand-built log's pivot counts are non-negative integers; the
+    # estimators would otherwise read any number as a count.
+    good = EncoderLog(10.2, 10.3, 0, 0, 10.0)
+    values = [bad if f == field else v for f, v in zip(good._fields, good)]
+    for build in (lambda: EncoderLog(*values),
+                  lambda: EncoderLog(**dict(zip(good._fields, values))),
+                  lambda: good._replace(**{field: bad}),
+                  lambda: EncoderLog._make(values)):
+        with pytest.raises(ArgumentError) as err:
+            build()
+        assert str(err.value) == \
+            "%s must be a non-negative integer, got %r" % (field, bad)
+    assert type(good._replace(n_left=3)) is EncoderLog
+    assert EncoderLog._make(list(good)) == good
+
+
 @pytest.mark.parametrize("cls, good", [
     (MotionParams, MotionParams()),
     (CalibConstants, calibration_from_motion(MotionParams())),
-], ids=["MotionParams", "CalibConstants"])
+    (EncoderLog, EncoderLog(1.0, 1.0, 0, 0, 1.0)),
+], ids=["MotionParams", "CalibConstants", "EncoderLog"])
 def test_make_refuses_a_wrong_length(cls, good):
     # As a plain named tuple's _make does, with its message; MotionParams
     # would otherwise fill the missing fields with their defaults.

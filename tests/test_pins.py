@@ -7,10 +7,9 @@ import sys
 
 import pytest
 
+import digests
 import linemaze
 import pins
-import test_explorer_fixture
-import test_solve_fixture
 from linemaze.errors import ExplorationError
 
 
@@ -21,8 +20,8 @@ def test_the_manifest_holds_the_produced_pins_and_names_its_platform_once(
     def fail(*args, **kwargs):
         raise ExplorationError("not explored")
 
-    monkeypatch.setattr(test_explorer_fixture, "explore_map", fail)
-    monkeypatch.setattr(test_solve_fixture, "run", lambda argv: 0)
+    monkeypatch.setattr(digests, "explore_map", fail)
+    monkeypatch.setattr(digests, "run", lambda argv: 0)
     produced = {group: make() for group, make in pins.producers().items()}
     assert sorted(pins.flat(produced)) == sorted(pins.load()[1])
     manifest = json.loads(pins.MANIFEST.read_text())
@@ -55,12 +54,19 @@ def test_diff_prints_each_moved_pin_with_its_class(monkeypatch, capsys):
 
 
 def test_the_producers_import_without_scipy():
-    # The pin diff can run where scipy is not installed: the test modules
-    # it imports for their producers import scipy only in the tests that
-    # use it.
+    # The pin tool runs where neither pytest, Hypothesis nor scipy is
+    # installed: it imports its producers from digests.py, which imports
+    # none of them. The cheap groups run there and hold their pins; jitter
+    # runs last, so it holds only if the stand-in for MonkeyPatch that the
+    # other two run under puts back what it moved.
     paths = [str(pathlib.Path(__file__).parent),
              str(pathlib.Path(linemaze.__file__).parents[1])]
-    code = ("import sys; sys.path[:0] = %r; sys.modules['scipy'] = None; "
-            "import pins; pins.producers()" % paths)
+    code = ("import sys; sys.path[:0] = %r\n"
+            "for name in ('pytest', 'hypothesis', 'scipy'):\n"
+            "    sys.modules[name] = None\n"
+            "import pins\n"
+            "made = {group: pins.producers()[group]()\n"
+            "        for group in ('kernel', 'estimator', 'jitter')}\n"
+            "assert pins.moved(made) == []" % paths)
     subprocess.run([sys.executable, "-I", "-c", code], check=True,
                    capture_output=True, timeout=60)
